@@ -8,9 +8,11 @@ Three models of the same partially blocked link:
   Rayleigh-Sommerfeld hops through masked sampling planes inside the
   blockage region.
 * cascaded model (``cgwcm_channel``): the wave model's plane cascade with
-  each hop replaced by a free-space ray-model matrix, collapsing the
-  diffraction integrals into matrix products; orders of magnitude cheaper
-  and calibrated against the ray model's unblocked reference.
+  each hop replaced by a free-space ray-model matrix, calibrated against
+  the ray model's unblocked reference. Both cascades build their hops the
+  same way and multiply matrices of the same sizes; the cascaded model
+  evaluates an exponential per distinct offset where the wave model
+  evaluates a Hankel function, so it is only modestly cheaper.
 
 Phase convention: all models use exp(-j*k*r) for a path of length r, and
 the diffraction kernel is the matching conjugate Rayleigh-Sommerfeld form
@@ -97,12 +99,47 @@ def _pairwise_r(src_y: np.ndarray, dst_y: np.ndarray, dx: float) -> np.ndarray:
     return np.sqrt(dx * dx + (dst_y[:, None] - src_y[None, :]) ** 2)
 
 
+def _shares_pitch(src_y: np.ndarray, dst_y: np.ndarray) -> bool:
+    """True when both grids are uniform with one signed pitch.
+
+    Every sample must sit within 1e-12 of the pitch of the line through
+    its grid's first sample, so an offset read off the first row or
+    column differs from the pairwise one by rounding only.
+    """
+    if src_y.size < 2 or dst_y.size < 2:
+        return False
+    pitch = (src_y[-1] - src_y[0]) / (src_y.size - 1)
+    tol = 1e-12 * abs(pitch)
+    return all(np.max(np.abs(y - y[0] - pitch * np.arange(y.size))) <= tol
+               for y in (src_y, dst_y))
+
+
+def _hop_matrix(src_y: np.ndarray, dst_y: np.ndarray, dx: float, kernel) -> np.ndarray:
+    """kernel(r) for every (dst, src) pair, as a [dst, src] matrix.
+
+    Between grids of a shared pitch the entry depends only on the index
+    offset i - j, so the matrix is Toeplitz: kernel is evaluated on the
+    first column and first row (2n-1 distances) and expanded. Any other
+    grid pair is evaluated pairwise.
+    """
+    if not _shares_pitch(src_y, dst_y):
+        return kernel(_pairwise_r(src_y, dst_y, dx))
+    col = np.sqrt(dx * dx + (dst_y - src_y[0]) ** 2)      # offsets i - 0
+    row = np.sqrt(dx * dx + (dst_y[0] - src_y[1:]) ** 2)  # offsets 0 - j, j >= 1
+    values = kernel(np.concatenate([col[::-1], row]))
+    # window s holds offsets m-1-s .. m-1-s-(n-1); row i is window m-1-i
+    windows = np.lib.stride_tricks.sliding_window_view(values, src_y.size)
+    return np.ascontiguousarray(windows[::-1])
+
+
 def _gcm_hop(src_y: np.ndarray, dst_y: np.ndarray, dx: float,
              carrier: CarrierConfig) -> np.ndarray:
     """Free-space ray-model matrix between two parallel planes."""
-    r = _pairwise_r(src_y, dst_y, dx)
-    amp = SPEED_OF_LIGHT / (4 * math.pi * carrier.frequency * r)
-    return amp * np.exp(-1j * carrier.wavenumber * r)
+    def kernel(r):
+        amp = SPEED_OF_LIGHT / (4 * math.pi * carrier.frequency * r)
+        return amp * np.exp(-1j * carrier.wavenumber * r)
+
+    return _hop_matrix(src_y, dst_y, dx, kernel)
 
 
 def _rs_hop(src_y: np.ndarray, dst_y: np.ndarray, dx: float,
@@ -115,11 +152,18 @@ def _rs_hop(src_y: np.ndarray, dst_y: np.ndarray, dx: float,
     point-source kernel times sqrt(lambda*r) e^{j pi/4}. Using the 3-D
     point-source kernel directly would over-weight short hops and make
     iterated plane-to-plane cascades diverge.
+
+    The virtual planes take the Tx pitch, so when the Rx pitch matches it
+    every cascade hop is Toeplitz and costs 2n-1 Hankel evaluations
+    (`_hop_matrix`); field-map columns of another pitch are evaluated
+    pairwise.
     """
     k = carrier.wavenumber
-    r = _pairwise_r(src_y, dst_y, dx)
-    kernel = (-0.5j * k * dx / r) * special.hankel2(1, k * r)
-    return kernel * weight
+
+    def kernel(r):
+        return (-0.5j * k * dx / r) * special.hankel2(1, k * r) * weight
+
+    return _hop_matrix(src_y, dst_y, dx, kernel)
 
 
 def gcm_channel(scenario: ScenarioConfig, use_blockage: bool = True) -> ChannelMatrix:
@@ -177,10 +221,11 @@ def _cascade(scenario: ScenarioConfig, hop, use_blockage: bool,
 
     mask = _plane_mask(vy, blk) if use_blockage else np.ones_like(vy)
     gate = mask * _edge_taper(vy)
-    field = hop(tx_y, vy, plane_xs[0], tx_weight) * gate[:, None]
-    for prev_x, cur_x in zip(plane_xs[:-1], plane_xs[1:]):
-        field = (hop(vy, vy, cur_x - prev_x, vspace) @ field) * gate[:, None]
-    return hop(vy, rx_y, scen.link_distance - plane_xs[-1], vspace) @ field
+    # multiply from the Rx side: every product keeps N_r rows
+    acc = hop(vy, rx_y, scen.link_distance - plane_xs[-1], vspace) * gate
+    for prev_x, cur_x in zip(plane_xs[-2::-1], plane_xs[:0:-1]):
+        acc = (acc @ hop(vy, vy, cur_x - prev_x, vspace)) * gate
+    return acc @ hop(tx_y, vy, plane_xs[0], tx_weight)
 
 
 def wcm_channel(scenario: ScenarioConfig, use_blockage: bool = True) -> ChannelMatrix:

@@ -16,7 +16,8 @@ the envelope reaches monotonically this reduces to the plain first-descent
 root. Design intervals follow the envelope variables directly
 (s_a = x_a^3/(d^2 N^3), s_r = x_r^2/(d N^2), s_th = 2u/N); the plan also
 records calibration-free empirical intervals found by inverting the exact
-numeric correlation, which land near 4x the design values (see README).
+numeric correlation, which come out about 2*lambda/d times the design
+formula evaluated at the first crossing (see README).
 """
 
 from __future__ import annotations

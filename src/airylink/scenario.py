@@ -9,11 +9,25 @@ y in [-extent_below, extent_above].
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
+def _check_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -25,8 +39,8 @@ class ArrayConfig:
     center_offset: float = 0.0
 
     def __post_init__(self):
-        if self.num_elements < 1:
-            raise ValueError("num_elements must be >= 1")
+        _check_count("num_elements", self.num_elements)
+        _check_finite(spacing=self.spacing, center_offset=self.center_offset)
         if not (self.spacing > 0):
             raise ValueError("spacing must be > 0")
 
@@ -46,6 +60,7 @@ class CarrierConfig:
     frequency: float
 
     def __post_init__(self):
+        _check_finite(frequency=self.frequency)
         if not (self.frequency > 0):
             raise ValueError("frequency must be > 0")
 
@@ -74,6 +89,9 @@ class BlockageGeometry:
     extent_below: float
 
     def __post_init__(self):
+        _check_finite(distance_from_tx=self.distance_from_tx,
+                      width_along_axis=self.width_along_axis,
+                      extent_above=self.extent_above, extent_below=self.extent_below)
         if self.width_along_axis < 0:
             raise ValueError("width_along_axis must be >= 0")
         if not (self.distance_from_tx > 0):
@@ -107,10 +125,9 @@ class VirtualArrayConfig:
     plane_spacing: float
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if self.elements_per_array < 1:
-            raise ValueError("elements_per_array must be >= 1")
+        _check_count("count", self.count)
+        _check_count("elements_per_array", self.elements_per_array)
+        _check_finite(plane_spacing=self.plane_spacing)
         if not (self.plane_spacing > 0):
             raise ValueError("plane_spacing must be > 0")
 
@@ -125,6 +142,7 @@ class ScenarioConfig:
     virtual_arrays: VirtualArrayConfig | None = field(default=None)
 
     def __post_init__(self):
+        _check_finite(link_distance=self.link_distance)
         if not (self.link_distance > 0):
             raise ValueError("link_distance must be > 0")
         if self.blockage is not None:

@@ -181,7 +181,7 @@ def test_cascaded_model_tracks_wave_truth_better_than_ray_model():
         assert err_cascade < err_ray
         gaps_db.append(20 * math.log10(err_ray / err_cascade))
     assert np.mean(gaps_db) >= 3.0
-    assert time.perf_counter() - t0 < 300.0
+    assert time.perf_counter() - t0 < 30.0
 
 
 # --------------------------------------------------- shadow-region diffraction
@@ -335,7 +335,7 @@ def test_search_scheme_spectral_efficiency_ordering(ordering_design):
     assert t_low < t_fast < t_full
     assert t_fast <= 0.3 * t_full
     assert t_low <= 0.2 * t_fast
-    assert time.perf_counter() - t0 < 900.0
+    assert time.perf_counter() - t0 < 30.0
 
 
 # ---------------------------------------------- unblocked-reference robustness

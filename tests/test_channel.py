@@ -24,6 +24,10 @@ from airylink.channel import (
     synth_multipath_channel,
     wcm_channel,
     _edge_taper,
+    _gcm_hop,
+    _plane_mask,
+    _rs_hop,
+    _shares_pitch,
 )
 from airylink.scenario import (
     SPEED_OF_LIGHT,
@@ -35,6 +39,7 @@ from airylink.scenario import (
     element_positions,
     half_wavelength_array,
     virtual_grid,
+    virtual_plane_positions,
 )
 
 CAR = CarrierConfig(140e9)
@@ -210,6 +215,87 @@ def test_wcm_diffracts_into_shadow():
     assert fully_blocked_rows.any()
     assert np.all(np.abs(hw[fully_blocked_rows]) > 0)
     assert np.all(hg[fully_blocked_rows] == 0)
+
+
+# ----------------------------------------- fast hops vs the dense formula
+
+def _dense_rs(src, dst, dx, weight):
+    k = CAR.wavenumber
+    r = np.sqrt(dx * dx + (dst[:, None] - src[None, :]) ** 2)
+    return (-0.5j * k * dx / r) * special.hankel2(1, k * r) * weight
+
+
+def _dense_gcm(src, dst, dx, weight=None):
+    r = np.sqrt(dx * dx + (dst[:, None] - src[None, :]) ** 2)
+    amp = SPEED_OF_LIGHT / (4 * math.pi * CAR.frequency * r)
+    return amp * np.exp(-1j * CAR.wavenumber * r)
+
+
+HALF = CAR.wavelength / 2
+
+
+@pytest.mark.parametrize("src, dst, dx", [
+    # Tx aperture onto a virtual plane: the grids sit half a pitch apart
+    (ArrayConfig(256, HALF), ArrayConfig(1021, HALF), 0.9),
+    # last virtual plane onto an Rx array shifted off the axis
+    (ArrayConfig(1021, HALF), ArrayConfig(16, HALF, 0.003), 0.1),
+])
+def test_shared_pitch_hops_match_dense_formula(src, dst, dx):
+    sy, dy = element_positions(src), element_positions(dst)
+    assert _shares_pitch(sy, dy)
+    np.testing.assert_allclose(_rs_hop(sy, dy, dx, CAR, HALF),
+                               _dense_rs(sy, dy, dx, HALF), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(_gcm_hop(sy, dy, dx, CAR),
+                               _dense_gcm(sy, dy, dx), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("sy, dy", [
+    # field-map column: another pitch than the aperture's
+    (element_positions(ArrayConfig(128, HALF)), np.linspace(-0.08, 0.08, 200)),
+    # one-element arrays on either side
+    (np.array([0.001]), element_positions(ArrayConfig(16, HALF))),
+    (element_positions(ArrayConfig(16, HALF)), np.array([-0.002])),
+    # uniform, but the pitch differs by one part in 1e9
+    (element_positions(ArrayConfig(16, HALF)),
+     element_positions(ArrayConfig(16, HALF * (1 + 1e-9)))),
+    # uniform pitch, but of opposite sign
+    (element_positions(ArrayConfig(16, HALF)),
+     element_positions(ArrayConfig(16, HALF))[::-1].copy()),
+])
+def test_other_grids_keep_the_exact_dense_hop(sy, dy):
+    assert not _shares_pitch(sy, dy)
+    assert np.array_equal(_rs_hop(sy, dy, 0.3, CAR, 0.7), _dense_rs(sy, dy, 0.3, 0.7))
+    assert np.array_equal(_gcm_hop(sy, dy, 0.3, CAR), _dense_gcm(sy, dy, 0.3))
+
+
+def _tx_side_cascade(sc, hop, use_blockage, plane_weight):
+    """The plane cascade multiplied from the Tx side with dense hops."""
+    tx_y, rx_y = element_positions(sc.tx), element_positions(sc.rx)
+    vy, xs = virtual_grid(sc), virtual_plane_positions(sc)
+    vspace = plane_weight if plane_weight is not None else float(np.mean(np.diff(vy)))
+    mask = _plane_mask(vy, sc.blockage) if use_blockage else np.ones_like(vy)
+    gate = (mask * _edge_taper(vy))[:, None]
+    field = hop(tx_y, vy, xs[0], 1.0) * gate
+    for prev_x, cur_x in zip(xs[:-1], xs[1:]):
+        field = (hop(vy, vy, cur_x - prev_x, vspace) @ field) * gate
+    return hop(vy, rx_y, sc.link_distance - xs[-1], vspace) @ field
+
+
+@pytest.mark.parametrize("use_blockage", [True, False])
+@pytest.mark.parametrize("build, hop, plane_weight", [
+    (wcm_channel, _dense_rs, None),
+    (cgwcm_channel, _dense_gcm, 1.0),
+])
+def test_rx_side_cascade_matches_tx_side_reference(build, hop, plane_weight,
+                                                   use_blockage):
+    blk = BlockageGeometry(1.5, 0.05, 0.004, 0.5)
+    sc = ScenarioConfig(half_wavelength_array(64, CAR),
+                        half_wavelength_array(16, CAR, 0.002), CAR, 3.0,
+                        blockage=blk).with_virtual_defaults(8)
+    got = build(sc, use_blockage=use_blockage).entries
+    ref = _tx_side_cascade(sc, hop, use_blockage, plane_weight)
+    assert got.shape == (16, 64)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 # ---------------------------------------------------------- cascaded model

@@ -11,6 +11,7 @@ from airylink.scenario import (
     BlockageGeometry,
     CarrierConfig,
     ScenarioConfig,
+    VirtualArrayConfig,
     blocked_interval,
     blocked_pairs,
     element_positions,
@@ -125,6 +126,33 @@ def test_scenario_validation():
         ScenarioConfig(arr, arr, car, 1.0, blockage=BlockageGeometry(0.8, 0.3, 0.1, 0.1))
     with pytest.raises(ValueError):
         BlockageGeometry(-0.5, 0.1, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: ArrayConfig(2.5, 1e-3), "num_elements"),
+    (lambda: ArrayConfig(True, 1e-3), "num_elements"),
+    (lambda: ArrayConfig(0, 1e-3), "num_elements"),
+    (lambda: ArrayConfig(8, math.inf), "spacing"),
+    (lambda: ArrayConfig(8, math.nan), "spacing"),
+    (lambda: ArrayConfig(8, 1e-3, -math.inf), "center_offset"),
+    (lambda: CarrierConfig(math.inf), "frequency"),
+    (lambda: ScenarioConfig(ArrayConfig(8, 1e-3), ArrayConfig(8, 1e-3),
+                            CarrierConfig(140e9), math.inf), "link_distance"),
+    (lambda: BlockageGeometry(1.0, 0.1, math.inf, 0.1), "extent_above"),
+    (lambda: BlockageGeometry(1.0, 0.1, 0.1, math.nan), "extent_below"),
+    (lambda: VirtualArrayConfig(8.0, 64, 0.01), "count"),
+    (lambda: VirtualArrayConfig(8, False, 0.01), "elements_per_array"),
+    (lambda: VirtualArrayConfig(8, 64, math.inf), "plane_spacing"),
+])
+def test_config_rejects_bad_counts_and_non_finite_values(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
+def test_config_accepts_numpy_integer_counts():
+    arr = ArrayConfig(np.int64(8), 1e-3)
+    assert element_positions(arr).size == 8
+    assert VirtualArrayConfig(np.int32(2), np.int64(16), 0.01).count == 2
 
 
 def test_virtual_defaults_span_blockage():
