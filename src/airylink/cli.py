@@ -42,6 +42,7 @@ from .evaluation import (
     build_scheme_beamformers,
     calibrated_wave_channels,
     noise_for_target_se,
+    run_search,
     run_sweep,
 )
 from .gridio import (
@@ -59,15 +60,7 @@ from .scenario import (
     ScenarioConfig,
     blocked_pairs,
 )
-from .search import (
-    ProbeCombiner,
-    TrainingConfig,
-    exhaustive_search,
-    farfield_steering_search,
-    hierarchical_search,
-    low_complexity_search,
-    nearfield_focusing_search,
-)
+from .search import ProbeCombiner, TrainingConfig
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
@@ -289,22 +282,18 @@ def _load_multipath(doc: dict) -> MultipathOptions | None:
 
 
 _SCHEME_ALIASES = {
-    "exhaustive": BeamformingScheme.EXHAUSTIVE,
+    **{s.value: s for s in BeamformingScheme},
     "hier": BeamformingScheme.HIERARCHICAL,
-    "hierarchical": BeamformingScheme.HIERARCHICAL,
     "lowc": BeamformingScheme.LOW_COMPLEXITY,
-    "low_complexity": BeamformingScheme.LOW_COMPLEXITY,
     "ff": BeamformingScheme.FARFIELD_STEERING,
-    "farfield": BeamformingScheme.FARFIELD_STEERING,
     "nf": BeamformingScheme.NEARFIELD_FOCUSING,
-    "nearfield": BeamformingScheme.NEARFIELD_FOCUSING,
     "perfect": BeamformingScheme.PERFECT_CSI,
-    "perfect_csi": BeamformingScheme.PERFECT_CSI,
     "nonblocked": BeamformingScheme.NON_BLOCKED,
-    "non_blocked": BeamformingScheme.NON_BLOCKED,
     "nlos": BeamformingScheme.NLOS_ONLY,
-    "nlos_only": BeamformingScheme.NLOS_ONLY,
 }
+
+# --scheme values of the codebook and search commands.
+_SEARCH_CHOICES = ("exhaustive", "hier", "lowc", "ff", "nf")
 
 _VARIABLE_ALIASES = {
     "height": SweptVariable.BLOCKAGE_HEIGHT,
@@ -326,15 +315,22 @@ def _load_sweep(doc: dict) -> SweepOptions | None:
     if (not isinstance(grid, list) or not grid
             or any(_coerce_number(g) is None for g in grid)):
         raise ConfigError("sweep.grid: must be a non-empty list of numbers")
+    grid = tuple(_coerce_number(g) for g in grid)
+    if _VARIABLE_ALIASES[variable] is SweptVariable.OVERHEAD and not all(
+            g.is_integer() and g >= 1 for g in grid):
+        raise ConfigError("sweep.grid: overhead budgets must be integers >= 1")
     schemes = sec.get("schemes")
     if not isinstance(schemes, list) or not schemes:
         raise ConfigError("sweep.schemes: must be a non-empty list")
     for s in schemes:
-        if s not in _SCHEME_ALIASES:
+        if not isinstance(s, str) or s not in _SCHEME_ALIASES:
             raise ConfigError(f"sweep.schemes: unknown scheme {s!r}")
+        if (_SCHEME_ALIASES[s] is BeamformingScheme.NLOS_ONLY
+                and doc.get("multipath") is None):
+            raise ConfigError(f"sweep.schemes: {s} needs a multipath section")
     return SweepOptions(
         variable=variable,
-        grid=tuple(_coerce_number(g) for g in grid),
+        grid=grid,
         schemes=tuple(schemes),
         repetitions=_intval(sec, "sweep", "repetitions", default=1, minimum=1),
     )
@@ -572,23 +568,6 @@ def cmd_codebook(args) -> int:
     return 0
 
 
-def _run_search(scheme_key: str, cfg: RunConfig, channels: ChannelSet,
-                train: TrainingConfig, plan: SamplingPlan):
-    sc = cfg.scenario
-    if scheme_key == "exhaustive":
-        return exhaustive_search(build_exhaustive_codebook(plan, sc),
-                                 channels.blocked, train)
-    if scheme_key == "hier":
-        stage1, factory = build_hierarchical_codebooks(plan, sc)
-        return hierarchical_search(stage1, factory, channels.blocked, train)
-    if scheme_key == "lowc":
-        stage1, factory = build_low_complexity_codebooks(sc, plan)
-        return low_complexity_search(stage1, factory, channels.blocked, train)
-    if scheme_key == "ff":
-        return farfield_steering_search(channels.blocked, train, sc, plan)
-    return nearfield_focusing_search(channels.blocked, train, sc)
-
-
 def cmd_search(args) -> int:
     cfg = load_config(args.config)
     sc = cfg.scenario
@@ -599,11 +578,11 @@ def cmd_search(args) -> int:
     write_manifest(out_dir, args.config, train, sc, plan,
                    [f"command: search", f"scheme: {args.scheme}"])
 
-    result = _run_search(args.scheme, cfg, channels, train, plan)
+    scheme = _SCHEME_ALIASES[args.scheme]
+    result = run_search(scheme, channels.blocked, sc, plan, train)
     write_search_trace_csv(out_dir / "results" / "search_trace.csv", result)
 
-    bf = build_scheme_beamformers(_SCHEME_ALIASES[args.scheme],
-                                  search_result=result,
+    bf = build_scheme_beamformers(scheme, search_result=result,
                                   non_blocked_channel=channels.non_blocked)
     se = bf.evaluate(channels.blocked, train.transmit_power, train.noise_power)
     p = result.selected_params
@@ -625,20 +604,16 @@ def cmd_sweep(args) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep: section is required for the sweep command")
     sc = cfg.scenario
-    out_dir = _prepare_out(args.out)
     variable = _VARIABLE_ALIASES[args.sweep if args.sweep else cfg.sweep.variable]
     schemes = tuple(_SCHEME_ALIASES[s] for s in cfg.sweep.schemes)
     base_seed = args.seed if args.seed is not None else cfg.training.rng_seed
     spec = SweepSpec(variable, cfg.sweep.grid, schemes,
                      repetitions=cfg.sweep.repetitions, base_seed=base_seed)
+    out_dir = _prepare_out(args.out)
 
     channels = build_channel_set(cfg)
     train = resolve_training(cfg, channels, base_seed)
-    needs_plan = variable is SweptVariable.OVERHEAD or any(
-        s in cfg.sweep.schemes and _SCHEME_ALIASES[s] in (
-            BeamformingScheme.EXHAUSTIVE, BeamformingScheme.HIERARCHICAL,
-            BeamformingScheme.LOW_COMPLEXITY, BeamformingScheme.FARFIELD_STEERING,
-            BeamformingScheme.NEARFIELD_FOCUSING) for s in cfg.sweep.schemes)
+    needs_plan = variable is SweptVariable.OVERHEAD or any(s.searched for s in schemes)
     plan = solve_plan(cfg) if needs_plan else None
     write_manifest(out_dir, args.config, train, sc, plan, [
         "command: sweep",
@@ -696,14 +671,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("codebook", parents=[common],
                        help="solve the sampling plan and export codebooks")
-    p.add_argument("--scheme", choices=["exhaustive", "hier", "lowc", "ff", "nf"],
-                   default="exhaustive")
+    p.add_argument("--scheme", choices=_SEARCH_CHOICES, default="exhaustive")
     p.set_defaults(func=cmd_codebook)
 
     p = sub.add_parser("search", parents=[common],
                        help="run one beam-training search")
-    p.add_argument("--scheme", choices=["exhaustive", "hier", "lowc", "ff", "nf"],
-                   default="exhaustive")
+    p.add_argument("--scheme", choices=_SEARCH_CHOICES, default="exhaustive")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("sweep", parents=[common],
@@ -721,9 +694,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

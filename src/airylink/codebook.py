@@ -161,9 +161,6 @@ class Codebook:
         """[N_t, T] matrix of codeword columns."""
         return np.stack([c.weights for c in self.codewords], axis=1)
 
-    def params(self) -> list:
-        return [c.params for c in self.codewords]
-
 
 def _curving_envelope_pair():
     env = curving_correlation_closed
@@ -363,6 +360,16 @@ def build_los_region_points(scenario: ScenarioConfig, plan: SamplingPlan) -> lis
     return pts
 
 
+def _curving_sweep(scheme: CodebookScheme, plan: SamplingPlan, tx: ArrayConfig,
+                   carrier: CarrierConfig):
+    """Stage-2 factory: every planned curving at a stage-1 focusing point."""
+    def stage2_factory(r_f: float, theta_f: float) -> Codebook:
+        words = [airy_beam_vector(BeamParams(a, r_f, theta_f), tx, carrier)
+                 for a in plan.curving_values]
+        return Codebook(scheme, words, plan)
+    return stage2_factory
+
+
 def build_hierarchical_codebooks(plan: SamplingPlan, scenario: ScenarioConfig):
     """Stage 1: focusing beams over the aperture strip; stage 2: curving sweep."""
     tx, carrier = scenario.tx, scenario.carrier
@@ -372,13 +379,7 @@ def build_hierarchical_codebooks(plan: SamplingPlan, scenario: ScenarioConfig):
         [focusing_beam_vector(r, th, tx, carrier) for r, th in pts],
         plan,
     )
-
-    def stage2_factory(r_f: float, theta_f: float) -> Codebook:
-        words = [airy_beam_vector(BeamParams(a, r_f, theta_f), tx, carrier)
-                 for a in plan.curving_values]
-        return Codebook(CodebookScheme.HIERARCHICAL_STAGE2, words, plan)
-
-    return stage1, stage2_factory
+    return stage1, _curving_sweep(CodebookScheme.HIERARCHICAL_STAGE2, plan, tx, carrier)
 
 
 def build_low_complexity_codebooks(scenario: ScenarioConfig, plan: SamplingPlan):
@@ -400,13 +401,8 @@ def build_low_complexity_codebooks(scenario: ScenarioConfig, plan: SamplingPlan)
         [focusing_beam_vector(r, th, tx, carrier) for r, th in pts],
         plan,
     )
-
-    def stage2_factory(r_f: float, theta_f: float) -> Codebook:
-        words = [airy_beam_vector(BeamParams(a, r_f, theta_f), tx, carrier)
-                 for a in plan.curving_values]
-        return Codebook(CodebookScheme.LOW_COMPLEXITY_STAGE2, words, plan)
-
-    return stage1, stage2_factory
+    return stage1, _curving_sweep(CodebookScheme.LOW_COMPLEXITY_STAGE2, plan, tx,
+                                  carrier)
 
 
 def build_farfield_codebook(scenario: ScenarioConfig,

@@ -29,7 +29,7 @@ from .codebook import (
     build_hierarchical_codebooks,
     build_low_complexity_codebooks,
 )
-from .scenario import BlockageGeometry, ScenarioConfig
+from .scenario import ScenarioConfig
 from .search import (
     SearchResult,
     TrainingConfig,
@@ -59,6 +59,7 @@ __all__ = [
     "full_digital_beamformers",
     "airy_beamformers",
     "build_scheme_beamformers",
+    "run_search",
     "noise_for_target_se",
     "run_sweep",
 ]
@@ -256,8 +257,7 @@ def full_digital_beamformers(design_channel: ChannelMatrix,
 
 def airy_beamformers(search_result: SearchResult,
                      design_channel: ChannelMatrix,
-                     num_streams: int = 1,
-                     num_rx_chains: int | None = None) -> Beamformers:
+                     num_streams: int = 1) -> Beamformers:
     """Hybrid beamformers around a searched analog beam.
 
     The analog precoder is the searched vector; the digital stages come
@@ -267,11 +267,10 @@ def airy_beamformers(search_result: SearchResult,
     f_rf = search_result.selected_vector.weights[:, None]
     if num_streams > f_rf.shape[1]:
         raise ValueError("single searched beam supports one stream")
-    chains = num_streams if num_rx_chains is None else num_rx_chains
     eff = effective_channel(design_channel, f_rf)
     svd = svd_precoder_combiner(eff, num_streams, analog_precoder=f_rf)
     dec = decompose_combiner(svd.optimal_combiner, design_channel.entries.shape[0],
-                             chains)
+                             num_streams)
     return Beamformers(
         analog_precoder=f_rf,
         digital_precoder=svd.digital_precoder,
@@ -295,21 +294,47 @@ class BeamformingScheme(enum.Enum):
     NON_BLOCKED = "non_blocked"
     NLOS_ONLY = "nlos_only"
 
+    @property
+    def searched(self) -> bool:
+        """Whether the scheme deploys a beam found by training."""
+        return self in _SEARCHES
 
-_SEARCHED_SCHEMES = (
-    BeamformingScheme.EXHAUSTIVE,
-    BeamformingScheme.HIERARCHICAL,
-    BeamformingScheme.LOW_COMPLEXITY,
-    BeamformingScheme.FARFIELD_STEERING,
-    BeamformingScheme.NEARFIELD_FOCUSING,
-)
+
+# The codebook build and search of every searched scheme.  Each entry looks
+# its functions up in this module when called, so rebinding one of these
+# module attributes reaches every caller.
+_SEARCHES = {
+    BeamformingScheme.EXHAUSTIVE: lambda channel, scenario, plan, cfg:
+        exhaustive_search(build_exhaustive_codebook(plan, scenario), channel, cfg),
+    BeamformingScheme.HIERARCHICAL: lambda channel, scenario, plan, cfg:
+        hierarchical_search(*build_hierarchical_codebooks(plan, scenario),
+                            channel, cfg),
+    BeamformingScheme.LOW_COMPLEXITY: lambda channel, scenario, plan, cfg:
+        low_complexity_search(*build_low_complexity_codebooks(scenario, plan),
+                              channel, cfg),
+    BeamformingScheme.FARFIELD_STEERING: lambda channel, scenario, plan, cfg:
+        farfield_steering_search(channel, cfg, scenario, plan),
+    BeamformingScheme.NEARFIELD_FOCUSING: lambda channel, scenario, plan, cfg:
+        nearfield_focusing_search(channel, cfg, scenario),
+}
+
+
+def run_search(scheme: BeamformingScheme, channel: ChannelMatrix,
+               scenario: ScenarioConfig, plan: SamplingPlan,
+               cfg: TrainingConfig) -> SearchResult:
+    """Build a searched scheme's codebooks from `plan` and train over `channel`."""
+    if not scheme.searched:
+        raise ValueError(f"{scheme} is not a searched scheme")
+    if plan is None:
+        raise ValueError("searched schemes require a sampling plan")
+    return _SEARCHES[scheme](channel, scenario, plan, cfg)
 
 
 def build_scheme_beamformers(scheme: BeamformingScheme,
                              search_result: SearchResult | None = None,
                              design_channel: ChannelMatrix | None = None,
-                             non_blocked_channel: ChannelMatrix | None = None,
-                             num_streams: int = 1) -> Beamformers:
+                             non_blocked_channel: ChannelMatrix | None = None
+                             ) -> Beamformers:
     """Assemble the beamformers a given scheme would deploy.
 
     Searched schemes wrap the searched beam with a digital stage designed
@@ -318,22 +343,22 @@ def build_scheme_beamformers(scheme: BeamformingScheme,
     perfect CSI on `design_channel`, the non-blocked precoder on
     `non_blocked_channel`.
     """
-    if scheme in _SEARCHED_SCHEMES:
+    if scheme.searched:
         if search_result is None:
             raise ValueError("searched scheme requires a search result")
         ref = design_channel if design_channel is not None else non_blocked_channel
         if ref is None:
             raise ValueError("searched scheme requires a design channel")
-        return airy_beamformers(search_result, ref, num_streams)
+        return airy_beamformers(search_result, ref)
     if scheme is BeamformingScheme.PERFECT_CSI:
         if design_channel is None:
             raise ValueError("perfect CSI requires the realized channel")
-        return full_digital_beamformers(design_channel, num_streams)
+        return full_digital_beamformers(design_channel)
     if scheme in (BeamformingScheme.NON_BLOCKED, BeamformingScheme.NLOS_ONLY):
         ref = non_blocked_channel if scheme is BeamformingScheme.NON_BLOCKED else design_channel
         if ref is None:
             raise ValueError(f"{scheme.value} requires its design channel")
-        return full_digital_beamformers(ref, num_streams)
+        return full_digital_beamformers(ref)
     raise ValueError(f"unknown scheme {scheme}")
 
 
@@ -366,6 +391,9 @@ class SweepSpec:
             raise ValueError("sweep grid must be non-empty")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.swept_variable is SweptVariable.OVERHEAD and not all(
+                float(v).is_integer() and v >= 1 for v in self.grid):
+            raise ValueError("overhead budgets must be integers >= 1")
 
 
 @dataclass(frozen=True)
@@ -424,81 +452,42 @@ def _derive_seed(base_seed: int, point_index: int, repetition: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _run_searched_scheme(scheme: BeamformingScheme, channels: ChannelSet,
-                         scenario: ScenarioConfig, plan: SamplingPlan,
-                         cfg: TrainingConfig) -> SearchResult:
-    if scheme is BeamformingScheme.EXHAUSTIVE:
-        return exhaustive_search(build_exhaustive_codebook(plan, scenario),
-                                 channels.blocked, cfg)
-    if scheme is BeamformingScheme.HIERARCHICAL:
-        stage1, factory = build_hierarchical_codebooks(plan, scenario)
-        return hierarchical_search(stage1, factory, channels.blocked, cfg)
-    if scheme is BeamformingScheme.LOW_COMPLEXITY:
-        stage1, factory = build_low_complexity_codebooks(scenario, plan)
-        return low_complexity_search(stage1, factory, channels.blocked, cfg)
-    if scheme is BeamformingScheme.FARFIELD_STEERING:
-        return farfield_steering_search(channels.blocked, cfg, scenario, plan)
-    if scheme is BeamformingScheme.NEARFIELD_FOCUSING:
-        return nearfield_focusing_search(channels.blocked, cfg, scenario)
-    raise ValueError(f"{scheme} is not a searched scheme")
-
-
-def _beam_from_trace_prefix(result: SearchResult, budget: int):
-    """(beam params index, slots used) for the best beam within a slot budget."""
-    used = min(budget, len(result.trace))
-    if used == 0:
-        raise ValueError("budget must allow at least one slot")
-    best = max(result.trace[:used], key=lambda e: e.power)
-    return best, used
-
-
 def _scheme_row(scheme: BeamformingScheme, channels: ChannelSet,
                 scenario: ScenarioConfig, plan: SamplingPlan | None,
-                cfg: TrainingConfig, num_streams: int):
-    """(spectral efficiency, overhead, notes) for one scheme at one point."""
-    notes = []
+                cfg: TrainingConfig):
+    """(spectral efficiency, overhead, notes) for one scheme at one point.
+
+    Searched schemes and the non-blocked benchmark design their digital
+    stage on the unblocked channel, perfect CSI on the blocked one; all
+    three run over the blocked channel.  The NLOS-only benchmark designs on
+    and runs over the multipath-only channel.
+    """
+    if scheme is BeamformingScheme.NLOS_ONLY:
+        if channels.nlos_only is None:
+            raise ValueError("nlos_only scheme needs a multipath component")
+        link = design = channels.nlos_only
+    else:
+        link = channels.blocked
+        design = link if scheme is BeamformingScheme.PERFECT_CSI else None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IllConditionedNoiseWarning)
-        if scheme in _SEARCHED_SCHEMES:
-            if plan is None:
-                raise ValueError("searched schemes require a sampling plan")
-            result = _run_searched_scheme(scheme, channels, scenario, plan, cfg)
-            bf = build_scheme_beamformers(
-                scheme, search_result=result,
-                non_blocked_channel=channels.non_blocked,
-                num_streams=num_streams)
-            se = bf.evaluate(channels.blocked, cfg.transmit_power, cfg.noise_power)
-            overhead = result.overhead
-        elif scheme is BeamformingScheme.PERFECT_CSI:
-            bf = build_scheme_beamformers(scheme, design_channel=channels.blocked,
-                                          num_streams=num_streams)
-            se = bf.evaluate(channels.blocked, cfg.transmit_power, cfg.noise_power)
-            overhead = 0
-        elif scheme is BeamformingScheme.NON_BLOCKED:
-            bf = build_scheme_beamformers(scheme,
-                                          non_blocked_channel=channels.non_blocked,
-                                          num_streams=num_streams)
-            se = bf.evaluate(channels.blocked, cfg.transmit_power, cfg.noise_power)
-            overhead = 0
-        elif scheme is BeamformingScheme.NLOS_ONLY:
-            if channels.nlos_only is None:
-                raise ValueError("nlos_only scheme needs a multipath component")
-            bf = build_scheme_beamformers(scheme, design_channel=channels.nlos_only,
-                                          num_streams=num_streams)
-            se = bf.evaluate(channels.nlos_only, cfg.transmit_power, cfg.noise_power)
-            overhead = 0
-        else:
-            raise ValueError(f"unknown scheme {scheme}")
+        result = (run_search(scheme, channels.blocked, scenario, plan, cfg)
+                  if scheme.searched else None)
+        bf = build_scheme_beamformers(scheme, search_result=result,
+                                      design_channel=design,
+                                      non_blocked_channel=channels.non_blocked)
+        se = bf.evaluate(link, cfg.transmit_power, cfg.noise_power)
+    notes = []
     if bf.rank_deficient:
         notes.append("rank_deficient")
     if any(issubclass(w.category, IllConditionedNoiseWarning) for w in caught):
         notes.append("ill_conditioned_noise")
-    return se, overhead, ";".join(notes)
+    return se, 0 if result is None else result.overhead, ";".join(notes)
 
 
 def _overhead_rows(spec: SweepSpec, channels: ChannelSet,
                    scenario: ScenarioConfig, plan: SamplingPlan,
-                   cfg_base: TrainingConfig, num_streams: int, rep_seed: int):
+                   cfg_base: TrainingConfig, rep_seed: int):
     """Best-so-far spectral efficiency under a training-slot budget.
 
     Each scheme's search runs once per repetition; a budget row reports the
@@ -508,14 +497,14 @@ def _overhead_rows(spec: SweepSpec, channels: ChannelSet,
     rows = []
     cfg = replace(cfg_base, rng_seed=rep_seed)
     for scheme in spec.schemes:
-        if scheme not in _SEARCHED_SCHEMES:
+        if not scheme.searched:
             raise ValueError("overhead sweep applies to searched schemes only")
-        result = _run_searched_scheme(scheme, channels, scenario, plan, cfg)
+        result = run_search(scheme, channels.blocked, scenario, plan, cfg)
         se_cache: dict = {}
         best_so_far = -math.inf
         for value in spec.grid:
-            budget = int(value)
-            entry, used = _beam_from_trace_prefix(result, budget)
+            used = min(int(value), len(result.trace))
+            entry = max(result.trace[:used], key=lambda e: e.power)
             key = (entry.curving, entry.focus_distance, entry.focus_angle)
             if key not in se_cache:
                 selected = airy_beam_vector(BeamParams(*key), scenario.tx,
@@ -524,8 +513,7 @@ def _overhead_rows(spec: SweepSpec, channels: ChannelSet,
                                    result.trace[:used])
                 bf = build_scheme_beamformers(
                     scheme, search_result=sub,
-                    non_blocked_channel=channels.non_blocked,
-                    num_streams=num_streams)
+                    non_blocked_channel=channels.non_blocked)
                 se_cache[key] = bf.evaluate(channels.blocked, cfg.transmit_power,
                                             cfg.noise_power)
             best_so_far = max(best_so_far, se_cache[key])
@@ -536,7 +524,7 @@ def _overhead_rows(spec: SweepSpec, channels: ChannelSet,
 
 def run_sweep(spec: SweepSpec, scenario: ScenarioConfig,
               plan: SamplingPlan | None, cfg: TrainingConfig,
-              channel_builder=None, num_streams: int = 1) -> list:
+              channel_builder=None) -> list:
     """Long-format sweep rows: one per (grid value, scheme, repetition).
 
     channel_builder maps a per-point ScenarioConfig to a ChannelSet; the
@@ -552,8 +540,7 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig,
         channels = channel_builder(scenario)
         for rep in range(spec.repetitions):
             seed = _derive_seed(spec.base_seed, 0, rep)
-            rows.extend(_overhead_rows(spec, channels, scenario, plan, cfg,
-                                       num_streams, seed))
+            rows.extend(_overhead_rows(spec, channels, scenario, plan, cfg, seed))
         return rows
 
     for i, value in enumerate(spec.grid):
@@ -566,7 +553,7 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig,
                 cfg_run = replace(cfg_run, transmit_power=float(value))
             for scheme in spec.schemes:
                 se, overhead, notes = _scheme_row(scheme, channels, point, plan,
-                                                  cfg_run, num_streams)
+                                                  cfg_run)
                 rows.append(SweepRow(spec.swept_variable.value, float(value),
                                      scheme.value, seed, se, overhead, notes))
     return rows

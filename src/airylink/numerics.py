@@ -13,14 +13,14 @@ B and D come from scipy.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# Envelope scan points per lobe (between consecutive extrema).
+_SCAN_POINTS_PER_LOBE = 12
 
 
 def airy_cos_lobe_nodes(x_max: float) -> np.ndarray:
@@ -79,41 +79,6 @@ def fresnel_integrals(x) -> tuple:
     return c, s
 
 
-class TabulatedFunction(enum.Enum):
-    AIRY_COS = "airy_cos"
-    FRESNEL_COS = "fresnel_cos"
-    FRESNEL_SIN = "fresnel_sin"
-
-
-@dataclass(frozen=True)
-class IntegralTable:
-    """Sampled cumulative integral with linear interpolation.
-
-    Cheap repeated evaluation for envelope scans; call the direct
-    functions when 1e-9 accuracy is required at a single point.
-    """
-
-    function_id: TabulatedFunction
-    x: np.ndarray
-    values: np.ndarray
-    interpolation_order: int = 1
-
-    @classmethod
-    def build(cls, function_id: TabulatedFunction, x_max: float,
-              num_samples: int = 2048) -> "IntegralTable":
-        grid = np.linspace(0.0, x_max, num_samples)
-        if function_id is TabulatedFunction.AIRY_COS:
-            vals = airy_cos_integral_table(grid)
-        elif function_id is TabulatedFunction.FRESNEL_COS:
-            vals = special.fresnel(grid)[1]
-        else:
-            vals = special.fresnel(grid)[0]
-        return cls(function_id, grid, np.asarray(vals))
-
-    def __call__(self, x):
-        return np.interp(x, self.x, self.values)
-
-
 def solve_monotone_root(f, target: float, bracket: tuple) -> float:
     """Bisection for f(root) = target on a bracket that straddles it.
 
@@ -145,9 +110,7 @@ def solve_monotone_root(f, target: float, bracket: tuple) -> float:
 
 
 def invert_oscillatory_envelope(envelope, target: float, primitive_sup: float,
-                                lobe_nodes: np.ndarray,
-                                refine_points: int = 12,
-                                batch_envelope=None):
+                                lobe_nodes: np.ndarray, batch_envelope):
     """Invert a decaying oscillatory envelope C(x) = |P(x)|/x at a target level.
 
     Returns (solved, first_crossing) where first_crossing is the first
@@ -161,9 +124,9 @@ def invert_oscillatory_envelope(envelope, target: float, primitive_sup: float,
     correlation curves read the hover region of the envelope: the spacing
     is set where residual correlation peaks, not at the earliest graze.
 
-    batch_envelope, when given, evaluates the whole scan grid at once
-    (e.g. from a cumulative table); the scalar envelope is still used for
-    the high-accuracy refinements.
+    batch_envelope evaluates the whole scan grid at once (e.g. from a
+    cumulative table); the scalar envelope is used for the high-accuracy
+    refinements.
     """
     if not (0 < target < 1):
         raise ValueError("target must lie in (0, 1)")
@@ -171,13 +134,10 @@ def invert_oscillatory_envelope(envelope, target: float, primitive_sup: float,
     nodes = lobe_nodes[lobe_nodes < x_stop]
     edges = np.unique(np.concatenate(([1e-9], nodes, [x_stop])))
     grid = np.concatenate([
-        np.linspace(a, b, refine_points, endpoint=False)
+        np.linspace(a, b, _SCAN_POINTS_PER_LOBE, endpoint=False)
         for a, b in zip(edges[:-1], edges[1:])
     ] + [[x_stop]])
-    if batch_envelope is not None:
-        vals = np.asarray(batch_envelope(grid), dtype=float)
-    else:
-        vals = np.array([envelope(x) for x in grid])
+    vals = np.asarray(batch_envelope(grid), dtype=float)
 
     below = vals < target
     if below[0] or not below.any():

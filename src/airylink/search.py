@@ -157,13 +157,16 @@ def exhaustive_search(codebook: Codebook, channel: ChannelMatrix,
     return SearchResult(codebook.scheme, word.params, word, tuple(trace))
 
 
-def _two_stage_search(stage1: Codebook, stage2_factory, channel: ChannelMatrix,
-                      cfg: TrainingConfig) -> SearchResult:
+def hierarchical_search(stage1: Codebook, stage2_factory, channel: ChannelMatrix,
+                        cfg: TrainingConfig) -> SearchResult:
     """Stage 1 picks a focusing point; stage 2 refines the curving around it.
 
     Both stages draw noise from one seeded stream, and the final winner is
     taken from stage 2 alone (the zero-curving codeword is in stage 2, so
-    refinement cannot fall behind stage 1 in the noiseless limit).
+    refinement cannot fall behind stage 1 in the noiseless limit).  The
+    hierarchical and low-complexity schemes differ only in their stage-1
+    codebooks: focusing points over the aperture strip, or on the circle
+    through the receiver.
     """
     if len(stage1) == 0:
         raise ValueError("stage-1 codebook is empty")
@@ -181,16 +184,7 @@ def _two_stage_search(stage1: Codebook, stage2_factory, channel: ChannelMatrix,
                         tuple(trace1) + tuple(trace2))
 
 
-def hierarchical_search(stage1: Codebook, stage2_factory,
-                        channel: ChannelMatrix, cfg: TrainingConfig) -> SearchResult:
-    """Focusing sweep over the aperture strip, then a curving sweep."""
-    return _two_stage_search(stage1, stage2_factory, channel, cfg)
-
-
-def low_complexity_search(stage1: Codebook, stage2_factory,
-                          channel: ChannelMatrix, cfg: TrainingConfig) -> SearchResult:
-    """Focusing sweep confined to the through-receiver circle, then curving."""
-    return _two_stage_search(stage1, stage2_factory, channel, cfg)
+low_complexity_search = hierarchical_search
 
 
 def farfield_steering_search(channel: ChannelMatrix, cfg: TrainingConfig,

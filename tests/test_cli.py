@@ -80,6 +80,62 @@ def test_unknown_sweep_scheme(tmp_path):
     bad = SWEEP_YAML.replace("[perfect, nonblocked]", "[perfect, bogus]")
     with pytest.raises(ConfigError, match="sweep.schemes"):
         load_config(_write(tmp_path, bad))
+    nested = SWEEP_YAML.replace("[perfect, nonblocked]", "[perfect, [hier]]")
+    with pytest.raises(ConfigError, match="sweep.schemes"):
+        load_config(_write(tmp_path, nested))
+
+
+MULTIPATH_YAML = """\
+multipath:
+  los_model: gcm
+  rays:
+    - gain_db: -6.0
+      departure_angle_rad: 0.2
+      arrival_angle_rad: -0.1
+      excess_delay_s: 1.0e-9
+"""
+
+
+def test_every_scheme_name_accepted_in_sweep(tmp_path):
+    from airylink.evaluation import BeamformingScheme
+
+    names = [s.value for s in BeamformingScheme]
+    text = (BASE_YAML + MULTIPATH_YAML
+            + SWEEP_YAML[len(BASE_YAML):].replace("[perfect, nonblocked]",
+                                                  f"[{', '.join(names)}]"))
+    assert load_config(_write(tmp_path, text)).sweep.schemes == tuple(names)
+
+
+@pytest.mark.parametrize("budget", ["-3", "0", "0.5", "2.9"])
+def test_overhead_grid_must_be_whole_slot_counts(tmp_path, budget):
+    bad = SWEEP_YAML.replace("variable: height", "variable: overhead").replace(
+        "[0.0, 0.003]", f"[1, {budget}]")
+    with pytest.raises(ConfigError, match="sweep.grid"):
+        load_config(_write(tmp_path, bad))
+    good = bad.replace(f"[1, {budget}]", "[1, 2.0, 40]")
+    assert load_config(_write(tmp_path, good)).sweep.grid == (1.0, 2.0, 40.0)
+
+
+def test_overhead_override_checks_grid_before_output(tmp_path, capsys):
+    # the height grid [0.0, 0.003] is no list of slot budgets
+    out = tmp_path / "o"
+    rc = main(["sweep", "--config", _write(tmp_path, SWEEP_YAML), "--out", str(out),
+               "--sweep", "overhead"])
+    assert rc == 2
+    assert "overhead budgets" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["nlos", "nlos_only"])
+def test_nlos_scheme_needs_multipath_section(tmp_path, capsys, name):
+    bad = _write(tmp_path, SWEEP_YAML.replace("[perfect, nonblocked]",
+                                              f"[perfect, {name}]"))
+    with pytest.raises(ConfigError, match="sweep.schemes"):
+        load_config(bad)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", bad, "--out", str(out)]) == 2
+    assert "sweep.schemes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_errors_exit_code_2(tmp_path, capsys):

@@ -22,6 +22,7 @@ from airylink.evaluation import (
     effective_channel,
     full_digital_beamformers,
     noise_for_target_se,
+    run_search,
     run_sweep,
     spectral_efficiency,
     svd_precoder_combiner,
@@ -32,8 +33,20 @@ from airylink.scenario import (
     ScenarioConfig,
     half_wavelength_array,
 )
-from airylink.search import TrainingConfig, exhaustive_search, farfield_steering_search
-from airylink.codebook import build_farfield_codebook
+from airylink.search import (
+    TrainingConfig,
+    exhaustive_search,
+    farfield_steering_search,
+    hierarchical_search,
+    low_complexity_search,
+    nearfield_focusing_search,
+)
+from airylink.codebook import (
+    build_exhaustive_codebook,
+    build_farfield_codebook,
+    build_hierarchical_codebooks,
+    build_low_complexity_codebooks,
+)
 
 CAR = CarrierConfig(140e9)
 
@@ -274,6 +287,12 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(SweptVariable.BLOCKAGE_HEIGHT, (0.1,),
                   (BeamformingScheme.PERFECT_CSI,), repetitions=0)
+    # overhead budgets are whole slot counts of at least one
+    searched = (BeamformingScheme.FARFIELD_STEERING,)
+    for budget in (-3, 0, 0.5, 2.9, math.inf):
+        with pytest.raises(ValueError, match="overhead budgets"):
+            SweepSpec(SweptVariable.OVERHEAD, (1, budget), searched)
+    SweepSpec(SweptVariable.OVERHEAD, (1, 2.0, 10_000), searched)
 
 
 def _sweep_scenario():
@@ -358,3 +377,43 @@ def test_height_sweep_requires_blockage():
                      (BeamformingScheme.PERFECT_CSI,))
     with pytest.raises(ValueError):
         run_sweep(spec, sc, None, TrainingConfig(1.0, 1e-12))
+
+
+# ------------------------------------------------------------------ search
+
+def test_run_search_matches_each_scheme_search():
+    sc = _sweep_scenario()
+    plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-6.0, 6.0),
+                               r_min=0.2)
+    channel = calibrated_wave_channels(sc).blocked
+    cfg = TrainingConfig(1.0, 1e-14, rng_seed=5)
+    direct = {
+        BeamformingScheme.EXHAUSTIVE: exhaustive_search(
+            build_exhaustive_codebook(plan, sc), channel, cfg),
+        BeamformingScheme.HIERARCHICAL: hierarchical_search(
+            *build_hierarchical_codebooks(plan, sc), channel, cfg),
+        BeamformingScheme.LOW_COMPLEXITY: low_complexity_search(
+            *build_low_complexity_codebooks(sc, plan), channel, cfg),
+        BeamformingScheme.FARFIELD_STEERING: farfield_steering_search(
+            channel, cfg, sc, plan),
+        BeamformingScheme.NEARFIELD_FOCUSING: nearfield_focusing_search(
+            channel, cfg, sc),
+    }
+    assert {s for s in BeamformingScheme if s.searched} == set(direct)
+    for scheme, want in direct.items():
+        got = run_search(scheme, channel, sc, plan, cfg)
+        assert (got.scheme, got.selected_params, got.trace) == (
+            want.scheme, want.selected_params, want.trace), scheme
+        np.testing.assert_array_equal(got.selected_vector.weights,
+                                      want.selected_vector.weights)
+
+
+@pytest.mark.parametrize("scheme", [BeamformingScheme.PERFECT_CSI,
+                                    BeamformingScheme.NON_BLOCKED,
+                                    BeamformingScheme.NLOS_ONLY])
+def test_run_search_rejects_benchmark_schemes(scheme):
+    sc = _sweep_scenario()
+    plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-6.0, 6.0),
+                               r_min=0.2)
+    with pytest.raises(ValueError, match="not a searched scheme"):
+        run_search(scheme, gcm_channel(sc), sc, plan, TrainingConfig(1.0, 1e-12))
