@@ -36,10 +36,15 @@ class BeamParams:
         # normalize to plain floats so params repr cleanly in traces/manifests
         for name in ("curving", "focus_distance", "focus_angle"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not (self.focus_distance > 0):
-            raise ValueError("focus_distance must be positive (inf allowed)")
-        if not (-math.pi / 2 < self.focus_angle < math.pi / 2):
-            raise ValueError("focus_angle must lie in (-pi/2, pi/2)")
+        _check_focus(self.focus_distance, self.focus_angle)
+
+
+def _check_focus(focus_distance, focus_angle) -> None:
+    """BeamParams' rules, on one beam or on whole parameter columns."""
+    if not np.all(focus_distance > 0):
+        raise ValueError("focus_distance must be positive (inf allowed)")
+    if not np.all(np.abs(focus_angle) < math.pi / 2):
+        raise ValueError("focus_angle must lie in (-pi/2, pi/2)")
 
 
 @dataclass(frozen=True)
@@ -48,28 +53,48 @@ class BeamVector:
     weights: np.ndarray
 
     def __post_init__(self):
-        norm = np.linalg.norm(self.weights)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError("beam weights must have unit l2 norm")
+        _check_unit_norm(self.weights)
+
+
+def _check_unit_norm(weights: np.ndarray) -> None:
+    """Every column of `weights` (or the one vector) must have unit l2 norm."""
+    if np.any(np.abs(np.linalg.norm(weights, axis=0) - 1.0) > 1e-9):
+        raise ValueError("beam weights must have unit l2 norm")
+
+
+def _focus_terms(focus_distance: float, focus_angle: float) -> tuple:
+    """Quadratic coefficient cos(theta)^2/(2r) and sin(theta) of one focus point."""
+    if math.isinf(focus_distance):
+        quad = 0.0
+    else:
+        quad = math.cos(focus_angle) ** 2 / (2 * focus_distance)
+    return quad, math.sin(focus_angle)
+
+
+def _profile(y, y2, y3, curving, quad, sine, wavelength):
+    """Phase from the powers of y and the per-beam terms, radians.
+
+    Scalar terms give one beam; row-vector terms against column-vector
+    powers give one beam per column, each bit-identical to the scalar case
+    because every element sees the same operations in the same order.
+    """
+    cubic = 2 * math.pi / wavelength * curving * y3
+    return cubic + 2 * math.pi / wavelength * (quad * y2 - sine * y)
 
 
 def focusing_phase(position, focus_distance: float, focus_angle: float,
                    carrier: CarrierConfig):
     """Quadratic-plus-linear near-field phase, radians."""
     y = np.asarray(position, dtype=float)
-    lam = carrier.wavelength
-    if math.isinf(focus_distance):
-        quad = 0.0
-    else:
-        quad = math.cos(focus_angle) ** 2 / (2 * focus_distance) * y**2
-    return 2 * math.pi / lam * (quad - math.sin(focus_angle) * y)
+    quad, sine = _focus_terms(focus_distance, focus_angle)
+    return _profile(y, y**2, 0.0, 0.0, quad, sine, carrier.wavelength)
 
 
 def airy_phase(position, params: BeamParams, carrier: CarrierConfig):
     """Cubic + quadratic + linear phase profile, radians."""
     y = np.asarray(position, dtype=float)
-    cubic = 2 * math.pi / carrier.wavelength * params.curving * y**3
-    return cubic + focusing_phase(y, params.focus_distance, params.focus_angle, carrier)
+    quad, sine = _focus_terms(params.focus_distance, params.focus_angle)
+    return _profile(y, y**2, y**3, params.curving, quad, sine, carrier.wavelength)
 
 
 def airy_beam_vector(params: BeamParams, array: ArrayConfig,
@@ -79,6 +104,36 @@ def airy_beam_vector(params: BeamParams, array: ArrayConfig,
     phase = airy_phase(y, params, carrier)
     weights = np.exp(1j * phase) / math.sqrt(array.num_elements)
     return BeamVector(params, weights)
+
+
+# Columns synthesized per block: bounds the temporaries of a large codebook.
+_BLOCK_COLUMNS = 64
+
+
+def airy_beam_matrix(params, array: ArrayConfig, carrier: CarrierConfig) -> np.ndarray:
+    """[N_t, T] codewords, column t for row t of `params` [T, 3].
+
+    Rows are (curving, focus_distance, focus_angle) under BeamParams' rules.
+    Column t equals airy_beam_vector(BeamParams(*params[t])).weights bit for
+    bit: the per-beam terms come from the same scalar math, and the phase
+    from the same element-wise operations on the same powers of y.
+    """
+    prm = np.asarray(params, dtype=float).reshape(-1, 3)
+    _check_focus(prm[:, 1], prm[:, 2])
+    y = element_positions(array)
+    y2, y3 = y**2, y**3
+    scale = math.sqrt(array.num_elements)
+    weights = np.empty((y.size, prm.shape[0]), dtype=complex)
+    for start in range(0, prm.shape[0], _BLOCK_COLUMNS):
+        cols = slice(start, start + _BLOCK_COLUMNS)
+        quad, sine = np.array([_focus_terms(r, th) for r, th in prm[cols, 1:].tolist()],
+                              dtype=float).T
+        phase = _profile(y[:, None], y2[:, None], y3[:, None], prm[cols, 0], quad, sine,
+                         carrier.wavelength)
+        block = np.exp(1j * phase) / scale
+        _check_unit_norm(block)
+        weights[:, cols] = block
+    return weights
 
 
 def focusing_beam_vector(focus_distance: float, focus_angle: float,

@@ -308,7 +308,7 @@ def _load_sweep(doc: dict) -> SweepOptions | None:
         return None
     sec = _section(doc, "sweep")
     variable = sec.get("variable")
-    if variable not in _VARIABLE_ALIASES:
+    if not isinstance(variable, str) or variable not in _VARIABLE_ALIASES:
         raise ConfigError("sweep.variable: must be height, distance, overhead, "
                           "or power")
     grid = sec.get("grid")

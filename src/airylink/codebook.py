@@ -31,9 +31,9 @@ import numpy as np
 from .beam import (
     BeamParams,
     BeamVector,
+    airy_beam_matrix,
     airy_beam_vector,
     focusing_beam_vector,
-    steering_beam_vector,
 )
 from .numerics import (
     airy_cos_integral,
@@ -150,16 +150,33 @@ class CodebookScheme(enum.Enum):
 
 @dataclass(frozen=True)
 class Codebook:
+    """T codewords: column t of `weights` [N_t, T] is the beam whose
+    (curving, focus_distance, focus_angle) are row t of `params` [T, 3]."""
+
     scheme: CodebookScheme
-    codewords: list
+    params: np.ndarray
+    weights: np.ndarray
     plan: SamplingPlan | None
 
-    def __len__(self) -> int:
-        return len(self.codewords)
+    def __post_init__(self):
+        if self.params.ndim != 2 or self.params.shape[1] != 3:
+            raise ValueError("codebook params must be a [T, 3] array")
+        if self.weights.ndim != 2 or self.weights.shape[1] != self.params.shape[0]:
+            raise ValueError("codebook weights must have one column per params row")
 
-    def weights_matrix(self) -> np.ndarray:
-        """[N_t, T] matrix of codeword columns."""
-        return np.stack([c.weights for c in self.codewords], axis=1)
+    def __len__(self) -> int:
+        return self.params.shape[0]
+
+    def word(self, i: int) -> BeamVector:
+        """Codeword i as a standalone beam (its weights copied out of the book)."""
+        return BeamVector(BeamParams(*self.params[i]), self.weights[:, i].copy())
+
+
+def _codebook(scheme: CodebookScheme, params, tx: ArrayConfig, carrier: CarrierConfig,
+              plan: SamplingPlan | None) -> Codebook:
+    """Synthesize the codewords of a list or array of (a, r, theta) rows."""
+    prm = np.array(params, dtype=float).reshape(-1, 3)
+    return Codebook(scheme, prm, airy_beam_matrix(prm, tx, carrier), plan)
 
 
 def _curving_envelope_pair():
@@ -333,14 +350,11 @@ def solve_sampling_plan(targets, scenario: ScenarioConfig,
 
 def build_exhaustive_codebook(plan: SamplingPlan, scenario: ScenarioConfig) -> Codebook:
     """Full Cartesian (curving, distance, angle) codebook, lexicographic order."""
-    tx, carrier = scenario.tx, scenario.carrier
-    words = [
-        airy_beam_vector(BeamParams(a, r, th), tx, carrier)
-        for a in plan.curving_values
-        for r in plan.focus_distances
-        for th in plan.angles
-    ]
-    return Codebook(CodebookScheme.EXHAUSTIVE, words, plan)
+    grid = np.meshgrid(plan.curving_values, plan.focus_distances, plan.angles,
+                       indexing="ij")
+    params = np.stack([g.ravel() for g in grid], axis=1)
+    return _codebook(CodebookScheme.EXHAUSTIVE, params, scenario.tx, scenario.carrier,
+                     plan)
 
 
 def build_los_region_points(scenario: ScenarioConfig, plan: SamplingPlan) -> list:
@@ -364,9 +378,8 @@ def _curving_sweep(scheme: CodebookScheme, plan: SamplingPlan, tx: ArrayConfig,
                    carrier: CarrierConfig):
     """Stage-2 factory: every planned curving at a stage-1 focusing point."""
     def stage2_factory(r_f: float, theta_f: float) -> Codebook:
-        words = [airy_beam_vector(BeamParams(a, r_f, theta_f), tx, carrier)
-                 for a in plan.curving_values]
-        return Codebook(scheme, words, plan)
+        params = [(a, r_f, theta_f) for a in plan.curving_values]
+        return _codebook(scheme, params, tx, carrier, plan)
     return stage2_factory
 
 
@@ -374,11 +387,8 @@ def build_hierarchical_codebooks(plan: SamplingPlan, scenario: ScenarioConfig):
     """Stage 1: focusing beams over the aperture strip; stage 2: curving sweep."""
     tx, carrier = scenario.tx, scenario.carrier
     pts = build_los_region_points(scenario, plan)
-    stage1 = Codebook(
-        CodebookScheme.HIERARCHICAL_STAGE1,
-        [focusing_beam_vector(r, th, tx, carrier) for r, th in pts],
-        plan,
-    )
+    stage1 = _codebook(CodebookScheme.HIERARCHICAL_STAGE1,
+                       [(0.0, r, th) for r, th in pts], tx, carrier, plan)
     return stage1, _curving_sweep(CodebookScheme.HIERARCHICAL_STAGE2, plan, tx, carrier)
 
 
@@ -395,12 +405,8 @@ def build_low_complexity_codebooks(scenario: ScenarioConfig, plan: SamplingPlan)
     while s_val <= sin_lim + 1e-12:
         sines.append(s_val)
         s_val += step
-    pts = [(d_link * math.cos(math.asin(s)), math.asin(s)) for s in sines]
-    stage1 = Codebook(
-        CodebookScheme.LOW_COMPLEXITY_STAGE1,
-        [focusing_beam_vector(r, th, tx, carrier) for r, th in pts],
-        plan,
-    )
+    params = [(0.0, d_link * math.cos(math.asin(s)), math.asin(s)) for s in sines]
+    stage1 = _codebook(CodebookScheme.LOW_COMPLEXITY_STAGE1, params, tx, carrier, plan)
     return stage1, _curving_sweep(CodebookScheme.LOW_COMPLEXITY_STAGE2, plan, tx,
                                   carrier)
 
@@ -409,21 +415,18 @@ def build_farfield_codebook(scenario: ScenarioConfig,
                             plan: SamplingPlan | None = None) -> Codebook:
     """Angle-only steering codebook over the orthogonal angle grid."""
     angles = plan.angles if plan is not None else angle_grid(scenario.tx.num_elements)
-    words = [steering_beam_vector(th, scenario.tx, scenario.carrier)
-             for th in angles]
-    return Codebook(CodebookScheme.FAR_FIELD_STEERING, words, plan)
+    return _codebook(CodebookScheme.FAR_FIELD_STEERING,
+                     [(0.0, math.inf, th) for th in angles], scenario.tx,
+                     scenario.carrier, plan)
 
 
 def build_nearfield_codebook(scenario: ScenarioConfig,
                              plan: SamplingPlan | None = None) -> Codebook:
     """Focusing beams aimed at each receiver element; overhead equals N_r."""
-    tx, carrier = scenario.tx, scenario.carrier
     d_link = scenario.link_distance
-    rx_y = element_positions(scenario.rx)
-    words = []
-    for y in rx_y:
+    params = []
+    for y in element_positions(scenario.rx):
         dy = y - scenario.tx.center_offset
-        r = math.hypot(d_link, dy)
-        th = math.atan2(dy, d_link)
-        words.append(focusing_beam_vector(r, th, tx, carrier))
-    return Codebook(CodebookScheme.NEAR_FIELD_FOCUSING, words, plan)
+        params.append((0.0, math.hypot(d_link, dy), math.atan2(dy, d_link)))
+    return _codebook(CodebookScheme.NEAR_FIELD_FOCUSING, params, scenario.tx,
+                     scenario.carrier, plan)

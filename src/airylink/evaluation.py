@@ -503,14 +503,13 @@ def _overhead_rows(spec: SweepSpec, channels: ChannelSet,
         se_cache: dict = {}
         best_so_far = -math.inf
         for value in spec.grid:
-            used = min(int(value), len(result.trace))
-            entry = max(result.trace[:used], key=lambda e: e.power)
-            key = (entry.curving, entry.focus_distance, entry.focus_angle)
+            used = min(int(value), result.overhead)
+            key = tuple(result.params[int(np.argmax(result.powers[:used]))].tolist())
             if key not in se_cache:
                 selected = airy_beam_vector(BeamParams(*key), scenario.tx,
                                             scenario.carrier)
-                sub = SearchResult(result.scheme, selected.params, selected,
-                                   result.trace[:used])
+                sub = SearchResult(result.scheme, selected, result.params[:used],
+                                   result.powers[:used])
                 bf = build_scheme_beamformers(
                     scheme, search_result=sub,
                     non_blocked_channel=channels.non_blocked)

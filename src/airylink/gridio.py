@@ -101,10 +101,10 @@ def write_field_map_csv(path, field_map: FieldMap) -> None:
 def write_search_trace_csv(path, result: SearchResult) -> None:
     """Per-slot training record: beam parameters and measured power in dB."""
     lines = ["slot,curving,focus_distance_m,focus_angle_rad,power_db"]
-    for e in result.trace:
-        power_db = 10.0 * np.log10(e.power) if e.power > 0 else -np.inf
-        lines.append(f"{e.slot},{_fmt(e.curving)},{_fmt(e.focus_distance)},"
-                     f"{_fmt(e.focus_angle)},{_fmt(power_db)}")
+    for slot, (a, r, th) in enumerate(result.params.tolist()):
+        power = result.powers[slot]
+        power_db = 10.0 * np.log10(power) if power > 0 else -np.inf
+        lines.append(f"{slot},{_fmt(a)},{_fmt(r)},{_fmt(th)},{_fmt(power_db)}")
     _write_text(path, lines)
 
 
@@ -119,8 +119,6 @@ def write_sweep_csv(path, rows) -> None:
 
 def write_codebook_csv(path, codebook: Codebook) -> None:
     lines = ["index,scheme,curving,focus_distance_m,focus_angle_rad"]
-    for i, word in enumerate(codebook.codewords):
-        p = word.params
-        lines.append(f"{i},{codebook.scheme.value},{_fmt(p.curving)},"
-                     f"{_fmt(p.focus_distance)},{_fmt(p.focus_angle)}")
+    for i, (a, r, th) in enumerate(codebook.params.tolist()):
+        lines.append(f"{i},{codebook.scheme.value},{_fmt(a)},{_fmt(r)},{_fmt(th)}")
     _write_text(path, lines)

@@ -5,6 +5,13 @@ channel, adds receiver noise from a seeded stream, and records the combined
 power at the receiver probe.  A search scheme is a policy for which
 candidates are sounded and how the winner is picked; reported overhead is
 always the number of slots actually consumed.
+
+A search stage sounds a whole codebook at once: one product H @ W over the
+[N_t, T] codeword matrix, one noise draw, and one combiner product.  Slot t
+takes N_r standard-normal real parts and then N_r imaginary parts from the
+stream, slot after slot, so the draw rng.standard_normal((T, 2, N_r)) is
+the stream a slot-by-slot loop would consume, and the stages of a search
+continue one stream.  A noiseless run (noise_power == 0) draws nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from .scenario import ScenarioConfig
 __all__ = [
     "ProbeCombiner",
     "TrainingConfig",
-    "TraceEntry",
     "SearchResult",
     "measure_slot",
     "exhaustive_search",
@@ -71,78 +77,58 @@ def probe_combiner_matrix(combiner: ProbeCombiner, num_rx: int) -> np.ndarray:
     return np.eye(num_rx, dtype=complex)
 
 
-def _noise_draw(rng: np.random.Generator, num_rx: int, noise_power: float) -> np.ndarray:
-    if noise_power == 0.0:
-        return np.zeros(num_rx, dtype=complex)
-    scale = math.sqrt(noise_power / 2.0)
-    return scale * (rng.standard_normal(num_rx) + 1j * rng.standard_normal(num_rx))
+def _sound(weights: np.ndarray, channel: ChannelMatrix, cfg: TrainingConfig,
+           rng: np.random.Generator) -> np.ndarray:
+    """Measured power of each column of `weights` [N_t, T], one slot each."""
+    h = channel.entries
+    if h.shape[1] != weights.shape[0]:
+        raise ValueError("codeword length does not match channel columns")
+    received = h @ weights
+    received *= math.sqrt(cfg.transmit_power)
+    if cfg.noise_power != 0.0:
+        noise = rng.standard_normal((weights.shape[1], 2, h.shape[0]))
+        noise *= math.sqrt(cfg.noise_power / 2.0)
+        received.real += noise[:, 0].T
+        received.imag += noise[:, 1].T
+    combiner = probe_combiner_matrix(cfg.rx_probe_combiner, h.shape[0])
+    return np.sum(np.abs(combiner.conj().T @ received) ** 2, axis=0)
 
 
 def measure_slot(codeword: BeamVector, channel: ChannelMatrix,
-                 cfg: TrainingConfig, rng: np.random.Generator | None = None,
-                 combiner: np.ndarray | None = None) -> float:
+                 cfg: TrainingConfig) -> float:
     """Combined receive power for one training slot.
 
-    A standalone call draws its noise from a stream freshly seeded with
-    cfg.rng_seed.  Searches pass a persistent `rng` so each slot sees an
-    independent draw from the same seeded stream.
+    The noise comes from a stream freshly seeded with cfg.rng_seed: the
+    draw of the first slot of a search that sounds this codeword first.
     """
-    h = channel.entries
-    if h.shape[1] != codeword.weights.size:
-        raise ValueError("codeword length does not match channel columns")
-    if rng is None:
-        rng = np.random.default_rng(cfg.rng_seed)
-    if combiner is None:
-        combiner = probe_combiner_matrix(cfg.rx_probe_combiner, h.shape[0])
-    received = math.sqrt(cfg.transmit_power) * (h @ codeword.weights)
-    received = received + _noise_draw(rng, h.shape[0], cfg.noise_power)
-    return float(np.sum(np.abs(combiner.conj().T @ received) ** 2))
-
-
-@dataclass(frozen=True)
-class TraceEntry:
-    """One training slot: which beam was sounded and what power came back."""
-
-    slot: int
-    curving: float
-    focus_distance: float
-    focus_angle: float
-    power: float
+    rng = np.random.default_rng(cfg.rng_seed)
+    return float(_sound(codeword.weights[:, None], channel, cfg, rng)[0])
 
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The selected beam and the record of every slot, in slot order.
+
+    Row t of `params` [overhead, 3] is the (curving, focus_distance,
+    focus_angle) sounded in slot t, and `powers[t]` its measured power.
+    """
+
     scheme: CodebookScheme
-    selected_params: BeamParams
     selected_vector: BeamVector
-    trace: tuple
+    params: np.ndarray
+    powers: np.ndarray
+
+    @property
+    def selected_params(self) -> BeamParams:
+        return self.selected_vector.params
 
     @property
     def overhead(self) -> int:
-        return len(self.trace)
+        return self.powers.size
 
     @property
     def selected_power(self) -> float:
-        best = max(self.trace, key=lambda e: e.power)
-        return best.power
-
-
-def _measure_codebook(codebook: Codebook, channel: ChannelMatrix,
-                      cfg: TrainingConfig, rng: np.random.Generator,
-                      combiner: np.ndarray, start_slot: int):
-    """Sound every codeword once; returns (trace list, best local index)."""
-    trace = []
-    best_idx = 0
-    best_power = -math.inf
-    for i, word in enumerate(codebook.codewords):
-        p = measure_slot(word, channel, cfg, rng=rng, combiner=combiner)
-        prm = word.params
-        trace.append(TraceEntry(start_slot + i, prm.curving, prm.focus_distance,
-                                prm.focus_angle, p))
-        if p > best_power:
-            best_power = p
-            best_idx = i
-    return trace, best_idx
+        return float(self.powers.max())
 
 
 def exhaustive_search(codebook: Codebook, channel: ChannelMatrix,
@@ -151,10 +137,9 @@ def exhaustive_search(codebook: Codebook, channel: ChannelMatrix,
     if len(codebook) == 0:
         raise ValueError("codebook is empty")
     rng = np.random.default_rng(cfg.rng_seed)
-    combiner = probe_combiner_matrix(cfg.rx_probe_combiner, channel.entries.shape[0])
-    trace, best = _measure_codebook(codebook, channel, cfg, rng, combiner, 0)
-    word = codebook.codewords[best]
-    return SearchResult(codebook.scheme, word.params, word, tuple(trace))
+    powers = _sound(codebook.weights, channel, cfg, rng)
+    best = codebook.word(int(np.argmax(powers)))
+    return SearchResult(codebook.scheme, best, codebook.params, powers)
 
 
 def hierarchical_search(stage1: Codebook, stage2_factory, channel: ChannelMatrix,
@@ -171,17 +156,16 @@ def hierarchical_search(stage1: Codebook, stage2_factory, channel: ChannelMatrix
     if len(stage1) == 0:
         raise ValueError("stage-1 codebook is empty")
     rng = np.random.default_rng(cfg.rng_seed)
-    combiner = probe_combiner_matrix(cfg.rx_probe_combiner, channel.entries.shape[0])
-    trace1, best1 = _measure_codebook(stage1, channel, cfg, rng, combiner, 0)
-    winner1 = stage1.codewords[best1].params
-    stage2 = stage2_factory(winner1.focus_distance, winner1.focus_angle)
-    if not any(w.params.curving == 0.0 for w in stage2.codewords):
+    powers1 = _sound(stage1.weights, channel, cfg, rng)
+    _, r_f, theta_f = stage1.params[int(np.argmax(powers1))].tolist()
+    stage2 = stage2_factory(r_f, theta_f)
+    if not np.any(stage2.params[:, 0] == 0.0):
         raise ValueError("stage-2 codebook must include the zero-curving beam")
-    trace2, best2 = _measure_codebook(stage2, channel, cfg, rng, combiner,
-                                      len(trace1))
-    word = stage2.codewords[best2]
-    return SearchResult(stage2.scheme, word.params, word,
-                        tuple(trace1) + tuple(trace2))
+    powers2 = _sound(stage2.weights, channel, cfg, rng)
+    best = stage2.word(int(np.argmax(powers2)))
+    return SearchResult(stage2.scheme, best,
+                        np.concatenate([stage1.params, stage2.params]),
+                        np.concatenate([powers1, powers2]))
 
 
 low_complexity_search = hierarchical_search

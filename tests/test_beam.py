@@ -11,6 +11,7 @@ from airylink.beam import (
     FieldMap,
     GridSpec,
     airy_aperture_amplitude,
+    airy_beam_matrix,
     airy_beam_vector,
     focusing_beam_vector,
     focusing_phase,
@@ -39,6 +40,25 @@ def test_beam_params_validation():
         BeamParams(0.0, -1.0, 0.0)
     with pytest.raises(ValueError):
         BeamParams(0.0, 1.0, math.pi / 2)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((0.0, 0.0, 0.0), "focus_distance"),
+    ((0.0, -1.0, 0.0), "focus_distance"),
+    ((0.0, math.nan, 0.0), "focus_distance"),
+    ((0.0, 1.0, math.pi / 2), "focus_angle"),
+    ((0.0, 1.0, -math.pi / 2), "focus_angle"),
+    ((0.0, 1.0, math.nan), "focus_angle"),
+])
+def test_beam_matrix_applies_beam_params_rules_to_every_row(bad, message):
+    arr = half_wavelength_array(8, CAR)
+    rows = [(0.0, 1.0, 0.0)] * 70 + [bad]   # the bad row sits in a later block
+    with pytest.raises(ValueError, match=message):
+        BeamParams(*bad)
+    with pytest.raises(ValueError, match=message):
+        airy_beam_matrix(rows, arr, CAR)
+    assert airy_beam_matrix(rows[:-1], arr, CAR).shape == (8, 70)
+    assert airy_beam_matrix(np.empty((0, 3)), arr, CAR).shape == (8, 0)
 
 
 def test_focusing_phase_trivial():

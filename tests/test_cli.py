@@ -85,6 +85,18 @@ def test_unknown_sweep_scheme(tmp_path):
         load_config(_write(tmp_path, nested))
 
 
+@pytest.mark.parametrize("variable", ["bogus", "[overhead]", "{height: 1}", "3"])
+def test_bad_sweep_variable_named_before_output(tmp_path, capsys, variable):
+    bad = _write(tmp_path, SWEEP_YAML.replace("variable: height",
+                                              f"variable: {variable}"))
+    with pytest.raises(ConfigError, match="sweep.variable"):
+        load_config(bad)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", bad, "--out", str(out)]) == 2
+    assert "sweep.variable" in capsys.readouterr().err
+    assert not out.exists()
+
+
 MULTIPATH_YAML = """\
 multipath:
   los_model: gcm

@@ -7,6 +7,7 @@ import pytest
 
 from airylink.beam import BeamParams, airy_beam_vector, focusing_beam_vector, steering_beam_vector
 from airylink.codebook import (
+    Codebook,
     CodebookScheme,
     angle_correlation_closed,
     angle_grid,
@@ -213,16 +214,18 @@ def test_exhaustive_lexicographic_order():
     assert book.scheme is CodebookScheme.EXHAUSTIVE
     j, k, v = plan.counts
     assert len(book) == j * k * v
-    p0 = book.codewords[0].params
-    p1 = book.codewords[1].params
+    p0 = book.word(0).params
+    p1 = book.word(1).params
     assert p0.curving == plan.curving_values[0]
     assert p0.focus_distance == plan.focus_distances[0]
     assert p0.focus_angle == plan.angles[0]
     assert p1.focus_angle == plan.angles[1]          # angle runs fastest
     assert p1.curving == p0.curving and p1.focus_distance == p0.focus_distance
-    w = book.weights_matrix()
-    assert w.shape == (256, len(book))
-    np.testing.assert_allclose(np.linalg.norm(w, axis=0), 1.0, rtol=1e-12)
+    want = [(a, r, th) for a in plan.curving_values for r in plan.focus_distances
+            for th in plan.angles]
+    np.testing.assert_array_equal(book.params, want)
+    assert book.weights.shape == (256, len(book))
+    np.testing.assert_allclose(np.linalg.norm(book.weights, axis=0), 1.0, rtol=1e-12)
 
 
 def test_los_region_points_inside_strip():
@@ -245,10 +248,9 @@ def test_hierarchical_builder():
     s2 = factory(plan.focus_distances[1], plan.angles[127])
     assert s2.scheme is CodebookScheme.HIERARCHICAL_STAGE2
     assert len(s2) == plan.counts[0]
-    for w, a in zip(s2.codewords, plan.curving_values):
-        assert w.params.curving == a
-        assert w.params.focus_distance == plan.focus_distances[1]
-        assert w.params.focus_angle == plan.angles[127]
+    np.testing.assert_array_equal(s2.params[:, 0], plan.curving_values)
+    assert np.all(s2.params[:, 1] == plan.focus_distances[1])
+    assert np.all(s2.params[:, 2] == plan.angles[127])
 
 
 def test_low_complexity_rides_receiver_circle():
@@ -259,8 +261,7 @@ def test_low_complexity_rides_receiver_circle():
     assert stage1.scheme is CodebookScheme.LOW_COMPLEXITY_STAGE1
     assert len(stage1) == 12
     assert len(stage1) + len(factory(3.0, 0.0)) == 29
-    for w in stage1.codewords:
-        r, th = w.params.focus_distance, w.params.focus_angle
+    for _, r, th in stage1.params:
         assert r == pytest.approx(3.0 * math.cos(th), rel=1e-12)
 
 
@@ -269,7 +270,7 @@ def test_farfield_codebook():
     book = build_farfield_codebook(sc)
     assert book.scheme is CodebookScheme.FAR_FIELD_STEERING
     assert len(book) == 63
-    assert all(math.isinf(w.params.focus_distance) for w in book.codewords)
+    assert np.all(np.isinf(book.params[:, 1]))
     plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, angle_index=2)
     book2 = build_farfield_codebook(sc, plan)
     assert len(book2) == plan.angles.size
@@ -281,6 +282,62 @@ def test_nearfield_codebook_targets_rx_elements():
     assert book.scheme is CodebookScheme.NEAR_FIELD_FOCUSING
     assert len(book) == 32
     rx_y = element_positions(sc.rx)
-    for w, y in zip(book.codewords, rx_y):
-        assert w.params.focus_distance == pytest.approx(math.hypot(3.0, y), rel=1e-12)
-        assert w.params.focus_angle == pytest.approx(math.atan2(y, 3.0), abs=1e-12)
+    for (_, r, th), y in zip(book.params, rx_y):
+        assert r == pytest.approx(math.hypot(3.0, y), rel=1e-12)
+        assert th == pytest.approx(math.atan2(y, 3.0), abs=1e-12)
+
+
+# ------------------------------------------- codeword matrix vs single beams
+
+def _every_book():
+    """Each builder's books at the README size, where the exhaustive book
+    spans many synthesis blocks."""
+    d_link = 1.0
+    sc = _scenario(128, d_link)
+    plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-10.0, 10.0),
+                               r_min=0.14)
+    h1, hier2 = build_hierarchical_codebooks(plan, sc)
+    l1, lowc2 = build_low_complexity_codebooks(sc, plan)
+    books = {
+        "exhaustive": build_exhaustive_codebook(plan, sc),
+        "hier_stage1": h1,
+        "hier_stage2": hier2(float(plan.focus_distances[-1]), float(plan.angles[40])),
+        "lowc_stage1": l1,
+        "lowc_stage2": lowc2(d_link, 0.0),
+        "farfield": build_farfield_codebook(sc, plan),
+        "farfield_no_plan": build_farfield_codebook(sc),
+        "nearfield": build_nearfield_codebook(sc, plan),
+    }
+    return sc, books
+
+
+def test_every_builder_column_is_its_beam_vector():
+    sc, books = _every_book()
+    assert len(books["exhaustive"]) > 8 * 256
+    for name, book in books.items():
+        assert book.params.shape == (len(book), 3), name
+        assert book.weights.shape == (sc.tx.num_elements, len(book)), name
+        for i, prm in enumerate(book.params):
+            want = airy_beam_vector(BeamParams(*prm), sc.tx, CAR).weights
+            assert np.array_equal(book.weights[:, i], want), (name, i)
+
+
+def test_word_is_a_standalone_copy():
+    sc, books = _every_book()
+    book = books["hier_stage1"]
+    w = book.word(3)
+    assert w.params == BeamParams(*book.params[3])
+    np.testing.assert_array_equal(w.weights, book.weights[:, 3])
+    assert not np.shares_memory(w.weights, book.weights)
+
+
+def test_codebook_shapes_validated():
+    sc = _scenario(16)
+    params = np.array([[0.0, 3.0, 0.0], [1.0, 2.0, 0.1]])
+    weights = np.stack([airy_beam_vector(BeamParams(*p), sc.tx, CAR).weights
+                        for p in params], axis=1)
+    Codebook(CodebookScheme.EXHAUSTIVE, params, weights, None)
+    with pytest.raises(ValueError, match="one column per params row"):
+        Codebook(CodebookScheme.EXHAUSTIVE, params, weights[:, :1], None)
+    with pytest.raises(ValueError, match=r"\[T, 3\]"):
+        Codebook(CodebookScheme.EXHAUSTIVE, params[:, :2], weights, None)

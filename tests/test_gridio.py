@@ -101,7 +101,7 @@ def test_search_trace_csv(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0.0" and first[2] == "inf"
     # powers recorded in dB round-trip against the trace
-    assert float(first[4]) == pytest.approx(10 * np.log10(res.trace[0].power))
+    assert float(first[4]) == pytest.approx(10 * np.log10(res.powers[0]))
 
 
 def test_sweep_csv_format_and_determinism(tmp_path):

@@ -1,0 +1,80 @@
+"""Properties over random beams and scenarios, checked with Hypothesis.
+
+Examples are derandomized and no example database is kept, so every run
+checks the same cases.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from airylink.beam import BeamParams, airy_beam_matrix, airy_beam_vector
+from airylink.codebook import solve_sampling_plan
+from airylink.evaluation import (
+    BeamformingScheme,
+    build_scheme_beamformers,
+    calibrated_wave_channels,
+    noise_for_target_se,
+    run_search,
+)
+from airylink.scenario import (
+    BlockageGeometry,
+    CarrierConfig,
+    ScenarioConfig,
+    half_wavelength_array,
+)
+from airylink.search import ProbeCombiner, TrainingConfig
+
+CAR = CarrierConfig(140e9)
+
+
+def _settings(examples):
+    return settings(max_examples=examples, deadline=None, derandomize=True,
+                    database=None)
+
+
+# (curving, focus distance, focus angle) inside BeamParams' rules: distances
+# from 5 cm out to the far field, angles short of endfire.
+beam_rows = st.tuples(st.floats(-10.0, 10.0),
+                      st.one_of(st.floats(0.05, 10.0), st.just(math.inf)),
+                      st.floats(-1.5, 1.5))
+
+
+@_settings(60)
+@given(n=st.integers(1, 96), rows=st.lists(beam_rows, min_size=1, max_size=150))
+def test_codewords_unit_norm_constant_modulus_and_match_single_beams(n, rows):
+    arr = half_wavelength_array(n, CAR)
+    weights = airy_beam_matrix(rows, arr, CAR)
+    assert weights.shape == (n, len(rows))
+    np.testing.assert_allclose(np.abs(weights), 1 / math.sqrt(n), rtol=1e-14)
+    np.testing.assert_allclose(np.linalg.norm(weights, axis=0), 1.0, rtol=1e-13)
+    for t, row in enumerate(rows):
+        single = airy_beam_vector(BeamParams(*row), arr, CAR).weights
+        assert np.array_equal(weights[:, t], single), (t, row)
+
+
+@_settings(12)
+@given(n_t=st.sampled_from([16, 24, 32]), n_r=st.sampled_from([4, 8]),
+       link=st.floats(0.4, 1.5), screen=st.floats(0.3, 0.9),
+       height=st.floats(0.0, 0.012), target_se=st.floats(5.0, 15.0),
+       combiner=st.sampled_from(list(ProbeCombiner)), seed=st.integers(0, 2**32 - 1))
+def test_searched_se_never_exceeds_perfect_csi(n_t, n_r, link, screen, height,
+                                               target_se, combiner, seed):
+    blk = BlockageGeometry(screen * link, 0.02, height, 0.5)
+    sc = ScenarioConfig(half_wavelength_array(n_t, CAR), half_wavelength_array(n_r, CAR),
+                        CAR, link, blockage=blk).with_virtual_defaults(4)
+    plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-2000.0, 2000.0))
+    channels = calibrated_wave_channels(sc)
+    noise = noise_for_target_se(channels.non_blocked, 1.0, target_se)
+    cfg = TrainingConfig(1.0, noise, rx_probe_combiner=combiner, rng_seed=seed)
+    perfect = build_scheme_beamformers(
+        BeamformingScheme.PERFECT_CSI, design_channel=channels.blocked
+    ).evaluate(channels.blocked, 1.0, noise)
+    for scheme in (s for s in BeamformingScheme if s.searched):
+        result = run_search(scheme, channels.blocked, sc, plan, cfg)
+        se = build_scheme_beamformers(
+            scheme, search_result=result, non_blocked_channel=channels.non_blocked
+        ).evaluate(channels.blocked, 1.0, noise)
+        assert se <= perfect + 1e-9, (scheme, se, perfect)
