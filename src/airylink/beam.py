@@ -120,14 +120,20 @@ def airy_beam_matrix(params, array: ArrayConfig, carrier: CarrierConfig) -> np.n
     """
     prm = np.asarray(params, dtype=float).reshape(-1, 3)
     _check_focus(prm[:, 1], prm[:, 2])
+    # per-beam terms once per distinct (r, theta) bit pattern: an exhaustive
+    # book repeats every focus pair for each curving value
+    bits = np.ascontiguousarray(prm[:, 1:]).view(np.int64)
+    _, first, which = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    terms = np.array([_focus_terms(r, th) for r, th in prm[first, 1:].tolist()],
+                     dtype=float).reshape(-1, 2)
+    which = which.reshape(-1)
     y = element_positions(array)
     y2, y3 = y**2, y**3
     scale = math.sqrt(array.num_elements)
     weights = np.empty((y.size, prm.shape[0]), dtype=complex)
     for start in range(0, prm.shape[0], _BLOCK_COLUMNS):
         cols = slice(start, start + _BLOCK_COLUMNS)
-        quad, sine = np.array([_focus_terms(r, th) for r, th in prm[cols, 1:].tolist()],
-                              dtype=float).T
+        quad, sine = terms[which[cols]].T
         phase = _profile(y[:, None], y2[:, None], y3[:, None], prm[cols, 0], quad, sine,
                          carrier.wavelength)
         block = np.exp(1j * phase) / scale

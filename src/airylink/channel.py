@@ -12,7 +12,9 @@ Three models of the same partially blocked link:
   the ray model's unblocked reference. Both cascades build their hops the
   same way and multiply matrices of the same sizes; the cascaded model
   evaluates an exponential per distinct offset where the wave model
-  evaluates a Hankel function, so it is only modestly cheaper.
+  evaluates the Hankel function H1^(2)(kr) (`_hankel2_1`: its
+  large-argument expansion from kr = 25 on, scipy below), so it is only
+  modestly cheaper.
 
 Phase convention: all models use exp(-j*k*r) for a path of length r, and
 the diffraction kernel is the matching conjugate Rayleigh-Sommerfeld form
@@ -132,6 +134,82 @@ def _hop_matrix(src_y: np.ndarray, dst_y: np.ndarray, dx: float, kernel) -> np.n
     return np.ascontiguousarray(windows[::-1])
 
 
+# H1^(2)(z) is evaluated by its large-argument expansion from here on.
+_HANKEL_ASYMPTOTIC_FROM = 25.0
+
+
+def _asymptotic_series(terms: int) -> tuple:
+    """Coefficients of P and Q in powers of 1/z^2 for H1^(2).
+
+    DLMF 10.17.1 and 10.17.6 with nu = 1: the series sum_k (-j)^k a_k / z^k
+    splits into P - jQ, P = sum_m (-1)^m a_2m / z^2m and
+    Q = sum_m (-1)^m a_2m+1 / z^(2m+1), where
+    a_k = prod_{i<=k} (4 - (2i-1)^2) / (k! 8^k). Each coefficient is one
+    correctly rounded division of exact integers.
+    """
+    signed, num, den = [], 1, 1
+    for k in range(terms):
+        if k:
+            num *= 4 - (2 * k - 1) ** 2
+            den *= 8 * k
+        signed.append(num / den if k % 4 < 2 else -num / den)
+    return tuple(signed[0::2]), tuple(signed[1::2])
+
+
+# 19 terms: the first one left out is below 2e-17 of the sum at z = 25.
+_HANKEL_P, _HANKEL_Q = _asymptotic_series(19)
+
+
+def _horner(coefficients, t: np.ndarray) -> np.ndarray:
+    acc = np.full_like(t, coefficients[-1])
+    for c in coefficients[-2::-1]:
+        acc *= t
+        acc += c
+    return acc
+
+
+def _hankel2_1(z: np.ndarray, scale=1.0) -> np.ndarray:
+    """scale * H1^(2)(z) for real z > 0, as one new complex array.
+
+    From z = 25 on this is the large-argument expansion
+    sqrt(2/(pi z)) e^{-jz} e^{j3pi/4} (P - jQ) (`_asymptotic_series`).
+    e^{-jz} comes from cos z and sin z of z itself and the e^{j3pi/4} turn
+    is applied afterwards, because forming z - 3pi/4 would round the phase
+    by up to ulp(z)/2. Entries below 25 come from scipy.special.hankel2.
+    `scale` is a scalar or an array of z's shape, folded into the result.
+    """
+    z = np.asarray(z, dtype=float)
+    out = np.empty(z.shape, dtype=complex)
+    # every entry takes the expansion (entries below 25 at z = 25, replaced
+    # afterwards), so the common all-large case needs no index arrays
+    zc = np.maximum(z, _HANKEL_ASYMPTOTIC_FROM)
+    cos, sin = np.cos(zc), np.sin(zc)
+    inv = np.divide(1.0, zc, out=zc)
+    t = inv * inv
+    p = _horner(_HANKEL_P, t)
+    q = _horner(_HANKEL_Q, t)
+    q *= inv
+    # e^{-jz} (P - jQ) = u - jv with u = cos P - sin Q, v = sin P + cos Q
+    u = np.multiply(cos, p, out=t)
+    cos *= q
+    q *= sin
+    u -= q
+    v = np.multiply(sin, p, out=sin)
+    v += cos
+    # times e^{j3pi/4} = (-1 + j)/sqrt(2), with sqrt(2/(pi z)) / sqrt(2) as amp:
+    # real (v - u) amp, imaginary (u + v) amp
+    amp = np.sqrt(np.multiply(inv, 1.0 / math.pi, out=inv), out=inv)
+    amp *= scale
+    u *= amp
+    v *= amp
+    np.subtract(v, u, out=out.real)
+    np.add(u, v, out=out.imag)
+    small = z < _HANKEL_ASYMPTOTIC_FROM
+    if small.any():
+        out[small] = special.hankel2(1, z[small]) * np.broadcast_to(scale, z.shape)[small]
+    return out
+
+
 def _gcm_hop(src_y: np.ndarray, dst_y: np.ndarray, dx: float,
              carrier: CarrierConfig) -> np.ndarray:
     """Free-space ray-model matrix between two parallel planes."""
@@ -156,12 +234,15 @@ def _rs_hop(src_y: np.ndarray, dst_y: np.ndarray, dx: float,
     The virtual planes take the Tx pitch, so when the Rx pitch matches it
     every cascade hop is Toeplitz and costs 2n-1 Hankel evaluations
     (`_hop_matrix`); field-map columns of another pitch are evaluated
-    pairwise.
+    pairwise. The Hankel values come from `_hankel2_1`: its large-argument
+    expansion from kr = 25 on, scipy below.
     """
     k = carrier.wavenumber
 
     def kernel(r):
-        return (-0.5j * k * dx / r) * special.hankel2(1, k * r) * weight
+        values = _hankel2_1(k * r, (0.5 * k * dx * weight) / r)
+        values *= -1j
+        return values
 
     return _hop_matrix(src_y, dst_y, dx, kernel)
 

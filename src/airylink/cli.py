@@ -505,23 +505,45 @@ def cmd_channel(args) -> int:
     return 0
 
 
-def cmd_fieldmap(args) -> int:
-    cfg = load_config(args.config)
-    sc = cfg.scenario
-    out_dir = _prepare_out(args.out)
+def _fieldmap_inputs(args, sc) -> tuple:
+    """The beam and the grid of `fieldmap`; each error names its option."""
+    for option in ("curving", "focus_angle", "xmin", "xmax", "ymin", "ymax"):
+        value = getattr(args, option)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{option.replace('_', '-')} must be finite")
+    if args.nx < 1:
+        raise ValueError("--nx must be at least 1")
+    if args.ny < 2:
+        raise ValueError("--ny must be at least 2")
     focus = args.focus_distance if args.focus_distance is not None else sc.link_distance
-    params = BeamParams(args.curving, focus, args.focus_angle)
+    if not focus > 0:
+        raise ValueError("--focus-distance must be positive (inf allowed)")
+    if not abs(args.focus_angle) < math.pi / 2:
+        raise ValueError("--focus-angle must lie in (-pi/2, pi/2)")
     half = max(abs(sc.tx.span[0]), abs(sc.tx.span[1]),
                abs(sc.rx.span[0]), abs(sc.rx.span[1]))
     y_lim = 1.5 * half
-    grid = GridSpec(
-        x_min=args.xmin if args.xmin is not None else sc.link_distance / args.nx,
-        x_max=args.xmax if args.xmax is not None else sc.link_distance,
-        num_x=args.nx,
-        y_min=args.ymin if args.ymin is not None else -y_lim,
-        y_max=args.ymax if args.ymax is not None else y_lim,
-        num_y=args.ny,
-    )
+    x_min = args.xmin if args.xmin is not None else sc.link_distance / args.nx
+    x_max = args.xmax if args.xmax is not None else sc.link_distance
+    y_min = args.ymin if args.ymin is not None else -y_lim
+    y_max = args.ymax if args.ymax is not None else y_lim
+    if not x_min > 0:
+        raise ValueError("--xmin must be > 0: the aperture plane is x = 0")
+    if not x_max > x_min:
+        raise ValueError(f"--xmax must exceed --xmin ({x_min!r} m)")
+    if x_max > sc.link_distance + 1e-12:
+        raise ValueError(f"--xmax must not exceed the link distance ({sc.link_distance!r} m)")
+    if not y_max > y_min:
+        raise ValueError(f"--ymax must exceed --ymin ({y_min!r} m)")
+    return (BeamParams(args.curving, focus, args.focus_angle),
+            GridSpec(x_min, x_max, args.nx, y_min, y_max, args.ny))
+
+
+def cmd_fieldmap(args) -> int:
+    cfg = load_config(args.config)
+    sc = cfg.scenario
+    params, grid = _fieldmap_inputs(args, sc)
+    out_dir = _prepare_out(args.out)
     write_manifest(out_dir, args.config, None, sc, None, [
         "command: fieldmap",
         f"beam: curving={params.curving!r} focus_distance_m={params.focus_distance!r} "

@@ -91,10 +91,11 @@ def read_field_map_binary(path) -> FieldMap:
 
 def write_field_map_csv(path, field_map: FieldMap) -> None:
     """Long-format (x, y, power_db) rows, row-major over the grid."""
+    xs = [_fmt(v) for v in field_map.x]
     lines = ["x_m,y_m,power_db"]
-    for iy, yv in enumerate(field_map.y):
-        for ix, xv in enumerate(field_map.x):
-            lines.append(f"{_fmt(xv)},{_fmt(yv)},{_fmt(field_map.power_db[iy, ix])}")
+    for yv, row in zip(field_map.y, np.asarray(field_map.power_db, dtype=float).tolist()):
+        y = _fmt(yv)
+        lines.extend([f"{x},{y},{p!r}" for x, p in zip(xs, row)])
     _write_text(path, lines)
 
 

@@ -235,6 +235,28 @@ def test_render_with_blockage_masks_shadow():
     assert sym_gap < 1.0
 
 
+def test_render_with_fast_hankel_kernel_matches_scipy_kernel(monkeypatch):
+    # 128 Tx through the blocked scenario, on the grid `airylink fieldmap`
+    # renders by default; the reference render evaluates every Hankel value
+    # with scipy
+    from scipy import special
+
+    from airylink import channel
+
+    tx = half_wavelength_array(128, CAR)
+    sc = ScenarioConfig(tx, half_wavelength_array(16, CAR), CAR, 1.0,
+                        blockage=BlockageGeometry(0.9, 0.02, 0.005, 0.5))
+    half = 1.5 * max(abs(v) for v in (*tx.span, *sc.rx.span))
+    grid = GridSpec(1.0 / 200, 1.0, 200, -half, half, 200)
+    beam = airy_beam_vector(BeamParams(2.0, 1.0, 0.0), sc.tx, CAR)
+    fast = render_field_map(beam, sc, grid)
+    monkeypatch.setattr(channel, "_hankel2_1",
+                        lambda z, scale=1.0: special.hankel2(1, z) * scale)
+    ref = render_field_map(beam, sc, grid)
+    assert fast.peak() == ref.peak()
+    np.testing.assert_allclose(fast.power_db, ref.power_db, rtol=0, atol=1e-9)
+
+
 def test_self_healing_airy_recovers_at_rx_plane():
     # obstruct the main lobe mid-path; the cubic-phase beam re-forms at x=D.
     # Absolute Rx-plane fields come from the wave channel (no per-map

@@ -25,6 +25,7 @@ from airylink.channel import (
     wcm_channel,
     _edge_taper,
     _gcm_hop,
+    _hankel2_1,
     _plane_mask,
     _rs_hop,
     _shares_pitch,
@@ -225,6 +226,15 @@ def _dense_rs(src, dst, dx, weight):
     return (-0.5j * k * dx / r) * special.hankel2(1, k * r) * weight
 
 
+def _dense_rs_fast_kernel(src, dst, dx, weight):
+    """The dense hop with the library's Hankel kernel, operation for operation."""
+    k = CAR.wavenumber
+    r = np.sqrt(dx * dx + (dst[:, None] - src[None, :]) ** 2)
+    values = _hankel2_1(k * r, (0.5 * k * dx * weight) / r)
+    values *= -1j
+    return values
+
+
 def _dense_gcm(src, dst, dx, weight=None):
     r = np.sqrt(dx * dx + (dst[:, None] - src[None, :]) ** 2)
     amp = SPEED_OF_LIGHT / (4 * math.pi * CAR.frequency * r)
@@ -264,8 +274,38 @@ def test_shared_pitch_hops_match_dense_formula(src, dst, dx):
 ])
 def test_other_grids_keep_the_exact_dense_hop(sy, dy):
     assert not _shares_pitch(sy, dy)
-    assert np.array_equal(_rs_hop(sy, dy, 0.3, CAR, 0.7), _dense_rs(sy, dy, 0.3, 0.7))
+    hop = _rs_hop(sy, dy, 0.3, CAR, 0.7)
+    assert np.array_equal(hop, _dense_rs_fast_kernel(sy, dy, 0.3, 0.7))
+    np.testing.assert_allclose(hop, _dense_rs(sy, dy, 0.3, 0.7), rtol=1e-14, atol=0)
     assert np.array_equal(_gcm_hop(sy, dy, 0.3, CAR), _dense_gcm(sy, dy, 0.3))
+
+
+# ------------------------------------------------------ Hankel kernel
+
+def test_hankel_kernel_matches_scipy_over_the_whole_range():
+    # geometric over z in [1e-3, 3e4], plus a dense band about the switch at 25
+    z = np.concatenate([np.geomspace(1e-3, 3e4, 20001), np.linspace(24.0, 26.0, 4001),
+                        [np.nextafter(25.0, 0.0), 25.0, np.nextafter(25.0, 30.0)]])
+    np.testing.assert_allclose(_hankel2_1(z), special.hankel2(1, z), rtol=1e-14, atol=0)
+
+
+def test_hankel_kernel_folds_scale_and_keeps_shape():
+    z = np.geomspace(1.0, 3e3, 24).reshape(4, 6)
+    scale = np.linspace(0.5, 2.0, 24).reshape(4, 6)
+    np.testing.assert_allclose(_hankel2_1(z, scale), special.hankel2(1, z) * scale,
+                               rtol=1e-14, atol=0)
+    np.testing.assert_allclose(_hankel2_1(z, 3.0), special.hankel2(1, z) * 3.0,
+                               rtol=1e-14, atol=0)
+    assert _hankel2_1(z).shape == (4, 6)
+
+
+def test_hankel_kernel_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    z = np.concatenate([np.geomspace(1e-2, 25.0, 20, endpoint=False),
+                        np.geomspace(25.0, 3e4, 80)])
+    with mpmath.workdps(40):
+        exact = np.array([complex(mpmath.hankel2(1, mpmath.mpf(float(v)))) for v in z])
+    np.testing.assert_allclose(_hankel2_1(z), exact, rtol=2e-15, atol=0)
 
 
 def _tx_side_cascade(sc, hop, use_blockage, plane_weight):

@@ -214,6 +214,26 @@ def test_fieldmap_mirror_symmetry(tmp_path):
     assert (out_p / "results" / "fieldmap.csv").is_file()
 
 
+@pytest.mark.parametrize("options, named", [
+    (["--nx", "0"], "--nx"),
+    (["--ny", "1"], "--ny"),
+    (["--xmax", "2.0"], "--xmax"),
+    (["--xmin", "0.5", "--xmax", "0.4"], "--xmax"),
+    (["--xmin", "0"], "--xmin"),
+    (["--ymin", "0.1", "--ymax", "-0.1"], "--ymax"),
+    (["--focus-angle", "2.0"], "--focus-angle"),
+    (["--focus-distance", "-1.0"], "--focus-distance"),
+    (["--curving", "nan"], "--curving"),
+])
+def test_fieldmap_bad_option_named_before_output(tmp_path, capsys, options, named):
+    out = tmp_path / "o"
+    rc = main(["fieldmap", "--config", _write(tmp_path, BASE_YAML), "--out", str(out),
+               *options])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_codebook_command(tmp_path, capsys):
     cfg = _write(tmp_path, BASE_YAML)
     out = tmp_path / "book"

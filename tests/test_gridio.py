@@ -88,6 +88,24 @@ def test_field_map_csv_format(tmp_path):
     assert float(v0) == fm.power_db[0, 0]   # shortest-roundtrip floats
 
 
+def test_field_map_csv_equals_the_per_cell_loop(tmp_path):
+    # the writer's output, byte for byte, against one repr per cell; the map
+    # holds the floor, a zero peak, -0.0 and values needing all 17 digits
+    rng = np.random.default_rng(3)
+    x = np.linspace(0.005, 1.0, 200)
+    y = np.linspace(-0.1, 0.1, 200)
+    db = np.maximum(rng.uniform(-70.0, 0.0, (200, 200)), FieldMap.DB_FLOOR)
+    db[0, 0], db[1, 1], db[2, 2] = 0.0, -0.0, -1.0 / 3.0
+    fm = FieldMap(x, y, db, mask_applied=False)
+    lines = ["x_m,y_m,power_db"]
+    for iy, yv in enumerate(fm.y):
+        for ix, xv in enumerate(fm.x):
+            lines.append(f"{float(xv)!r},{float(yv)!r},{float(fm.power_db[iy, ix])!r}")
+    p = tmp_path / "map.csv"
+    write_field_map_csv(p, fm)
+    assert p.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def test_search_trace_csv(tmp_path):
     arr = half_wavelength_array(16, CAR)
     sc = ScenarioConfig(arr, arr, CAR, 2.0)
