@@ -182,7 +182,8 @@ class GridSpec:
     def __post_init__(self):
         if not (self.x_min > 0):
             raise ValueError("grid must start strictly after the aperture plane x=0")
-        if self.x_max <= self.x_min or self.y_max <= self.y_min:
+        single_column = self.num_x == 1 and self.x_max == self.x_min
+        if not (self.x_max > self.x_min or single_column) or self.y_max <= self.y_min:
             raise ValueError("grid extents must be increasing")
         if self.num_x < 1 or self.num_y < 2:
             raise ValueError("grid too small")

@@ -374,18 +374,6 @@ def apply_calibration(channel: ChannelMatrix, params: CalibrationParams) -> Chan
     return ChannelMatrix(channel.entries * params.scalar, channel.model, calibrated=True)
 
 
-def calibrated_channel(scenario: ScenarioConfig, model: str = "cgwcm",
-                       use_blockage: bool = True) -> ChannelMatrix:
-    """Build a wave/cascaded channel calibrated against the ray-model reference."""
-    builders = {"wcm": wcm_channel, "cgwcm": cgwcm_channel}
-    if model not in builders:
-        raise ValueError(f"unknown calibratable model {model!r}")
-    build = builders[model]
-    params = calibrate(build(scenario, use_blockage=False),
-                       gcm_channel(scenario, use_blockage=False))
-    return apply_calibration(build(scenario, use_blockage=use_blockage), params)
-
-
 @dataclass(frozen=True)
 class MultipathRay:
     """One synthetic reflected path.
@@ -446,55 +434,6 @@ def k_factor_db(los: ChannelMatrix, nlos: ChannelMatrix) -> float:
     if p_nlos == 0:
         return math.inf
     return float(10 * np.log10(np.linalg.norm(los.entries) ** 2 / p_nlos))
-
-
-def _los_for_model(scenario: ScenarioConfig, los_model: str, use_blockage: bool):
-    if los_model == "gcm":
-        return gcm_channel(scenario, use_blockage=use_blockage)
-    if los_model in ("wcm", "cgwcm"):
-        return calibrated_channel(scenario, los_model, use_blockage=use_blockage)
-    raise ValueError(f"unknown los_model {los_model!r}")
-
-
-def nlos_for_composite(scenario: ScenarioConfig, nlos_spec,
-                       los_model: str | None = "gcm",
-                       k_factor_target_db: float | None = None) -> ChannelMatrix:
-    """The ray sum exactly as synth_multipath_channel embeds it.
-
-    When k_factor_target_db is set, the sum is uniformly rescaled so the
-    unblocked direct-to-scattered power ratio matches the target.
-    """
-    rays = [r if isinstance(r, MultipathRay) else MultipathRay(*r) for r in nlos_spec]
-    nlos = nlos_component(scenario, rays)
-    if k_factor_target_db is None:
-        return nlos
-    if los_model is None:
-        raise ValueError("a K-factor target needs a direct-path model as reference")
-    if not nlos.entries.any():
-        return nlos
-    los_ref = _los_for_model(scenario, los_model, use_blockage=False)
-    p_ratio = np.linalg.norm(los_ref.entries) ** 2 / np.linalg.norm(nlos.entries) ** 2
-    scale = math.sqrt(p_ratio / 10 ** (k_factor_target_db / 10))
-    return ChannelMatrix(nlos.entries * scale, ChannelModel.SYNTHETIC)
-
-
-def synth_multipath_channel(scenario: ScenarioConfig, nlos_spec,
-                            los_model: str | None = "gcm",
-                            k_factor_target_db: float | None = None,
-                            use_blockage: bool = True) -> ChannelMatrix:
-    """Composite channel: blockage-sensitive direct path plus fixed ray sum.
-
-    The blockage only ever affects the direct component; the reflected
-    paths bypass it. los_model None drops the direct path entirely.
-    k_factor_target_db, when set, uniformly rescales the ray sum so the
-    unblocked direct-to-scattered power ratio matches it exactly.
-    """
-    nlos = nlos_for_composite(scenario, nlos_spec, los_model, k_factor_target_db)
-    if los_model is None:
-        return nlos
-    los = _los_for_model(scenario, los_model, use_blockage=use_blockage)
-    return ChannelMatrix(los.entries + nlos.entries, ChannelModel.COMPOSITE,
-                         calibrated=los.calibrated)
 
 
 def channel_error(candidate: ChannelMatrix, reference: ChannelMatrix) -> float:

@@ -16,15 +16,7 @@ from pathlib import Path
 
 from . import __version__, _threads
 from .beam import BeamParams, GridSpec, airy_beam_vector, render_field_map
-from .channel import (
-    ChannelMatrix,
-    calibrated_channel,
-    channel_error,
-    gcm_channel,
-    MultipathRay,
-    nlos_for_composite,
-    synth_multipath_channel,
-)
+from .channel import ChannelMatrix, MultipathRay, channel_error
 from .codebook import (
     SamplingPlan,
     build_exhaustive_codebook,
@@ -125,18 +117,22 @@ def _section(doc: dict, name: str, required: bool = False) -> dict:
     return value
 
 
-def _coerce_number(value):
-    """Number, or a string YAML left unresolved (e.g. '1.4e11'); else None."""
-    if isinstance(value, bool):
+def _coerce_number(value, path: str):
+    """Number, or a string YAML left unresolved (e.g. '1.4e11'); else None.
+
+    A number that is not finite raises a ConfigError naming `path`.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         return None
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            return None
-    return None
+    try:
+        number = float(value)
+    except ValueError:
+        return None
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: must be finite")
+    return number
 
 
 def _num(section: dict, path: str, key: str, required: bool = False,
@@ -145,7 +141,7 @@ def _num(section: dict, path: str, key: str, required: bool = False,
         if required:
             raise ConfigError(f"{path}.{key}: value is required")
         return default
-    value = _coerce_number(section[key])
+    value = _coerce_number(section[key], f"{path}.{key}")
     if value is None:
         raise ConfigError(f"{path}.{key}: must be a number")
     if positive and not value > 0:
@@ -179,7 +175,7 @@ def _load_scenario(doc: dict) -> ScenarioConfig:
     if spacing == "auto":
         spacing = carrier.wavelength / 2
     else:
-        spacing = _coerce_number(spacing)
+        spacing = _coerce_number(spacing, "scenario.spacing_m")
         if spacing is None or spacing <= 0:
             raise ConfigError('scenario.spacing_m: must be "auto" or a positive number')
 
@@ -188,15 +184,16 @@ def _load_scenario(doc: dict) -> ScenarioConfig:
         b = sec["blockage"]
         if not isinstance(b, dict):
             raise ConfigError("scenario.blockage: must be a mapping")
-        blockage = BlockageGeometry(
-            distance_from_tx=_num(b, "scenario.blockage", "distance_from_tx_m",
-                                  required=True, positive=True),
-            width_along_axis=_num(b, "scenario.blockage", "width_m",
-                                  required=True, positive=True),
-            extent_above=_num(b, "scenario.blockage", "extent_above_m", required=True),
-            extent_below=_num(b, "scenario.blockage", "extent_below_m", required=True),
-        )
+        geometry = [_num(b, "scenario.blockage", key, required=True, positive=positive)
+                   for key, positive in (("distance_from_tx_m", True), ("width_m", True),
+                                         ("extent_above_m", False),
+                                         ("extent_below_m", False))]
+        try:
+            blockage = BlockageGeometry(*geometry)
+        except ValueError as exc:
+            raise ConfigError(f"scenario.blockage: {exc}") from exc
 
+    planes = _intval(sec, "scenario", "virtual_planes", default=8, minimum=1)
     try:
         scenario = ScenarioConfig(
             tx=ArrayConfig(n_tx, float(spacing)),
@@ -206,7 +203,6 @@ def _load_scenario(doc: dict) -> ScenarioConfig:
             blockage=blockage,
         )
         if blockage is not None:
-            planes = _intval(sec, "scenario", "virtual_planes", default=8, minimum=1)
             scenario = scenario.with_virtual_defaults(planes)
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from exc
@@ -217,10 +213,10 @@ def _load_codebook(doc: dict) -> CodebookOptions:
     sec = _section(doc, "codebook")
     targets = sec.get("targets", [0.4, 0.15, 0.0])
     if (not isinstance(targets, (list, tuple)) or len(targets) != 3
-            or any(_coerce_number(t) is None for t in targets)):
+            or any(_coerce_number(t, "codebook.targets") is None for t in targets)):
         raise ConfigError("codebook.targets: must be three numbers")
     return CodebookOptions(
-        targets=tuple(_coerce_number(t) for t in targets),
+        targets=tuple(_coerce_number(t, "codebook.targets") for t in targets),
         curving_range=_num(sec, "codebook", "curving_range", default=4.0, positive=True),
         angle_index=_intval(sec, "codebook", "angle_index", default=1, minimum=1),
         r_min=_num(sec, "codebook", "r_min_m", positive=True),
@@ -260,13 +256,11 @@ def _load_multipath(doc: dict) -> MultipathOptions | None:
         if not isinstance(r, dict):
             raise ConfigError(f"multipath.rays[{i}]: must be a mapping")
         path = f"multipath.rays[{i}]"
+        values = [_num(r, path, key, required=True)
+                  for key in ("gain_db", "departure_angle_rad", "arrival_angle_rad",
+                              "excess_delay_s")]
         try:
-            rays.append(MultipathRay(
-                gain_db=_num(r, path, "gain_db", required=True),
-                departure_angle=_num(r, path, "departure_angle_rad", required=True),
-                arrival_angle=_num(r, path, "arrival_angle_rad", required=True),
-                excess_delay=_num(r, path, "excess_delay_s", required=True),
-            ))
+            rays.append(MultipathRay(*values))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     los_model = sec.get("los_model", "gcm")
@@ -274,11 +268,11 @@ def _load_multipath(doc: dict) -> MultipathOptions | None:
         los_model = None
     if los_model not in (None, "gcm", "wcm", "cgwcm"):
         raise ConfigError("multipath.los_model: must be gcm, wcm, cgwcm, or none")
-    return MultipathOptions(
-        rays=tuple(rays),
-        los_model=los_model,
-        k_factor_db=_num(sec, "multipath", "k_factor_db"),
-    )
+    k_factor = _num(sec, "multipath", "k_factor_db")
+    if los_model is None and k_factor is not None:
+        raise ConfigError("multipath.k_factor_db: needs a direct path; "
+                          "los_model none has none")
+    return MultipathOptions(rays=tuple(rays), los_model=los_model, k_factor_db=k_factor)
 
 
 _SCHEME_ALIASES = {
@@ -313,9 +307,9 @@ def _load_sweep(doc: dict) -> SweepOptions | None:
                           "or power")
     grid = sec.get("grid")
     if (not isinstance(grid, list) or not grid
-            or any(_coerce_number(g) is None for g in grid)):
+            or any(_coerce_number(g, "sweep.grid") is None for g in grid)):
         raise ConfigError("sweep.grid: must be a non-empty list of numbers")
-    grid = tuple(_coerce_number(g) for g in grid)
+    grid = tuple(_coerce_number(g, "sweep.grid") for g in grid)
     if _VARIABLE_ALIASES[variable] is SweptVariable.OVERHEAD and not all(
             g.is_integer() and g >= 1 for g in grid):
         raise ConfigError("sweep.grid: overhead budgets must be integers >= 1")
@@ -367,12 +361,7 @@ def build_channel_set(cfg: RunConfig, scenario: ScenarioConfig | None = None) ->
     mp = cfg.multipath
     if mp is None:
         return calibrated_wave_channels(sc)
-    blocked = synth_multipath_channel(sc, mp.rays, mp.los_model, mp.k_factor_db,
-                                      use_blockage=True)
-    non_blocked = synth_multipath_channel(sc, mp.rays, mp.los_model, mp.k_factor_db,
-                                          use_blockage=False)
-    nlos = nlos_for_composite(sc, mp.rays, mp.los_model, mp.k_factor_db)
-    return ChannelSet(blocked, non_blocked, nlos)
+    return calibrated_wave_channels(sc, mp.los_model, mp.rays, mp.k_factor_db)
 
 
 def resolve_training(cfg: RunConfig, channels: ChannelSet,
@@ -481,10 +470,7 @@ def cmd_channel(args) -> int:
 
     built: dict[str, ChannelMatrix] = {}
     for model in models:
-        if model == "gcm":
-            built[model] = gcm_channel(sc)
-        else:
-            built[model] = calibrated_channel(sc, model)
+        built[model] = calibrated_wave_channels(sc, model).blocked
         write_channel_binary(out_dir / "grids" / f"channel_{model}.bin", built[model])
 
     frac = float(blocked_pairs(sc).mean())
@@ -529,8 +515,9 @@ def _fieldmap_inputs(args, sc) -> tuple:
     y_max = args.ymax if args.ymax is not None else y_lim
     if not x_min > 0:
         raise ValueError("--xmin must be > 0: the aperture plane is x = 0")
-    if not x_max > x_min:
-        raise ValueError(f"--xmax must exceed --xmin ({x_min!r} m)")
+    if not (x_max > x_min or (args.nx == 1 and x_max == x_min)):
+        raise ValueError(f"--xmax must exceed --xmin ({x_min!r} m), "
+                         "or equal it when --nx is 1")
     if x_max > sc.link_distance + 1e-12:
         raise ValueError(f"--xmax must not exceed the link distance ({sc.link_distance!r} m)")
     if not y_max > y_min:

@@ -1,4 +1,4 @@
-"""Precoder/combiner design, spectral efficiency, and scenario sweeps.
+"""Channel sets, precoder/combiner design, spectral efficiency, and sweeps.
 
 The hybrid architecture splits each side into a constant-modulus analog
 stage and a small digital stage.  Full-digital benchmarks are represented
@@ -18,9 +18,12 @@ import numpy as np
 from .beam import BeamParams, airy_beam_vector
 from .channel import (
     ChannelMatrix,
+    ChannelModel,
     apply_calibration,
     calibrate,
+    cgwcm_channel,
     gcm_channel,
+    nlos_component,
     wcm_channel,
 )
 from .codebook import (
@@ -420,16 +423,53 @@ class ChannelSet:
     nlos_only: ChannelMatrix | None = None
 
 
-def calibrated_wave_channels(scenario: ScenarioConfig) -> ChannelSet:
-    """Wave-model blocked/unblocked pair calibrated onto the ray-model scale."""
-    gcm_nb = gcm_channel(scenario, use_blockage=False)
-    wcm_nb = wcm_channel(scenario, use_blockage=False)
-    cal = calibrate(wcm_nb, gcm_nb)
-    non_blocked = apply_calibration(wcm_nb, cal)
-    if scenario.blockage is None:
-        return ChannelSet(non_blocked, non_blocked, None)
-    blocked = apply_calibration(wcm_channel(scenario, use_blockage=True), cal)
-    return ChannelSet(blocked, non_blocked, None)
+def calibrated_wave_channels(scenario: ScenarioConfig, model: str | None = "wcm",
+                             rays=(), k_factor_db: float | None = None) -> ChannelSet:
+    """The channels of one link, each matrix built once.
+
+    The direct path is the ray model (`gcm`), the wave (`wcm`) or cascaded
+    (`cgwcm`) model calibrated onto the ray model's unblocked scale, or
+    None. `rays` (`MultipathRay`s) add a ray sum that bypasses the
+    blockage; `k_factor_db`, when set, rescales it so the unblocked
+    direct-to-scattered power ratio matches exactly. Without rays there is
+    no multipath-only channel.
+    """
+    # built per call, so rebinding one of these module attributes reaches it
+    builders = {"gcm": gcm_channel, "wcm": wcm_channel, "cgwcm": cgwcm_channel}
+    if model is not None and model not in builders:
+        raise ValueError(f"unknown direct-path model {model!r}")
+    nlos = nlos_component(scenario, rays) if rays else None
+    if model is None:
+        if nlos is None:
+            raise ValueError("a channel without a direct path needs rays")
+        if k_factor_db is not None:
+            raise ValueError("a K-factor target needs a direct-path model as reference")
+        return ChannelSet(nlos, nlos, nlos)
+
+    build = builders[model]
+    ray_reference = gcm_channel(scenario, use_blockage=False)
+    non_blocked = (ray_reference if model == "gcm"
+                   else build(scenario, use_blockage=False))
+    blocked = (non_blocked if scenario.blockage is None
+               else build(scenario, use_blockage=True))
+    if model != "gcm":
+        cal = calibrate(non_blocked, ray_reference)
+        blocked = apply_calibration(blocked, cal)
+        non_blocked = apply_calibration(non_blocked, cal)
+    if nlos is None:
+        return ChannelSet(blocked, non_blocked, None)
+
+    if k_factor_db is not None and nlos.entries.any():
+        p_ratio = (np.linalg.norm(non_blocked.entries) ** 2
+                   / np.linalg.norm(nlos.entries) ** 2)
+        scale = math.sqrt(p_ratio / 10 ** (k_factor_db / 10))
+        nlos = ChannelMatrix(nlos.entries * scale, ChannelModel.SYNTHETIC)
+
+    def with_rays(direct: ChannelMatrix) -> ChannelMatrix:
+        return ChannelMatrix(direct.entries + nlos.entries, ChannelModel.COMPOSITE,
+                             calibrated=direct.calibrated)
+
+    return ChannelSet(with_rays(blocked), with_rays(non_blocked), nlos)
 
 
 def _point_scenario(scenario: ScenarioConfig, variable: SweptVariable,

@@ -22,7 +22,6 @@ from airylink.beam import (
 from airylink.channel import (
     apply_calibration,
     calibrate,
-    calibrated_channel,
     channel_error,
     gcm_channel,
     wcm_channel,
@@ -175,8 +174,8 @@ def test_cascaded_model_tracks_wave_truth_better_than_ray_model():
     for height in np.linspace(-0.024, 0.032, 9):  # partial to near-full occlusion
         blk = BlockageGeometry(1.5, 0.05, float(height), 0.5)
         sc = ScenarioConfig(arr, arr, CAR, 3.0, blockage=blk).with_virtual_defaults(8)
-        truth = calibrated_channel(sc, "wcm")
-        err_cascade = channel_error(calibrated_channel(sc, "cgwcm"), truth)
+        truth = calibrated_wave_channels(sc, "wcm").blocked
+        err_cascade = channel_error(calibrated_wave_channels(sc, "cgwcm").blocked, truth)
         err_ray = channel_error(gcm_channel(sc), truth)
         assert err_cascade < err_ray
         gaps_db.append(20 * math.log10(err_ray / err_cascade))
@@ -199,8 +198,8 @@ def test_wave_models_carry_power_into_fully_shadowed_rows():
         return np.sum(np.abs(ch.entries[shadowed]) ** 2, axis=1)
 
     p_ray = row_power(gcm_channel(sc))
-    p_wave = row_power(calibrated_channel(sc, "wcm"))
-    p_cascade = row_power(calibrated_channel(sc, "cgwcm"))
+    p_wave = row_power(calibrated_wave_channels(sc, "wcm").blocked)
+    p_cascade = row_power(calibrated_wave_channels(sc, "cgwcm").blocked)
     assert np.all(p_ray == 0.0)
     assert np.all(p_wave > 0.0)
     assert np.all(p_cascade > 0.0)
@@ -219,7 +218,7 @@ def test_channel_calibration_recovers_scale_and_phase():
     sc = ScenarioConfig(arr, arr, CAR, 1.0, blockage=blk).with_virtual_defaults(4)
     ref = gcm_channel(sc, use_blockage=False)
     for model in ("wcm", "cgwcm"):
-        cal = calibrated_channel(sc, model, use_blockage=False)
+        cal = calibrated_wave_channels(sc, model).non_blocked
         assert abs(cal.frobenius - ref.frobenius) <= 1e-12 * ref.frobenius
 
     scaled = type(ref)(ref.entries * (2.0 * np.exp(1j * np.pi / 4)), ref.model)

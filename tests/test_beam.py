@@ -166,6 +166,9 @@ def test_grid_spec_validation():
         GridSpec(0.5, 0.4, 10, -0.1, 0.1, 10)
     with pytest.raises(ValueError):
         GridSpec(0.01, 1.0, 10, -0.1, 0.1, 1)
+    assert GridSpec(1.0, 1.0, 1, -0.1, 0.1, 10).x.tolist() == [1.0]  # one column
+    with pytest.raises(ValueError):
+        GridSpec(1.0, 1.0, 2, -0.1, 0.1, 10)
 
 
 def _scenario(n=64, d_link=1.0, blockage=None):

@@ -13,15 +13,12 @@ from airylink.channel import (
     MultipathRay,
     apply_calibration,
     calibrate,
-    calibrated_channel,
     cgwcm_channel,
     channel_error,
     gcm_channel,
     k_factor_db,
     nlos_component,
-    nlos_for_composite,
     rs_propagate,
-    synth_multipath_channel,
     wcm_channel,
     _edge_taper,
     _gcm_hop,
@@ -30,6 +27,7 @@ from airylink.channel import (
     _rs_hop,
     _shares_pitch,
 )
+from airylink.evaluation import calibrated_wave_channels
 from airylink.scenario import (
     SPEED_OF_LIGHT,
     ArrayConfig,
@@ -362,8 +360,8 @@ def test_cgwcm_single_plane_is_two_hop_composition():
 def test_cgwcm_tracks_wcm_better_than_gcm():
     blk = BlockageGeometry(1.5, 0.05, 0.01, 0.5)
     sc = _scenario(32, 3.0, blk)
-    hw = calibrated_channel(sc, "wcm")
-    hc = calibrated_channel(sc, "cgwcm")
+    hw = calibrated_wave_channels(sc, "wcm").blocked
+    hc = calibrated_wave_channels(sc, "cgwcm").blocked
     hg = gcm_channel(sc)
     assert channel_error(hc, hw) < channel_error(hg, hw)
 
@@ -418,14 +416,16 @@ def test_apply_calibration_once():
 def test_calibrated_channel_matches_manual():
     blk = BlockageGeometry(1.5, 0.05, 0.01, 0.5)
     sc = _scenario(16, 3.0, blk)
-    auto = calibrated_channel(sc, "cgwcm")
-    manual = apply_calibration(
-        cgwcm_channel(sc),
-        calibrate(cgwcm_channel(sc, use_blockage=False),
-                  gcm_channel(sc.without_blockage())))
-    np.testing.assert_allclose(auto.entries, manual.entries, rtol=1e-12)
+    auto = calibrated_wave_channels(sc, "cgwcm")
+    params = calibrate(cgwcm_channel(sc, use_blockage=False),
+                       gcm_channel(sc.without_blockage()))
+    manual = apply_calibration(cgwcm_channel(sc), params)
+    manual_nb = apply_calibration(cgwcm_channel(sc, use_blockage=False), params)
+    np.testing.assert_allclose(auto.blocked.entries, manual.entries, rtol=1e-12)
+    np.testing.assert_allclose(auto.non_blocked.entries, manual_nb.entries, rtol=1e-12)
+    assert auto.nlos_only is None
     with pytest.raises(ValueError):
-        calibrated_channel(sc, "gcm")
+        calibrated_wave_channels(sc, "bogus")
 
 
 # -------------------------------------------------------- synthetic multipath
@@ -450,23 +450,34 @@ def test_nlos_component_scaling():
 
 
 def test_k_factor_rescale_exact():
-    sc = _scenario(8, 1.0)
+    sc = _scenario(8, 1.0, BlockageGeometry(0.5, 0.02, 0.001, 0.5), planes=4)
     rays = [MultipathRay(-6.0, 0.15, -0.2, 2e-10),
             MultipathRay(-9.0, -0.3, 0.25, 5e-10)]
-    comp = synth_multipath_channel(sc, rays, los_model="gcm", k_factor_target_db=5.0)
-    nlos = nlos_for_composite(sc, rays, los_model="gcm", k_factor_target_db=5.0)
-    los = gcm_channel(sc)
-    np.testing.assert_allclose(comp.entries, los.entries + nlos.entries, rtol=1e-12)
-    assert k_factor_db(los, nlos) == pytest.approx(5.0, abs=1e-9)
+    for model in ("gcm", "wcm", "cgwcm"):
+        direct = calibrated_wave_channels(sc, model)
+        comp = calibrated_wave_channels(sc, model, rays, k_factor_db=5.0)
+        nlos = comp.nlos_only
+        np.testing.assert_allclose(comp.blocked.entries,
+                                   direct.blocked.entries + nlos.entries, rtol=1e-12)
+        np.testing.assert_allclose(comp.non_blocked.entries,
+                                   direct.non_blocked.entries + nlos.entries, rtol=1e-12)
+        assert k_factor_db(direct.non_blocked, nlos) == pytest.approx(5.0, abs=1e-9)
+        # a uniform rescale of the ray sum
+        raw = nlos_component(sc, rays).entries
+        ratio = nlos.entries / raw
+        np.testing.assert_allclose(ratio, ratio.flat[0], rtol=1e-12)
 
 
 def test_synth_nlos_only():
     sc = _scenario(8, 1.0)
     rays = [MultipathRay(-6.0, 0.15, -0.2, 2e-10)]
-    h = synth_multipath_channel(sc, rays, los_model=None)
-    np.testing.assert_allclose(h.entries, nlos_component(sc, rays).entries)
+    channels = calibrated_wave_channels(sc, None, rays)
+    for h in (channels.blocked, channels.non_blocked, channels.nlos_only):
+        np.testing.assert_allclose(h.entries, nlos_component(sc, rays).entries)
     with pytest.raises(ValueError):
-        synth_multipath_channel(sc, rays, los_model=None, k_factor_target_db=3.0)
+        calibrated_wave_channels(sc, None, rays, k_factor_db=3.0)
+    with pytest.raises(ValueError):
+        calibrated_wave_channels(sc, None)
 
 
 def test_channel_error_zero_reference():

@@ -150,6 +150,34 @@ def test_nlos_scheme_needs_multipath_section(tmp_path, capsys, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("transmit_power: 1.0", "transmit_power: .inf", "training.transmit_power"),
+    ("curving_range: 4.0", "curving_range: .inf", "codebook.curving_range"),
+    ("target_se_bps_hz: 10.0", "target_se_bps_hz: .inf", "training.target_se_bps_hz"),
+    ("frequency_hz: 140.0e9", "frequency_hz: .inf", "scenario.frequency_hz"),
+    pytest.param("link_distance_m: 1.0", "link_distance_m: 1" + "0" * 400,
+                 "scenario.link_distance_m", id="integer-beyond-float-range"),
+    ("targets: [0.4, 0.15, 0.0]", "targets: [0.4, .nan, 0.0]", "codebook.targets"),
+    ("grid: [0.0, 0.003]", "grid: [0.0, -.inf]", "sweep.grid"),
+    ("extent_above_m: 0.003", "extent_above_m: -1", "scenario.blockage"),
+    ("virtual_planes: 4", "virtual_planes: 0", "scenario.virtual_planes"),
+    ("gain_db: -6.0", "gain_db: loud", "multipath.rays[0]"),
+    ("gain_db: -6.0", "gain_db: 3.0", "multipath.rays[0]"),
+    ("los_model: gcm", "los_model: none\n  k_factor_db: 6.0", "multipath.k_factor_db"),
+])
+def test_bad_number_named_once_before_output(tmp_path, capsys, old, new, named):
+    text = SWEEP_YAML + MULTIPATH_YAML
+    assert text.count(old) == 1
+    bad = _write(tmp_path, text.replace(old, new))
+    with pytest.raises(ConfigError):
+        load_config(bad)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", bad, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and err.count(named) == 1
+    assert not out.exists()
+
+
 def test_config_errors_exit_code_2(tmp_path, capsys):
     broken = _write(tmp_path, BASE_YAML.replace("  tx_elements: 16\n", ""))
     rc = main(["channel", "--config", broken, "--out", str(tmp_path / "o")])
@@ -224,6 +252,7 @@ def test_fieldmap_mirror_symmetry(tmp_path):
     (["--focus-angle", "2.0"], "--focus-angle"),
     (["--focus-distance", "-1.0"], "--focus-distance"),
     (["--curving", "nan"], "--curving"),
+    (["--nx", "2", "--xmin", "1.0"], "--xmax"),
 ])
 def test_fieldmap_bad_option_named_before_output(tmp_path, capsys, options, named):
     out = tmp_path / "o"
@@ -232,6 +261,14 @@ def test_fieldmap_bad_option_named_before_output(tmp_path, capsys, options, name
     assert rc == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fieldmap_single_column_at_rx_plane(tmp_path):
+    out = tmp_path / "o"
+    assert main(["fieldmap", "--config", _write(tmp_path, BASE_YAML), "--out", str(out),
+                 "--nx", "1", "--ny", "9"]) == 0
+    fmap = read_field_map_binary(out / "grids" / "fieldmap.bin")
+    assert fmap.x.tolist() == [1.0] and fmap.power_db.shape == (9, 1)
 
 
 def test_codebook_command(tmp_path, capsys):

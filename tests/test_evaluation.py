@@ -1,6 +1,7 @@
 """Beamformer construction, spectral efficiency, and sweep driver."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -336,6 +337,29 @@ def test_nlos_only_rows_constant_across_heights():
     rows = run_sweep(spec, sc, None, cfg, channel_builder=builder)
     ses = [r.spectral_efficiency_bps_hz for r in rows]
     assert ses[0] == ses[1] == ses[2]   # exactly constant, by construction
+
+
+def test_multipath_set_builds_each_channel_once(monkeypatch):
+    # counted where the builder looks them up, as the benchmark's spans do
+    import airylink.evaluation as ev
+    from airylink.cli import MultipathOptions, RunConfig, build_channel_set
+
+    calls = Counter()
+
+    def counting(name, build):
+        def counted(scenario, use_blockage=True):
+            calls[name, use_blockage] += 1
+            return build(scenario, use_blockage=use_blockage)
+        return counted
+
+    for name in ("gcm_channel", "wcm_channel", "cgwcm_channel"):
+        monkeypatch.setattr(ev, name, counting(name, getattr(ev, name)))
+    rays = (MultipathRay(-8.0, 0.25, -0.2, 3e-10),)
+    cfg = RunConfig(_sweep_scenario(), None, None, MultipathOptions(rays, "wcm", 6.0), None)
+    channels = build_channel_set(cfg)
+    assert calls == {("wcm_channel", False): 1, ("gcm_channel", False): 1,
+                     ("wcm_channel", True): 1}
+    assert channels.nlos_only is not None
 
 
 def test_transmit_power_sweep_monotone():
