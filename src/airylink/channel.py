@@ -332,8 +332,8 @@ def wcm_channel(scenario: ScenarioConfig, use_blockage: bool = True) -> ChannelM
 def cgwcm_channel(scenario: ScenarioConfig, use_blockage: bool = True) -> ChannelMatrix:
     """Cascaded model: ray-model hops between the masked virtual planes."""
     if scenario.blockage is None:
-        raise ValueError("the cascaded model needs a blockage region to place planes; "
-                         "build the unblocked reference with use_blockage=False")
+        raise ValueError("scenario.blockage: the cascaded model places its "
+                         "virtual planes at the blockage, and there is none")
     carrier = scenario.carrier
 
     def hop(sy, dy, dx, w):

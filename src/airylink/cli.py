@@ -16,16 +16,8 @@ from pathlib import Path
 
 from . import __version__, _threads
 from .beam import BeamParams, GridSpec, airy_beam_vector, render_field_map
-from .channel import ChannelMatrix, MultipathRay, channel_error
-from .codebook import (
-    SamplingPlan,
-    build_exhaustive_codebook,
-    build_farfield_codebook,
-    build_hierarchical_codebooks,
-    build_low_complexity_codebooks,
-    build_nearfield_codebook,
-    solve_sampling_plan,
-)
+from .channel import MultipathRay, channel_error
+from .codebook import SamplingPlan, solve_sampling_plan
 from .evaluation import (
     BeamformingScheme,
     ChannelSet,
@@ -36,6 +28,7 @@ from .evaluation import (
     noise_for_target_se,
     run_search,
     run_sweep,
+    scheme_codebooks,
 )
 from .gridio import (
     write_channel_binary,
@@ -463,14 +456,13 @@ def _prepare_out(out: str) -> Path:
 def cmd_channel(args) -> int:
     cfg = load_config(args.config)
     sc = cfg.scenario
-    out_dir = _prepare_out(args.out)
     models = ["gcm", "wcm", "cgwcm"] if args.compare else [args.model]
+    built = {model: calibrated_wave_channels(sc, model).blocked for model in models}
+    out_dir = _prepare_out(args.out)
     write_manifest(out_dir, args.config, None, sc, None,
                    [f"command: channel", f"models: {','.join(models)}"])
 
-    built: dict[str, ChannelMatrix] = {}
     for model in models:
-        built[model] = calibrated_wave_channels(sc, model).blocked
         write_channel_binary(out_dir / "grids" / f"channel_{model}.bin", built[model])
 
     frac = float(blocked_pairs(sc).mean())
@@ -556,20 +548,15 @@ def cmd_codebook(args) -> int:
                    [f"command: codebook", f"scheme: {args.scheme}"])
 
     results = out_dir / "results"
-    if args.scheme == "exhaustive":
-        books = {"codebook_exhaustive.csv": build_exhaustive_codebook(plan, sc)}
-    elif args.scheme == "ff":
-        books = {"codebook_farfield.csv": build_farfield_codebook(sc, plan)}
-    elif args.scheme == "nf":
-        books = {"codebook_nearfield.csv": build_nearfield_codebook(sc, plan)}
-    elif args.scheme == "hier":
-        stage1, factory = build_hierarchical_codebooks(plan, sc)
-        books = {"codebook_hier_stage1.csv": stage1,
-                 "codebook_hier_stage2_on_axis.csv": factory(sc.link_distance, 0.0)}
-    else:
-        stage1, factory = build_low_complexity_codebooks(sc, plan)
-        books = {"codebook_lowc_stage1.csv": stage1,
-                 "codebook_lowc_stage2_on_axis.csv": factory(sc.link_distance, 0.0)}
+    scheme = _SCHEME_ALIASES[args.scheme]
+    built = scheme_codebooks(scheme, sc, plan)
+    if len(built) == 1:
+        books = {f"codebook_{scheme.value}.csv": built[0]}
+    else:  # a two-stage scheme: stage 1, and stage 2 at the on-axis focus
+        stage1, factory = built
+        books = {f"codebook_{args.scheme}_stage1.csv": stage1,
+                 f"codebook_{args.scheme}_stage2_on_axis.csv":
+                     factory(sc.link_distance, 0.0)}
     for name, book in books.items():
         write_codebook_csv(results / name, book)
         print(f"{name}: {len(book)} codewords")
@@ -580,10 +567,10 @@ def cmd_codebook(args) -> int:
 def cmd_search(args) -> int:
     cfg = load_config(args.config)
     sc = cfg.scenario
-    out_dir = _prepare_out(args.out)
     channels = build_channel_set(cfg)
     train = resolve_training(cfg, channels, args.seed)
     plan = solve_plan(cfg)
+    out_dir = _prepare_out(args.out)
     write_manifest(out_dir, args.config, train, sc, plan,
                    [f"command: search", f"scheme: {args.scheme}"])
 
@@ -618,12 +605,15 @@ def cmd_sweep(args) -> int:
     base_seed = args.seed if args.seed is not None else cfg.training.rng_seed
     spec = SweepSpec(variable, cfg.sweep.grid, schemes,
                      repetitions=cfg.sweep.repetitions, base_seed=base_seed)
-    out_dir = _prepare_out(args.out)
+    if sc.blockage is None and variable in (SweptVariable.BLOCKAGE_HEIGHT,
+                                            SweptVariable.BLOCKAGE_DISTANCE):
+        raise ConfigError(f"scenario.blockage: required by a {variable.value} sweep")
 
     channels = build_channel_set(cfg)
     train = resolve_training(cfg, channels, base_seed)
     needs_plan = variable is SweptVariable.OVERHEAD or any(s.searched for s in schemes)
     plan = solve_plan(cfg) if needs_plan else None
+    out_dir = _prepare_out(args.out)
     write_manifest(out_dir, args.config, train, sc, plan, [
         "command: sweep",
         f"variable: {variable.value}",
@@ -632,8 +622,9 @@ def cmd_sweep(args) -> int:
         f"repetitions: {cfg.sweep.repetitions}",
     ])
 
-    rows = run_sweep(spec, sc, plan, train,
-                     channel_builder=lambda point: build_channel_set(cfg, point))
+    # power and overhead points are the base scenario: reuse its channels
+    rows = run_sweep(spec, sc, plan, train, channel_builder=lambda point:
+                     channels if point is sc else build_channel_set(cfg, point))
     write_sweep_csv(out_dir / "results" / "sweep.csv", rows)
     print(f"wrote {len(rows)} rows to {out_dir / 'results' / 'sweep.csv'}")
     return 0

@@ -156,7 +156,6 @@ class Codebook:
     scheme: CodebookScheme
     params: np.ndarray
     weights: np.ndarray
-    plan: SamplingPlan | None
 
     def __post_init__(self):
         if self.params.ndim != 2 or self.params.shape[1] != 3:
@@ -172,11 +171,11 @@ class Codebook:
         return BeamVector(BeamParams(*self.params[i]), self.weights[:, i].copy())
 
 
-def _codebook(scheme: CodebookScheme, params, tx: ArrayConfig, carrier: CarrierConfig,
-              plan: SamplingPlan | None) -> Codebook:
+def _codebook(scheme: CodebookScheme, params, tx: ArrayConfig,
+              carrier: CarrierConfig) -> Codebook:
     """Synthesize the codewords of a list or array of (a, r, theta) rows."""
     prm = np.array(params, dtype=float).reshape(-1, 3)
-    return Codebook(scheme, prm, airy_beam_matrix(prm, tx, carrier), plan)
+    return Codebook(scheme, prm, airy_beam_matrix(prm, tx, carrier))
 
 
 def _curving_envelope_pair():
@@ -353,8 +352,7 @@ def build_exhaustive_codebook(plan: SamplingPlan, scenario: ScenarioConfig) -> C
     grid = np.meshgrid(plan.curving_values, plan.focus_distances, plan.angles,
                        indexing="ij")
     params = np.stack([g.ravel() for g in grid], axis=1)
-    return _codebook(CodebookScheme.EXHAUSTIVE, params, scenario.tx, scenario.carrier,
-                     plan)
+    return _codebook(CodebookScheme.EXHAUSTIVE, params, scenario.tx, scenario.carrier)
 
 
 def build_los_region_points(scenario: ScenarioConfig, plan: SamplingPlan) -> list:
@@ -379,7 +377,7 @@ def _curving_sweep(scheme: CodebookScheme, plan: SamplingPlan, tx: ArrayConfig,
     """Stage-2 factory: every planned curving at a stage-1 focusing point."""
     def stage2_factory(r_f: float, theta_f: float) -> Codebook:
         params = [(a, r_f, theta_f) for a in plan.curving_values]
-        return _codebook(scheme, params, tx, carrier, plan)
+        return _codebook(scheme, params, tx, carrier)
     return stage2_factory
 
 
@@ -388,7 +386,7 @@ def build_hierarchical_codebooks(plan: SamplingPlan, scenario: ScenarioConfig):
     tx, carrier = scenario.tx, scenario.carrier
     pts = build_los_region_points(scenario, plan)
     stage1 = _codebook(CodebookScheme.HIERARCHICAL_STAGE1,
-                       [(0.0, r, th) for r, th in pts], tx, carrier, plan)
+                       [(0.0, r, th) for r, th in pts], tx, carrier)
     return stage1, _curving_sweep(CodebookScheme.HIERARCHICAL_STAGE2, plan, tx, carrier)
 
 
@@ -406,7 +404,7 @@ def build_low_complexity_codebooks(scenario: ScenarioConfig, plan: SamplingPlan)
         sines.append(s_val)
         s_val += step
     params = [(0.0, d_link * math.cos(math.asin(s)), math.asin(s)) for s in sines]
-    stage1 = _codebook(CodebookScheme.LOW_COMPLEXITY_STAGE1, params, tx, carrier, plan)
+    stage1 = _codebook(CodebookScheme.LOW_COMPLEXITY_STAGE1, params, tx, carrier)
     return stage1, _curving_sweep(CodebookScheme.LOW_COMPLEXITY_STAGE2, plan, tx,
                                   carrier)
 
@@ -417,11 +415,10 @@ def build_farfield_codebook(scenario: ScenarioConfig,
     angles = plan.angles if plan is not None else angle_grid(scenario.tx.num_elements)
     return _codebook(CodebookScheme.FAR_FIELD_STEERING,
                      [(0.0, math.inf, th) for th in angles], scenario.tx,
-                     scenario.carrier, plan)
+                     scenario.carrier)
 
 
-def build_nearfield_codebook(scenario: ScenarioConfig,
-                             plan: SamplingPlan | None = None) -> Codebook:
+def build_nearfield_codebook(scenario: ScenarioConfig) -> Codebook:
     """Focusing beams aimed at each receiver element; overhead equals N_r."""
     d_link = scenario.link_distance
     params = []
@@ -429,4 +426,4 @@ def build_nearfield_codebook(scenario: ScenarioConfig,
         dy = y - scenario.tx.center_offset
         params.append((0.0, math.hypot(d_link, dy), math.atan2(dy, d_link)))
     return _codebook(CodebookScheme.NEAR_FIELD_FOCUSING, params, scenario.tx,
-                     scenario.carrier, plan)
+                     scenario.carrier)

@@ -9,6 +9,7 @@ spectral-efficiency evaluation.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -29,8 +30,10 @@ from .channel import (
 from .codebook import (
     SamplingPlan,
     build_exhaustive_codebook,
+    build_farfield_codebook,
     build_hierarchical_codebooks,
     build_low_complexity_codebooks,
+    build_nearfield_codebook,
 )
 from .scenario import ScenarioConfig
 from .search import (
@@ -62,6 +65,7 @@ __all__ = [
     "full_digital_beamformers",
     "airy_beamformers",
     "build_scheme_beamformers",
+    "scheme_codebooks",
     "run_search",
     "noise_for_target_se",
     "run_sweep",
@@ -303,34 +307,54 @@ class BeamformingScheme(enum.Enum):
         return self in _SEARCHES
 
 
-# The codebook build and search of every searched scheme.  Each entry looks
-# its functions up in this module when called, so rebinding one of these
-# module attributes reaches every caller.
+# Every searched scheme as (books, search): the only builder of its
+# codebooks, `books(scenario, plan) -> tuple`, and `search(*books, channel,
+# cfg)`.  Each entry looks its functions up in this module when called, so
+# rebinding one of these module attributes reaches every caller.
 _SEARCHES = {
-    BeamformingScheme.EXHAUSTIVE: lambda channel, scenario, plan, cfg:
-        exhaustive_search(build_exhaustive_codebook(plan, scenario), channel, cfg),
-    BeamformingScheme.HIERARCHICAL: lambda channel, scenario, plan, cfg:
-        hierarchical_search(*build_hierarchical_codebooks(plan, scenario),
-                            channel, cfg),
-    BeamformingScheme.LOW_COMPLEXITY: lambda channel, scenario, plan, cfg:
-        low_complexity_search(*build_low_complexity_codebooks(scenario, plan),
-                              channel, cfg),
-    BeamformingScheme.FARFIELD_STEERING: lambda channel, scenario, plan, cfg:
-        farfield_steering_search(channel, cfg, scenario, plan),
-    BeamformingScheme.NEARFIELD_FOCUSING: lambda channel, scenario, plan, cfg:
-        nearfield_focusing_search(channel, cfg, scenario),
+    BeamformingScheme.EXHAUSTIVE: (
+        lambda scenario, plan: (build_exhaustive_codebook(plan, scenario),),
+        lambda *args: exhaustive_search(*args)),
+    BeamformingScheme.HIERARCHICAL: (
+        lambda scenario, plan: build_hierarchical_codebooks(plan, scenario),
+        lambda *args: hierarchical_search(*args)),
+    BeamformingScheme.LOW_COMPLEXITY: (
+        lambda scenario, plan: build_low_complexity_codebooks(scenario, plan),
+        lambda *args: low_complexity_search(*args)),
+    BeamformingScheme.FARFIELD_STEERING: (
+        lambda scenario, plan: (build_farfield_codebook(scenario, plan),),
+        lambda *args: farfield_steering_search(*args)),
+    BeamformingScheme.NEARFIELD_FOCUSING: (
+        lambda scenario, plan: (build_nearfield_codebook(scenario),),
+        lambda *args: nearfield_focusing_search(*args)),
 }
+
+
+def scheme_codebooks(scheme: BeamformingScheme, scenario: ScenarioConfig,
+                     plan: SamplingPlan) -> tuple:
+    """The codebooks a searched scheme sounds, built from `plan`: one book,
+    or a two-stage scheme's stage-1 book and stage-2 factory."""
+    if not scheme.searched:
+        raise ValueError(f"{scheme} is not a searched scheme")
+    if plan is None:
+        raise ValueError("searched schemes require a sampling plan")
+    return _SEARCHES[scheme][0](scenario, plan)
+
+
+def _search(scheme: BeamformingScheme, books: tuple, channel: ChannelMatrix,
+            cfg: TrainingConfig) -> SearchResult:
+    return _SEARCHES[scheme][1](*books, channel, cfg)
 
 
 def run_search(scheme: BeamformingScheme, channel: ChannelMatrix,
                scenario: ScenarioConfig, plan: SamplingPlan,
                cfg: TrainingConfig) -> SearchResult:
-    """Build a searched scheme's codebooks from `plan` and train over `channel`."""
-    if not scheme.searched:
-        raise ValueError(f"{scheme} is not a searched scheme")
-    if plan is None:
-        raise ValueError("searched schemes require a sampling plan")
-    return _SEARCHES[scheme](channel, scenario, plan, cfg)
+    """Build a searched scheme's codebooks from `plan` and train over `channel`.
+
+    The books are built on every call; `run_sweep` builds them once per
+    sweep and searches them at every point.
+    """
+    return _search(scheme, scheme_codebooks(scheme, scenario, plan), channel, cfg)
 
 
 def build_scheme_beamformers(scheme: BeamformingScheme,
@@ -492,8 +516,7 @@ def _derive_seed(base_seed: int, point_index: int, repetition: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _scheme_row(scheme: BeamformingScheme, channels: ChannelSet,
-                scenario: ScenarioConfig, plan: SamplingPlan | None,
+def _scheme_row(scheme: BeamformingScheme, channels: ChannelSet, books,
                 cfg: TrainingConfig):
     """(spectral efficiency, overhead, notes) for one scheme at one point.
 
@@ -511,7 +534,7 @@ def _scheme_row(scheme: BeamformingScheme, channels: ChannelSet,
         design = link if scheme is BeamformingScheme.PERFECT_CSI else None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IllConditionedNoiseWarning)
-        result = (run_search(scheme, channels.blocked, scenario, plan, cfg)
+        result = (_search(scheme, books(scheme), channels.blocked, cfg)
                   if scheme.searched else None)
         bf = build_scheme_beamformers(scheme, search_result=result,
                                       design_channel=design,
@@ -526,7 +549,7 @@ def _scheme_row(scheme: BeamformingScheme, channels: ChannelSet,
 
 
 def _overhead_rows(spec: SweepSpec, channels: ChannelSet,
-                   scenario: ScenarioConfig, plan: SamplingPlan,
+                   scenario: ScenarioConfig, books,
                    cfg_base: TrainingConfig, rep_seed: int):
     """Best-so-far spectral efficiency under a training-slot budget.
 
@@ -539,7 +562,7 @@ def _overhead_rows(spec: SweepSpec, channels: ChannelSet,
     for scheme in spec.schemes:
         if not scheme.searched:
             raise ValueError("overhead sweep applies to searched schemes only")
-        result = run_search(scheme, channels.blocked, scenario, plan, cfg)
+        result = _search(scheme, books(scheme), channels.blocked, cfg)
         se_cache: dict = {}
         best_so_far = -math.inf
         for value in spec.grid:
@@ -566,32 +589,35 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig,
               channel_builder=None) -> list:
     """Long-format sweep rows: one per (grid value, scheme, repetition).
 
-    channel_builder maps a per-point ScenarioConfig to a ChannelSet; the
-    default builds calibrated wave-model channels.  Seeds derive
-    deterministically from (base_seed, point index, repetition).
+    channel_builder maps a point's ScenarioConfig to a ChannelSet; the
+    default builds calibrated wave-model channels.  Each of these is built
+    once per call, when first needed: a searched scheme's codebooks, which
+    depend on no point, seed or power, and the channels of each distinct
+    point scenario (power and overhead points share the base scenario).
+    Seeds derive deterministically from (base_seed, point index, repetition).
     """
     if channel_builder is None:
         channel_builder = calibrated_wave_channels
+    books = functools.cache(lambda scheme: scheme_codebooks(scheme, scenario, plan))
+    channels_at = functools.cache(channel_builder)
     rows = []
     if spec.swept_variable is SweptVariable.OVERHEAD:
-        if plan is None:
-            raise ValueError("overhead sweep requires a sampling plan")
-        channels = channel_builder(scenario)
+        channels = channels_at(scenario)
         for rep in range(spec.repetitions):
             seed = _derive_seed(spec.base_seed, 0, rep)
-            rows.extend(_overhead_rows(spec, channels, scenario, plan, cfg, seed))
+            rows.extend(_overhead_rows(spec, channels, scenario, books, cfg, seed))
         return rows
 
     for i, value in enumerate(spec.grid):
         point = _point_scenario(scenario, spec.swept_variable, value)
-        channels = channel_builder(point)
+        channels = channels_at(point)
         for rep in range(spec.repetitions):
             seed = _derive_seed(spec.base_seed, i, rep)
             cfg_run = replace(cfg, rng_seed=seed)
             if spec.swept_variable is SweptVariable.TRANSMIT_POWER:
                 cfg_run = replace(cfg_run, transmit_power=float(value))
             for scheme in spec.schemes:
-                se, overhead, notes = _scheme_row(scheme, channels, point, plan,
+                se, overhead, notes = _scheme_row(scheme, channels, books,
                                                   cfg_run)
                 rows.append(SweepRow(spec.swept_variable.value, float(value),
                                      scheme.value, seed, se, overhead, notes))

@@ -24,14 +24,9 @@ import numpy as np
 
 from .beam import BeamParams, BeamVector
 from .channel import ChannelMatrix
-from .codebook import (
-    Codebook,
-    CodebookScheme,
-    SamplingPlan,
-    build_farfield_codebook,
-    build_nearfield_codebook,
-)
-from .scenario import ScenarioConfig
+from .codebook import Codebook, CodebookScheme
+# Unused here, but bench/spans.py patches them on this module by name.
+from .codebook import build_farfield_codebook, build_nearfield_codebook  # noqa: F401
 
 __all__ = [
     "ProbeCombiner",
@@ -168,19 +163,9 @@ def hierarchical_search(stage1: Codebook, stage2_factory, channel: ChannelMatrix
                         np.concatenate([powers1, powers2]))
 
 
+# The baselines are exhaustive searches over their own books: angle-only
+# steering beams (far field) and one focusing beam per receiver element
+# (near field).
 low_complexity_search = hierarchical_search
-
-
-def farfield_steering_search(channel: ChannelMatrix, cfg: TrainingConfig,
-                             scenario: ScenarioConfig,
-                             plan: SamplingPlan | None = None) -> SearchResult:
-    """Angle-only steering baseline (quadratic and cubic terms dropped)."""
-    codebook = build_farfield_codebook(scenario, plan)
-    return exhaustive_search(codebook, channel, cfg)
-
-
-def nearfield_focusing_search(channel: ChannelMatrix, cfg: TrainingConfig,
-                              scenario: ScenarioConfig) -> SearchResult:
-    """Focusing baseline aimed at each receiver element; overhead = N_r."""
-    codebook = build_nearfield_codebook(scenario)
-    return exhaustive_search(codebook, channel, cfg)
+farfield_steering_search = exhaustive_search
+nearfield_focusing_search = exhaustive_search

@@ -30,8 +30,10 @@ from airylink.codebook import (
     angle_correlation_closed,
     beam_correlation_numeric,
     build_exhaustive_codebook,
+    build_farfield_codebook,
     build_hierarchical_codebooks,
     build_low_complexity_codebooks,
+    build_nearfield_codebook,
     curving_correlation_closed,
     distance_correlation_closed,
     normalized_angle_separation,
@@ -303,9 +305,10 @@ def test_search_scheme_spectral_efficiency_ordering(ordering_design):
                                                 channels.blocked, cfg),
             "low_complexity": low_complexity_search(lowc_stage1, lowc_factory,
                                                     channels.blocked, cfg),
-            "farfield": farfield_steering_search(channels.blocked, cfg, sc,
-                                                 design["plan"]),
-            "nearfield": nearfield_focusing_search(channels.blocked, cfg, sc),
+            "farfield": farfield_steering_search(
+                build_farfield_codebook(sc, design["plan"]), channels.blocked, cfg),
+            "nearfield": nearfield_focusing_search(
+                build_nearfield_codebook(sc), channels.blocked, cfg),
         }
         overheads = {name: r.overhead for name, r in results.items()}
         se = {"perfect_csi": build_scheme_beamformers(

@@ -271,17 +271,40 @@ def test_fieldmap_single_column_at_rx_plane(tmp_path):
     assert fmap.x.tolist() == [1.0] and fmap.power_db.shape == (9, 1)
 
 
-def test_codebook_command(tmp_path, capsys):
+@pytest.mark.parametrize("scheme, files", [
+    ("exhaustive", ["codebook_exhaustive.csv"]),
+    ("ff", ["codebook_farfield.csv"]),
+    ("nf", ["codebook_nearfield.csv"]),
+    ("hier", ["codebook_hier_stage1.csv", "codebook_hier_stage2_on_axis.csv"]),
+    ("lowc", ["codebook_lowc_stage1.csv", "codebook_lowc_stage2_on_axis.csv"]),
+], ids=["exhaustive", "ff", "nf", "hier", "lowc"])
+def test_codebook_command(tmp_path, capsys, scheme, files):
     cfg = _write(tmp_path, BASE_YAML)
     out = tmp_path / "book"
-    rc = main(["codebook", "--config", cfg, "--out", str(out), "--scheme", "hier"])
+    rc = main(["codebook", "--config", cfg, "--out", str(out), "--scheme", scheme])
     assert rc == 0
     stdout = capsys.readouterr().out
-    assert "codebook_hier_stage1.csv" in stdout and "counts=" in stdout
-    s1 = (out / "results" / "codebook_hier_stage1.csv").read_text().splitlines()
-    s2 = (out / "results" / "codebook_hier_stage2_on_axis.csv").read_text().splitlines()
-    assert len(s1) > 1 and len(s2) > 1
+    assert files[0] in stdout and "counts=" in stdout
+    assert sorted(f.name for f in (out / "results").iterdir()) == files
+    for name in files:
+        lines = (out / "results" / name).read_text().splitlines()
+        assert lines[0].startswith("index,scheme,") and len(lines) > 1
     assert "[sampling_plan]" in (out / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("text, command", [
+    (FREE_YAML, ["channel", "--compare"]),
+    (FREE_YAML, ["channel", "--model", "cgwcm"]),
+    (FREE_YAML + MULTIPATH_YAML.replace("los_model: gcm", "los_model: cgwcm"),
+     ["search", "--scheme", "ff"]),
+    (FREE_YAML + SWEEP_YAML[len(BASE_YAML):], ["sweep"]),
+    (FREE_YAML + SWEEP_YAML[len(BASE_YAML):].replace("height", "distance"), ["sweep"]),
+], ids=["compare", "cgwcm", "multipath-cgwcm", "height-sweep", "distance-sweep"])
+def test_missing_blockage_named_before_output(tmp_path, capsys, text, command):
+    out = tmp_path / "o"
+    assert main([*command, "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: scenario.blockage")
+    assert not out.exists()
 
 
 def test_search_command_deterministic_and_seeded(tmp_path, capsys):

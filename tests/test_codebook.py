@@ -306,7 +306,7 @@ def _every_book():
         "lowc_stage2": lowc2(d_link, 0.0),
         "farfield": build_farfield_codebook(sc, plan),
         "farfield_no_plan": build_farfield_codebook(sc),
-        "nearfield": build_nearfield_codebook(sc, plan),
+        "nearfield": build_nearfield_codebook(sc),
     }
     return sc, books
 
@@ -336,8 +336,8 @@ def test_codebook_shapes_validated():
     params = np.array([[0.0, 3.0, 0.0], [1.0, 2.0, 0.1]])
     weights = np.stack([airy_beam_vector(BeamParams(*p), sc.tx, CAR).weights
                         for p in params], axis=1)
-    Codebook(CodebookScheme.EXHAUSTIVE, params, weights, None)
+    Codebook(CodebookScheme.EXHAUSTIVE, params, weights)
     with pytest.raises(ValueError, match="one column per params row"):
-        Codebook(CodebookScheme.EXHAUSTIVE, params, weights[:, :1], None)
+        Codebook(CodebookScheme.EXHAUSTIVE, params, weights[:, :1])
     with pytest.raises(ValueError, match=r"\[T, 3\]"):
-        Codebook(CodebookScheme.EXHAUSTIVE, params[:, :2], weights, None)
+        Codebook(CodebookScheme.EXHAUSTIVE, params[:, :2], weights)

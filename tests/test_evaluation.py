@@ -47,6 +47,7 @@ from airylink.codebook import (
     build_farfield_codebook,
     build_hierarchical_codebooks,
     build_low_complexity_codebooks,
+    build_nearfield_codebook,
 )
 
 CAR = CarrierConfig(140e9)
@@ -258,7 +259,7 @@ def test_perfect_csi_dominates_searched_hybrid():
     channels = calibrated_wave_channels(sc)
     noise = noise_for_target_se(channels.non_blocked, 1.0, 10.0)
     cfg = TrainingConfig(1.0, 0.0)
-    res = farfield_steering_search(channels.blocked, cfg, sc)
+    res = farfield_steering_search(build_farfield_codebook(sc), channels.blocked, cfg)
     hybrid = build_scheme_beamformers(BeamformingScheme.FARFIELD_STEERING,
                                       search_result=res,
                                       non_blocked_channel=channels.non_blocked)
@@ -339,27 +340,94 @@ def test_nlos_only_rows_constant_across_heights():
     assert ses[0] == ses[1] == ses[2]   # exactly constant, by construction
 
 
-def test_multipath_set_builds_each_channel_once(monkeypatch):
-    # counted where the builder looks them up, as the benchmark's spans do
+def _count_calls(monkeypatch, names, key):
+    """Count calls of `evaluation` attributes, keyed by key(name, *args).
+
+    Counted where the library looks them up, as the benchmark's spans do.
+    """
     import airylink.evaluation as ev
-    from airylink.cli import MultipathOptions, RunConfig, build_channel_set
 
     calls = Counter()
 
-    def counting(name, build):
-        def counted(scenario, use_blockage=True):
-            calls[name, use_blockage] += 1
-            return build(scenario, use_blockage=use_blockage)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[key(name, *args, **kwargs)] += 1
+            return fn(*args, **kwargs)
         return counted
 
-    for name in ("gcm_channel", "wcm_channel", "cgwcm_channel"):
+    for name in names:
         monkeypatch.setattr(ev, name, counting(name, getattr(ev, name)))
+    return calls
+
+
+def _count_channel_builds(monkeypatch):
+    return _count_calls(
+        monkeypatch, ("gcm_channel", "wcm_channel", "cgwcm_channel"),
+        lambda name, scenario, use_blockage=True: (name, use_blockage))
+
+
+def test_multipath_set_builds_each_channel_once(monkeypatch):
+    from airylink.cli import MultipathOptions, RunConfig, build_channel_set
+
+    calls = _count_channel_builds(monkeypatch)
     rays = (MultipathRay(-8.0, 0.25, -0.2, 3e-10),)
     cfg = RunConfig(_sweep_scenario(), None, None, MultipathOptions(rays, "wcm", 6.0), None)
     channels = build_channel_set(cfg)
     assert calls == {("wcm_channel", False): 1, ("gcm_channel", False): 1,
                      ("wcm_channel", True): 1}
     assert channels.nlos_only is not None
+
+
+SWEEP_CONFIG = """\
+scenario:
+  frequency_hz: 140.0e9
+  link_distance_m: 1.0
+  tx_elements: 32
+  virtual_planes: 4
+  blockage: {{distance_from_tx_m: 0.5, width_m: 0.02, extent_above_m: 0.0,
+             extent_below_m: 0.5}}
+codebook: {{r_min_m: 0.2}}
+sweep: {{variable: {variable}, grid: {grid}, schemes: {schemes}}}
+"""
+
+
+@pytest.mark.parametrize("variable, grid, schemes", [
+    ("power", "[0.5, 1.0, 2.0]", "[perfect, nonblocked, ff]"),
+    ("overhead", "[1, 4, 40]", "[ff]"),
+])
+def test_base_scenario_sweep_builds_each_channel_once(tmp_path, monkeypatch,
+                                                      variable, grid, schemes):
+    # the CLI builds the set to resolve the noise; every point reuses it
+    from airylink.cli import main
+
+    calls = _count_channel_builds(monkeypatch)
+    config = tmp_path / "cfg.yaml"
+    config.write_text(SWEEP_CONFIG.format(variable=variable, grid=grid,
+                                          schemes=schemes))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    assert calls == {("wcm_channel", False): 1, ("gcm_channel", False): 1,
+                     ("wcm_channel", True): 1}
+
+
+BOOK_BUILDERS = ("build_exhaustive_codebook", "build_hierarchical_codebooks",
+                 "build_low_complexity_codebooks", "build_farfield_codebook",
+                 "build_nearfield_codebook")
+
+
+@pytest.mark.parametrize("variable, grid, repetitions", [
+    (SweptVariable.BLOCKAGE_HEIGHT, (0.0, 0.004, 0.01), 2),
+    (SweptVariable.OVERHEAD, (1, 8, 1000), 3),
+])
+def test_sweep_builds_each_scheme_book_once(monkeypatch, variable, grid, repetitions):
+    calls = _count_calls(monkeypatch, BOOK_BUILDERS, lambda name, *args: name)
+    sc = _sweep_scenario()
+    plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-6.0, 6.0),
+                               r_min=0.2)
+    schemes = tuple(s for s in BeamformingScheme if s.searched)
+    spec = SweepSpec(variable, grid, schemes, repetitions=repetitions)
+    rows = run_sweep(spec, sc, plan, TrainingConfig(1.0, 1e-12))
+    assert len(rows) == len(grid) * len(schemes) * repetitions
+    assert calls == {name: 1 for name in BOOK_BUILDERS}
 
 
 def test_transmit_power_sweep_monotone():
@@ -419,9 +487,9 @@ def test_run_search_matches_each_scheme_search():
         BeamformingScheme.LOW_COMPLEXITY: low_complexity_search(
             *build_low_complexity_codebooks(sc, plan), channel, cfg),
         BeamformingScheme.FARFIELD_STEERING: farfield_steering_search(
-            channel, cfg, sc, plan),
+            build_farfield_codebook(sc, plan), channel, cfg),
         BeamformingScheme.NEARFIELD_FOCUSING: nearfield_focusing_search(
-            channel, cfg, sc),
+            build_nearfield_codebook(sc), channel, cfg),
     }
     assert {s for s in BeamformingScheme if s.searched} == set(direct)
     for scheme, want in direct.items():

@@ -133,7 +133,7 @@ def test_exhaustive_noiseless_matches_argmax():
 
 def test_exhaustive_empty_codebook():
     book = Codebook(CodebookScheme.EXHAUSTIVE, np.empty((0, 3)),
-                    np.empty((4, 0), complex), None)
+                    np.empty((4, 0), complex))
     chan = ChannelMatrix(np.ones((2, 4), complex), ChannelModel.SYNTHETIC)
     with pytest.raises(ValueError):
         exhaustive_search(book, chan, TrainingConfig(1.0, 0.0))
@@ -197,7 +197,7 @@ def test_two_stage_requires_zero_curving():
     def bad_factory(r, th):
         params = np.array([(a, r, th) for a in (1.0, 2.0)])
         return Codebook(CodebookScheme.HIERARCHICAL_STAGE2, params,
-                        airy_beam_matrix(params, sc.tx, CAR), plan)
+                        airy_beam_matrix(params, sc.tx, CAR))
 
     with pytest.raises(ValueError):
         hierarchical_search(stage1, bad_factory, gcm_channel(sc),
@@ -223,7 +223,8 @@ def test_farfield_recovers_bearing():
     tx = half_wavelength_array(n, CAR)
     rx = ArrayConfig(n, CAR.wavelength / 2, center_offset=0.4)
     sc = ScenarioConfig(tx, rx, CAR, 3.0)
-    res = farfield_steering_search(gcm_channel(sc), TrainingConfig(1.0, 0.0), sc)
+    res = farfield_steering_search(build_farfield_codebook(sc), gcm_channel(sc),
+                                   TrainingConfig(1.0, 0.0))
     true_sin = 0.4 / math.hypot(3.0, 0.4)
     got_sin = math.sin(res.selected_params.focus_angle)
     assert abs(got_sin - true_sin) <= 1.0 / n  # within half a grid step
@@ -236,8 +237,8 @@ def test_nearfield_beats_farfield_at_short_range():
     sc = _scenario(128, 0.5)
     h = wcm_channel(sc)
     cfg = TrainingConfig(1.0, 0.0, rx_probe_combiner=ProbeCombiner.FULL_ARRAY_NORM)
-    nf = nearfield_focusing_search(h, cfg, sc)
-    ff = farfield_steering_search(h, cfg, sc)
+    nf = nearfield_focusing_search(build_nearfield_codebook(sc), h, cfg)
+    ff = farfield_steering_search(build_farfield_codebook(sc), h, cfg)
     assert nf.overhead == 128
     assert nf.selected_power > ff.selected_power
 
@@ -311,8 +312,8 @@ def _searches(design, sc):
         "hierarchical": (design["hier"], lambda st, h, c: hierarchical_search(*st, h, c)),
         "low_complexity": (design["lowc"],
                            lambda st, h, c: low_complexity_search(*st, h, c)),
-        "farfield": (ff, lambda st, h, c: farfield_steering_search(h, c, sc, plan)),
-        "nearfield": (nf, lambda st, h, c: nearfield_focusing_search(h, c, sc)),
+        "farfield": (ff, farfield_steering_search),
+        "nearfield": (nf, nearfield_focusing_search),
     }
 
 
@@ -400,7 +401,7 @@ def test_equal_powers_select_the_first_slot():
     for order in ([0.3, -0.3], [-0.3, 0.3]):
         params = np.array([(0.0, math.inf, th) for th in order])
         book = Codebook(CodebookScheme.FAR_FIELD_STEERING, params,
-                        airy_beam_matrix(params, sc.tx, CAR), None)
+                        airy_beam_matrix(params, sc.tx, CAR))
         res = exhaustive_search(book, chan, TrainingConfig(1.0, 0.0))
         assert res.powers[0] == res.powers[1]
         assert res.selected_params.focus_angle == order[0]
@@ -417,8 +418,7 @@ def test_exhaustive_search_matches_per_slot_loop_on_random_channels(
         n_t, n_r, rows, noise, combiner, seed):
     arr = half_wavelength_array(n_t, CAR)
     params = np.array(rows)
-    book = Codebook(CodebookScheme.EXHAUSTIVE, params, airy_beam_matrix(params, arr, CAR),
-                    None)
+    book = Codebook(CodebookScheme.EXHAUSTIVE, params, airy_beam_matrix(params, arr, CAR))
     gen = np.random.default_rng(seed)
     h = gen.standard_normal((n_r, n_t)) + 1j * gen.standard_normal((n_r, n_t))
     cfg = TrainingConfig(1.0, noise, rx_probe_combiner=combiner, rng_seed=seed)
