@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .channel import field_on_grid
 from .scenario import ArrayConfig, CarrierConfig, ScenarioConfig, element_positions
 
 
@@ -225,56 +226,12 @@ def render_field_map(beam: BeamVector, scenario: ScenarioConfig,
 
 def render_aperture_field_map(aperture_positions, aperture_values,
                               scenario: ScenarioConfig, grid: GridSpec) -> FieldMap:
-    """Render an arbitrary sampled aperture.
-
-    Columns before the blockage are each propagated directly from the
-    aperture (no column-to-column error accumulation); at and beyond the
-    blockage, the field is chained through the masked virtual planes once
-    and each column take a single hop from the nearest upstream plane.
-    """
-    from .channel import FieldVector, rs_propagate, _edge_taper, _plane_mask
-
+    """Render an arbitrary sampled aperture (see `channel.field_on_grid`)."""
     if grid.x_max > scenario.link_distance + 1e-12:
         raise ValueError("grid extends beyond the receiver plane")
-    aperture = FieldVector(0.0, np.asarray(aperture_positions, dtype=float),
-                           np.asarray(aperture_values, dtype=complex))
     xs, ys = grid.x, grid.y
-    field = np.empty((ys.size, xs.size), dtype=complex)
-
-    blk = scenario.blockage
-    if blk is None:
-        for i, xc in enumerate(xs):
-            field[:, i] = rs_propagate(aperture, xc, ys, scenario.carrier).values
-        return _finalize_map(xs, ys, field, mask_applied=False)
-
-    scen = scenario.with_virtual_defaults()
-    from .scenario import virtual_grid, virtual_plane_positions
-
-    vy = virtual_grid(scen)
-    plane_xs = virtual_plane_positions(scen)
-    # chain the masked planes once; absorb the window edges like _cascade
-    gate = _plane_mask(vy, blk) * _edge_taper(vy)
-    plane_fields = []
-    upstream = aperture
-    for px in plane_xs:
-        f = rs_propagate(upstream, px, vy, scen.carrier)
-        upstream = FieldVector(px, vy, f.values * gate)
-        plane_fields.append(upstream)
-
-    for i, xc in enumerate(xs):
-        if xc < plane_xs[0]:
-            src = aperture
-        else:
-            p = int(np.searchsorted(plane_xs, xc, side="right")) - 1
-            if math.isclose(xc, plane_xs[p], rel_tol=1e-12, abs_tol=1e-15):
-                src = aperture if p == 0 else plane_fields[p - 1]
-            else:
-                src = plane_fields[p]
-        vals = rs_propagate(src, xc, ys, scen.carrier).values
-        if blk.near_x - 1e-15 <= xc <= blk.far_x + 1e-15:
-            vals = vals * _plane_mask(ys, blk)
-        field[:, i] = vals
-    return _finalize_map(xs, ys, field, mask_applied=True)
+    field = field_on_grid(scenario, aperture_positions, aperture_values, xs, ys)
+    return _finalize_map(xs, ys, field, mask_applied=scenario.blockage is not None)
 
 
 def _finalize_map(xs, ys, field, mask_applied: bool) -> FieldMap:

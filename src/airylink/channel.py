@@ -16,6 +16,10 @@ Three models of the same partially blocked link:
   large-argument expansion from kr = 25 on, scipy below), so it is only
   modestly cheaper.
 
+Field maps (``field_on_grid``) hop through the gated virtual planes of the
+wave model's cascade (`_planes`): channel matrices and field maps share one
+plane chain.
+
 Phase convention: all models use exp(-j*k*r) for a path of length r, and
 the diffraction kernel is the matching conjugate Rayleigh-Sommerfeld form
 (x/(2*pi*r^2)) * exp(-j*k*r) * (1/r + j*k), so beams synthesized with
@@ -60,21 +64,6 @@ class ChannelMatrix:
     @property
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.entries))
-
-
-@dataclass(frozen=True)
-class FieldVector:
-    """Sampled complex field on a transverse plane."""
-
-    plane_x: float
-    positions: np.ndarray
-    values: np.ndarray
-
-    @property
-    def spacing(self) -> float:
-        if self.positions.size < 2:
-            return 1.0  # point source: unit weight
-        return float(np.mean(np.diff(self.positions)))
 
 
 @dataclass(frozen=True)
@@ -257,21 +246,6 @@ def gcm_channel(scenario: ScenarioConfig, use_blockage: bool = True) -> ChannelM
     return ChannelMatrix(h, ChannelModel.GCM)
 
 
-def rs_propagate(field: FieldVector, target_x: float, target_positions,
-                 carrier: CarrierConfig) -> FieldVector:
-    """Propagate a sampled field forward to target_x.
-
-    The hop uses the source plane's sample spacing as the Riemann weight;
-    a single-sample input is treated as a unit point source.
-    """
-    if not (target_x > field.plane_x):
-        raise ValueError("target plane must lie strictly beyond the source plane")
-    dst = np.asarray(target_positions, dtype=float)
-    kern = _rs_hop(field.positions, dst, target_x - field.plane_x,
-                   carrier, field.spacing)
-    return FieldVector(target_x, dst, kern @ field.values)
-
-
 def _edge_taper(y: np.ndarray, fraction: float = 0.25) -> np.ndarray:
     """Raised-cosine absorber over the outer edges of a virtual window.
 
@@ -285,28 +259,78 @@ def _edge_taper(y: np.ndarray, fraction: float = 0.25) -> np.ndarray:
     return np.sin(0.5 * math.pi * edge) ** 2
 
 
-def _cascade(scenario: ScenarioConfig, hop, use_blockage: bool,
-             tx_weight: float, plane_weight) -> np.ndarray:
-    """Shared plane-cascade structure for the wave and cascaded models.
+def _pitch(y: np.ndarray) -> float:
+    """Riemann weight of a hop from samples y: their mean pitch, 1 for a point."""
+    return float(np.mean(np.diff(y))) if y.size > 1 else 1.0
 
-    hop(src_y, dst_y, dx, weight) -> matrix. The blockage mask is applied
-    on arrival at every plane; masks are all-ones when use_blockage=False.
+
+def _planes(scenario: ScenarioConfig, use_blockage: bool) -> tuple:
+    """(grid, x positions, gate) of the virtual planes.
+
+    Every plane samples the same transverse grid. A field is multiplied by
+    the gate on arrival at each plane: the blockage mask (all ones when
+    use_blockage=False) times the absorbing edge taper.
     """
     scen = scenario.with_virtual_defaults()
-    blk = scen.blockage
-    tx_y = element_positions(scen.tx)
-    rx_y = element_positions(scen.rx)
     vy = virtual_grid(scen)
-    plane_xs = virtual_plane_positions(scen)
-    vspace = plane_weight if plane_weight is not None else float(np.mean(np.diff(vy)))
+    taper = _edge_taper(vy)
+    if not taper.any():
+        raise ValueError(f"scenario.tx_elements, scenario.rx_elements: {vy.size} virtual "
+                         "samples all lie in the absorbing edge, so no field crosses "
+                         "the blockage; use more elements on one side")
+    mask = _plane_mask(vy, scen.blockage) if use_blockage else np.ones_like(vy)
+    return vy, virtual_plane_positions(scen), mask * taper
 
-    mask = _plane_mask(vy, blk) if use_blockage else np.ones_like(vy)
-    gate = mask * _edge_taper(vy)
+
+def _cascade(scenario: ScenarioConfig, hop, use_blockage: bool,
+             plane_weight) -> np.ndarray:
+    """Shared plane-cascade structure for the wave and cascaded models.
+
+    hop(src_y, dst_y, dx, weight) -> matrix; the Tx hop has unit weight.
+    The gate of `_planes` is applied on arrival at every plane.
+    """
+    vy, plane_xs, gate = _planes(scenario, use_blockage)
+    tx_y = element_positions(scenario.tx)
+    rx_y = element_positions(scenario.rx)
+    vspace = plane_weight if plane_weight is not None else _pitch(vy)
     # multiply from the Rx side: every product keeps N_r rows
-    acc = hop(vy, rx_y, scen.link_distance - plane_xs[-1], vspace) * gate
+    acc = hop(vy, rx_y, scenario.link_distance - plane_xs[-1], vspace) * gate
     for prev_x, cur_x in zip(plane_xs[-2::-1], plane_xs[:0:-1]):
         acc = (acc @ hop(vy, vy, cur_x - prev_x, vspace)) * gate
-    return acc @ hop(tx_y, vy, plane_xs[0], tx_weight)
+    return acc @ hop(tx_y, vy, plane_xs[0], 1.0)
+
+
+def field_on_grid(scenario: ScenarioConfig, aperture_y, values, xs, ys) -> np.ndarray:
+    """Field [len(ys), len(xs)] of a sampled aperture at x = 0 on the grid xs × ys.
+
+    The sources are the aperture and, with a blockage, the gated planes of
+    `_planes`, chained once. Each column hops from the nearest source
+    strictly upstream (a column on a plane from the source before it), so
+    columns accumulate no error from one another, and is zero inside the
+    screen. Every hop weighs its source samples by `_pitch`.
+    """
+    carrier = scenario.carrier
+    y0 = np.asarray(aperture_y, dtype=float)
+    sources = [(0.0, y0, np.asarray(values, dtype=complex), _pitch(y0))]
+    blk = scenario.blockage
+    if blk is not None:
+        vy, plane_xs, gate = _planes(scenario, use_blockage=True)
+        for px in plane_xs:
+            sx, sy, sv, sw = sources[-1]
+            arrived = _rs_hop(sy, vy, px - sx, carrier, sw) @ sv
+            sources.append((px, vy, arrived * gate, _pitch(vy)))
+        screen = _plane_mask(ys, blk)
+    source_xs = np.array([x for x, *_ in sources])
+    field = np.empty((ys.size, xs.size), dtype=complex)
+    for i, xc in enumerate(xs):
+        s = int(np.searchsorted(source_xs, xc, side="right")) - 1
+        if s > 0 and math.isclose(xc, source_xs[s], rel_tol=1e-12, abs_tol=1e-15):
+            s -= 1
+        sx, sy, sv, sw = sources[s]
+        field[:, i] = _rs_hop(sy, ys, xc - sx, carrier, sw) @ sv
+        if blk is not None and blk.near_x - 1e-15 <= xc <= blk.far_x + 1e-15:
+            field[:, i] *= screen
+    return field
 
 
 def wcm_channel(scenario: ScenarioConfig, use_blockage: bool = True) -> ChannelMatrix:
@@ -325,7 +349,7 @@ def wcm_channel(scenario: ScenarioConfig, use_blockage: bool = True) -> ChannelM
     def hop(sy, dy, dx, w):
         return _rs_hop(sy, dy, dx, carrier, w)
 
-    h = _cascade(scenario, hop, use_blockage, tx_weight=1.0, plane_weight=None)
+    h = _cascade(scenario, hop, use_blockage, plane_weight=None)
     return ChannelMatrix(h, ChannelModel.WCM)
 
 
@@ -339,7 +363,7 @@ def cgwcm_channel(scenario: ScenarioConfig, use_blockage: bool = True) -> Channe
     def hop(sy, dy, dx, w):
         return _gcm_hop(sy, dy, dx, carrier)
 
-    h = _cascade(scenario, hop, use_blockage, tx_weight=1.0, plane_weight=1.0)
+    h = _cascade(scenario, hop, use_blockage, plane_weight=1.0)
     return ChannelMatrix(h, ChannelModel.CGWCM)
 
 

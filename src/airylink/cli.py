@@ -513,6 +513,10 @@ def _fieldmap_inputs(args, sc) -> tuple:
     if x_max > sc.link_distance + 1e-12:
         raise ValueError(f"--xmax must not exceed the link distance ({sc.link_distance!r} m)")
     if not y_max > y_min:
+        if args.ymin is None and args.ymax is None:
+            raise ValueError("--ymin/--ymax: the default y window, 1.5 times the "
+                             "larger array half-length either side of the axis, "
+                             "is empty for one-element arrays; give both")
         raise ValueError(f"--ymax must exceed --ymin ({y_min!r} m)")
     return (BeamParams(args.curving, focus, args.focus_angle),
             GridSpec(x_min, x_max, args.nx, y_min, y_max, args.ny))
@@ -522,6 +526,8 @@ def cmd_fieldmap(args) -> int:
     cfg = load_config(args.config)
     sc = cfg.scenario
     params, grid = _fieldmap_inputs(args, sc)
+    beam = airy_beam_vector(params, sc.tx, sc.carrier)
+    fmap = render_field_map(beam, sc, grid)
     out_dir = _prepare_out(args.out)
     write_manifest(out_dir, args.config, None, sc, None, [
         "command: fieldmap",
@@ -530,8 +536,6 @@ def cmd_fieldmap(args) -> int:
         f"grid: x=[{grid.x_min!r}, {grid.x_max!r}] nx={grid.num_x} "
         f"y=[{grid.y_min!r}, {grid.y_max!r}] ny={grid.num_y}",
     ])
-    beam = airy_beam_vector(params, sc.tx, sc.carrier)
-    fmap = render_field_map(beam, sc, grid)
     write_field_map_csv(out_dir / "results" / "fieldmap.csv", fmap)
     write_field_map_binary(out_dir / "grids" / "fieldmap.bin", fmap)
     px, py = fmap.peak()

@@ -532,20 +532,29 @@ def _scheme_row(scheme: BeamformingScheme, channels: ChannelSet, books,
     else:
         link = channels.blocked
         design = link if scheme is BeamformingScheme.PERFECT_CSI else None
+    result = (_search(scheme, books(scheme), channels.blocked, cfg)
+              if scheme.searched else None)
+    bf = build_scheme_beamformers(scheme, search_result=result,
+                                  design_channel=design,
+                                  non_blocked_channel=channels.non_blocked)
+    se, notes = _evaluate_row(bf, link, cfg)
+    return se, 0 if result is None else result.overhead, notes
+
+
+def _evaluate_row(bf: Beamformers, link: ChannelMatrix, cfg: TrainingConfig) -> tuple:
+    """(spectral efficiency, notes) of a sweep row that runs `bf` over `link`.
+
+    Notes, in order: `fully_blocked` (`link` is all zero), `rank_deficient`,
+    and `ill_conditioned_noise` (the noise covariance needed a pseudo-inverse).
+    """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IllConditionedNoiseWarning)
-        result = (_search(scheme, books(scheme), channels.blocked, cfg)
-                  if scheme.searched else None)
-        bf = build_scheme_beamformers(scheme, search_result=result,
-                                      design_channel=design,
-                                      non_blocked_channel=channels.non_blocked)
         se = bf.evaluate(link, cfg.transmit_power, cfg.noise_power)
-    notes = []
-    if bf.rank_deficient:
-        notes.append("rank_deficient")
-    if any(issubclass(w.category, IllConditionedNoiseWarning) for w in caught):
-        notes.append("ill_conditioned_noise")
-    return se, 0 if result is None else result.overhead, ";".join(notes)
+    flags = (("fully_blocked", not link.entries.any()),
+             ("rank_deficient", bf.rank_deficient),
+             ("ill_conditioned_noise",
+              any(issubclass(w.category, IllConditionedNoiseWarning) for w in caught)))
+    return se, ";".join(name for name, flag in flags if flag)
 
 
 def _overhead_rows(spec: SweepSpec, channels: ChannelSet,
@@ -564,7 +573,7 @@ def _overhead_rows(spec: SweepSpec, channels: ChannelSet,
             raise ValueError("overhead sweep applies to searched schemes only")
         result = _search(scheme, books(scheme), channels.blocked, cfg)
         se_cache: dict = {}
-        best_so_far = -math.inf
+        best_so_far, best_notes = -math.inf, ""
         for value in spec.grid:
             used = min(int(value), result.overhead)
             key = tuple(result.params[int(np.argmax(result.powers[:used]))].tolist())
@@ -576,11 +585,12 @@ def _overhead_rows(spec: SweepSpec, channels: ChannelSet,
                 bf = build_scheme_beamformers(
                     scheme, search_result=sub,
                     non_blocked_channel=channels.non_blocked)
-                se_cache[key] = bf.evaluate(channels.blocked, cfg.transmit_power,
-                                            cfg.noise_power)
-            best_so_far = max(best_so_far, se_cache[key])
+                se_cache[key] = _evaluate_row(bf, channels.blocked, cfg)
+            se, notes = se_cache[key]
+            if se > best_so_far:
+                best_so_far, best_notes = se, notes
             rows.append(SweepRow(spec.swept_variable.value, float(value),
-                                 scheme.value, rep_seed, best_so_far, used))
+                                 scheme.value, rep_seed, best_so_far, used, best_notes))
     return rows
 
 

@@ -9,16 +9,15 @@ from scipy import special
 from airylink.channel import (
     CalibrationParams,
     ChannelModel,
-    FieldVector,
     MultipathRay,
     apply_calibration,
     calibrate,
     cgwcm_channel,
     channel_error,
+    field_on_grid,
     gcm_channel,
     k_factor_db,
     nlos_component,
-    rs_propagate,
     wcm_channel,
     _edge_taper,
     _gcm_hop,
@@ -109,29 +108,26 @@ def test_gcm_unblocked_flag():
 
 # ----------------------------------------------------------- RS propagation
 
+def _hop(y, vals, target_x, targets):
+    """One free-space hop of samples at x = 0 onto one column at target_x."""
+    free = _scenario(8, 3.0)
+    return field_on_grid(free, y, vals, np.array([target_x]), targets)[:, 0]
+
+
 def test_rs_propagate_symmetry():
     y = np.linspace(-0.05, 0.05, 64)
     vals = np.exp(-y**2 / 2e-4).astype(complex)   # even input
-    out = rs_propagate(FieldVector(0.0, y, vals), 0.7, y, CAR)
-    np.testing.assert_allclose(out.values, out.values[::-1], rtol=1e-12)
-    assert out.plane_x == 0.7
-
-
-def test_rs_propagate_rejects_backward():
-    y = np.linspace(-0.01, 0.01, 8)
-    f = FieldVector(0.5, y, np.ones(8, complex))
-    with pytest.raises(ValueError):
-        rs_propagate(f, 0.5, y, CAR)
+    out = _hop(y, vals, 0.7, y)
+    np.testing.assert_allclose(out, out[::-1], rtol=1e-12)
 
 
 def test_rs_point_source_spherical_phase():
     # single-sample input acts as a point source; phase across a far plane
     # matches e^{-jkr} after removing the common (r-independent) offset
-    src = FieldVector(0.0, np.array([0.0]), np.array([1.0 + 0j]))
     targets = np.linspace(-0.05, 0.05, 41)
-    out = rs_propagate(src, 2.0, targets, CAR)
+    out = _hop(np.array([0.0]), np.array([1.0 + 0j]), 2.0, targets)
     r = np.hypot(2.0, targets)
-    residual = np.angle(out.values * np.exp(1j * CAR.wavenumber * r))
+    residual = np.angle(out * np.exp(1j * CAR.wavenumber * r))
     residual -= residual[len(residual) // 2]
     assert np.max(np.abs(np.angle(np.exp(1j * residual)))) < 1e-6
 
@@ -141,8 +137,7 @@ def test_rs_propagate_grid_convergence():
     def run(n):
         y = np.linspace(-0.04, 0.04, n)
         vals = np.exp(-y**2 / 1e-4).astype(complex)
-        return rs_propagate(FieldVector(0.0, y, vals), 1.0,
-                            np.linspace(-0.02, 0.02, 21), CAR).values
+        return _hop(y, vals, 1.0, np.linspace(-0.02, 0.02, 21))
 
     coarse = run(301)
     fine = run(601)
@@ -164,11 +159,10 @@ def test_rs_single_hop_frozen_value():
 def test_rs_plane_wave_unit_gain():
     # uniform field propagates with gain 1 and phase e^{-jk dx}
     y = (np.arange(2048) - 1023.5) * CAR.wavelength / 2
-    f = FieldVector(0.0, y, np.ones(2048, complex))
     dx = 3 * CAR.wavelength
-    out = rs_propagate(f, dx, y[900:1148], CAR)
+    out = _hop(y, np.ones(2048, complex), dx, y[900:1148])
     expected = np.exp(-1j * CAR.wavenumber * dx)
-    np.testing.assert_allclose(out.values, expected, atol=2e-4)
+    np.testing.assert_allclose(out, expected, atol=2e-4)
 
 
 # ------------------------------------------------------------- wave cascade
@@ -178,8 +172,7 @@ def test_wcm_no_blockage_is_single_hop():
     h = wcm_channel(sc)
     assert h.model is ChannelModel.WCM
     tx = element_positions(sc.tx)
-    src = [rs_propagate(FieldVector(0.0, np.array([ty]), np.array([1.0 + 0j])),
-                        3.0, element_positions(sc.rx), CAR).values
+    src = [_hop(np.array([ty]), np.array([1.0 + 0j]), 3.0, element_positions(sc.rx))
            for ty in tx]
     np.testing.assert_allclose(h.entries, np.array(src).T, rtol=1e-12)
 
@@ -333,6 +326,65 @@ def test_rx_side_cascade_matches_tx_side_reference(build, hop, plane_weight,
     got = build(sc, use_blockage=use_blockage).entries
     ref = _tx_side_cascade(sc, hop, use_blockage, plane_weight)
     assert got.shape == (16, 64)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _dense_field(sc, aperture_y, values, xs, ys):
+    """A field map by the rules, with dense hops chained from the Tx side.
+
+    The aperture's field crosses the gated planes in turn; each column hops
+    from the nearest source strictly upstream (a column on a plane from the
+    one before it) and is masked inside the screen.
+    """
+    def pitch(y):
+        return float(np.mean(np.diff(y))) if y.size > 1 else 1.0
+
+    sources = [(0.0, aperture_y, values)]
+    blk = sc.blockage
+    if blk is not None:
+        vy = virtual_grid(sc)
+        gate = _plane_mask(vy, blk) * _edge_taper(vy)
+        for px in virtual_plane_positions(sc):
+            x0, y0, v0 = sources[-1]
+            hop = _dense_rs_fast_kernel(y0, vy, px - x0, pitch(y0))
+            sources.append((px, vy, (hop @ v0) * gate))
+    columns = []
+    for xc in xs:
+        upstream = [s for s in sources[1:] if s[0] < xc and not math.isclose(
+            xc, s[0], rel_tol=1e-12, abs_tol=1e-15)]
+        x0, y0, v0 = ([sources[0]] + upstream)[-1]
+        col = _dense_rs_fast_kernel(y0, ys, xc - x0, pitch(y0)) @ v0
+        if blk is not None and blk.near_x - 1e-15 <= xc <= blk.far_x + 1e-15:
+            col = col * _plane_mask(ys, blk)
+        columns.append(col)
+    return np.array(columns).T
+
+
+README_SCREEN = BlockageGeometry(0.9, 0.02, 0.005, 0.5)
+
+
+def _readme_link(n_tx=128, blk=README_SCREEN, planes=8):
+    sc = ScenarioConfig(half_wavelength_array(n_tx, CAR), half_wavelength_array(16, CAR),
+                        CAR, 1.0, blockage=blk)
+    return sc.with_virtual_defaults(planes) if blk is not None else sc
+
+
+@pytest.mark.parametrize("sc, xs", [
+    (_readme_link(blk=None), np.linspace(0.025, 1.0, 40)),
+    (_readme_link(), np.linspace(0.025, 1.0, 40)),
+    # every column on a plane, and one either side of the screen
+    (_readme_link(), np.concatenate([[0.85], virtual_plane_positions(_readme_link()),
+                                     [0.95]])),
+    (_readme_link(planes=1), np.linspace(0.86, 0.96, 11)),
+    (_readme_link(n_tx=1), np.linspace(0.025, 1.0, 40)),
+], ids=["no-blockage", "readme", "columns-on-planes", "one-plane", "one-element-tx"])
+def test_field_on_grid_matches_dense_plane_chain(sc, xs):
+    tx_y = element_positions(sc.tx)
+    values = np.exp(1j * 2e5 * tx_y**3) / math.sqrt(tx_y.size)
+    ys = np.linspace(-0.02, 0.02, 41)
+    got = field_on_grid(sc, tx_y, values, xs, ys)
+    ref = _dense_field(sc, tx_y, values, xs, ys)
+    assert got.shape == (41, xs.size)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 

@@ -307,6 +307,34 @@ def test_missing_blockage_named_before_output(tmp_path, capsys, text, command):
     assert not out.exists()
 
 
+ONE_BY_ONE_YAML = BASE_YAML.replace("tx_elements: 16", "tx_elements: 1").replace(
+    "rx_elements: 16", "rx_elements: 1")
+
+
+@pytest.mark.parametrize("command, named", [
+    (["channel", "--compare"], "scenario.tx_elements"),
+    (["search", "--scheme", "ff"], "scenario.tx_elements"),
+    (["fieldmap"], "--ymin/--ymax"),
+    (["fieldmap", "--ymin", "-0.01", "--ymax", "0.01"], "scenario.tx_elements"),
+], ids=["compare", "search", "fieldmap-default-window", "fieldmap"])
+def test_one_by_one_blocked_link_named_before_output(tmp_path, capsys, command, named):
+    # two virtual samples, both inside the absorbing edge: no field crosses
+    out = tmp_path / "o"
+    assert main([*command, "--config", _write(tmp_path, ONE_BY_ONE_YAML),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}")
+    assert named != "scenario.tx_elements" or "scenario.rx_elements" in err
+    assert not out.exists()
+
+
+def test_one_by_one_blocked_link_ray_model(tmp_path):
+    out = tmp_path / "o"
+    assert main(["channel", "--model", "gcm", "--config",
+                 _write(tmp_path, ONE_BY_ONE_YAML), "--out", str(out)]) == 0
+    assert read_channel_binary(out / "grids" / "channel_gcm.bin").entries.shape == (1, 1)
+
+
 def test_search_command_deterministic_and_seeded(tmp_path, capsys):
     cfg = _write(tmp_path, BASE_YAML)
     out1, out2, out3 = (tmp_path / d for d in ("s1", "s2", "s3"))
@@ -344,6 +372,27 @@ def test_sweep_rerun_byte_identical(tmp_path):
     assert lines[0].startswith("sweep_variable,")
     assert len(lines) == 1 + 2 * 2                # 2 heights x 2 schemes
     assert {row.split(",")[2] for row in lines[1:]} == {"perfect_csi", "non_blocked"}
+
+
+@pytest.mark.parametrize("command", [
+    ["channel", "--compare"],
+    ["fieldmap"],
+    ["codebook", "--scheme", "hier"],
+    ["search", "--scheme", "ff"],
+], ids=["channel", "fieldmap", "codebook", "search"])
+def test_command_rerun_byte_identical(tmp_path, command):
+    args = [*command, "--config", _write(tmp_path, BASE_YAML), "--out",
+            str(tmp_path / "o")]
+
+    def files():
+        return {p.relative_to(tmp_path): p.read_bytes()
+                for p in sorted((tmp_path / "o").rglob("*")) if p.is_file()}
+
+    assert main(args) == 0
+    first = files()
+    assert len(first) >= 2                         # the manifest and results
+    assert main(args) == 0
+    assert files() == first
 
 
 def test_sweep_requires_section(tmp_path, capsys):

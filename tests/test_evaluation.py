@@ -1,6 +1,7 @@
 """Beamformer construction, spectral efficiency, and sweep driver."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -461,6 +462,30 @@ def test_overhead_sweep_envelope():
     bad = SweepSpec(SweptVariable.OVERHEAD, (5,), (BeamformingScheme.PERFECT_CSI,))
     with pytest.raises(ValueError):
         run_sweep(bad, sc, plan, cfg)
+
+
+def test_fully_blocked_rows_say_so():
+    # the screen covers the whole virtual window, so the blocked link is zero
+    sc = _scenario(32, 1.0, BlockageGeometry(0.5, 0.02, 5.0, 5.0))
+    plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-6.0, 6.0),
+                               r_min=0.2)
+    channels = calibrated_wave_channels(sc)
+    assert not channels.blocked.entries.any()
+    cfg = TrainingConfig(1.0, noise_for_target_se(channels.non_blocked, 1.0, 10.0))
+    searched = (BeamformingScheme.HIERARCHICAL, BeamformingScheme.FARFIELD_STEERING)
+    height = run_sweep(SweepSpec(SweptVariable.BLOCKAGE_HEIGHT, (5.0,),
+                                 (BeamformingScheme.PERFECT_CSI,
+                                  BeamformingScheme.NON_BLOCKED, *searched)),
+                       sc, plan, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IllConditionedNoiseWarning)
+        overhead = run_sweep(SweepSpec(SweptVariable.OVERHEAD, (1, 4, 64), searched),
+                             sc, plan, cfg)
+    assert len(height) == 4 and len(overhead) == 6
+    assert height[0].notes == "fully_blocked;rank_deficient;ill_conditioned_noise"
+    for row in height + overhead:
+        assert row.spectral_efficiency_bps_hz == 0.0
+        assert row.notes.split(";")[0] == "fully_blocked", row
 
 
 def test_height_sweep_requires_blockage():
