@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__, _threads
@@ -37,6 +37,7 @@ from .gridio import (
     write_field_map_csv,
     write_search_trace_csv,
     write_sweep_csv,
+    write_text,
 )
 from .scenario import (
     ArrayConfig,
@@ -56,38 +57,156 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Config schema
+#
+# A reader takes a YAML value and its dotted path and returns the value, or
+# raises a ConfigError that starts with the path. Each option field names its
+# reader, and its YAML key where that differs from the field name, in its
+# metadata; a field without a default is a required key.
+
+
+def _number(value, path: str) -> float:
+    """A finite number; a string YAML left unresolved (e.g. '1.4e11') counts."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{path}: must be a number")
+    try:
+        number = float(value)
+    except ValueError:
+        raise ConfigError(f"{path}: must be a number") from None
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: must be finite")
+    return number
+
+
+def _positive(value, path: str) -> float:
+    number = _number(value, path)
+    if not number > 0:
+        raise ConfigError(f"{path}: must be positive")
+    return number
+
+
+def _integer(minimum: int):
+    def read(value, path: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path}: must be an integer")
+        if value < minimum:
+            raise ConfigError(f"{path}: must be >= {minimum}")
+        return value
+    return read
+
+
+def _choice(names: tuple):
+    def read(value, path: str) -> str:
+        if not isinstance(value, str) or value not in names:
+            raise ConfigError(f"{path}: must be one of {', '.join(names)}")
+        return value
+    return read
+
+
+def _numbers(count: int | None):
+    """A list of `count` numbers, or of one or more when `count` is None."""
+    def read(value, path: str) -> tuple:
+        if not isinstance(value, list) or not value or len(value) != (count or len(value)):
+            raise ConfigError(f"{path}: must be a list of {count or 'one or more'} numbers")
+        return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return read
+
+
+def _rays(value, path: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: must be a non-empty list")
+    rays = []
+    for i, ray in enumerate(value):
+        at = f"{path}[{i}]"
+        if not isinstance(ray, dict):
+            raise ConfigError(f"{at}: must be a mapping")
+        values = [_read(ray, at, key, _number, MISSING)
+                  for key in ("gain_db", "departure_angle_rad", "arrival_angle_rad",
+                              "excess_delay_s")]
+        try:
+            rays.append(MultipathRay(*values))
+        except ValueError as exc:
+            raise ConfigError(f"{at}: {exc}") from exc
+    return tuple(rays)
+
+
+_SCHEME_ALIASES = {
+    **{s.value: s for s in BeamformingScheme},
+    "hier": BeamformingScheme.HIERARCHICAL,
+    "lowc": BeamformingScheme.LOW_COMPLEXITY,
+    "ff": BeamformingScheme.FARFIELD_STEERING,
+    "nf": BeamformingScheme.NEARFIELD_FOCUSING,
+    "perfect": BeamformingScheme.PERFECT_CSI,
+    "nonblocked": BeamformingScheme.NON_BLOCKED,
+    "nlos": BeamformingScheme.NLOS_ONLY,
+}
+
+# --scheme values of the codebook and search commands.
+_SEARCH_CHOICES = ("exhaustive", "hier", "lowc", "ff", "nf")
+
+# Direct-path channel models of `channel --model` and `multipath.los_model`.
+_MODELS = ("gcm", "wcm", "cgwcm")
+
+
+def _schemes(value, path: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: must be a non-empty list")
+    for s in value:
+        if not isinstance(s, str) or s not in _SCHEME_ALIASES:
+            raise ConfigError(f"{path}: unknown scheme {s!r}")
+    return tuple(value)
+
+
+def _read(sec: dict, path: str, key: str, read, default):
+    """`sec[key]` through `read`; `default` if absent or null, unless MISSING."""
+    if sec.get(key) is None:
+        if default is MISSING:
+            raise ConfigError(f"{path}.{key}: value is required")
+        return default
+    return read(sec[key], f"{path}.{key}")
+
+
+def _opt(read, default):
+    """An option field read by `read`; a MISSING default makes its key required."""
+    return field(default=default, metadata={"read": read})
 
 
 @dataclass(frozen=True)
 class CodebookOptions:
-    targets: tuple = (0.4, 0.15, 0.0)
-    curving_range: float = 4.0
-    angle_index: int = 1
-    r_min: float | None = None
+    targets: tuple = _opt(_numbers(3), (0.4, 0.15, 0.0))
+    curving_range: float = _opt(_positive, 4.0)
+    angle_index: int = _opt(_integer(1), 1)
+    r_min: float | None = field(default=None,
+                                metadata={"read": _positive, "key": "r_min_m"})
 
 
 @dataclass(frozen=True)
 class TrainingOptions:
-    transmit_power: float = 1.0
-    noise_power: float | None = None
-    target_se_bps_hz: float | None = None
-    probe_combiner: str = "Omnidirectional"
-    rng_seed: int = 0
+    transmit_power: float = _opt(_positive, 1.0)
+    noise_power: float | None = _opt(_positive, None)
+    target_se_bps_hz: float | None = _opt(_positive, None)
+    probe_combiner: str = _opt(_choice(tuple(c.value for c in ProbeCombiner)),
+                               ProbeCombiner.OMNIDIRECTIONAL.value)
+    rng_seed: int = _opt(_integer(0), 0)
 
 
 @dataclass(frozen=True)
 class MultipathOptions:
-    rays: tuple
-    los_model: str | None = "gcm"
-    k_factor_db: float | None = None
+    rays: tuple = _opt(_rays, MISSING)
+    los_model: str | None = _opt(_choice((*_MODELS, "none", "None")), "gcm")
+    k_factor_db: float | None = _opt(_number, None)
+
+
+_VARIABLES = tuple(v.value for v in SweptVariable)
 
 
 @dataclass(frozen=True)
 class SweepOptions:
-    variable: str
-    grid: tuple
-    schemes: tuple
-    repetitions: int = 1
+    variable: str = _opt(_choice(_VARIABLES), MISSING)
+    grid: tuple = _opt(_numbers(None), MISSING)
+    schemes: tuple = _opt(_schemes, MISSING)
+    repetitions: int = _opt(_integer(1), 1)
 
 
 @dataclass(frozen=True)
@@ -110,217 +229,46 @@ def _section(doc: dict, name: str, required: bool = False) -> dict:
     return value
 
 
-def _coerce_number(value, path: str):
-    """Number, or a string YAML left unresolved (e.g. '1.4e11'); else None.
-
-    A number that is not finite raises a ConfigError naming `path`.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        return None
-    try:
-        number = float(value)
-    except ValueError:
-        return None
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{path}: must be finite")
-    return number
-
-
-def _num(section: dict, path: str, key: str, required: bool = False,
-         default=None, positive: bool = False):
-    if key not in section or section[key] is None:
-        if required:
-            raise ConfigError(f"{path}.{key}: value is required")
-        return default
-    value = _coerce_number(section[key], f"{path}.{key}")
-    if value is None:
-        raise ConfigError(f"{path}.{key}: must be a number")
-    if positive and not value > 0:
-        raise ConfigError(f"{path}.{key}: must be positive")
-    return value
-
-
-def _intval(section: dict, path: str, key: str, default=None,
-            minimum: int | None = None):
-    if key not in section or section[key] is None:
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: must be an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}.{key}: must be >= {minimum}")
-    return value
+def _load(cls, doc: dict, section: str):
+    """An option section, read field by field as each field's metadata says."""
+    sec = _section(doc, section)
+    return cls(*(_read(sec, section, f.metadata.get("key", f.name), f.metadata["read"],
+                       f.default) for f in fields(cls)))
 
 
 def _load_scenario(doc: dict) -> ScenarioConfig:
     sec = _section(doc, "scenario", required=True)
-    freq = _num(sec, "scenario", "frequency_hz", required=True, positive=True)
-    d_link = _num(sec, "scenario", "link_distance_m", required=True, positive=True)
-    n_tx = _intval(sec, "scenario", "tx_elements", minimum=1)
-    if n_tx is None:
-        raise ConfigError("scenario.tx_elements: value is required")
-    n_rx = _intval(sec, "scenario", "rx_elements", default=n_tx, minimum=1)
+    freq = _read(sec, "scenario", "frequency_hz", _positive, MISSING)
+    d_link = _read(sec, "scenario", "link_distance_m", _positive, MISSING)
+    n_tx = _read(sec, "scenario", "tx_elements", _integer(1), MISSING)
+    n_rx = _read(sec, "scenario", "rx_elements", _integer(1), n_tx)
+    planes = _read(sec, "scenario", "virtual_planes", _integer(1), 8)
     carrier = CarrierConfig(freq)
-
-    spacing = sec.get("spacing_m", "auto")
-    if spacing == "auto":
-        spacing = carrier.wavelength / 2
-    else:
-        spacing = _coerce_number(spacing, "scenario.spacing_m")
-        if spacing is None or spacing <= 0:
-            raise ConfigError('scenario.spacing_m: must be "auto" or a positive number')
+    spacing = sec.get("spacing_m")
+    spacing = (carrier.wavelength / 2 if spacing in (None, "auto")
+               else _positive(spacing, "scenario.spacing_m"))
 
     blockage = None
     if sec.get("blockage") is not None:
         b = sec["blockage"]
         if not isinstance(b, dict):
             raise ConfigError("scenario.blockage: must be a mapping")
-        geometry = [_num(b, "scenario.blockage", key, required=True, positive=positive)
-                   for key, positive in (("distance_from_tx_m", True), ("width_m", True),
-                                         ("extent_above_m", False),
-                                         ("extent_below_m", False))]
+        geometry = [_read(b, "scenario.blockage", key, read, MISSING) for key, read in (
+            ("distance_from_tx_m", _positive), ("width_m", _positive),
+            ("extent_above_m", _number), ("extent_below_m", _number))]
         try:
             blockage = BlockageGeometry(*geometry)
         except ValueError as exc:
             raise ConfigError(f"scenario.blockage: {exc}") from exc
 
-    planes = _intval(sec, "scenario", "virtual_planes", default=8, minimum=1)
     try:
-        scenario = ScenarioConfig(
-            tx=ArrayConfig(n_tx, float(spacing)),
-            rx=ArrayConfig(n_rx, float(spacing)),
-            carrier=carrier,
-            link_distance=d_link,
-            blockage=blockage,
-        )
+        scenario = ScenarioConfig(ArrayConfig(n_tx, spacing), ArrayConfig(n_rx, spacing),
+                                  carrier, d_link, blockage)
         if blockage is not None:
             scenario = scenario.with_virtual_defaults(planes)
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from exc
     return scenario
-
-
-def _load_codebook(doc: dict) -> CodebookOptions:
-    sec = _section(doc, "codebook")
-    targets = sec.get("targets", [0.4, 0.15, 0.0])
-    if (not isinstance(targets, (list, tuple)) or len(targets) != 3
-            or any(_coerce_number(t, "codebook.targets") is None for t in targets)):
-        raise ConfigError("codebook.targets: must be three numbers")
-    return CodebookOptions(
-        targets=tuple(_coerce_number(t, "codebook.targets") for t in targets),
-        curving_range=_num(sec, "codebook", "curving_range", default=4.0, positive=True),
-        angle_index=_intval(sec, "codebook", "angle_index", default=1, minimum=1),
-        r_min=_num(sec, "codebook", "r_min_m", positive=True),
-    )
-
-
-def _load_training(doc: dict) -> TrainingOptions:
-    sec = _section(doc, "training")
-    noise = _num(sec, "training", "noise_power", positive=True)
-    target = _num(sec, "training", "target_se_bps_hz", positive=True)
-    if noise is not None and target is not None:
-        raise ConfigError("training.noise_power: give either noise_power or "
-                          "target_se_bps_hz, not both")
-    combiner = sec.get("probe_combiner", "Omnidirectional")
-    if combiner not in ("Omnidirectional", "FullArrayNorm"):
-        raise ConfigError("training.probe_combiner: must be Omnidirectional "
-                          "or FullArrayNorm")
-    return TrainingOptions(
-        transmit_power=_num(sec, "training", "transmit_power", default=1.0,
-                            positive=True),
-        noise_power=noise,
-        target_se_bps_hz=target,
-        probe_combiner=combiner,
-        rng_seed=_intval(sec, "training", "rng_seed", default=0),
-    )
-
-
-def _load_multipath(doc: dict) -> MultipathOptions | None:
-    if doc.get("multipath") is None:
-        return None
-    sec = _section(doc, "multipath")
-    raw_rays = sec.get("rays")
-    if not isinstance(raw_rays, list) or not raw_rays:
-        raise ConfigError("multipath.rays: must be a non-empty list")
-    rays = []
-    for i, r in enumerate(raw_rays):
-        if not isinstance(r, dict):
-            raise ConfigError(f"multipath.rays[{i}]: must be a mapping")
-        path = f"multipath.rays[{i}]"
-        values = [_num(r, path, key, required=True)
-                  for key in ("gain_db", "departure_angle_rad", "arrival_angle_rad",
-                              "excess_delay_s")]
-        try:
-            rays.append(MultipathRay(*values))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    los_model = sec.get("los_model", "gcm")
-    if los_model in ("none", "None"):
-        los_model = None
-    if los_model not in (None, "gcm", "wcm", "cgwcm"):
-        raise ConfigError("multipath.los_model: must be gcm, wcm, cgwcm, or none")
-    k_factor = _num(sec, "multipath", "k_factor_db")
-    if los_model is None and k_factor is not None:
-        raise ConfigError("multipath.k_factor_db: needs a direct path; "
-                          "los_model none has none")
-    return MultipathOptions(rays=tuple(rays), los_model=los_model, k_factor_db=k_factor)
-
-
-_SCHEME_ALIASES = {
-    **{s.value: s for s in BeamformingScheme},
-    "hier": BeamformingScheme.HIERARCHICAL,
-    "lowc": BeamformingScheme.LOW_COMPLEXITY,
-    "ff": BeamformingScheme.FARFIELD_STEERING,
-    "nf": BeamformingScheme.NEARFIELD_FOCUSING,
-    "perfect": BeamformingScheme.PERFECT_CSI,
-    "nonblocked": BeamformingScheme.NON_BLOCKED,
-    "nlos": BeamformingScheme.NLOS_ONLY,
-}
-
-# --scheme values of the codebook and search commands.
-_SEARCH_CHOICES = ("exhaustive", "hier", "lowc", "ff", "nf")
-
-_VARIABLE_ALIASES = {
-    "height": SweptVariable.BLOCKAGE_HEIGHT,
-    "distance": SweptVariable.BLOCKAGE_DISTANCE,
-    "overhead": SweptVariable.OVERHEAD,
-    "power": SweptVariable.TRANSMIT_POWER,
-}
-
-
-def _load_sweep(doc: dict) -> SweepOptions | None:
-    if doc.get("sweep") is None:
-        return None
-    sec = _section(doc, "sweep")
-    variable = sec.get("variable")
-    if not isinstance(variable, str) or variable not in _VARIABLE_ALIASES:
-        raise ConfigError("sweep.variable: must be height, distance, overhead, "
-                          "or power")
-    grid = sec.get("grid")
-    if (not isinstance(grid, list) or not grid
-            or any(_coerce_number(g, "sweep.grid") is None for g in grid)):
-        raise ConfigError("sweep.grid: must be a non-empty list of numbers")
-    grid = tuple(_coerce_number(g, "sweep.grid") for g in grid)
-    if _VARIABLE_ALIASES[variable] is SweptVariable.OVERHEAD and not all(
-            g.is_integer() and g >= 1 for g in grid):
-        raise ConfigError("sweep.grid: overhead budgets must be integers >= 1")
-    schemes = sec.get("schemes")
-    if not isinstance(schemes, list) or not schemes:
-        raise ConfigError("sweep.schemes: must be a non-empty list")
-    for s in schemes:
-        if not isinstance(s, str) or s not in _SCHEME_ALIASES:
-            raise ConfigError(f"sweep.schemes: unknown scheme {s!r}")
-        if (_SCHEME_ALIASES[s] is BeamformingScheme.NLOS_ONLY
-                and doc.get("multipath") is None):
-            raise ConfigError(f"sweep.schemes: {s} needs a multipath section")
-    return SweepOptions(
-        variable=variable,
-        grid=grid,
-        schemes=tuple(schemes),
-        repetitions=_intval(sec, "sweep", "repetitions", default=1, minimum=1),
-    )
 
 
 def load_config(path) -> RunConfig:
@@ -336,13 +284,39 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config: invalid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config: top level must be a mapping")
-    return RunConfig(
-        scenario=_load_scenario(doc),
-        codebook=_load_codebook(doc),
-        training=_load_training(doc),
-        multipath=_load_multipath(doc),
-        sweep=_load_sweep(doc),
-    )
+    scenario = _load_scenario(doc)
+    codebook = _load(CodebookOptions, doc, "codebook")
+    training = _load(TrainingOptions, doc, "training")
+    optional = {"multipath": MultipathOptions, "sweep": SweepOptions}
+    multipath, sweep = (None if doc.get(name) is None else _load(cls, doc, name)
+                        for name, cls in optional.items())
+
+    # Rules across fields and sections; the codebook's are the sampling plan's.
+    xi_a, xi_r, xi_theta = codebook.targets
+    if not (0 < xi_a < 1 and 0 < xi_r < 1 and xi_theta == 0):
+        raise ConfigError("codebook.targets: the first two must lie in (0, 1), "
+                          "the third must be 0")
+    n_tx = scenario.tx.num_elements
+    if n_tx > 1 and codebook.angle_index >= n_tx:  # one element has no angle grid
+        raise ConfigError(f"codebook.angle_index: must be < scenario.tx_elements ({n_tx})")
+    if codebook.r_min is not None and codebook.r_min > scenario.link_distance:
+        raise ConfigError("codebook.r_min_m: must not exceed scenario.link_distance_m")
+    if training.noise_power is not None and training.target_se_bps_hz is not None:
+        raise ConfigError("training.noise_power: give either noise_power or "
+                          "target_se_bps_hz, not both")
+    if multipath is not None and multipath.los_model.lower() == "none":
+        if multipath.k_factor_db is not None:
+            raise ConfigError("multipath.k_factor_db: needs a direct path; "
+                              "los_model none has none")
+        multipath = replace(multipath, los_model=None)
+    if sweep is not None:
+        if SweptVariable(sweep.variable) is SweptVariable.OVERHEAD and not all(
+                g.is_integer() and g >= 1 for g in sweep.grid):
+            raise ConfigError("sweep.grid: overhead budgets must be integers >= 1")
+        for s in sweep.schemes:
+            if _SCHEME_ALIASES[s] is BeamformingScheme.NLOS_ONLY and multipath is None:
+                raise ConfigError(f"sweep.schemes: {s} needs a multipath section")
+    return RunConfig(scenario, codebook, training, multipath, sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +386,8 @@ def _scenario_lines(sc: ScenarioConfig):
 def write_manifest(out_dir: Path, config_path, train: TrainingConfig | None,
                    scenario: ScenarioConfig, plan: SamplingPlan | None,
                    extra_lines=()) -> None:
-    lines = [
-        f"tool: airylink {__version__}",
-        f"config: {config_path}",
-        f"output_dir: {out_dir}",
-    ]
-    lines.append("")
-    lines.extend(_scenario_lines(scenario))
+    lines = [f"tool: airylink {__version__}", f"config: {config_path}",
+             f"output_dir: {out_dir}", "", *_scenario_lines(scenario)]
     if train is not None:
         lines += [
             "",
@@ -439,7 +408,7 @@ def write_manifest(out_dir: Path, config_path, train: TrainingConfig | None,
         ]
     if extra_lines:
         lines += ["", "[run]", *extra_lines]
-    (out_dir / "manifest.txt").write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    write_text(out_dir / "manifest.txt", lines)
 
 
 def _prepare_out(out: str) -> Path:
@@ -456,7 +425,7 @@ def _prepare_out(out: str) -> Path:
 def cmd_channel(args) -> int:
     cfg = load_config(args.config)
     sc = cfg.scenario
-    models = ["gcm", "wcm", "cgwcm"] if args.compare else [args.model]
+    models = _MODELS if args.compare else (args.model,)
     built = {model: calibrated_wave_channels(sc, model).blocked for model in models}
     out_dir = _prepare_out(args.out)
     write_manifest(out_dir, args.config, None, sc, None,
@@ -468,8 +437,7 @@ def cmd_channel(args) -> int:
     frac = float(blocked_pairs(sc).mean())
     lines = ["model,frobenius_norm,blocked_pair_fraction,relative_error_vs_wcm,error_db"]
     for model in models:
-        err = ""
-        err_db = ""
+        err = err_db = ""
         if args.compare and model != "wcm":
             e = channel_error(built[model], built["wcm"])
             err = repr(e)
@@ -478,8 +446,7 @@ def cmd_channel(args) -> int:
         lines.append(f"{model},{norm!r},{frac!r},{err},{err_db}")
         print(f"{model}: frobenius_norm={norm!r} blocked_pair_fraction={frac!r}"
               + (f" err_vs_wcm={err}" if err else ""))
-    (out_dir / "results" / "channel_summary.csv").write_bytes(
-        ("\n".join(lines) + "\n").encode("utf-8"))
+    write_text(out_dir / "results" / "channel_summary.csv", lines)
     return 0
 
 
@@ -546,8 +513,8 @@ def cmd_fieldmap(args) -> int:
 def cmd_codebook(args) -> int:
     cfg = load_config(args.config)
     sc = cfg.scenario
-    out_dir = _prepare_out(args.out)
     plan = solve_plan(cfg)
+    out_dir = _prepare_out(args.out)
     write_manifest(out_dir, args.config, None, sc, plan,
                    [f"command: codebook", f"scheme: {args.scheme}"])
 
@@ -591,8 +558,7 @@ def cmd_search(args) -> int:
              "measured_power_db,spectral_efficiency_bps_hz",
              f"{args.scheme},{result.overhead},{p.curving!r},{p.focus_distance!r},"
              f"{p.focus_angle!r},{power_db!r},{se!r}"]
-    (out_dir / "results" / "search_summary.csv").write_bytes(
-        ("\n".join(lines) + "\n").encode("utf-8"))
+    write_text(out_dir / "results" / "search_summary.csv", lines)
     print(f"selected: curving={p.curving!r} focus_distance_m={p.focus_distance!r} "
           f"focus_angle_rad={p.focus_angle!r}")
     print(f"overhead: {result.overhead} slots; spectral_efficiency: {se!r} bits/s/Hz")
@@ -604,7 +570,7 @@ def cmd_sweep(args) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep: section is required for the sweep command")
     sc = cfg.scenario
-    variable = _VARIABLE_ALIASES[args.sweep if args.sweep else cfg.sweep.variable]
+    variable = SweptVariable(args.sweep or cfg.sweep.variable)
     schemes = tuple(_SCHEME_ALIASES[s] for s in cfg.sweep.schemes)
     base_seed = args.seed if args.seed is not None else cfg.training.rng_seed
     spec = SweepSpec(variable, cfg.sweep.grid, schemes,
@@ -655,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("channel", parents=[common],
                        help="export a channel matrix and its summary")
-    p.add_argument("--model", choices=["gcm", "wcm", "cgwcm"], default="gcm")
+    p.add_argument("--model", choices=_MODELS, default="gcm")
     p.add_argument("--compare", action="store_true",
                    help="build all models and report errors vs the wave model")
     p.set_defaults(func=cmd_channel)
@@ -685,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common],
                        help="run a scenario sweep and export the result table")
-    p.add_argument("--sweep", choices=["height", "distance", "overhead", "power"],
+    p.add_argument("--sweep", choices=_VARIABLES,
                    default=None, help="override the config sweep variable")
     p.set_defaults(func=cmd_sweep)
 

@@ -27,6 +27,7 @@ __all__ = [
     "write_search_trace_csv",
     "write_sweep_csv",
     "write_codebook_csv",
+    "write_text",
 ]
 
 _MAGIC = b"AIRYGRID"
@@ -39,7 +40,8 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_text(path, lines) -> None:
+def write_text(path, lines) -> None:
+    """Write `lines` as UTF-8 text, each ended by a newline."""
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -96,7 +98,7 @@ def write_field_map_csv(path, field_map: FieldMap) -> None:
     for yv, row in zip(field_map.y, np.asarray(field_map.power_db, dtype=float).tolist()):
         y = _fmt(yv)
         lines.extend([f"{x},{y},{p!r}" for x, p in zip(xs, row)])
-    _write_text(path, lines)
+    write_text(path, lines)
 
 
 def write_search_trace_csv(path, result: SearchResult) -> None:
@@ -106,7 +108,7 @@ def write_search_trace_csv(path, result: SearchResult) -> None:
         power = result.powers[slot]
         power_db = 10.0 * np.log10(power) if power > 0 else -np.inf
         lines.append(f"{slot},{_fmt(a)},{_fmt(r)},{_fmt(th)},{_fmt(power_db)}")
-    _write_text(path, lines)
+    write_text(path, lines)
 
 
 def write_sweep_csv(path, rows) -> None:
@@ -115,11 +117,11 @@ def write_sweep_csv(path, rows) -> None:
         lines.append(f"{r.sweep_variable},{_fmt(r.value)},{r.scheme},{r.seed},"
                      f"{_fmt(r.spectral_efficiency_bps_hz)},{r.overhead_slots},"
                      f"{r.notes}")
-    _write_text(path, lines)
+    write_text(path, lines)
 
 
 def write_codebook_csv(path, codebook: Codebook) -> None:
     lines = ["index,scheme,curving,focus_distance_m,focus_angle_rad"]
     for i, (a, r, th) in enumerate(codebook.params.tolist()):
         lines.append(f"{i},{codebook.scheme.value},{_fmt(a)},{_fmt(r)},{_fmt(th)}")
-    _write_text(path, lines)
+    write_text(path, lines)

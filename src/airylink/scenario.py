@@ -127,6 +127,9 @@ class VirtualArrayConfig:
     def __post_init__(self):
         _check_count("count", self.count)
         _check_count("elements_per_array", self.elements_per_array)
+        if self.elements_per_array < 2:
+            raise ValueError("elements_per_array must be >= 2: the edge taper of "
+                             "one sample leaves no window")
         _check_finite(plane_spacing=self.plane_spacing)
         if not (self.plane_spacing > 0):
             raise ValueError("plane_spacing must be > 0")

@@ -1,9 +1,12 @@
 """CLI: config validation, commands, artifacts, deterministic reruns."""
 
+import copy
 import os
+import re
 
 import numpy as np
 import pytest
+import yaml
 
 from airylink import _threads
 from airylink.cli import ConfigError, load_config, main
@@ -164,6 +167,11 @@ def test_nlos_scheme_needs_multipath_section(tmp_path, capsys, name):
     ("gain_db: -6.0", "gain_db: loud", "multipath.rays[0]"),
     ("gain_db: -6.0", "gain_db: 3.0", "multipath.rays[0]"),
     ("los_model: gcm", "los_model: none\n  k_factor_db: 6.0", "multipath.k_factor_db"),
+    ("targets: [0.4, 0.15, 0.0]", "targets: [1.5, 0.15, 0.0]", "codebook.targets"),
+    ("targets: [0.4, 0.15, 0.0]", "targets: [0.4, 0.15, 0.3]", "codebook.targets"),
+    ("curving_range: 4.0", "curving_range: 4.0\n  angle_index: 40", "codebook.angle_index"),
+    ("r_min_m: 0.2", "r_min_m: 5.0", "codebook.r_min_m"),
+    ("rng_seed: 0", "rng_seed: -1", "training.rng_seed"),
 ])
 def test_bad_number_named_once_before_output(tmp_path, capsys, old, new, named):
     text = SWEEP_YAML + MULTIPATH_YAML
@@ -176,6 +184,51 @@ def test_bad_number_named_once_before_output(tmp_path, capsys, old, new, named):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {named}") and err.count(named) == 1
     assert not out.exists()
+
+
+def _readme_config_table() -> dict:
+    """{key: default cell} of the README's config reference table."""
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config reference", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| (.+?) \| .+ \|$", section, flags=re.M)
+    return dict(rows)
+
+
+def test_readme_config_reference_matches_the_schema(tmp_path):
+    from dataclasses import fields
+
+    from airylink import cli
+
+    table = _readme_config_table()
+    sections = {"codebook": cli.CodebookOptions, "training": cli.TrainingOptions,
+                "multipath": cli.MultipathOptions, "sweep": cli.SweepOptions}
+    options = {f"{name}.{f.metadata.get('key', f.name)}"
+               for name, cls in sections.items() for f in fields(cls)}
+    tabled = {key for key in table if key.split(".")[0] in sections and "[" not in key}
+    assert tabled == options
+
+    # writing out every tabled default changes nothing
+    minimal = yaml.safe_load(BASE_YAML + MULTIPATH_YAML + SWEEP_YAML[len(BASE_YAML):])
+    for name in ("codebook", "training"):
+        del minimal[name]
+    del minimal["scenario"]["virtual_planes"], minimal["scenario"]["rx_elements"]
+    del minimal["multipath"]["los_model"]
+    full = copy.deepcopy(minimal)
+    written = 0
+    for key, default in table.items():
+        literal = re.fullmatch(r"`([^`]+)`", default)
+        if literal:
+            *path, leaf = key.split(".")
+            section = full
+            for part in path:
+                section = section.setdefault(part, {})
+            section[leaf] = yaml.safe_load(literal.group(1))
+            written += 1
+    assert written >= 10
+    assert (load_config(_write(tmp_path, yaml.safe_dump(full), "full.yaml"))
+            == load_config(_write(tmp_path, yaml.safe_dump(minimal), "minimal.yaml")))
 
 
 def test_config_errors_exit_code_2(tmp_path, capsys):
@@ -325,6 +378,17 @@ def test_one_by_one_blocked_link_named_before_output(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: {named}")
     assert named != "scenario.tx_elements" or "scenario.rx_elements" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, named", [
+    (BASE_YAML.replace("r_min_m: 0.2", "r_min_m: 5.0"), "codebook.r_min_m"),
+    (ONE_BY_ONE_YAML, "angle_index"),  # no angle grid to index
+], ids=["r_min-beyond-link", "one-element-tx"])
+def test_codebook_plan_errors_named_before_output(tmp_path, capsys, text, named):
+    out = tmp_path / "o"
+    assert main(["codebook", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {named}")
     assert not out.exists()
 
 

@@ -142,6 +142,8 @@ def test_scenario_validation():
     (lambda: BlockageGeometry(1.0, 0.1, 0.1, math.nan), "extent_below"),
     (lambda: VirtualArrayConfig(8.0, 64, 0.01), "count"),
     (lambda: VirtualArrayConfig(8, False, 0.01), "elements_per_array"),
+    pytest.param(lambda: VirtualArrayConfig(4, 1, 0.005), "elements_per_array",
+                 id="one-sample-window"),
     (lambda: VirtualArrayConfig(8, 64, math.inf), "plane_spacing"),
 ])
 def test_config_rejects_bad_counts_and_non_finite_values(build, field):
