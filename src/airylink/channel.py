@@ -9,12 +9,16 @@ Three models of the same partially blocked link:
   blockage region.
 * cascaded model (``cgwcm_channel``): the wave model's plane cascade with
   each hop replaced by a free-space ray-model matrix, calibrated against
-  the ray model's unblocked reference. Both cascades build their hops the
-  same way and multiply matrices of the same sizes; the cascaded model
-  evaluates an exponential per distinct offset where the wave model
-  evaluates the Hankel function H1^(2)(kr) (`_hankel2_1`: its
-  large-argument expansion from kr = 25 on, scipy below), so it is only
-  modestly cheaper.
+  the ray model's unblocked reference.
+
+Both cascades share `_cascade` and differ only in the kernel: an exponential
+per distinct offset for the cascaded model, the Hankel function H1^(2)(kr)
+for the wave model (`_hankel2_1`: its large-argument expansion from kr = 25
+on, scipy below). Every plane samples one grid, so a plane-to-plane hop is
+Toeplitz: its kernel is evaluated at the 2n-1 index offsets and applied to
+the N_r-row product by FFT (`_toeplitz_apply`), in O(N_r n log n) with no
+[n, n] matrix formed. Only the Tx and Rx hops are dense matrices. The two
+models take about the same time.
 
 Field maps (``field_on_grid``) hop through the gated virtual planes of the
 wave model's cascade (`_planes`): channel matrices and field maps share one
@@ -105,22 +109,53 @@ def _shares_pitch(src_y: np.ndarray, dst_y: np.ndarray) -> bool:
                for y in (src_y, dst_y))
 
 
+def _offset_r(src_y: np.ndarray, dst_y: np.ndarray, dx: float) -> np.ndarray:
+    """The m+n-1 distances of a hop between grids of a shared pitch.
+
+    Entry m-1-i+j is the distance from src j to dst i (m = dst_y.size): the
+    first column reversed, then the first row after its first entry.
+    """
+    col = np.sqrt(dx * dx + (dst_y - src_y[0]) ** 2)      # offsets i - 0
+    row = np.sqrt(dx * dx + (dst_y[0] - src_y[1:]) ** 2)  # offsets 0 - j, j >= 1
+    return np.concatenate([col[::-1], row])
+
+
 def _hop_matrix(src_y: np.ndarray, dst_y: np.ndarray, dx: float, kernel) -> np.ndarray:
     """kernel(r) for every (dst, src) pair, as a [dst, src] matrix.
 
     Between grids of a shared pitch the entry depends only on the index
     offset i - j, so the matrix is Toeplitz: kernel is evaluated on the
-    first column and first row (2n-1 distances) and expanded. Any other
-    grid pair is evaluated pairwise.
+    m+n-1 distances of `_offset_r` and expanded. Any other grid pair is
+    evaluated pairwise. Serves the cascades' outer hops and the field maps;
+    the cascades apply their inner hops with `_toeplitz_apply` instead.
     """
     if not _shares_pitch(src_y, dst_y):
         return kernel(_pairwise_r(src_y, dst_y, dx))
-    col = np.sqrt(dx * dx + (dst_y - src_y[0]) ** 2)      # offsets i - 0
-    row = np.sqrt(dx * dx + (dst_y[0] - src_y[1:]) ** 2)  # offsets 0 - j, j >= 1
-    values = kernel(np.concatenate([col[::-1], row]))
+    values = kernel(_offset_r(src_y, dst_y, dx))
     # window s holds offsets m-1-s .. m-1-s-(n-1); row i is window m-1-i
     windows = np.lib.stride_tricks.sliding_window_view(values, src_y.size)
     return np.ascontiguousarray(windows[::-1])
+
+
+def _toeplitz_apply(acc: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """acc @ T for the Toeplitz T[i, j] = values[m-1-i+j], by FFT.
+
+    acc is [rows, m] and values holds the kernel at the m+n-1 distances of
+    `_offset_r`, so the result is [rows, n]. Column j is the linear
+    convolution of each row with values, read at m-1+j. values is rotated
+    so that index lands at 0, and the transform length L >= m+n-1 (a power
+    of two) keeps every term from wrapping: one FFT of the rows, one
+    multiply, one inverse FFT, then the first n columns. O(rows·L log L)
+    instead of O(rows·m·n), and no [m, n] matrix is formed.
+    """
+    m = acc.shape[-1]
+    n = values.size - m + 1
+    size = 1 << (values.size - 1).bit_length()
+    rotated = np.zeros(size, dtype=complex)
+    rotated[:n] = values[m - 1:]
+    rotated[size - m + 1:] = values[:m - 1]
+    out = np.fft.ifft(np.fft.fft(acc, size) * np.fft.fft(rotated))
+    return out[..., :n]
 
 
 # H1^(2)(z) is evaluated by its large-argument expansion from here on.
@@ -199,31 +234,31 @@ def _hankel2_1(z: np.ndarray, scale=1.0) -> np.ndarray:
     return out
 
 
-def _gcm_hop(src_y: np.ndarray, dst_y: np.ndarray, dx: float,
-             carrier: CarrierConfig) -> np.ndarray:
-    """Free-space ray-model matrix between two parallel planes."""
+def _gcm_kernel(carrier: CarrierConfig):
+    """Free-space ray-model gain and phase as a function of distance r."""
     def kernel(r):
         amp = SPEED_OF_LIGHT / (4 * math.pi * carrier.frequency * r)
         return amp * np.exp(-1j * carrier.wavenumber * r)
 
-    return _hop_matrix(src_y, dst_y, dx, kernel)
+    return kernel
 
 
-def _rs_hop(src_y: np.ndarray, dst_y: np.ndarray, dx: float,
-            carrier: CarrierConfig, weight: float) -> np.ndarray:
-    """Discretized Rayleigh-Sommerfeld hop matrix (conjugate convention).
+def _gcm_hop(src_y: np.ndarray, dst_y: np.ndarray, dx: float,
+             carrier: CarrierConfig) -> np.ndarray:
+    """Free-space ray-model matrix between two parallel planes."""
+    return _hop_matrix(src_y, dst_y, dx, _gcm_kernel(carrier))
+
+
+def _rs_kernel(carrier: CarrierConfig, dx: float, weight: float):
+    """Rayleigh-Sommerfeld kernel of a hop of length dx, as a function of r.
 
     Apertures here are 1-D cuts, so the propagation kernel is the exact
     line-aperture (cylindrical-wave) first-kind kernel
-    (j*k*dx / 2r) * H1^(2)(kr); its large-kr limit is the familiar
-    point-source kernel times sqrt(lambda*r) e^{j pi/4}. Using the 3-D
-    point-source kernel directly would over-weight short hops and make
-    iterated plane-to-plane cascades diverge.
-
-    The virtual planes take the Tx pitch, so when the Rx pitch matches it
-    every cascade hop is Toeplitz and costs 2n-1 Hankel evaluations
-    (`_hop_matrix`); field-map columns of another pitch are evaluated
-    pairwise. The Hankel values come from `_hankel2_1`: its large-argument
+    (j*k*dx / 2r) * H1^(2)(kr), times the Riemann weight of the source
+    samples; its large-kr limit is the familiar point-source kernel times
+    sqrt(lambda*r) e^{j pi/4}. Using the 3-D point-source kernel directly
+    would over-weight short hops and make iterated plane-to-plane cascades
+    diverge. The Hankel values come from `_hankel2_1`: its large-argument
     expansion from kr = 25 on, scipy below.
     """
     k = carrier.wavenumber
@@ -233,7 +268,19 @@ def _rs_hop(src_y: np.ndarray, dst_y: np.ndarray, dx: float,
         values *= -1j
         return values
 
-    return _hop_matrix(src_y, dst_y, dx, kernel)
+    return kernel
+
+
+def _rs_hop(src_y: np.ndarray, dst_y: np.ndarray, dx: float,
+            carrier: CarrierConfig, weight: float) -> np.ndarray:
+    """Discretized Rayleigh-Sommerfeld hop matrix (conjugate convention).
+
+    The kernel is `_rs_kernel`'s. Between grids of a shared pitch (a
+    cascade's outer hops) it is evaluated at the m+n-1 offsets only
+    (`_hop_matrix`); field-map columns of another pitch are evaluated
+    pairwise, one Hankel value per entry.
+    """
+    return _hop_matrix(src_y, dst_y, dx, _rs_kernel(carrier, dx, weight))
 
 
 def gcm_channel(scenario: ScenarioConfig, use_blockage: bool = True) -> ChannelMatrix:
@@ -282,22 +329,28 @@ def _planes(scenario: ScenarioConfig, use_blockage: bool) -> tuple:
     return vy, virtual_plane_positions(scen), mask * taper
 
 
-def _cascade(scenario: ScenarioConfig, hop, use_blockage: bool,
+def _cascade(scenario: ScenarioConfig, kernel, use_blockage: bool,
              plane_weight) -> np.ndarray:
     """Shared plane-cascade structure for the wave and cascaded models.
 
-    hop(src_y, dst_y, dx, weight) -> matrix; the Tx hop has unit weight.
-    The gate of `_planes` is applied on arrival at every plane.
+    kernel(dx, weight) -> the hop's kernel as a function of r; the Tx hop
+    has unit weight. The gate of `_planes` is applied on arrival at every
+    plane. The planes share one grid, so each plane-to-plane hop is
+    Toeplitz and is applied by FFT (`_toeplitz_apply`) from its 2n-1
+    offset values; the Tx and Rx hops are matrices (`_hop_matrix`).
     """
     vy, plane_xs, gate = _planes(scenario, use_blockage)
     tx_y = element_positions(scenario.tx)
     rx_y = element_positions(scenario.rx)
     vspace = plane_weight if plane_weight is not None else _pitch(vy)
     # multiply from the Rx side: every product keeps N_r rows
-    acc = hop(vy, rx_y, scenario.link_distance - plane_xs[-1], vspace) * gate
+    dx = scenario.link_distance - plane_xs[-1]
+    acc = _hop_matrix(vy, rx_y, dx, kernel(dx, vspace)) * gate
     for prev_x, cur_x in zip(plane_xs[-2::-1], plane_xs[:0:-1]):
-        acc = (acc @ hop(vy, vy, cur_x - prev_x, vspace)) * gate
-    return acc @ hop(tx_y, vy, plane_xs[0], 1.0)
+        dx = cur_x - prev_x
+        acc = _toeplitz_apply(acc, kernel(dx, vspace)(_offset_r(vy, vy, dx))) * gate
+    dx = plane_xs[0]
+    return acc @ _hop_matrix(tx_y, vy, dx, kernel(dx, 1.0))
 
 
 def field_on_grid(scenario: ScenarioConfig, aperture_y, values, xs, ys) -> np.ndarray:
@@ -346,10 +399,8 @@ def wcm_channel(scenario: ScenarioConfig, use_blockage: bool = True) -> ChannelM
         h = _rs_hop(tx_y, rx_y, scenario.link_distance, carrier, 1.0)
         return ChannelMatrix(h, ChannelModel.WCM)
 
-    def hop(sy, dy, dx, w):
-        return _rs_hop(sy, dy, dx, carrier, w)
-
-    h = _cascade(scenario, hop, use_blockage, plane_weight=None)
+    h = _cascade(scenario, lambda dx, w: _rs_kernel(carrier, dx, w), use_blockage,
+                 plane_weight=None)
     return ChannelMatrix(h, ChannelModel.WCM)
 
 
@@ -358,12 +409,8 @@ def cgwcm_channel(scenario: ScenarioConfig, use_blockage: bool = True) -> Channe
     if scenario.blockage is None:
         raise ValueError("scenario.blockage: the cascaded model places its "
                          "virtual planes at the blockage, and there is none")
-    carrier = scenario.carrier
-
-    def hop(sy, dy, dx, w):
-        return _gcm_hop(sy, dy, dx, carrier)
-
-    h = _cascade(scenario, hop, use_blockage, plane_weight=1.0)
+    ray = _gcm_kernel(scenario.carrier)
+    h = _cascade(scenario, lambda dx, w: ray, use_blockage, plane_weight=1.0)
     return ChannelMatrix(h, ChannelModel.CGWCM)
 
 

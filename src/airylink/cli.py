@@ -209,6 +209,16 @@ class SweepOptions:
     repetitions: int = _opt(_integer(1), 1)
 
 
+def _check_overhead(sweep: SweepOptions) -> None:
+    """An overhead sweep's rules: whole slot budgets, searched schemes only."""
+    if not all(g.is_integer() and g >= 1 for g in sweep.grid):
+        raise ConfigError("sweep.grid: overhead budgets must be integers >= 1")
+    full = [s for s in sweep.schemes if not _SCHEME_ALIASES[s].searched]
+    if full:
+        raise ConfigError("sweep.schemes: an overhead sweep takes searched schemes "
+                          f"only, not {', '.join(full)}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     scenario: ScenarioConfig
@@ -310,9 +320,8 @@ def load_config(path) -> RunConfig:
                               "los_model none has none")
         multipath = replace(multipath, los_model=None)
     if sweep is not None:
-        if SweptVariable(sweep.variable) is SweptVariable.OVERHEAD and not all(
-                g.is_integer() and g >= 1 for g in sweep.grid):
-            raise ConfigError("sweep.grid: overhead budgets must be integers >= 1")
+        if SweptVariable(sweep.variable) is SweptVariable.OVERHEAD:
+            _check_overhead(sweep)
         for s in sweep.schemes:
             if _SCHEME_ALIASES[s] is BeamformingScheme.NLOS_ONLY and multipath is None:
                 raise ConfigError(f"sweep.schemes: {s} needs a multipath section")
@@ -340,21 +349,16 @@ def resolve_training(cfg: RunConfig, channels: ChannelSet,
         noise = noise_for_target_se(channels.non_blocked, opts.transmit_power,
                                     target)
     seed = opts.rng_seed if seed_override is None else seed_override
-    return TrainingConfig(
-        transmit_power=opts.transmit_power,
-        noise_power=noise,
-        rx_probe_combiner=ProbeCombiner(opts.probe_combiner),
-        rng_seed=seed,
-    )
+    return TrainingConfig(transmit_power=opts.transmit_power, noise_power=noise,
+                          rx_probe_combiner=ProbeCombiner(opts.probe_combiner),
+                          rng_seed=seed)
 
 
 def solve_plan(cfg: RunConfig) -> SamplingPlan:
     cb = cfg.codebook
-    return solve_sampling_plan(
-        cb.targets, cfg.scenario,
-        curving_range=(-cb.curving_range, cb.curving_range),
-        angle_index=cb.angle_index, r_min=cb.r_min,
-    )
+    return solve_sampling_plan(cb.targets, cfg.scenario, angle_index=cb.angle_index,
+                               curving_range=(-cb.curving_range, cb.curving_range),
+                               r_min=cb.r_min)
 
 
 def _scenario_lines(sc: ScenarioConfig):
@@ -383,20 +387,18 @@ def _scenario_lines(sc: ScenarioConfig):
     return lines
 
 
-def write_manifest(out_dir: Path, config_path, train: TrainingConfig | None,
-                   scenario: ScenarioConfig, plan: SamplingPlan | None,
-                   extra_lines=()) -> None:
-    lines = [f"tool: airylink {__version__}", f"config: {config_path}",
+def write_manifest(args, train: TrainingConfig | None, scenario: ScenarioConfig,
+                   plan: SamplingPlan | None, extra_lines=()) -> Path:
+    """Create `--out` with results/ and grids/, write its manifest first; return it."""
+    out_dir = Path(args.out)
+    for sub in ("results", "grids"):
+        (out_dir / sub).mkdir(parents=True, exist_ok=True)
+    lines = [f"tool: airylink {__version__}", f"config: {args.config}",
              f"output_dir: {out_dir}", "", *_scenario_lines(scenario)]
     if train is not None:
-        lines += [
-            "",
-            "[training]",
-            f"transmit_power: {train.transmit_power!r}",
-            f"noise_power: {train.noise_power!r}",
-            f"probe_combiner: {train.rx_probe_combiner.value}",
-            f"seed: {train.rng_seed}",
-        ]
+        lines += ["", "[training]", f"transmit_power: {train.transmit_power!r}",
+                  f"noise_power: {train.noise_power!r}",
+                  f"probe_combiner: {train.rx_probe_combiner.value}", f"seed: {train.rng_seed}"]
     if plan is not None:
         j, k, v = plan.counts
         lines += [
@@ -409,12 +411,6 @@ def write_manifest(out_dir: Path, config_path, train: TrainingConfig | None,
     if extra_lines:
         lines += ["", "[run]", *extra_lines]
     write_text(out_dir / "manifest.txt", lines)
-
-
-def _prepare_out(out: str) -> Path:
-    out_dir = Path(out)
-    (out_dir / "results").mkdir(parents=True, exist_ok=True)
-    (out_dir / "grids").mkdir(parents=True, exist_ok=True)
     return out_dir
 
 
@@ -427,9 +423,8 @@ def cmd_channel(args) -> int:
     sc = cfg.scenario
     models = _MODELS if args.compare else (args.model,)
     built = {model: calibrated_wave_channels(sc, model).blocked for model in models}
-    out_dir = _prepare_out(args.out)
-    write_manifest(out_dir, args.config, None, sc, None,
-                   [f"command: channel", f"models: {','.join(models)}"])
+    out_dir = write_manifest(args, None, sc, None, ["command: channel",
+                                                    f"models: {','.join(models)}"])
 
     for model in models:
         write_channel_binary(out_dir / "grids" / f"channel_{model}.bin", built[model])
@@ -495,8 +490,7 @@ def cmd_fieldmap(args) -> int:
     params, grid = _fieldmap_inputs(args, sc)
     beam = airy_beam_vector(params, sc.tx, sc.carrier)
     fmap = render_field_map(beam, sc, grid)
-    out_dir = _prepare_out(args.out)
-    write_manifest(out_dir, args.config, None, sc, None, [
+    out_dir = write_manifest(args, None, sc, None, [
         "command: fieldmap",
         f"beam: curving={params.curving!r} focus_distance_m={params.focus_distance!r} "
         f"focus_angle_rad={params.focus_angle!r}",
@@ -514,9 +508,7 @@ def cmd_codebook(args) -> int:
     cfg = load_config(args.config)
     sc = cfg.scenario
     plan = solve_plan(cfg)
-    out_dir = _prepare_out(args.out)
-    write_manifest(out_dir, args.config, None, sc, plan,
-                   [f"command: codebook", f"scheme: {args.scheme}"])
+    out_dir = write_manifest(args, None, sc, plan, ["command: codebook", f"scheme: {args.scheme}"])
 
     results = out_dir / "results"
     scheme = _SCHEME_ALIASES[args.scheme]
@@ -541,9 +533,7 @@ def cmd_search(args) -> int:
     channels = build_channel_set(cfg)
     train = resolve_training(cfg, channels, args.seed)
     plan = solve_plan(cfg)
-    out_dir = _prepare_out(args.out)
-    write_manifest(out_dir, args.config, train, sc, plan,
-                   [f"command: search", f"scheme: {args.scheme}"])
+    out_dir = write_manifest(args, train, sc, plan, ["command: search", f"scheme: {args.scheme}"])
 
     scheme = _SCHEME_ALIASES[args.scheme]
     result = run_search(scheme, channels.blocked, sc, plan, train)
@@ -571,6 +561,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep: section is required for the sweep command")
     sc = cfg.scenario
     variable = SweptVariable(args.sweep or cfg.sweep.variable)
+    if variable is SweptVariable.OVERHEAD:  # also when --sweep overrides the config
+        _check_overhead(cfg.sweep)
     schemes = tuple(_SCHEME_ALIASES[s] for s in cfg.sweep.schemes)
     base_seed = args.seed if args.seed is not None else cfg.training.rng_seed
     spec = SweepSpec(variable, cfg.sweep.grid, schemes,
@@ -583,8 +575,7 @@ def cmd_sweep(args) -> int:
     train = resolve_training(cfg, channels, base_seed)
     needs_plan = variable is SweptVariable.OVERHEAD or any(s.searched for s in schemes)
     plan = solve_plan(cfg) if needs_plan else None
-    out_dir = _prepare_out(args.out)
-    write_manifest(out_dir, args.config, train, sc, plan, [
+    out_dir = write_manifest(args, train, sc, plan, [
         "command: sweep",
         f"variable: {variable.value}",
         f"grid: {','.join(repr(g) for g in cfg.sweep.grid)}",
@@ -604,6 +595,13 @@ def cmd_sweep(args) -> int:
 # Parser
 
 
+def _seed(text: str) -> int:
+    """--seed: an integer >= 0, the rule of training.rng_seed."""
+    if not text.isdecimal():  # a sign or a fraction is not decimal
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="airylink",
@@ -614,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="YAML config path")
     common.add_argument("--out", default="airylink-out", help="output directory")
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=_seed, default=None,
                         help="override the config RNG seed")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -124,7 +124,7 @@ def test_every_scheme_name_accepted_in_sweep(tmp_path):
 @pytest.mark.parametrize("budget", ["-3", "0", "0.5", "2.9"])
 def test_overhead_grid_must_be_whole_slot_counts(tmp_path, budget):
     bad = SWEEP_YAML.replace("variable: height", "variable: overhead").replace(
-        "[0.0, 0.003]", f"[1, {budget}]")
+        "[0.0, 0.003]", f"[1, {budget}]").replace("[perfect, nonblocked]", "[hier, ff]")
     with pytest.raises(ConfigError, match="sweep.grid"):
         load_config(_write(tmp_path, bad))
     good = bad.replace(f"[1, {budget}]", "[1, 2.0, 40]")
@@ -138,6 +138,37 @@ def test_overhead_override_checks_grid_before_output(tmp_path, capsys):
                "--sweep", "overhead"])
     assert rc == 2
     assert "overhead budgets" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variable, override", [
+    ("overhead", []), ("height", ["--sweep", "overhead"])], ids=["config", "override"])
+@pytest.mark.parametrize("scheme", ["perfect", "nonblocked", "nlos"])
+def test_overhead_sweep_of_full_digital_scheme_named_before_output(
+        tmp_path, capsys, variable, override, scheme):
+    # a full-digital benchmark has no training overhead to sweep
+    text = (BASE_YAML + MULTIPATH_YAML + SWEEP_YAML[len(BASE_YAML):]).replace(
+        "variable: height", f"variable: {variable}").replace(
+        "[0.0, 0.003]", "[1, 40]").replace("[perfect, nonblocked]", f"[hier, {scheme}]")
+    cfg = _write(tmp_path, text)
+    if not override:
+        with pytest.raises(ConfigError, match=f"sweep.schemes: .*only, not {scheme}$"):
+            load_config(cfg)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--out", str(out), *override]) == 2
+    assert "sweep.schemes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+@pytest.mark.parametrize("command", [["search", "--scheme", "ff"], ["sweep"]])
+def test_bad_seed_named_before_output(tmp_path, capsys, command, seed):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--config", _write(tmp_path, SWEEP_YAML), "--out", str(out),
+              "--seed", seed])
+    assert exc.value.code == 2
+    assert "--seed: must be an integer >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ checks the same cases.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,15 @@ from airylink.beam import (
     airy_beam_vector,
     render_field_map,
 )
-from airylink.channel import cgwcm_channel, wcm_channel
+from airylink.channel import (
+    CalibrationParams,
+    ChannelMatrix,
+    ChannelModel,
+    apply_calibration,
+    calibrate,
+    cgwcm_channel,
+    wcm_channel,
+)
 from airylink.codebook import solve_sampling_plan
 from airylink.evaluation import (
     BeamformingScheme,
@@ -40,6 +49,27 @@ CAR = CarrierConfig(140e9)
 def _settings(examples):
     return settings(max_examples=examples, deadline=None, derandomize=True,
                     database=None)
+
+
+# Channel entries: exact zeros (calibration skips them) or magnitudes within
+# six decades of one another.
+entries = st.one_of(st.just(0j), st.complex_numbers(
+    min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False))
+
+
+@_settings(100)
+@given(rows=st.integers(1, 8), cols=st.integers(1, 8), data=st.data(),
+       amplitude=st.floats(1e-6, 1e6), phase=st.floats(-10.0, 10.0))
+def test_calibration_recovers_the_inverse_of_an_applied_one(rows, cols, data,
+                                                            amplitude, phase):
+    values = data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)
+                       .filter(any))
+    x = ChannelMatrix(np.array(values).reshape(rows, cols), ChannelModel.WCM)
+    scaled = apply_calibration(x, CalibrationParams(amplitude, phase))
+    back = calibrate(scaled, x)
+    assert back.amplitude == pytest.approx(1 / amplitude, rel=1e-12, abs=0)
+    # the phase is -phase modulo 2*pi
+    assert abs(np.angle(np.exp(1j * (back.phase + phase)))) <= 1e-12
 
 
 # (curving, focus distance, focus angle) inside BeamParams' rules: distances
