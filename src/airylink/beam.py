@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .channel import field_on_grid
 from .scenario import ArrayConfig, CarrierConfig, ScenarioConfig, element_positions
@@ -152,21 +151,6 @@ def steering_beam_vector(focus_angle: float, array: ArrayConfig,
                          carrier: CarrierConfig) -> BeamVector:
     """Far-field beam: linear phase only."""
     return airy_beam_vector(BeamParams(0.0, math.inf, focus_angle), array, carrier)
-
-
-def airy_aperture_amplitude(position, scale: float, truncation: float):
-    """Reference amplitude-and-phase aperture Ai(y/scale)*exp(truncation*y/scale).
-
-    Only used to render textbook curved-trajectory field maps for
-    comparison; codebooks never use amplitude control (phase-only arrays).
-    """
-    if not (scale > 0):
-        raise ValueError("scale must be > 0")
-    if not (truncation > 0):
-        raise ValueError("truncation must be > 0")
-    z = np.asarray(position, dtype=float) / scale
-    ai = special.airy(z)[0]
-    return (ai * np.exp(truncation * z)).astype(complex)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,14 @@ Three models of the same partially blocked link:
 Both cascades share `_cascade` and differ only in the kernel: an exponential
 per distinct offset for the cascaded model, the Hankel function H1^(2)(kr)
 for the wave model (`_hankel2_1`: its large-argument expansion from kr = 25
-on, scipy below). Every plane samples one grid, so a plane-to-plane hop is
-Toeplitz: its kernel is evaluated at the 2n-1 index offsets and applied to
-the N_r-row product by FFT (`_toeplitz_apply`), in O(N_r n log n) with no
-[n, n] matrix formed. Only the Tx and Rx hops are dense matrices. The two
-models take about the same time.
+on, scipy below). The two models take about the same time.
+
+Every hop, in the cascades, the direct Tx-to-Rx links and the field maps,
+goes through one operator, `_hop`: rows @ K with K[i, j] = kernel(r)
+between two sample grids. Between grids of one pitch (the virtual planes
+and the arrays) K is Toeplitz, so the kernel is evaluated at the m+n-1
+index offsets only and applied by FFT (`_toeplitz_apply`), with no [m, n]
+matrix formed; field-map columns of another pitch are evaluated pairwise.
 
 Field maps (``field_on_grid``) hop through the gated virtual planes of the
 wave model's cascade (`_planes`): channel matrices and field maps share one
@@ -120,23 +123,6 @@ def _offset_r(src_y: np.ndarray, dst_y: np.ndarray, dx: float) -> np.ndarray:
     return np.concatenate([col[::-1], row])
 
 
-def _hop_matrix(src_y: np.ndarray, dst_y: np.ndarray, dx: float, kernel) -> np.ndarray:
-    """kernel(r) for every (dst, src) pair, as a [dst, src] matrix.
-
-    Between grids of a shared pitch the entry depends only on the index
-    offset i - j, so the matrix is Toeplitz: kernel is evaluated on the
-    m+n-1 distances of `_offset_r` and expanded. Any other grid pair is
-    evaluated pairwise. Serves the cascades' outer hops and the field maps;
-    the cascades apply their inner hops with `_toeplitz_apply` instead.
-    """
-    if not _shares_pitch(src_y, dst_y):
-        return kernel(_pairwise_r(src_y, dst_y, dx))
-    values = kernel(_offset_r(src_y, dst_y, dx))
-    # window s holds offsets m-1-s .. m-1-s-(n-1); row i is window m-1-i
-    windows = np.lib.stride_tricks.sliding_window_view(values, src_y.size)
-    return np.ascontiguousarray(windows[::-1])
-
-
 def _toeplitz_apply(acc: np.ndarray, values: np.ndarray) -> np.ndarray:
     """acc @ T for the Toeplitz T[i, j] = values[m-1-i+j], by FFT.
 
@@ -156,6 +142,23 @@ def _toeplitz_apply(acc: np.ndarray, values: np.ndarray) -> np.ndarray:
     rotated[size - m + 1:] = values[:m - 1]
     out = np.fft.ifft(np.fft.fft(acc, size) * np.fft.fft(rotated))
     return out[..., :n]
+
+
+def _hop(rows: np.ndarray, a_y: np.ndarray, b_y: np.ndarray, dx: float,
+         kernel) -> np.ndarray:
+    """rows @ K for the hop K[i, j] = kernel(r) from a_y[i] to b_y[j].
+
+    rows is [R, a_y.size] and the result [R, b_y.size]. The kernel depends
+    on r only, so one call pushes fields forward from a to b (field maps)
+    and pulls a product back from b to a (the cascades, from the Rx side).
+    Between grids of a shared pitch K is Toeplitz: the kernel is evaluated
+    at the m+n-1 distances of `_offset_r` and applied by FFT
+    (`_toeplitz_apply`). Any other grid pair is evaluated pairwise, one
+    kernel value per entry, and multiplied densely.
+    """
+    if _shares_pitch(b_y, a_y):
+        return _toeplitz_apply(rows, kernel(_offset_r(b_y, a_y, dx)))
+    return rows @ kernel(_pairwise_r(b_y, a_y, dx))
 
 
 # H1^(2)(z) is evaluated by its large-argument expansion from here on.
@@ -243,12 +246,6 @@ def _gcm_kernel(carrier: CarrierConfig):
     return kernel
 
 
-def _gcm_hop(src_y: np.ndarray, dst_y: np.ndarray, dx: float,
-             carrier: CarrierConfig) -> np.ndarray:
-    """Free-space ray-model matrix between two parallel planes."""
-    return _hop_matrix(src_y, dst_y, dx, _gcm_kernel(carrier))
-
-
 def _rs_kernel(carrier: CarrierConfig, dx: float, weight: float):
     """Rayleigh-Sommerfeld kernel of a hop of length dx, as a function of r.
 
@@ -271,23 +268,16 @@ def _rs_kernel(carrier: CarrierConfig, dx: float, weight: float):
     return kernel
 
 
-def _rs_hop(src_y: np.ndarray, dst_y: np.ndarray, dx: float,
-            carrier: CarrierConfig, weight: float) -> np.ndarray:
-    """Discretized Rayleigh-Sommerfeld hop matrix (conjugate convention).
-
-    The kernel is `_rs_kernel`'s. Between grids of a shared pitch (a
-    cascade's outer hops) it is evaluated at the m+n-1 offsets only
-    (`_hop_matrix`); field-map columns of another pitch are evaluated
-    pairwise, one Hankel value per entry.
-    """
-    return _hop_matrix(src_y, dst_y, dx, _rs_kernel(carrier, dx, weight))
+def _direct_hop(scenario: ScenarioConfig, kernel) -> np.ndarray:
+    """The [N_r, N_t] single hop from the Tx aperture to the Rx aperture."""
+    rx_y = element_positions(scenario.rx)
+    return _hop(np.eye(rx_y.size), rx_y, element_positions(scenario.tx),
+                scenario.link_distance, kernel)
 
 
 def gcm_channel(scenario: ScenarioConfig, use_blockage: bool = True) -> ChannelMatrix:
     """Ray-model channel: exact-distance gain/phase, zeros at blocked pairs."""
-    tx_y = element_positions(scenario.tx)
-    rx_y = element_positions(scenario.rx)
-    h = _gcm_hop(tx_y, rx_y, scenario.link_distance, scenario.carrier)
+    h = _direct_hop(scenario, _gcm_kernel(scenario.carrier))
     if use_blockage and scenario.blockage is not None:
         h = np.where(blocked_pairs(scenario), 0.0, h)
     return ChannelMatrix(h, ChannelModel.GCM)
@@ -334,23 +324,20 @@ def _cascade(scenario: ScenarioConfig, kernel, use_blockage: bool,
     """Shared plane-cascade structure for the wave and cascaded models.
 
     kernel(dx, weight) -> the hop's kernel as a function of r; the Tx hop
-    has unit weight. The gate of `_planes` is applied on arrival at every
-    plane. The planes share one grid, so each plane-to-plane hop is
-    Toeplitz and is applied by FFT (`_toeplitz_apply`) from its 2n-1
-    offset values; the Tx and Rx hops are matrices (`_hop_matrix`).
+    has unit weight. One loop pulls the product back from the Rx side, so
+    every product keeps N_r rows: it starts at the identity and makes every
+    hop (Rx, plane to plane, Tx) through `_hop`, gated by `_planes` on
+    arrival at each plane.
     """
     vy, plane_xs, gate = _planes(scenario, use_blockage)
-    tx_y = element_positions(scenario.tx)
-    rx_y = element_positions(scenario.rx)
     vspace = plane_weight if plane_weight is not None else _pitch(vy)
-    # multiply from the Rx side: every product keeps N_r rows
-    dx = scenario.link_distance - plane_xs[-1]
-    acc = _hop_matrix(vy, rx_y, dx, kernel(dx, vspace)) * gate
-    for prev_x, cur_x in zip(plane_xs[-2::-1], plane_xs[:0:-1]):
-        dx = cur_x - prev_x
-        acc = _toeplitz_apply(acc, kernel(dx, vspace)(_offset_r(vy, vy, dx))) * gate
-    dx = plane_xs[0]
-    return acc @ _hop_matrix(tx_y, vy, dx, kernel(dx, 1.0))
+    src_y, src_x = element_positions(scenario.rx), scenario.link_distance
+    acc = np.eye(src_y.size)
+    for x in plane_xs[::-1]:
+        dx = src_x - x
+        acc = _hop(acc, src_y, vy, dx, kernel(dx, vspace)) * gate
+        src_y, src_x = vy, x
+    return _hop(acc, vy, element_positions(scenario.tx), src_x, kernel(src_x, 1.0))
 
 
 def field_on_grid(scenario: ScenarioConfig, aperture_y, values, xs, ys) -> np.ndarray:
@@ -362,16 +349,17 @@ def field_on_grid(scenario: ScenarioConfig, aperture_y, values, xs, ys) -> np.nd
     columns accumulate no error from one another, and is zero inside the
     screen. Every hop weighs its source samples by `_pitch`.
     """
-    carrier = scenario.carrier
+    def push(source, x, y):
+        sx, sy, sv, sw = source
+        return _hop(sv, sy, y, x - sx, _rs_kernel(scenario.carrier, x - sx, sw))
+
     y0 = np.asarray(aperture_y, dtype=float)
-    sources = [(0.0, y0, np.asarray(values, dtype=complex), _pitch(y0))]
+    sources = [(0.0, y0, np.asarray(values, dtype=complex)[None], _pitch(y0))]
     blk = scenario.blockage
     if blk is not None:
         vy, plane_xs, gate = _planes(scenario, use_blockage=True)
         for px in plane_xs:
-            sx, sy, sv, sw = sources[-1]
-            arrived = _rs_hop(sy, vy, px - sx, carrier, sw) @ sv
-            sources.append((px, vy, arrived * gate, _pitch(vy)))
+            sources.append((px, vy, push(sources[-1], px, vy) * gate, _pitch(vy)))
         screen = _plane_mask(ys, blk)
     source_xs = np.array([x for x, *_ in sources])
     field = np.empty((ys.size, xs.size), dtype=complex)
@@ -379,8 +367,7 @@ def field_on_grid(scenario: ScenarioConfig, aperture_y, values, xs, ys) -> np.nd
         s = int(np.searchsorted(source_xs, xc, side="right")) - 1
         if s > 0 and math.isclose(xc, source_xs[s], rel_tol=1e-12, abs_tol=1e-15):
             s -= 1
-        sx, sy, sv, sw = sources[s]
-        field[:, i] = _rs_hop(sy, ys, xc - sx, carrier, sw) @ sv
+        field[:, i] = push(sources[s], xc, ys)[0]
         if blk is not None and blk.near_x - 1e-15 <= xc <= blk.far_x + 1e-15:
             field[:, i] *= screen
     return field
@@ -394,9 +381,7 @@ def wcm_channel(scenario: ScenarioConfig, use_blockage: bool = True) -> ChannelM
     """
     carrier = scenario.carrier
     if scenario.blockage is None:
-        tx_y = element_positions(scenario.tx)
-        rx_y = element_positions(scenario.rx)
-        h = _rs_hop(tx_y, rx_y, scenario.link_distance, carrier, 1.0)
+        h = _direct_hop(scenario, _rs_kernel(carrier, scenario.link_distance, 1.0))
         return ChannelMatrix(h, ChannelModel.WCM)
 
     h = _cascade(scenario, lambda dx, w: _rs_kernel(carrier, dx, w), use_blockage,

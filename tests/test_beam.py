@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from airylink.beam import (
     BeamParams,
     BeamVector,
     FieldMap,
     GridSpec,
-    airy_aperture_amplitude,
     airy_beam_matrix,
     airy_beam_vector,
     focusing_beam_vector,
@@ -139,25 +139,6 @@ def test_steering_beam_vector():
     np.testing.assert_allclose(np.abs(s.weights), 1 / 4.0, atol=0)
 
 
-def test_aperture_amplitude_airy_value():
-    # Ai(0) = 3^(-2/3)/Gamma(2/3)
-    val = airy_aperture_amplitude(0.0, 1.0, 1e-9)
-    assert complex(val).real == pytest.approx(0.3550280538878172, abs=1e-9)
-    with pytest.raises(ValueError):
-        airy_aperture_amplitude(0.0, -1.0, 0.5)
-    with pytest.raises(ValueError):
-        airy_aperture_amplitude(0.0, 1.0, 0.0)
-
-
-def test_aperture_amplitude_truncation_decay():
-    y = np.linspace(-40.0, -20.0, 64)
-    weak = np.abs(airy_aperture_amplitude(y, 1.0, 1e-9))
-    strong = np.abs(airy_aperture_amplitude(y, 1.0, 0.5))
-    # b -> 0: oscillatory tail keeps its amplitude; b > 0 crushes it
-    assert weak.max() > 0.1
-    assert strong.max() < 1e-4
-
-
 def test_grid_spec_validation():
     GridSpec(0.01, 1.0, 10, -0.1, 0.1, 10)
     with pytest.raises(ValueError):
@@ -279,7 +260,9 @@ def test_aperture_field_parabolic_trajectory():
     # amplitude-modulated reference aperture bends along a near-parabola
     sc = _scenario(256, 1.0)
     y_ap = element_positions(sc.tx)
-    vals = airy_aperture_amplitude(y_ap, 0.0072, 0.05)
+    # the finite-energy Airy aperture Ai(y/s)·e^{b·y/s}, s = 7.2 mm, b = 0.05
+    z = y_ap / 0.0072
+    vals = (special.airy(z)[0] * np.exp(0.05 * z)).astype(complex)
     grid = GridSpec(0.2, 0.8, 25, -0.02, 0.1, 401)
     fmap = render_aperture_field_map(y_ap, vals, sc, grid)
     peaks = np.array([grid.y[int(np.argmax(fmap.power_db[:, i]))]

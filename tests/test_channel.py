@@ -20,16 +20,12 @@ from airylink.channel import (
     nlos_component,
     wcm_channel,
     _edge_taper,
-    _gcm_hop,
     _gcm_kernel,
     _hankel2_1,
-    _hop_matrix,
-    _offset_r,
+    _hop,
     _plane_mask,
-    _rs_hop,
     _rs_kernel,
     _shares_pitch,
-    _toeplitz_apply,
 )
 from airylink.evaluation import calibrated_wave_channels
 from airylink.scenario import (
@@ -113,7 +109,7 @@ def test_gcm_unblocked_flag():
 
 # ----------------------------------------------------------- RS propagation
 
-def _hop(y, vals, target_x, targets):
+def _column(y, vals, target_x, targets):
     """One free-space hop of samples at x = 0 onto one column at target_x."""
     free = _scenario(8, 3.0)
     return field_on_grid(free, y, vals, np.array([target_x]), targets)[:, 0]
@@ -122,7 +118,7 @@ def _hop(y, vals, target_x, targets):
 def test_rs_propagate_symmetry():
     y = np.linspace(-0.05, 0.05, 64)
     vals = np.exp(-y**2 / 2e-4).astype(complex)   # even input
-    out = _hop(y, vals, 0.7, y)
+    out = _column(y, vals, 0.7, y)
     np.testing.assert_allclose(out, out[::-1], rtol=1e-12)
 
 
@@ -130,7 +126,7 @@ def test_rs_point_source_spherical_phase():
     # single-sample input acts as a point source; phase across a far plane
     # matches e^{-jkr} after removing the common (r-independent) offset
     targets = np.linspace(-0.05, 0.05, 41)
-    out = _hop(np.array([0.0]), np.array([1.0 + 0j]), 2.0, targets)
+    out = _column(np.array([0.0]), np.array([1.0 + 0j]), 2.0, targets)
     r = np.hypot(2.0, targets)
     residual = np.angle(out * np.exp(1j * CAR.wavenumber * r))
     residual -= residual[len(residual) // 2]
@@ -142,7 +138,7 @@ def test_rs_propagate_grid_convergence():
     def run(n):
         y = np.linspace(-0.04, 0.04, n)
         vals = np.exp(-y**2 / 1e-4).astype(complex)
-        return _hop(y, vals, 1.0, np.linspace(-0.02, 0.02, 21))
+        return _column(y, vals, 1.0, np.linspace(-0.02, 0.02, 21))
 
     coarse = run(301)
     fine = run(601)
@@ -165,7 +161,7 @@ def test_rs_plane_wave_unit_gain():
     # uniform field propagates with gain 1 and phase e^{-jk dx}
     y = (np.arange(2048) - 1023.5) * CAR.wavelength / 2
     dx = 3 * CAR.wavelength
-    out = _hop(y, np.ones(2048, complex), dx, y[900:1148])
+    out = _column(y, np.ones(2048, complex), dx, y[900:1148])
     expected = np.exp(-1j * CAR.wavenumber * dx)
     np.testing.assert_allclose(out, expected, atol=2e-4)
 
@@ -177,7 +173,7 @@ def test_wcm_no_blockage_is_single_hop():
     h = wcm_channel(sc)
     assert h.model is ChannelModel.WCM
     tx = element_positions(sc.tx)
-    src = [_hop(np.array([ty]), np.array([1.0 + 0j]), 3.0, element_positions(sc.rx))
+    src = [_column(np.array([ty]), np.array([1.0 + 0j]), 3.0, element_positions(sc.rx))
            for ty in tx]
     np.testing.assert_allclose(h.entries, np.array(src).T, rtol=1e-12)
 
@@ -247,11 +243,13 @@ HALF = CAR.wavelength / 2
     (ArrayConfig(1021, HALF), ArrayConfig(16, HALF, 0.003), 0.1),
 ])
 def test_shared_pitch_hops_match_dense_formula(src, dst, dx):
+    # the hop's [dst, src] matrix, pulled back through the identity
     sy, dy = element_positions(src), element_positions(dst)
     assert _shares_pitch(sy, dy)
-    np.testing.assert_allclose(_rs_hop(sy, dy, dx, CAR, HALF),
+    eye = np.eye(dy.size)
+    np.testing.assert_allclose(_hop(eye, dy, sy, dx, _rs_kernel(CAR, dx, HALF)),
                                _dense_rs(sy, dy, dx, HALF), rtol=1e-12, atol=0)
-    np.testing.assert_allclose(_gcm_hop(sy, dy, dx, CAR),
+    np.testing.assert_allclose(_hop(eye, dy, sy, dx, _gcm_kernel(CAR)),
                                _dense_gcm(sy, dy, dx), rtol=1e-12, atol=0)
 
 
@@ -269,11 +267,13 @@ def test_shared_pitch_hops_match_dense_formula(src, dst, dx):
      element_positions(ArrayConfig(16, HALF))[::-1].copy()),
 ])
 def test_other_grids_keep_the_exact_dense_hop(sy, dy):
+    # eye @ K is exact, so the pulled-back matrix is the pairwise one bit for bit
     assert not _shares_pitch(sy, dy)
-    hop = _rs_hop(sy, dy, 0.3, CAR, 0.7)
+    eye = np.eye(dy.size)
+    hop = _hop(eye, dy, sy, 0.3, _rs_kernel(CAR, 0.3, 0.7))
     assert np.array_equal(hop, _dense_rs_fast_kernel(sy, dy, 0.3, 0.7))
     np.testing.assert_allclose(hop, _dense_rs(sy, dy, 0.3, 0.7), rtol=1e-14, atol=0)
-    assert np.array_equal(_gcm_hop(sy, dy, 0.3, CAR), _dense_gcm(sy, dy, 0.3))
+    assert np.array_equal(_hop(eye, dy, sy, 0.3, _gcm_kernel(CAR)), _dense_gcm(sy, dy, 0.3))
 
 
 # The plane spacing of the README geometry's default eight planes.
@@ -287,18 +287,36 @@ PLANE_DX = 0.0029
                          ids=["rs", "ray"])
 def test_fft_hop_matches_dense_toeplitz_product(kernel, n, rows, shift):
     # The cascade's plane-to-plane hop applied by FFT against the slow
-    # reference, acc @ T with T the expanded [n, n] Toeplitz hop matrix. The
-    # two sum the same terms in another order, so they agree to a few
-    # hundred ulps of the result's norm. A hop onto the same grid is
-    # symmetric; a shifted one is not, so it also checks the offset order.
+    # reference, acc @ T with T the dense [n, n] hop matrix. The two sum
+    # the same terms in another order, so they agree to a few hundred ulps
+    # of the result's norm. A hop onto the same grid is symmetric; a
+    # shifted one is not, so it also checks the offset order.
     vy = element_positions(ArrayConfig(n, HALF, 0.001))
     dy = vy + shift
     rng = np.random.default_rng(n * rows)
     acc = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
-    ref = acc @ _hop_matrix(vy, dy, PLANE_DX, kernel)
-    got = _toeplitz_apply(acc, kernel(_offset_r(vy, dy, PLANE_DX)))
+    ref = acc @ kernel(np.sqrt(PLANE_DX**2 + (dy[:, None] - vy[None, :]) ** 2))
+    got = _hop(acc, dy, vy, PLANE_DX, kernel)
     assert got.shape == (rows, n)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("a, b", [
+    # Tx aperture onto a virtual plane, half a pitch apart: FFT, not square
+    (element_positions(ArrayConfig(256, HALF)), element_positions(ArrayConfig(1021, HALF))),
+    # aperture onto a field-map column of another pitch: pairwise
+    (element_positions(ArrayConfig(128, HALF)), np.linspace(-0.08, 0.08, 200)),
+], ids=["shared-pitch-256-1021", "pairwise-128-200"])
+@pytest.mark.parametrize("kernel", [_rs_kernel(CAR, 0.9, HALF), _gcm_kernel(CAR)],
+                         ids=["rs", "ray"])
+def test_hop_pushes_a_field_forward(kernel, a, b):
+    # K depends on r only, so the call that pulls a product back from b to a
+    # also pushes a field from a to b: v @ K is the dense b <- a hop times v
+    v = np.exp(1j * 2e5 * a**3) / math.sqrt(a.size)
+    got = _hop(v[None], a, b, 0.9, kernel)[0]
+    ref = kernel(np.sqrt(0.9**2 + (b[:, None] - a[None, :]) ** 2)) @ v
+    assert got.shape == (b.size,)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 # ------------------------------------------------------ Hankel kernel
