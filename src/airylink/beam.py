@@ -8,6 +8,12 @@ The quadratic plus linear part focuses at polar point (r, theta) in front
 of the array; the cubic coefficient a bends the main lobe (positive a
 curves the trajectory upward near the aperture and back down, mirroring
 for negative a at theta = 0). a has units 1/m^2 with y in meters.
+
+Every codeword is synthesized as the product of two factors: the cubic
+factor exp(j*2*pi/lambda*a*y^3) of its curving, and the focus factor
+exp(j*2*pi/lambda*(cos(theta)^2/(2r)*y^2 - sin(theta)*y)) / sqrt(N_t) of
+its focus point. A codebook over J curving values and F focus points thus
+takes J + F columns of exponentials, not J*F.
 """
 
 from __future__ import annotations
@@ -58,7 +64,10 @@ class BeamVector:
 
 def _check_unit_norm(weights: np.ndarray) -> None:
     """Every column of `weights` (or the one vector) must have unit l2 norm."""
-    if np.any(np.abs(np.linalg.norm(weights, axis=0) - 1.0) > 1e-9):
+    # summed over views of the real and imaginary parts: no [N_t, T] temporary
+    power = (np.einsum("i...,i...->...", weights.real, weights.real)
+             + np.einsum("i...,i...->...", weights.imag, weights.imag))
+    if np.any(np.abs(np.sqrt(power) - 1.0) > 1e-9):
         raise ValueError("beam weights must have unit l2 norm")
 
 
@@ -71,75 +80,74 @@ def _focus_terms(focus_distance: float, focus_angle: float) -> tuple:
     return quad, math.sin(focus_angle)
 
 
-def _profile(y, y2, y3, curving, quad, sine, wavelength):
-    """Phase from the powers of y and the per-beam terms, radians.
+def _focus_phase(y, quad, sine, wavelength):
+    """Quadratic-plus-linear phase of the per-point terms, radians."""
+    return 2 * math.pi / wavelength * (quad * y**2 - sine * y)
 
-    Scalar terms give one beam; row-vector terms against column-vector
-    powers give one beam per column, each bit-identical to the scalar case
-    because every element sees the same operations in the same order.
-    """
-    cubic = 2 * math.pi / wavelength * curving * y3
-    return cubic + 2 * math.pi / wavelength * (quad * y2 - sine * y)
+
+# The synthesis rule. Scalar terms against the element positions y give one
+# factor; row-vector terms against column-vector y give one factor per
+# column, each bit-identical to the scalar case because every element sees
+# the same operations in the same order.
+
+def _cubic_factor(y, curving, wavelength):
+    return np.exp(1j * (2 * math.pi / wavelength * curving * y**3))
+
+
+def _focus_factor(y, quad, sine, wavelength):
+    return np.exp(1j * _focus_phase(y, quad, sine, wavelength)) / math.sqrt(y.shape[0])
 
 
 def focusing_phase(position, focus_distance: float, focus_angle: float,
                    carrier: CarrierConfig):
     """Quadratic-plus-linear near-field phase, radians."""
     y = np.asarray(position, dtype=float)
-    quad, sine = _focus_terms(focus_distance, focus_angle)
-    return _profile(y, y**2, 0.0, 0.0, quad, sine, carrier.wavelength)
+    return _focus_phase(y, *_focus_terms(focus_distance, focus_angle), carrier.wavelength)
 
 
-def airy_phase(position, params: BeamParams, carrier: CarrierConfig):
-    """Cubic + quadratic + linear phase profile, radians."""
-    y = np.asarray(position, dtype=float)
-    quad, sine = _focus_terms(params.focus_distance, params.focus_angle)
-    return _profile(y, y**2, y**3, params.curving, quad, sine, carrier.wavelength)
+def curving_factors(curving, array: ArrayConfig, carrier: CarrierConfig) -> np.ndarray:
+    """[N_t, J] unit-modulus cubic factors exp(j*2*pi/lambda*a_i*y^3), one per curving a_i."""
+    a = np.asarray(curving, dtype=float).reshape(-1)
+    return _cubic_factor(element_positions(array)[:, None], a, carrier.wavelength)
+
+
+# Focus columns synthesized per block: bounds the phase temporaries, which
+# for a whole book at once would more than double its synthesis peak.
+_FOCUS_BLOCK = 64
+
+
+def focus_factors(focus_distance, focus_angle, array: ArrayConfig,
+                  carrier: CarrierConfig) -> np.ndarray:
+    """[N_t, F] unit-norm focus factors, column f for point (r_f, theta_f).
+
+    Column f is exp(j*focusing_phase(y, r_f, theta_f)) / sqrt(N_t); the
+    points follow BeamParams' rules.
+    """
+    r = np.asarray(focus_distance, dtype=float).reshape(-1)
+    theta = np.asarray(focus_angle, dtype=float).reshape(-1)
+    _check_focus(r, theta)
+    quad, sine = np.array([_focus_terms(*p) for p in zip(r.tolist(), theta.tolist())],
+                          dtype=float).reshape(-1, 2).T
+    y = element_positions(array)[:, None]
+    factors = np.empty((y.size, r.size), dtype=complex)
+    for start in range(0, r.size, _FOCUS_BLOCK):
+        cols = slice(start, start + _FOCUS_BLOCK)
+        factors[:, cols] = _focus_factor(y, quad[cols], sine[cols], carrier.wavelength)
+    return factors
 
 
 def airy_beam_vector(params: BeamParams, array: ArrayConfig,
                      carrier: CarrierConfig) -> BeamVector:
-    """Unit-norm constant-modulus codeword for the given parameters."""
-    y = element_positions(array)
-    phase = airy_phase(y, params, carrier)
-    weights = np.exp(1j * phase) / math.sqrt(array.num_elements)
-    return BeamVector(params, weights)
+    """Unit-norm constant-modulus codeword: curving factor times focus factor.
 
-
-# Columns synthesized per block: bounds the temporaries of a large codebook.
-_BLOCK_COLUMNS = 64
-
-
-def airy_beam_matrix(params, array: ArrayConfig, carrier: CarrierConfig) -> np.ndarray:
-    """[N_t, T] codewords, column t for row t of `params` [T, 3].
-
-    Rows are (curving, focus_distance, focus_angle) under BeamParams' rules.
-    Column t equals airy_beam_vector(BeamParams(*params[t])).weights bit for
-    bit: the per-beam terms come from the same scalar math, and the phase
-    from the same element-wise operations on the same powers of y.
+    A codebook word is the same product of the same factors, so
+    `Codebook.word(t)` equals this vector for its params bit for bit.
     """
-    prm = np.asarray(params, dtype=float).reshape(-1, 3)
-    _check_focus(prm[:, 1], prm[:, 2])
-    # per-beam terms once per distinct (r, theta) bit pattern: an exhaustive
-    # book repeats every focus pair for each curving value
-    bits = np.ascontiguousarray(prm[:, 1:]).view(np.int64)
-    _, first, which = np.unique(bits, axis=0, return_index=True, return_inverse=True)
-    terms = np.array([_focus_terms(r, th) for r, th in prm[first, 1:].tolist()],
-                     dtype=float).reshape(-1, 2)
-    which = which.reshape(-1)
     y = element_positions(array)
-    y2, y3 = y**2, y**3
-    scale = math.sqrt(array.num_elements)
-    weights = np.empty((y.size, prm.shape[0]), dtype=complex)
-    for start in range(0, prm.shape[0], _BLOCK_COLUMNS):
-        cols = slice(start, start + _BLOCK_COLUMNS)
-        quad, sine = terms[which[cols]].T
-        phase = _profile(y[:, None], y2[:, None], y3[:, None], prm[cols, 0], quad, sine,
-                         carrier.wavelength)
-        block = np.exp(1j * phase) / scale
-        _check_unit_norm(block)
-        weights[:, cols] = block
-    return weights
+    quad, sine = _focus_terms(params.focus_distance, params.focus_angle)
+    weights = (_cubic_factor(y, params.curving, carrier.wavelength)
+               * _focus_factor(y, quad, sine, carrier.wavelength))
+    return BeamVector(params, weights)
 
 
 def focusing_beam_vector(focus_distance: float, focus_angle: float,

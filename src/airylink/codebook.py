@@ -23,6 +23,7 @@ formula evaluated at the first crossing (see README).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,8 +32,10 @@ import numpy as np
 from .beam import (
     BeamParams,
     BeamVector,
-    airy_beam_matrix,
+    _check_unit_norm,
     airy_beam_vector,
+    curving_factors,
+    focus_factors,
     focusing_beam_vector,
 )
 from .numerics import (
@@ -150,32 +153,56 @@ class CodebookScheme(enum.Enum):
 
 @dataclass(frozen=True)
 class Codebook:
-    """T codewords: column t of `weights` [N_t, T] is the beam whose
-    (curving, focus_distance, focus_angle) are row t of `params` [T, 3]."""
+    """T = J*F codewords: every one of J curving values at every one of F
+    focus points, curving-major.
+
+    Slot t = i*F + f is the beam (curving[i], *focus_points[f]) with weights
+    cubic[:, i] * focus[:, f], where `cubic` [N_t, J] holds the curving
+    factors and `focus` [N_t, F] the focus factors of beam.py. The [N_t, T]
+    product is never formed: `word(t)` multiplies out one codeword.
+    """
 
     scheme: CodebookScheme
-    params: np.ndarray
-    weights: np.ndarray
+    curving: np.ndarray       # [J]
+    focus_points: np.ndarray  # [F, 2]: (focus_distance, focus_angle)
+    cubic: np.ndarray         # [N_t, J]
+    focus: np.ndarray         # [N_t, F]
 
     def __post_init__(self):
-        if self.params.ndim != 2 or self.params.shape[1] != 3:
-            raise ValueError("codebook params must be a [T, 3] array")
-        if self.weights.ndim != 2 or self.weights.shape[1] != self.params.shape[0]:
-            raise ValueError("codebook weights must have one column per params row")
+        if self.curving.ndim != 1 or self.focus_points.ndim != 2 \
+                or self.focus_points.shape[1] != 2:
+            raise ValueError("codebook takes [J] curving values and [F, 2] focus points")
+        if self.cubic.shape != (self.focus.shape[0], self.curving.size) \
+                or self.focus.shape[1] != self.focus_points.shape[0]:
+            raise ValueError("codebook factors must have one column per curving value "
+                             "and per focus point")
+        if np.any(np.abs(np.abs(self.cubic) - 1.0) > 1e-9):
+            raise ValueError("curving factors must have unit modulus")
+        _check_unit_norm(self.focus)
 
     def __len__(self) -> int:
-        return self.params.shape[0]
+        return self.curving.size * self.focus_points.shape[0]
 
-    def word(self, i: int) -> BeamVector:
-        """Codeword i as a standalone beam (its weights copied out of the book)."""
-        return BeamVector(BeamParams(*self.params[i]), self.weights[:, i].copy())
+    @functools.cached_property
+    def params(self) -> np.ndarray:
+        """[T, 3]: row t is the (curving, focus_distance, focus_angle) of slot t."""
+        return np.column_stack([np.repeat(self.curving, self.focus_points.shape[0]),
+                                np.tile(self.focus_points, (self.curving.size, 1))])
+
+    def word(self, t: int) -> BeamVector:
+        """Codeword t as a standalone beam, multiplied out of its two factors."""
+        i, f = divmod(t, self.focus_points.shape[0])
+        return BeamVector(BeamParams(self.curving[i], *self.focus_points[f]),
+                          self.cubic[:, i] * self.focus[:, f])
 
 
-def _codebook(scheme: CodebookScheme, params, tx: ArrayConfig,
-              carrier: CarrierConfig) -> Codebook:
-    """Synthesize the codewords of a list or array of (a, r, theta) rows."""
-    prm = np.array(params, dtype=float).reshape(-1, 3)
-    return Codebook(scheme, prm, airy_beam_matrix(prm, tx, carrier))
+def product_codebook(scheme: CodebookScheme, curving, focus_points, tx: ArrayConfig,
+                     carrier: CarrierConfig) -> Codebook:
+    """Every curving value at every (focus_distance, focus_angle) point."""
+    a = np.array(curving, dtype=float).reshape(-1)
+    points = np.array(focus_points, dtype=float).reshape(-1, 2)
+    return Codebook(scheme, a, points, curving_factors(a, tx, carrier),
+                    focus_factors(points[:, 0], points[:, 1], tx, carrier))
 
 
 def _curving_envelope_pair():
@@ -349,10 +376,10 @@ def solve_sampling_plan(targets, scenario: ScenarioConfig,
 
 def build_exhaustive_codebook(plan: SamplingPlan, scenario: ScenarioConfig) -> Codebook:
     """Full Cartesian (curving, distance, angle) codebook, lexicographic order."""
-    grid = np.meshgrid(plan.curving_values, plan.focus_distances, plan.angles,
-                       indexing="ij")
-    params = np.stack([g.ravel() for g in grid], axis=1)
-    return _codebook(CodebookScheme.EXHAUSTIVE, params, scenario.tx, scenario.carrier)
+    grid = np.meshgrid(plan.focus_distances, plan.angles, indexing="ij")
+    points = np.stack([g.ravel() for g in grid], axis=1)
+    return product_codebook(CodebookScheme.EXHAUSTIVE, plan.curving_values, points,
+                            scenario.tx, scenario.carrier)
 
 
 def build_los_region_points(scenario: ScenarioConfig, plan: SamplingPlan) -> list:
@@ -375,9 +402,11 @@ def build_los_region_points(scenario: ScenarioConfig, plan: SamplingPlan) -> lis
 def _curving_sweep(scheme: CodebookScheme, plan: SamplingPlan, tx: ArrayConfig,
                    carrier: CarrierConfig):
     """Stage-2 factory: every planned curving at a stage-1 focusing point."""
+    cubic = curving_factors(plan.curving_values, tx, carrier)
+
     def stage2_factory(r_f: float, theta_f: float) -> Codebook:
-        params = [(a, r_f, theta_f) for a in plan.curving_values]
-        return _codebook(scheme, params, tx, carrier)
+        return Codebook(scheme, plan.curving_values, np.array([[r_f, theta_f]]), cubic,
+                        focus_factors(r_f, theta_f, tx, carrier))
     return stage2_factory
 
 
@@ -385,8 +414,7 @@ def build_hierarchical_codebooks(plan: SamplingPlan, scenario: ScenarioConfig):
     """Stage 1: focusing beams over the aperture strip; stage 2: curving sweep."""
     tx, carrier = scenario.tx, scenario.carrier
     pts = build_los_region_points(scenario, plan)
-    stage1 = _codebook(CodebookScheme.HIERARCHICAL_STAGE1,
-                       [(0.0, r, th) for r, th in pts], tx, carrier)
+    stage1 = product_codebook(CodebookScheme.HIERARCHICAL_STAGE1, [0.0], pts, tx, carrier)
     return stage1, _curving_sweep(CodebookScheme.HIERARCHICAL_STAGE2, plan, tx, carrier)
 
 
@@ -403,8 +431,9 @@ def build_low_complexity_codebooks(scenario: ScenarioConfig, plan: SamplingPlan)
     while s_val <= sin_lim + 1e-12:
         sines.append(s_val)
         s_val += step
-    params = [(0.0, d_link * math.cos(math.asin(s)), math.asin(s)) for s in sines]
-    stage1 = _codebook(CodebookScheme.LOW_COMPLEXITY_STAGE1, params, tx, carrier)
+    points = [(d_link * math.cos(math.asin(s)), math.asin(s)) for s in sines]
+    stage1 = product_codebook(CodebookScheme.LOW_COMPLEXITY_STAGE1, [0.0], points, tx,
+                              carrier)
     return stage1, _curving_sweep(CodebookScheme.LOW_COMPLEXITY_STAGE2, plan, tx,
                                   carrier)
 
@@ -413,17 +442,17 @@ def build_farfield_codebook(scenario: ScenarioConfig,
                             plan: SamplingPlan | None = None) -> Codebook:
     """Angle-only steering codebook over the orthogonal angle grid."""
     angles = plan.angles if plan is not None else angle_grid(scenario.tx.num_elements)
-    return _codebook(CodebookScheme.FAR_FIELD_STEERING,
-                     [(0.0, math.inf, th) for th in angles], scenario.tx,
-                     scenario.carrier)
+    return product_codebook(CodebookScheme.FAR_FIELD_STEERING, [0.0],
+                            [(math.inf, th) for th in angles], scenario.tx,
+                            scenario.carrier)
 
 
 def build_nearfield_codebook(scenario: ScenarioConfig) -> Codebook:
     """Focusing beams aimed at each receiver element; overhead equals N_r."""
     d_link = scenario.link_distance
-    params = []
+    points = []
     for y in element_positions(scenario.rx):
         dy = y - scenario.tx.center_offset
-        params.append((0.0, math.hypot(d_link, dy), math.atan2(dy, d_link)))
-    return _codebook(CodebookScheme.NEAR_FIELD_FOCUSING, params, scenario.tx,
-                     scenario.carrier)
+        points.append((math.hypot(d_link, dy), math.atan2(dy, d_link)))
+    return product_codebook(CodebookScheme.NEAR_FIELD_FOCUSING, [0.0], points,
+                            scenario.tx, scenario.carrier)

@@ -7,6 +7,7 @@ the same inputs is byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from pathlib import Path
 
@@ -33,6 +34,8 @@ __all__ = [
 _MAGIC = b"AIRYGRID"
 _KIND_CHANNEL = 1
 _KIND_FIELD_MAP = 2
+# Lines joined per write by write_text.
+_CHUNK_LINES = 4096
 
 
 def _fmt(value: float) -> str:
@@ -41,8 +44,15 @@ def _fmt(value: float) -> str:
 
 
 def write_text(path, lines) -> None:
-    """Write `lines` as UTF-8 text, each ended by a newline."""
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    """Write the iterable `lines` as UTF-8 text, each ended by a newline.
+
+    Lines are joined and written in chunks, so a generator of many lines
+    never sits in memory whole.
+    """
+    rest = iter(lines)
+    with open(path, "wb") as f:
+        while chunk := list(itertools.islice(rest, _CHUNK_LINES)):
+            f.write(("\n".join(chunk) + "\n").encode("utf-8"))
 
 
 def write_channel_binary(path, channel: ChannelMatrix) -> None:
@@ -102,13 +112,18 @@ def write_field_map_csv(path, field_map: FieldMap) -> None:
 
 
 def write_search_trace_csv(path, result: SearchResult) -> None:
-    """Per-slot training record: beam parameters and measured power in dB."""
-    lines = ["slot,curving,focus_distance_m,focus_angle_rad,power_db"]
-    for slot, (a, r, th) in enumerate(result.params.tolist()):
-        power = result.powers[slot]
-        power_db = 10.0 * np.log10(power) if power > 0 else -np.inf
-        lines.append(f"{slot},{_fmt(a)},{_fmt(r)},{_fmt(th)},{_fmt(power_db)}")
-    write_text(path, lines)
+    """Per-slot training record: beam parameters and measured power in dB.
+
+    Rows are formatted as they are written, so an exhaustive book's
+    hundreds of thousands of slots never sit in memory as text.
+    """
+    def lines():
+        yield "slot,curving,focus_distance_m,focus_angle_rad,power_db"
+        for slot, (a, r, th) in enumerate(result.params):
+            power = result.powers[slot]
+            power_db = 10.0 * np.log10(power) if power > 0 else -np.inf
+            yield f"{slot},{_fmt(a)},{_fmt(r)},{_fmt(th)},{_fmt(power_db)}"
+    write_text(path, lines())
 
 
 def write_sweep_csv(path, rows) -> None:

@@ -6,12 +6,19 @@ power at the receiver probe.  A search scheme is a policy for which
 candidates are sounded and how the winner is picked; reported overhead is
 always the number of slots actually consumed.
 
-A search stage sounds a whole codebook at once: one product H @ W over the
-[N_t, T] codeword matrix, one noise draw, and one combiner product.  Slot t
-takes N_r standard-normal real parts and then N_r imaginary parts from the
-stream, slot after slot, so the draw rng.standard_normal((T, 2, N_r)) is
-the stream a slot-by-slot loop would consume, and the stages of a search
-continue one stream.  A noiseless run (noise_power == 0) draws nothing.
+A search stage sounds a codebook from its two factor matrices (see
+`codebook.Codebook`), never forming the [N_t, T] codeword matrix.  Slot
+i*F + f receives (H * c_i) @ g_f, with c_i a curving factor and g_f a
+focus factor.  The stage runs in blocks of slots in slot order.  A block
+stacks H * c_i for each of its curving values and multiplies the stack
+by its focus factors G in one matrix product; when it has fewer focus
+than curving columns (a stage-2 book) it stacks H * g_f instead and
+multiplies by its curving factors.  Each block then takes one noise draw
+and one combiner product.  Slot t takes N_r standard-normal real parts and then N_r imaginary parts
+from the stream, slot after slot, and blocks follow slot order, so the
+per-block draws rng.standard_normal((slots, 2, N_r)) are the stream a
+slot-by-slot loop would consume, and the stages of a search continue one
+stream.  A noiseless run (noise_power == 0) draws nothing.
 """
 
 from __future__ import annotations
@@ -58,11 +65,11 @@ class TrainingConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not (self.transmit_power > 0):
-            raise ValueError("transmit_power must be positive")
+        if not (math.isfinite(self.transmit_power) and self.transmit_power > 0):
+            raise ValueError("transmit_power must be positive and finite")
         # noise_power == 0 is the exact noiseless limit; negative is invalid
-        if self.noise_power < 0:
-            raise ValueError("noise_power must be non-negative")
+        if not (math.isfinite(self.noise_power) and self.noise_power >= 0):
+            raise ValueError("noise_power must be non-negative and finite")
 
 
 def probe_combiner_matrix(combiner: ProbeCombiner, num_rx: int) -> np.ndarray:
@@ -72,21 +79,52 @@ def probe_combiner_matrix(combiner: ProbeCombiner, num_rx: int) -> np.ndarray:
     return np.eye(num_rx, dtype=complex)
 
 
-def _sound(weights: np.ndarray, channel: ChannelMatrix, cfg: TrainingConfig,
-           rng: np.random.Generator) -> np.ndarray:
-    """Measured power of each column of `weights` [N_t, T], one slot each."""
+# Slots sounded per block: bounds the [N_r, slots] temporaries of a large book.
+_BLOCK_SLOTS = 8192
+
+
+def _blocks(num_curving: int, num_focus: int):
+    """(curving, focus) column slices of at most _BLOCK_SLOTS slots, in slot order."""
+    per = max(1, _BLOCK_SLOTS // max(num_focus, 1))
+    width = max(1, min(num_focus, _BLOCK_SLOTS))
+    for i in range(0, num_curving, per):
+        for f in range(0, num_focus, width):
+            yield slice(i, i + per), slice(f, f + width)
+
+
+def _sound(cubic: np.ndarray, focus: np.ndarray, channel: ChannelMatrix,
+           cfg: TrainingConfig, rng: np.random.Generator) -> np.ndarray:
+    """Measured power of each word cubic[:, i] * focus[:, f], slot i*F + f."""
     h = channel.entries
-    if h.shape[1] != weights.shape[0]:
+    num_rx, num_tx = h.shape
+    if num_tx != focus.shape[0]:
         raise ValueError("codeword length does not match channel columns")
-    received = h @ weights
-    received *= math.sqrt(cfg.transmit_power)
-    if cfg.noise_power != 0.0:
-        noise = rng.standard_normal((weights.shape[1], 2, h.shape[0]))
-        noise *= math.sqrt(cfg.noise_power / 2.0)
-        received.real += noise[:, 0].T
-        received.imag += noise[:, 1].T
-    combiner = probe_combiner_matrix(cfg.rx_probe_combiner, h.shape[0])
-    return np.sum(np.abs(combiner.conj().T @ received) ** 2, axis=0)
+    combiner = probe_combiner_matrix(cfg.rx_probe_combiner, num_rx).conj().T
+    powers = np.empty(cubic.shape[1] * focus.shape[1])
+    start = 0
+    for rows, cols in _blocks(cubic.shape[1], focus.shape[1]):
+        # received[:, i, f] = (H * c_i) @ g_f = (H * g_f) @ c_i: H is scaled
+        # by whichever factor the block has fewer of, the scaled copies are
+        # stacked into one matrix product, and column i*w + f of the
+        # [N_r, b*w] result is slot start + i*w + f
+        cub, foc = cubic[:, rows], focus[:, cols]
+        if cub.shape[1] <= foc.shape[1]:
+            scaled = (h * cub.T[:, None, :]).reshape(-1, num_tx)
+            received = (scaled @ foc).reshape(-1, num_rx, foc.shape[1]).transpose(1, 0, 2)
+        else:
+            scaled = (h * foc.T[:, None, :]).reshape(-1, num_tx)
+            received = (scaled @ cub).reshape(-1, num_rx, cub.shape[1]).transpose(1, 2, 0)
+        received = received.reshape(num_rx, -1)
+        received *= math.sqrt(cfg.transmit_power)
+        if cfg.noise_power != 0.0:
+            noise = rng.standard_normal((received.shape[1], 2, num_rx))
+            noise *= math.sqrt(cfg.noise_power / 2.0)
+            received.real += noise[:, 0].T
+            received.imag += noise[:, 1].T
+        stop = start + received.shape[1]
+        powers[start:stop] = np.sum(np.abs(combiner @ received) ** 2, axis=0)
+        start = stop
+    return powers
 
 
 def measure_slot(codeword: BeamVector, channel: ChannelMatrix,
@@ -97,7 +135,8 @@ def measure_slot(codeword: BeamVector, channel: ChannelMatrix,
     draw of the first slot of a search that sounds this codeword first.
     """
     rng = np.random.default_rng(cfg.rng_seed)
-    return float(_sound(codeword.weights[:, None], channel, cfg, rng)[0])
+    weights = codeword.weights[:, None]
+    return float(_sound(np.ones(weights.shape), weights, channel, cfg, rng)[0])
 
 
 @dataclass(frozen=True)
@@ -132,7 +171,7 @@ def exhaustive_search(codebook: Codebook, channel: ChannelMatrix,
     if len(codebook) == 0:
         raise ValueError("codebook is empty")
     rng = np.random.default_rng(cfg.rng_seed)
-    powers = _sound(codebook.weights, channel, cfg, rng)
+    powers = _sound(codebook.cubic, codebook.focus, channel, cfg, rng)
     best = codebook.word(int(np.argmax(powers)))
     return SearchResult(codebook.scheme, best, codebook.params, powers)
 
@@ -151,12 +190,12 @@ def hierarchical_search(stage1: Codebook, stage2_factory, channel: ChannelMatrix
     if len(stage1) == 0:
         raise ValueError("stage-1 codebook is empty")
     rng = np.random.default_rng(cfg.rng_seed)
-    powers1 = _sound(stage1.weights, channel, cfg, rng)
+    powers1 = _sound(stage1.cubic, stage1.focus, channel, cfg, rng)
     _, r_f, theta_f = stage1.params[int(np.argmax(powers1))].tolist()
     stage2 = stage2_factory(r_f, theta_f)
-    if not np.any(stage2.params[:, 0] == 0.0):
+    if not np.any(stage2.curving == 0.0):
         raise ValueError("stage-2 codebook must include the zero-curving beam")
-    powers2 = _sound(stage2.weights, channel, cfg, rng)
+    powers2 = _sound(stage2.cubic, stage2.focus, channel, cfg, rng)
     best = stage2.word(int(np.argmax(powers2)))
     return SearchResult(stage2.scheme, best,
                         np.concatenate([stage1.params, stage2.params]),

@@ -11,8 +11,9 @@ from airylink.beam import (
     BeamVector,
     FieldMap,
     GridSpec,
-    airy_beam_matrix,
     airy_beam_vector,
+    curving_factors,
+    focus_factors,
     focusing_beam_vector,
     focusing_phase,
     render_aperture_field_map,
@@ -51,14 +52,18 @@ def test_beam_params_validation():
     ((0.0, 1.0, math.nan), "focus_angle"),
 ])
 def test_beam_matrix_applies_beam_params_rules_to_every_row(bad, message):
+    # the focus factors check every point; the bad one sits in a later
+    # synthesis block
     arr = half_wavelength_array(8, CAR)
-    rows = [(0.0, 1.0, 0.0)] * 70 + [bad]   # the bad row sits in a later block
+    rows = [(0.0, 1.0, 0.0)] * 70 + [bad]
     with pytest.raises(ValueError, match=message):
         BeamParams(*bad)
+    _, r, theta = np.array(rows).T
     with pytest.raises(ValueError, match=message):
-        airy_beam_matrix(rows, arr, CAR)
-    assert airy_beam_matrix(rows[:-1], arr, CAR).shape == (8, 70)
-    assert airy_beam_matrix(np.empty((0, 3)), arr, CAR).shape == (8, 0)
+        focus_factors(r, theta, arr, CAR)
+    assert focus_factors(r[:-1], theta[:-1], arr, CAR).shape == (8, 70)
+    assert focus_factors([], [], arr, CAR).shape == (8, 0)
+    assert curving_factors([], arr, CAR).shape == (8, 0)
 
 
 def test_focusing_phase_trivial():

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from airylink.beam import BeamParams, airy_beam_vector, focusing_beam_vector, steering_beam_vector
+from airylink.beam import (
+    BeamParams,
+    airy_beam_vector,
+    curving_factors,
+    focus_factors,
+    focusing_beam_vector,
+    steering_beam_vector,
+)
 from airylink.codebook import (
     Codebook,
     CodebookScheme,
@@ -224,8 +231,9 @@ def test_exhaustive_lexicographic_order():
     want = [(a, r, th) for a in plan.curving_values for r in plan.focus_distances
             for th in plan.angles]
     np.testing.assert_array_equal(book.params, want)
-    assert book.weights.shape == (256, len(book))
-    np.testing.assert_allclose(np.linalg.norm(book.weights, axis=0), 1.0, rtol=1e-12)
+    assert book.cubic.shape == (256, j) and book.focus.shape == (256, k * v)
+    np.testing.assert_allclose(np.abs(book.cubic), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(book.focus, axis=0), 1.0, rtol=1e-12)
 
 
 def test_los_region_points_inside_strip():
@@ -287,11 +295,11 @@ def test_nearfield_codebook_targets_rx_elements():
         assert th == pytest.approx(math.atan2(y, 3.0), abs=1e-12)
 
 
-# ------------------------------------------- codeword matrix vs single beams
+# ------------------------------------------- factored words vs single beams
 
 def _every_book():
     """Each builder's books at the README size, where the exhaustive book
-    spans many synthesis blocks."""
+    spans many synthesis and sounding blocks."""
     d_link = 1.0
     sc = _scenario(128, d_link)
     plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-10.0, 10.0),
@@ -316,10 +324,11 @@ def test_every_builder_column_is_its_beam_vector():
     assert len(books["exhaustive"]) > 8 * 256
     for name, book in books.items():
         assert book.params.shape == (len(book), 3), name
-        assert book.weights.shape == (sc.tx.num_elements, len(book)), name
+        assert book.cubic.shape == (sc.tx.num_elements, book.curving.size), name
+        assert book.focus.shape == (sc.tx.num_elements, len(book) // book.curving.size), name
         for i, prm in enumerate(book.params):
             want = airy_beam_vector(BeamParams(*prm), sc.tx, CAR).weights
-            assert np.array_equal(book.weights[:, i], want), (name, i)
+            assert np.array_equal(book.word(i).weights, want), (name, i)
 
 
 def test_word_is_a_standalone_copy():
@@ -327,17 +336,30 @@ def test_word_is_a_standalone_copy():
     book = books["hier_stage1"]
     w = book.word(3)
     assert w.params == BeamParams(*book.params[3])
-    np.testing.assert_array_equal(w.weights, book.weights[:, 3])
-    assert not np.shares_memory(w.weights, book.weights)
+    np.testing.assert_array_equal(w.weights, book.cubic[:, 0] * book.focus[:, 3])
+    assert not np.shares_memory(w.weights, book.cubic)
+    assert not np.shares_memory(w.weights, book.focus)
 
 
 def test_codebook_shapes_validated():
     sc = _scenario(16)
-    params = np.array([[0.0, 3.0, 0.0], [1.0, 2.0, 0.1]])
-    weights = np.stack([airy_beam_vector(BeamParams(*p), sc.tx, CAR).weights
-                        for p in params], axis=1)
-    Codebook(CodebookScheme.EXHAUSTIVE, params, weights)
-    with pytest.raises(ValueError, match="one column per params row"):
-        Codebook(CodebookScheme.EXHAUSTIVE, params, weights[:, :1])
-    with pytest.raises(ValueError, match=r"\[T, 3\]"):
-        Codebook(CodebookScheme.EXHAUSTIVE, params[:, :2], weights)
+    curving, points = np.array([0.0, 1.0]), np.array([[3.0, 0.0], [2.0, 0.1]])
+    cubic = curving_factors(curving, sc.tx, CAR)
+    focus = focus_factors(points[:, 0], points[:, 1], sc.tx, CAR)
+    book = Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic, focus)
+    assert len(book) == 4
+    with pytest.raises(ValueError, match="one column per curving value and per focus"):
+        Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic, focus[:, :1])
+    with pytest.raises(ValueError, match="one column per curving value and per focus"):
+        Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic[:, :1], focus)
+    with pytest.raises(ValueError, match=r"\[F, 2\]"):
+        Codebook(CodebookScheme.EXHAUSTIVE, curving, points[:, :1], cubic, focus)
+    with pytest.raises(ValueError, match=r"\[J\]"):
+        Codebook(CodebookScheme.EXHAUSTIVE, curving[:, None], points, cubic, focus)
+    # the unit-norm rules hold on the factors, to 1e-9
+    with pytest.raises(ValueError, match="unit modulus"):
+        Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic * (1 + 1e-8), focus)
+    with pytest.raises(ValueError, match="unit l2 norm"):
+        Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic, focus * (1 + 1e-8))
+    Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic * (1 + 1e-10),
+             focus * (1 + 1e-10))

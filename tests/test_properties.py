@@ -4,6 +4,7 @@ Examples are derandomized and no example database is kept, so every run
 checks the same cases.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from airylink.beam import (
     BeamParams,
     GridSpec,
-    airy_beam_matrix,
     airy_beam_vector,
     render_field_map,
 )
@@ -27,7 +27,7 @@ from airylink.channel import (
     cgwcm_channel,
     wcm_channel,
 )
-from airylink.codebook import solve_sampling_plan
+from airylink.codebook import CodebookScheme, product_codebook, solve_sampling_plan
 from airylink.evaluation import (
     BeamformingScheme,
     build_scheme_beamformers,
@@ -72,18 +72,22 @@ def test_calibration_recovers_the_inverse_of_an_applied_one(rows, cols, data,
     assert abs(np.angle(np.exp(1j * (back.phase + phase)))) <= 1e-12
 
 
-# (curving, focus distance, focus angle) inside BeamParams' rules: distances
-# from 5 cm out to the far field, angles short of endfire.
-beam_rows = st.tuples(st.floats(-10.0, 10.0),
-                      st.one_of(st.floats(0.05, 10.0), st.just(math.inf)),
-                      st.floats(-1.5, 1.5))
+# Curving values, and (focus distance, focus angle) points inside
+# BeamParams' rules: distances from 5 cm out to the far field, angles short
+# of endfire.
+curvings = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=10)
+focus_points = st.lists(st.tuples(st.one_of(st.floats(0.05, 10.0), st.just(math.inf)),
+                                  st.floats(-1.5, 1.5)), min_size=1, max_size=15)
 
 
 @_settings(60)
-@given(n=st.integers(1, 96), rows=st.lists(beam_rows, min_size=1, max_size=150))
-def test_codewords_unit_norm_constant_modulus_and_match_single_beams(n, rows):
+@given(n=st.integers(1, 96), curving=curvings, points=focus_points)
+def test_codewords_unit_norm_constant_modulus_and_match_single_beams(n, curving, points):
     arr = half_wavelength_array(n, CAR)
-    weights = airy_beam_matrix(rows, arr, CAR)
+    book = product_codebook(CodebookScheme.EXHAUSTIVE, curving, points, arr, CAR)
+    rows = [(a, r, th) for a, (r, th) in itertools.product(curving, points)]
+    np.testing.assert_array_equal(book.params, rows)
+    weights = np.stack([book.word(t).weights for t in range(len(book))], axis=1)
     assert weights.shape == (n, len(rows))
     np.testing.assert_allclose(np.abs(weights), 1 / math.sqrt(n), rtol=1e-14)
     np.testing.assert_allclose(np.linalg.norm(weights, axis=0), 1.0, rtol=1e-13)

@@ -1,13 +1,16 @@
 """Training-slot model and beam-search schemes."""
 
+import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airylink.beam import BeamParams, airy_beam_matrix, airy_beam_vector
+from airylink.beam import BeamParams, airy_beam_vector
 from airylink.channel import ChannelMatrix, ChannelModel, gcm_channel, wcm_channel
 from airylink.codebook import (
     Codebook,
@@ -18,6 +21,7 @@ from airylink.codebook import (
     build_hierarchical_codebooks,
     build_low_complexity_codebooks,
     build_nearfield_codebook,
+    product_codebook,
     solve_sampling_plan,
 )
 from airylink.evaluation import calibrated_wave_channels, noise_for_target_se
@@ -63,6 +67,18 @@ def test_training_config_validation():
         TrainingConfig(0.0, 1e-3)
     with pytest.raises(ValueError):
         TrainingConfig(1.0, -1e-3)
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("noise_power", dict(transmit_power=1.0, noise_power=math.nan)),
+    ("noise_power", dict(transmit_power=1.0, noise_power=math.inf)),
+    ("transmit_power", dict(transmit_power=math.inf, noise_power=1e-3)),
+])
+def test_training_config_rejects_non_finite_powers(field, kwargs):
+    # a NaN or infinite power makes every slot power NaN, and the argmax
+    # would silently pick slot 0
+    with pytest.raises(ValueError, match=field):
+        TrainingConfig(**kwargs)
 
 
 def test_probe_combiner_shapes():
@@ -132,8 +148,9 @@ def test_exhaustive_noiseless_matches_argmax():
 
 
 def test_exhaustive_empty_codebook():
-    book = Codebook(CodebookScheme.EXHAUSTIVE, np.empty((0, 3)),
-                    np.empty((4, 0), complex))
+    book = product_codebook(CodebookScheme.EXHAUSTIVE, [0.0], [],
+                            half_wavelength_array(4, CAR), CAR)
+    assert len(book) == 0
     chan = ChannelMatrix(np.ones((2, 4), complex), ChannelModel.SYNTHETIC)
     with pytest.raises(ValueError):
         exhaustive_search(book, chan, TrainingConfig(1.0, 0.0))
@@ -195,9 +212,8 @@ def test_two_stage_requires_zero_curving():
     stage1, _ = build_hierarchical_codebooks(plan, sc)
 
     def bad_factory(r, th):
-        params = np.array([(a, r, th) for a in (1.0, 2.0)])
-        return Codebook(CodebookScheme.HIERARCHICAL_STAGE2, params,
-                        airy_beam_matrix(params, sc.tx, CAR))
+        return product_codebook(CodebookScheme.HIERARCHICAL_STAGE2, (1.0, 2.0), [(r, th)],
+                                sc.tx, CAR)
 
     with pytest.raises(ValueError):
         hierarchical_search(stage1, bad_factory, gcm_channel(sc),
@@ -389,7 +405,7 @@ def test_noise_stream_order():
         pytest.approx(noisy.powers[0], rel=1e-12)
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
-    search._sound(book.weights, h, TrainingConfig(1.0, 0.0), rng)
+    search._sound(book.cubic, book.focus, h, TrainingConfig(1.0, 0.0), rng)
     assert rng.bit_generator.state == state
 
 
@@ -399,9 +415,8 @@ def test_equal_powers_select_the_first_slot():
     sc = _scenario(16, 2.0)
     chan = ChannelMatrix(np.ones((4, 16), complex), ChannelModel.SYNTHETIC)
     for order in ([0.3, -0.3], [-0.3, 0.3]):
-        params = np.array([(0.0, math.inf, th) for th in order])
-        book = Codebook(CodebookScheme.FAR_FIELD_STEERING, params,
-                        airy_beam_matrix(params, sc.tx, CAR))
+        book = product_codebook(CodebookScheme.FAR_FIELD_STEERING, [0.0],
+                                [(math.inf, th) for th in order], sc.tx, CAR)
         res = exhaustive_search(book, chan, TrainingConfig(1.0, 0.0))
         assert res.powers[0] == res.powers[1]
         assert res.selected_params.focus_angle == order[0]
@@ -409,16 +424,17 @@ def test_equal_powers_select_the_first_slot():
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(n_t=st.integers(1, 24), n_r=st.integers(1, 8),
-       rows=st.lists(st.tuples(st.floats(-10.0, 10.0),
-                               st.one_of(st.floats(0.05, 10.0), st.just(math.inf)),
-                               st.floats(-1.5, 1.5)), min_size=1, max_size=80),
+       curving=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8),
+       points=st.lists(st.tuples(st.one_of(st.floats(0.05, 10.0), st.just(math.inf)),
+                                 st.floats(-1.5, 1.5)), min_size=1, max_size=10),
        noise=st.sampled_from([0.0, 1e-3, 1.0]),
        combiner=st.sampled_from(list(ProbeCombiner)), seed=st.integers(0, 2**32 - 1))
 def test_exhaustive_search_matches_per_slot_loop_on_random_channels(
-        n_t, n_r, rows, noise, combiner, seed):
+        n_t, n_r, curving, points, noise, combiner, seed):
     arr = half_wavelength_array(n_t, CAR)
-    params = np.array(rows)
-    book = Codebook(CodebookScheme.EXHAUSTIVE, params, airy_beam_matrix(params, arr, CAR))
+    book = product_codebook(CodebookScheme.EXHAUSTIVE, curving, points, arr, CAR)
+    params = np.array([(a, r, th) for a, (r, th) in itertools.product(curving, points)])
+    np.testing.assert_array_equal(book.params, params)
     gen = np.random.default_rng(seed)
     h = gen.standard_normal((n_r, n_t)) + 1j * gen.standard_normal((n_r, n_t))
     cfg = TrainingConfig(1.0, noise, rx_probe_combiner=combiner, rng_seed=seed)
@@ -431,3 +447,113 @@ def test_exhaustive_search_matches_per_slot_loop_on_random_channels(
                                atol=POWER_RTOL * max(want))
     assert got.powers[int(np.argmax(want))] == pytest.approx(max(want), rel=POWER_RTOL)
     assert got.selected_params == BeamParams(*params[int(np.argmax(got.powers))])
+
+
+# ------------------------------------ factored sounding vs a dense reference
+#
+# The slow reference forms the [N_t, T] codeword matrix W whose columns are
+# airy_beam_vector's single beams, sounds it with one product H @ W, and
+# draws all T slots' noise at once.  The factored sounding must select the
+# same slot and measure every power to POWER_RTOL.
+
+
+def _dense_powers(book, channel, cfg, rng, tx):
+    h = channel.entries
+    w = np.stack([airy_beam_vector(BeamParams(*p), tx, CAR).weights for p in book.params],
+                 axis=1)
+    received = math.sqrt(cfg.transmit_power) * (h @ w)
+    if cfg.noise_power != 0.0:
+        noise = math.sqrt(cfg.noise_power / 2.0) * rng.standard_normal(
+            (len(book), 2, h.shape[0]))
+        received = received + (noise[:, 0] + 1j * noise[:, 1]).T
+    combiner = probe_combiner_matrix(cfg.rx_probe_combiner, h.shape[0])
+    return np.sum(np.abs(combiner.conj().T @ received) ** 2, axis=0)
+
+
+def _sized_readme_scenario(n_tx):
+    return ScenarioConfig(half_wavelength_array(n_tx, CAR), half_wavelength_array(16, CAR),
+                          CAR, 1.0, blockage=BlockageGeometry(0.9, 0.02, 0.005, 0.5)
+                          ).with_virtual_defaults(8)
+
+
+@pytest.fixture(scope="module", params=[64, 128], ids=lambda n: f"{n}tx")
+def sized_books(request):
+    """Every builder's books on the README geometry at 64 and 128 Tx."""
+    sc = _sized_readme_scenario(request.param)
+    plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-10.0, 10.0),
+                               r_min=0.14)
+    h1, hier2 = build_hierarchical_codebooks(plan, sc)
+    l1, lowc2 = build_low_complexity_codebooks(sc, plan)
+    books = {
+        "exhaustive": build_exhaustive_codebook(plan, sc),
+        "hier_stage1": h1,
+        "hier_stage2": hier2(float(plan.focus_distances[-1]), float(plan.angles[9])),
+        "lowc_stage1": l1,
+        "lowc_stage2": lowc2(1.0, 0.0),
+        "farfield": build_farfield_codebook(sc, plan),
+        "nearfield": build_nearfield_codebook(sc),
+    }
+    channels = calibrated_wave_channels(sc)
+    return sc, books, channels
+
+
+@pytest.mark.parametrize("block_slots", [search._BLOCK_SLOTS, 100])
+@pytest.mark.parametrize("combiner", list(ProbeCombiner))
+@pytest.mark.parametrize("noisy", [False, True])
+def test_factored_sounding_matches_dense_reference(sized_books, noisy, combiner,
+                                                   block_slots, monkeypatch):
+    # a 100-slot cap splits the focus columns of the larger books as well
+    monkeypatch.setattr(search, "_BLOCK_SLOTS", block_slots)
+    sc, books, channels = sized_books
+    noise = noise_for_target_se(channels.non_blocked, 1.0, 15.0) / 100.0 if noisy else 0.0
+    cfg = TrainingConfig(1.0, noise, rx_probe_combiner=combiner, rng_seed=3)
+    for name, book in books.items():
+        got = search._sound(book.cubic, book.focus, channels.blocked, cfg,
+                            np.random.default_rng(3))
+        want = _dense_powers(book, channels.blocked, cfg, np.random.default_rng(3), sc.tx)
+        assert int(np.argmax(got)) == int(np.argmax(want)), name
+        np.testing.assert_allclose(got, want, rtol=POWER_RTOL, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("num_curving, num_focus", [(11, 762), (81, 5355), (1, 2971),
+                                                    (41, 1), (3, 20000)])
+def test_blocks_cover_slots_in_order_and_noise_is_the_one_shot_draw(num_curving,
+                                                                     num_focus):
+    blocks = [(np.arange(num_curving)[rows, None] * num_focus
+               + np.arange(num_focus)[cols]).ravel()
+              for rows, cols in search._blocks(num_curving, num_focus)]
+    assert all(0 < b.size <= search._BLOCK_SLOTS for b in blocks)
+    np.testing.assert_array_equal(np.concatenate(blocks),
+                                  np.arange(num_curving * num_focus))
+    rng = np.random.default_rng(11)
+    per_block = np.concatenate([rng.standard_normal((b.size, 2, 2)) for b in blocks])
+    one_shot = np.random.default_rng(11).standard_normal((num_curving * num_focus, 2, 2))
+    assert np.array_equal(per_block, one_shot)
+
+
+def test_exhaustive_search_at_256_tx():
+    # the paper's reference array size: 433,755 words, sounded without the
+    # [N_t, T] matrix (which alone would take 1.8 GB)
+    sc = _sized_readme_scenario(256)
+    plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-10.0, 10.0),
+                               r_min=0.14)
+    channel = calibrated_wave_channels(sc).blocked
+    cfg = TrainingConfig(1.0, 0.0)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        res = exhaustive_search(build_exhaustive_codebook(plan, sc), channel, cfg)
+        wall = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.overhead == math.prod(plan.counts)
+    assert peak < 200e6
+    assert wall < 30.0
+    # re-sound the five strongest slots with single beams: the dense argmax
+    # among them is the selected beam
+    top = np.argsort(-res.powers, kind="stable")[:5]
+    combiner = probe_combiner_matrix(cfg.rx_probe_combiner, 16)
+    dense = [float(np.sum(np.abs(combiner.conj().T @ (channel.entries @ airy_beam_vector(
+        BeamParams(*res.params[t]), sc.tx, CAR).weights)) ** 2)) for t in top]
+    assert res.selected_params == BeamParams(*res.params[top[int(np.argmax(dense))]])
