@@ -319,18 +319,17 @@ def _planes(scenario: ScenarioConfig, use_blockage: bool) -> tuple:
     return vy, virtual_plane_positions(scen), mask * taper
 
 
-def _cascade(scenario: ScenarioConfig, kernel, use_blockage: bool,
-             plane_weight) -> np.ndarray:
+def _cascade(scenario: ScenarioConfig, kernel, use_blockage: bool) -> np.ndarray:
     """Shared plane-cascade structure for the wave and cascaded models.
 
     kernel(dx, weight) -> the hop's kernel as a function of r; the Tx hop
-    has unit weight. One loop pulls the product back from the Rx side, so
-    every product keeps N_r rows: it starts at the identity and makes every
-    hop (Rx, plane to plane, Tx) through `_hop`, gated by `_planes` on
-    arrival at each plane.
+    has unit weight, every other hop the plane pitch. One loop pulls the
+    product back from the Rx side, so every product keeps N_r rows: it
+    starts at the identity and makes every hop (Rx, plane to plane, Tx)
+    through `_hop`, gated by `_planes` on arrival at each plane.
     """
     vy, plane_xs, gate = _planes(scenario, use_blockage)
-    vspace = plane_weight if plane_weight is not None else _pitch(vy)
+    vspace = _pitch(vy)
     src_y, src_x = element_positions(scenario.rx), scenario.link_distance
     acc = np.eye(src_y.size)
     for x in plane_xs[::-1]:
@@ -384,8 +383,7 @@ def wcm_channel(scenario: ScenarioConfig, use_blockage: bool = True) -> ChannelM
         h = _direct_hop(scenario, _rs_kernel(carrier, scenario.link_distance, 1.0))
         return ChannelMatrix(h, ChannelModel.WCM)
 
-    h = _cascade(scenario, lambda dx, w: _rs_kernel(carrier, dx, w), use_blockage,
-                 plane_weight=None)
+    h = _cascade(scenario, lambda dx, w: _rs_kernel(carrier, dx, w), use_blockage)
     return ChannelMatrix(h, ChannelModel.WCM)
 
 
@@ -395,7 +393,7 @@ def cgwcm_channel(scenario: ScenarioConfig, use_blockage: bool = True) -> Channe
         raise ValueError("scenario.blockage: the cascaded model places its "
                          "virtual planes at the blockage, and there is none")
     ray = _gcm_kernel(scenario.carrier)
-    h = _cascade(scenario, lambda dx, w: ray, use_blockage, plane_weight=1.0)
+    h = _cascade(scenario, lambda dx, w: ray, use_blockage)
     return ChannelMatrix(h, ChannelModel.CGWCM)
 
 

@@ -131,19 +131,11 @@ def _rays(value, path: str) -> tuple:
     return tuple(rays)
 
 
-_SCHEME_ALIASES = {
-    **{s.value: s for s in BeamformingScheme},
-    "hier": BeamformingScheme.HIERARCHICAL,
-    "lowc": BeamformingScheme.LOW_COMPLEXITY,
-    "ff": BeamformingScheme.FARFIELD_STEERING,
-    "nf": BeamformingScheme.NEARFIELD_FOCUSING,
-    "perfect": BeamformingScheme.PERFECT_CSI,
-    "nonblocked": BeamformingScheme.NON_BLOCKED,
-    "nlos": BeamformingScheme.NLOS_ONLY,
-}
+# Sweep scheme names: each scheme's value and its short name.
+_SCHEME_ALIASES = {name: s for s in BeamformingScheme for name in (s.value, s.short_name)}
 
 # --scheme values of the codebook and search commands.
-_SEARCH_CHOICES = ("exhaustive", "hier", "lowc", "ff", "nf")
+_SEARCH_CHOICES = tuple(s.short_name for s in BeamformingScheme if s.searched)
 
 # Direct-path channel models of `channel --model` and `multipath.los_model`.
 _MODELS = ("gcm", "wcm", "cgwcm")
@@ -323,7 +315,7 @@ def load_config(path) -> RunConfig:
         if SweptVariable(sweep.variable) is SweptVariable.OVERHEAD:
             _check_overhead(sweep)
         for s in sweep.schemes:
-            if _SCHEME_ALIASES[s] is BeamformingScheme.NLOS_ONLY and multipath is None:
+            if "nlos_only" in _SCHEME_ALIASES[s].channel_fields and multipath is None:
                 raise ConfigError(f"sweep.schemes: {s} needs a multipath section")
     return RunConfig(scenario, codebook, training, multipath, sweep)
 
@@ -391,8 +383,12 @@ def write_manifest(args, train: TrainingConfig | None, scenario: ScenarioConfig,
                    plan: SamplingPlan | None, extra_lines=()) -> Path:
     """Create `--out` with results/ and grids/, write its manifest first; return it."""
     out_dir = Path(args.out)
-    for sub in ("results", "grids"):
-        (out_dir / sub).mkdir(parents=True, exist_ok=True)
+    try:
+        for sub in ("results", "grids"):
+            (out_dir / sub).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"--out: cannot create the output directory {out_dir}: "
+                         f"{exc.strerror or exc}") from exc
     lines = [f"tool: airylink {__version__}", f"config: {args.config}",
              f"output_dir: {out_dir}", "", *_scenario_lines(scenario)]
     if train is not None:
@@ -536,12 +532,12 @@ def cmd_search(args) -> int:
     out_dir = write_manifest(args, train, sc, plan, ["command: search", f"scheme: {args.scheme}"])
 
     scheme = _SCHEME_ALIASES[args.scheme]
-    result = run_search(scheme, channels.blocked, sc, plan, train)
+    design, link = (getattr(channels, name) for name in scheme.channel_fields)
+    result = run_search(scheme, link, sc, plan, train)
     write_search_trace_csv(out_dir / "results" / "search_trace.csv", result)
 
-    bf = build_scheme_beamformers(scheme, search_result=result,
-                                  non_blocked_channel=channels.non_blocked)
-    se = bf.evaluate(channels.blocked, train.transmit_power, train.noise_power)
+    bf = build_scheme_beamformers(scheme, search_result=result, design_channel=design)
+    se = bf.evaluate(link, train.transmit_power, train.noise_power)
     p = result.selected_params
     power_db = 10.0 * math.log10(result.selected_power) if result.selected_power > 0 else float("-inf")
     lines = ["scheme,overhead_slots,curving,focus_distance_m,focus_angle_rad,"

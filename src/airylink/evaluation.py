@@ -13,6 +13,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -211,7 +212,6 @@ class Beamformers:
     digital_combiner: np.ndarray   # [L_r x N_s]
     hybrid: bool = True
     rank_deficient: bool = False
-    combiner_residual: float = 0.0
 
     def __post_init__(self):
         f = self.composite_precoder
@@ -285,12 +285,11 @@ def airy_beamformers(search_result: SearchResult,
         digital_combiner=dec.digital_combiner,
         hybrid=True,
         rank_deficient=svd.rank_deficient,
-        combiner_residual=dec.residual,
     )
 
 
 class BeamformingScheme(enum.Enum):
-    """Schemes reported in sweep output (searched, plus benchmarks)."""
+    """Schemes reported in sweep output; each one's rules are its `_SCHEMES` entry."""
 
     EXHAUSTIVE = "exhaustive"
     HIERARCHICAL = "hierarchical"
@@ -302,31 +301,56 @@ class BeamformingScheme(enum.Enum):
     NLOS_ONLY = "nlos_only"
 
     @property
+    def short_name(self) -> str:
+        """The scheme's short name on the command line and in `sweep.schemes`."""
+        return _SCHEMES[self].short_name
+
+    @property
     def searched(self) -> bool:
         """Whether the scheme deploys a beam found by training."""
-        return self in _SEARCHES
+        return _SCHEMES[self].search is not None
+
+    @property
+    def channel_fields(self) -> tuple:
+        """The `ChannelSet` fields of its design channel and of its link channel."""
+        return _SCHEMES[self].design, _SCHEMES[self].link
 
 
-# Every searched scheme as (books, search): the only builder of its
-# codebooks, `books(scenario, plan) -> tuple`, and `search(*books, channel,
-# cfg)`.  Each entry looks its functions up in this module when called, so
+class _Scheme(NamedTuple):
+    short_name: str
+    design: str                       # ChannelSet field its digital stage is designed on
+    link: str                         # ChannelSet field it trains and runs over
+    books: Callable | None = None     # books(scenario, plan) -> tuple
+    search: Callable | None = None    # search(*books, channel, cfg)
+
+
+# Every scheme's entry.  A searched entry's books are the only builder of its
+# codebooks; it looks its functions up in this module when called, so
 # rebinding one of these module attributes reaches every caller.
-_SEARCHES = {
-    BeamformingScheme.EXHAUSTIVE: (
+_SCHEMES = {
+    BeamformingScheme.EXHAUSTIVE: _Scheme(
+        "exhaustive", "non_blocked", "blocked",
         lambda scenario, plan: (build_exhaustive_codebook(plan, scenario),),
         lambda *args: exhaustive_search(*args)),
-    BeamformingScheme.HIERARCHICAL: (
+    BeamformingScheme.HIERARCHICAL: _Scheme(
+        "hier", "non_blocked", "blocked",
         lambda scenario, plan: build_hierarchical_codebooks(plan, scenario),
         lambda *args: hierarchical_search(*args)),
-    BeamformingScheme.LOW_COMPLEXITY: (
+    BeamformingScheme.LOW_COMPLEXITY: _Scheme(
+        "lowc", "non_blocked", "blocked",
         lambda scenario, plan: build_low_complexity_codebooks(scenario, plan),
         lambda *args: low_complexity_search(*args)),
-    BeamformingScheme.FARFIELD_STEERING: (
+    BeamformingScheme.FARFIELD_STEERING: _Scheme(
+        "ff", "non_blocked", "blocked",
         lambda scenario, plan: (build_farfield_codebook(scenario, plan),),
         lambda *args: farfield_steering_search(*args)),
-    BeamformingScheme.NEARFIELD_FOCUSING: (
+    BeamformingScheme.NEARFIELD_FOCUSING: _Scheme(
+        "nf", "non_blocked", "blocked",
         lambda scenario, plan: (build_nearfield_codebook(scenario),),
         lambda *args: nearfield_focusing_search(*args)),
+    BeamformingScheme.PERFECT_CSI: _Scheme("perfect", "blocked", "blocked"),
+    BeamformingScheme.NON_BLOCKED: _Scheme("nonblocked", "non_blocked", "blocked"),
+    BeamformingScheme.NLOS_ONLY: _Scheme("nlos", "nlos_only", "nlos_only"),
 }
 
 
@@ -338,12 +362,12 @@ def scheme_codebooks(scheme: BeamformingScheme, scenario: ScenarioConfig,
         raise ValueError(f"{scheme} is not a searched scheme")
     if plan is None:
         raise ValueError("searched schemes require a sampling plan")
-    return _SEARCHES[scheme][0](scenario, plan)
+    return _SCHEMES[scheme].books(scenario, plan)
 
 
 def _search(scheme: BeamformingScheme, books: tuple, channel: ChannelMatrix,
             cfg: TrainingConfig) -> SearchResult:
-    return _SEARCHES[scheme][1](*books, channel, cfg)
+    return _SCHEMES[scheme].search(*books, channel, cfg)
 
 
 def run_search(scheme: BeamformingScheme, channel: ChannelMatrix,
@@ -364,29 +388,22 @@ def build_scheme_beamformers(scheme: BeamformingScheme,
                              ) -> Beamformers:
     """Assemble the beamformers a given scheme would deploy.
 
-    Searched schemes wrap the searched beam with a digital stage designed
-    on the non-blocked channel (or `design_channel` when supplied, e.g. to
-    study blocked-channel design).  Benchmarks are full-digital SVD:
-    perfect CSI on `design_channel`, the non-blocked precoder on
-    `non_blocked_channel`.
+    The digital stage is designed on `design_channel`; a scheme whose table
+    entry designs on the unblocked channel falls back to
+    `non_blocked_channel` (so a searched scheme given `design_channel` can
+    study blocked-channel design).  Searched schemes wrap the searched beam
+    (`airy_beamformers`); benchmarks are full-digital SVD.
     """
+    if scheme.searched and search_result is None:
+        raise ValueError("searched scheme requires a search result")
+    ref = design_channel
+    if ref is None and _SCHEMES[scheme].design == "non_blocked":
+        ref = non_blocked_channel
+    if ref is None:
+        raise ValueError(f"{scheme.value} requires its design channel")
     if scheme.searched:
-        if search_result is None:
-            raise ValueError("searched scheme requires a search result")
-        ref = design_channel if design_channel is not None else non_blocked_channel
-        if ref is None:
-            raise ValueError("searched scheme requires a design channel")
         return airy_beamformers(search_result, ref)
-    if scheme is BeamformingScheme.PERFECT_CSI:
-        if design_channel is None:
-            raise ValueError("perfect CSI requires the realized channel")
-        return full_digital_beamformers(design_channel)
-    if scheme in (BeamformingScheme.NON_BLOCKED, BeamformingScheme.NLOS_ONLY):
-        ref = non_blocked_channel if scheme is BeamformingScheme.NON_BLOCKED else design_channel
-        if ref is None:
-            raise ValueError(f"{scheme.value} requires its design channel")
-        return full_digital_beamformers(ref)
-    raise ValueError(f"unknown scheme {scheme}")
+    return full_digital_beamformers(ref)
 
 
 def noise_for_target_se(channel: ChannelMatrix, transmit_power: float,
@@ -518,35 +535,23 @@ def _derive_seed(base_seed: int, point_index: int, repetition: int) -> int:
 
 def _scheme_row(scheme: BeamformingScheme, channels: ChannelSet, books,
                 cfg: TrainingConfig):
-    """(spectral efficiency, overhead, notes) for one scheme at one point.
-
-    Searched schemes and the non-blocked benchmark design their digital
-    stage on the unblocked channel, perfect CSI on the blocked one; all
-    three run over the blocked channel.  The NLOS-only benchmark designs on
-    and runs over the multipath-only channel.
-    """
-    if scheme is BeamformingScheme.NLOS_ONLY:
-        if channels.nlos_only is None:
-            raise ValueError("nlos_only scheme needs a multipath component")
-        link = design = channels.nlos_only
-    else:
-        link = channels.blocked
-        design = link if scheme is BeamformingScheme.PERFECT_CSI else None
-    result = (_search(scheme, books(scheme), channels.blocked, cfg)
-              if scheme.searched else None)
-    bf = build_scheme_beamformers(scheme, search_result=result,
-                                  design_channel=design,
-                                  non_blocked_channel=channels.non_blocked)
-    se, notes = _evaluate_row(bf, link, cfg)
+    """(spectral efficiency, overhead, notes) for one scheme at one point."""
+    design, link = (getattr(channels, name) for name in scheme.channel_fields)
+    result = _search(scheme, books(scheme), link, cfg) if scheme.searched else None
+    se, notes = _evaluate_row(scheme, result, design, link, cfg)
     return se, 0 if result is None else result.overhead, notes
 
 
-def _evaluate_row(bf: Beamformers, link: ChannelMatrix, cfg: TrainingConfig) -> tuple:
-    """(spectral efficiency, notes) of a sweep row that runs `bf` over `link`.
+def _evaluate_row(scheme: BeamformingScheme, result: SearchResult | None,
+                  design: ChannelMatrix, link: ChannelMatrix,
+                  cfg: TrainingConfig) -> tuple:
+    """(spectral efficiency, notes) of `scheme` deploying the searched `result`
+    (None for a benchmark), designed on `design` and run over `link`.
 
     Notes, in order: `fully_blocked` (`link` is all zero), `rank_deficient`,
     and `ill_conditioned_noise` (the noise covariance needed a pseudo-inverse).
     """
+    bf = build_scheme_beamformers(scheme, search_result=result, design_channel=design)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IllConditionedNoiseWarning)
         se = bf.evaluate(link, cfg.transmit_power, cfg.noise_power)
@@ -571,7 +576,8 @@ def _overhead_rows(spec: SweepSpec, channels: ChannelSet,
     for scheme in spec.schemes:
         if not scheme.searched:
             raise ValueError("overhead sweep applies to searched schemes only")
-        result = _search(scheme, books(scheme), channels.blocked, cfg)
+        design, link = (getattr(channels, name) for name in scheme.channel_fields)
+        result = _search(scheme, books(scheme), link, cfg)
         se_cache: dict = {}
         best_so_far, best_notes = -math.inf, ""
         for value in spec.grid:
@@ -582,10 +588,7 @@ def _overhead_rows(spec: SweepSpec, channels: ChannelSet,
                                             scenario.carrier)
                 sub = SearchResult(result.scheme, selected, result.params[:used],
                                    result.powers[:used])
-                bf = build_scheme_beamformers(
-                    scheme, search_result=sub,
-                    non_blocked_channel=channels.non_blocked)
-                se_cache[key] = _evaluate_row(bf, channels.blocked, cfg)
+                se_cache[key] = _evaluate_row(scheme, sub, design, link, cfg)
             se, notes = se_cache[key]
             if se > best_so_far:
                 best_so_far, best_notes = se, notes

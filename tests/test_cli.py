@@ -279,6 +279,27 @@ def test_invalid_yaml_exit_2(tmp_path, capsys):
     assert "invalid YAML" in capsys.readouterr().err
 
 
+def test_scheme_names():
+    from airylink.cli import _SCHEME_ALIASES, _SEARCH_CHOICES
+
+    assert sorted(_SCHEME_ALIASES) == sorted([
+        "exhaustive", "hierarchical", "hier", "low_complexity", "lowc", "farfield",
+        "ff", "nearfield", "nf", "perfect_csi", "perfect", "non_blocked",
+        "nonblocked", "nlos_only", "nlos"])
+    assert _SEARCH_CHOICES == ("exhaustive", "hier", "lowc", "ff", "nf")
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under_file"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, under):
+    cfg = _write(tmp_path, BASE_YAML)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    out = taken / under if under else taken
+    assert main(["channel", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --out")
+    assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
 # ----------------------------------------------------------------- commands
 
 def test_channel_command_compare(tmp_path, capsys):

@@ -341,6 +341,32 @@ def test_nlos_only_rows_constant_across_heights():
     assert ses[0] == ses[1] == ses[2]   # exactly constant, by construction
 
 
+def test_each_scheme_row_designs_and_runs_on_its_own_channels():
+    # three unrelated matrices, so a row on the wrong channel cannot match
+    sc = _sweep_scenario()
+    plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-6.0, 6.0),
+                               r_min=0.2)
+    cs = ChannelSet(*(_random_channel(32, 32, seed) for seed in (1, 2, 3)))
+    want = {  # scheme: (design channel, link channel)
+        BeamformingScheme.PERFECT_CSI: (cs.blocked, cs.blocked),
+        BeamformingScheme.NON_BLOCKED: (cs.non_blocked, cs.blocked),
+        BeamformingScheme.NLOS_ONLY: (cs.nlos_only, cs.nlos_only),
+    }
+    searched = BeamformingScheme.FARFIELD_STEERING
+    spec = SweepSpec(SweptVariable.TRANSMIT_POWER, (2.0,), (*want, searched), base_seed=4)
+    cfg = TrainingConfig(1.0, 1.0)
+    rows = run_sweep(spec, sc, plan, cfg, channel_builder=lambda point: cs)
+    run_cfg = TrainingConfig(2.0, 1.0, rng_seed=rows[0].seed)
+    for row, (scheme, (design, link)) in zip(rows, want.items()):
+        assert row.scheme == scheme.value
+        assert row.spectral_efficiency_bps_hz == full_digital_beamformers(
+            design).evaluate(link, 2.0, 1.0), scheme
+    result = run_search(searched, cs.blocked, sc, plan, run_cfg)
+    assert rows[-1].overhead_slots == result.overhead
+    assert rows[-1].spectral_efficiency_bps_hz == airy_beamformers(
+        result, cs.non_blocked).evaluate(cs.blocked, 2.0, 1.0)
+
+
 def _count_calls(monkeypatch, names, key):
     """Count calls of `evaluation` attributes, keyed by key(name, *args).
 
