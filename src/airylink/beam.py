@@ -13,7 +13,9 @@ Every codeword is synthesized as the product of two factors: the cubic
 factor exp(j*2*pi/lambda*a*y^3) of its curving, and the focus factor
 exp(j*2*pi/lambda*(cos(theta)^2/(2r)*y^2 - sin(theta)*y)) / sqrt(N_t) of
 its focus point. A codebook over J curving values and F focus points thus
-takes J + F columns of exponentials, not J*F.
+takes J + F columns of exponentials, not J*F. Every factor's exponential
+is the table-driven phasor `numerics.cis`, so a standalone beam vector and
+the same word of a book are built by one code path and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import field_on_grid
+from .numerics import cis
 from .scenario import ArrayConfig, CarrierConfig, ScenarioConfig, element_positions
 
 
@@ -91,11 +94,11 @@ def _focus_phase(y, quad, sine, wavelength):
 # the same operations in the same order.
 
 def _cubic_factor(y, curving, wavelength):
-    return np.exp(1j * (2 * math.pi / wavelength * curving * y**3))
+    return cis(2 * math.pi / wavelength * curving * y**3)
 
 
-def _focus_factor(y, quad, sine, wavelength):
-    return np.exp(1j * _focus_phase(y, quad, sine, wavelength)) / math.sqrt(y.shape[0])
+def _focus_factor(y, quad, sine, wavelength, out=None):
+    return cis(_focus_phase(y, quad, sine, wavelength), 1 / math.sqrt(y.shape[0]), out)
 
 
 def focusing_phase(position, focus_distance: float, focus_angle: float,
@@ -111,9 +114,10 @@ def curving_factors(curving, array: ArrayConfig, carrier: CarrierConfig) -> np.n
     return _cubic_factor(element_positions(array)[:, None], a, carrier.wavelength)
 
 
-# Focus columns synthesized per block: bounds the phase temporaries, which
-# for a whole book at once would more than double its synthesis peak.
-_FOCUS_BLOCK = 64
+# Phase values synthesized per block of focus columns: bounds the phase
+# temporaries, which for a whole book at once would more than double its
+# synthesis peak, and keeps them in cache for the phasor.
+_FOCUS_BLOCK = 8192
 
 
 def focus_factors(focus_distance, focus_angle, array: ArrayConfig,
@@ -130,9 +134,10 @@ def focus_factors(focus_distance, focus_angle, array: ArrayConfig,
                           dtype=float).reshape(-1, 2).T
     y = element_positions(array)[:, None]
     factors = np.empty((y.size, r.size), dtype=complex)
-    for start in range(0, r.size, _FOCUS_BLOCK):
-        cols = slice(start, start + _FOCUS_BLOCK)
-        factors[:, cols] = _focus_factor(y, quad[cols], sine[cols], carrier.wavelength)
+    step = max(1, _FOCUS_BLOCK // y.size)
+    for start in range(0, r.size, step):
+        cols = slice(start, start + step)
+        _focus_factor(y, quad[cols], sine[cols], carrier.wavelength, out=factors[:, cols])
     return factors
 
 

@@ -114,15 +114,22 @@ def write_field_map_csv(path, field_map: FieldMap) -> None:
 def write_search_trace_csv(path, result: SearchResult) -> None:
     """Per-slot training record: beam parameters and measured power in dB.
 
-    Rows are formatted as they are written, so an exhaustive book's
-    hundreds of thousands of slots never sit in memory as text.
+    Rows are converted to Python floats and formatted one chunk at a time,
+    so an exhaustive book's hundreds of thousands of slots never sit in
+    memory as text or as float objects.
     """
+    powers = result.powers
+    power_db = np.full(powers.shape, -np.inf)
+    positive = powers > 0
+    power_db[positive] = 10.0 * np.log10(powers[positive])
+
     def lines():
         yield "slot,curving,focus_distance_m,focus_angle_rad,power_db"
-        for slot, (a, r, th) in enumerate(result.params):
-            power = result.powers[slot]
-            power_db = 10.0 * np.log10(power) if power > 0 else -np.inf
-            yield f"{slot},{_fmt(a)},{_fmt(r)},{_fmt(th)},{_fmt(power_db)}"
+        for start in range(0, powers.size, _CHUNK_LINES):
+            rows = slice(start, start + _CHUNK_LINES)
+            yield from [f"{slot},{a!r},{r!r},{th!r},{p!r}" for slot, (a, r, th), p
+                        in zip(itertools.count(start), result.params[rows].tolist(),
+                               power_db[rows].tolist())]
     write_text(path, lines())
 
 

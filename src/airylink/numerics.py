@@ -1,4 +1,4 @@
-"""Oscillatory special-function integrals and root finding.
+"""Oscillatory special-function integrals, root finding and the unit phasor.
 
 The beam-correlation closed forms reduce to the cumulative integrals
 
@@ -9,6 +9,15 @@ The beam-correlation closed forms reduce to the cumulative integrals
 A is evaluated by Gauss-Legendre panels split at the integrand's zeros
 (t = (1+2m)^(1/3)), which keeps every panel a smooth half-oscillation;
 B and D come from scipy.
+
+`cis(theta)` is the table-driven phasor e^{j*theta} every codeword is
+built from. theta is reduced exactly to m*(2*pi/256) + r with |r| <= pi/256
+(Cody and Waite's split of the step into three constants), and
+e^{j*theta} = T[m mod 256] * e^{j*r}, with sin r and cos r - 1 from short
+Taylor polynomials (Tang's table-driven scheme). Its absolute error is
+below 2.5e-16 for |theta| < 2^29 table steps (about 1.3e7 rad); beyond
+that, and for NaN or inf, it raises. The table is exactly conjugate
+symmetric, so cis(-theta) == conj(cis(theta)) bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +30,96 @@ from scipy import special
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 # Envelope scan points per lobe (between consecutive extrema).
 _SCAN_POINTS_PER_LOBE = 12
+
+
+# The unit phasor. The table step 2*pi/256 is split as C1 + C2 + C3 with C1
+# and C2 of at most 24 significant bits, so m*C1 and m*C2 are exact for
+# |m| < 2^29 and theta - m*C1 - m*C2 - m*C3 loses nothing to cancellation.
+_CIS_STEPS = 256
+_CIS_INV_STEP = _CIS_STEPS / (2 * math.pi)
+_CIS_C1 = float.fromhex("0x1.921fb6p-6")
+_CIS_C2 = float.fromhex("-0x1.777a5cp-31")
+_CIS_C3 = float.fromhex("-0x1.ee59d9cceba40p-56")
+_CIS_MAX_STEPS = 2.0**29
+_CIS_LIMIT = _CIS_MAX_STEPS * 2 * math.pi / _CIS_STEPS
+# Taylor coefficients of sin r (degree 7) and cos r - 1 (degree 6); with
+# |r| <= pi/256 the first omitted terms are below 1e-19.
+_SIN3, _SIN5, _SIN7 = -1 / 6, 1 / 120, -1 / 5040
+_COS2, _COS4, _COS6 = -1 / 2, 1 / 24, -1 / 720
+# Values evaluated per block: every temporary stays in cache and below
+# malloc's mmap threshold.
+_CIS_BLOCK = 8192
+
+
+def _cis_table() -> tuple:
+    """(cos, sin) of k*2*pi/256, from the first octant by exact symmetries."""
+    first = [(math.cos(k * math.pi / 128), math.sin(k * math.pi / 128)) for k in range(33)]
+    table = first + [first[64 - k][::-1] for k in range(33, 65)]
+    table += [(-table[128 - k][0], table[128 - k][1]) for k in range(65, 129)]
+    table += [(table[256 - k][0], -table[256 - k][1]) for k in range(129, 256)]
+    cos, sin = np.array(table).T
+    return cos.copy(), sin.copy()
+
+
+_CIS_COS, _CIS_SIN = _cis_table()
+
+
+def cis(theta, scale: float = 1.0, out=None) -> np.ndarray:
+    """scale * e^{j*theta} elementwise, as a complex array of theta's shape.
+
+    Each value's result depends on that value alone, not on the array's
+    shape, its blocks or `out`. `out`, if given, is a complex128 array of
+    theta's shape (a strided view is fine) and is returned.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if out is None:
+        out = np.empty(theta.shape, dtype=complex)
+    elif out.shape != theta.shape or out.dtype != np.complex128:
+        raise ValueError("cis: out must be a complex128 array of theta's shape")
+    cos, sin = _CIS_COS * scale, _CIS_SIN * scale
+    t, o = (theta.reshape(1), out.reshape(1)) if theta.ndim == 0 else (theta, out)
+    # blocks run over the leading axis, so a strided `out` is written in place
+    rows = max(1, _CIS_BLOCK * t.shape[0] // max(t.size, 1))
+    for start in range(0, t.shape[0], rows):
+        _cis_block(t[start:start + rows], o[start:start + rows], cos, sin)
+    return out
+
+
+def _cis_block(theta, out, cos, sin) -> None:
+    m = np.multiply(theta, _CIS_INV_STEP)
+    np.rint(m, out=m)
+    if m.size and not (-_CIS_MAX_STEPS < m.min() and m.max() < _CIS_MAX_STEPS):
+        raise ValueError(f"cis: theta must be finite with |theta| < {_CIS_LIMIT:.6g} rad")
+    r = theta - m * _CIS_C1
+    w = m * _CIS_C2
+    r -= w
+    np.multiply(m, _CIS_C3, out=w)
+    r -= w
+    k = m.astype(np.intp)
+    k &= _CIS_STEPS - 1
+    tc, ts = cos.take(k), sin.take(k)
+    r2 = np.multiply(r, r, out=m)
+    s = r2 * _SIN7                      # s = sin r
+    s += _SIN5
+    s *= r2
+    s += _SIN3
+    s *= r2
+    s *= r
+    s += r
+    c = r2 * _COS6                      # c = cos r - 1
+    c += _COS4
+    c *= r2
+    c += _COS2
+    c *= r2
+    # (tc + j*ts)(1 + c + j*s), each part as table entry plus a small correction
+    np.multiply(tc, c, out=w)
+    np.multiply(ts, s, out=r)
+    w -= r
+    np.add(tc, w, out=out.real)
+    np.multiply(ts, c, out=w)
+    np.multiply(tc, s, out=r)
+    w += r
+    np.add(ts, w, out=out.imag)
 
 
 def airy_cos_lobe_nodes(x_max: float) -> np.ndarray:

@@ -300,6 +300,15 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys, under):
     assert taken.read_text(encoding="utf-8") == "keep\n"
 
 
+@pytest.mark.parametrize("taken", ["manifest.txt", "results/channel_summary.csv"])
+def test_output_file_that_is_a_directory_exits_2(tmp_path, capsys, taken):
+    cfg = _write(tmp_path, BASE_YAML)
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    assert main(["channel", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out / taken}: ")
+
+
 # ----------------------------------------------------------------- commands
 
 def test_channel_command_compare(tmp_path, capsys):

@@ -12,15 +12,19 @@ import numpy as np
 import pytest
 import scipy.special
 
+from airylink.beam import curving_factors, focus_factors, focusing_phase
+from airylink.codebook import build_los_region_points, solve_sampling_plan
 from airylink.numerics import (
     airy_cos_integral,
     airy_cos_integral_table,
     airy_cos_lobe_nodes,
+    cis,
     fresnel_integrals,
     fresnel_lobe_nodes,
     invert_oscillatory_envelope,
     solve_monotone_root,
 )
+from airylink.scenario import CarrierConfig, ScenarioConfig, element_positions, half_wavelength_array
 
 # Frozen reference values for the cubic-phase cosine integral
 #   int_0^x cos((pi/2) t^3) dt
@@ -200,3 +204,100 @@ def test_invert_monotone_reachable_target():
         batch_envelope=_curving_envelope)
     assert solved == pytest.approx(first, abs=1e-9)
     assert env(solved) == pytest.approx(0.95, abs=1e-9)
+
+
+# ------------------------------------------------------------- unit phasor
+
+CIS_STEP = 2 * math.pi / 256
+# the largest table index cis accepts is 2**29 - 1
+CIS_EDGE = (2**29 - 1) * CIS_STEP
+
+
+def _bits(z):
+    return np.ascontiguousarray(z, dtype=complex).view(np.uint64)
+
+
+def _max_error_vs_mpmath(theta):
+    got = cis(theta)
+    with mpmath.workdps(40):
+        return max(float(abs(mpmath.mpc(g.real, g.imag) - mpmath.expj(mpmath.mpf(t))))
+                   for g, t in zip(got.tolist(), theta.tolist()))
+
+
+def test_cis_matches_mpmath():
+    k = np.arange(-600.0, 601.0)
+    rng = np.random.default_rng(0)
+    theta = np.concatenate([
+        k * CIS_STEP,                       # multiples of the table step
+        (k + 0.5) * CIS_STEP,               # half-step ties
+        [0.0, -0.0, math.pi, -math.pi / 2],
+        rng.uniform(-1e4, 1e4, 2000),
+        rng.uniform(-4.0, 4.0, 500),
+    ])
+    assert _max_error_vs_mpmath(theta) <= 3e-16
+
+
+def test_cis_near_its_bound():
+    theta = np.array([CIS_EDGE, -CIS_EDGE, CIS_EDGE - 0.5 * CIS_STEP, 1.3e7, -1.3e7,
+                      np.nextafter(CIS_EDGE, np.inf), 12345678.9])
+    assert _max_error_vs_mpmath(theta) <= 3e-16
+
+
+def test_cis_is_conjugate_symmetric_bit_for_bit():
+    theta = np.random.default_rng(1).uniform(-1e4, 1e4, 100_000)
+    assert np.array_equal(_bits(cis(-theta)), _bits(np.conj(cis(theta))))
+
+
+def test_cis_value_independent_of_shape_blocks_and_out():
+    theta = np.random.default_rng(2).uniform(-1e4, 1e4, 100_003)
+    whole = cis(theta)
+    for i in (0, 1, 4095, 4096, 8191, 8192, 8193, 16384, 50_000, 100_002):
+        assert np.array_equal(_bits(cis(theta[i:i + 1])), _bits(whole[i:i + 1])), i
+    assert np.array_equal(_bits(cis(theta[:100_000].reshape(400, 250))),
+                          _bits(whole[:100_000].reshape(400, 250)))
+    strided = np.zeros((3, theta.size), dtype=complex)
+    row = strided[1]
+    assert cis(theta, out=row) is row
+    columns = np.zeros((theta.size, 3), dtype=complex)
+    cis(theta, out=columns[:, 2])
+    assert np.array_equal(_bits(strided[1]), _bits(whole))
+    assert np.array_equal(_bits(columns[:, 2]), _bits(whole))
+    assert not columns[:, :2].any()
+    # a power-of-two scale is exact
+    assert np.array_equal(_bits(cis(theta, 0.25)), _bits(0.25 * whole))
+    assert complex(cis(theta[7])) == whole[7]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, CIS_EDGE + CIS_STEP,
+                                 -(CIS_EDGE + CIS_STEP), 1e300])
+def test_cis_rejects_nonfinite_and_out_of_range(bad):
+    theta = np.linspace(-1.0, 1.0, 20_000)
+    theta[12_345] = bad
+    with pytest.raises(ValueError, match=r"finite with \|theta\| < 1\.31768e\+07 rad"):
+        cis(theta)
+    with pytest.raises(ValueError, match="finite"):
+        cis(bad)
+
+
+def test_cis_rejects_a_mismatched_out():
+    with pytest.raises(ValueError, match="complex128 array of theta's shape"):
+        cis(np.zeros(4), out=np.zeros(5, dtype=complex))
+    with pytest.raises(ValueError, match="complex128 array of theta's shape"):
+        cis(np.zeros(4), out=np.zeros(4, dtype=np.complex64))
+
+
+def test_codeword_factors_match_the_complex_exp_reference():
+    # the README link at 256 Tx: its hierarchical stage-1 book and curving grid
+    car = CarrierConfig(140e9)
+    tx = half_wavelength_array(256, car)
+    sc = ScenarioConfig(tx, half_wavelength_array(16, car), car, 1.0)
+    plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-10.0, 10.0), r_min=0.14)
+    points = np.array(build_los_region_points(sc, plan))
+    assert len(points) == 2971
+    y = element_positions(tx)
+    want = np.stack([np.exp(1j * focusing_phase(y, r, th, car)) for r, th in points],
+                    axis=1) / math.sqrt(y.size)
+    assert np.abs(focus_factors(points[:, 0], points[:, 1], tx, car) - want).max() <= 1e-15
+    a = plan.curving_values
+    want = np.exp(1j * (2 * math.pi / car.wavelength * a * y[:, None] ** 3))
+    assert np.abs(curving_factors(a, tx, car) - want).max() <= 1e-15
