@@ -13,8 +13,9 @@ Three models of the same partially blocked link:
 
 Both cascades share `_cascade` and differ only in the kernel: an exponential
 per distinct offset for the cascaded model, the Hankel function H1^(2)(kr)
-for the wave model (`_hankel2_1`: its large-argument expansion from kr = 25
-on, scipy below). The two models take about the same time.
+for the wave model (`_hankel2_1`: its large-argument expansion on the
+`numerics.cis` phasor from kr = 25 on, scipy below). The two models take
+about the same time.
 
 Every hop, in the cascades, the direct Tx-to-Rx links and the field maps,
 goes through one operator, `_hop`: rows @ K with K[i, j] = kernel(r)
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .numerics import cis
 from .scenario import (
     SPEED_OF_LIGHT,
     BlockageGeometry,
@@ -154,15 +156,22 @@ def _hop(rows: np.ndarray, a_y: np.ndarray, b_y: np.ndarray, dx: float,
     Between grids of a shared pitch K is Toeplitz: the kernel is evaluated
     at the m+n-1 distances of `_offset_r` and applied by FFT
     (`_toeplitz_apply`). Any other grid pair is evaluated pairwise, one
-    kernel value per entry, and multiplied densely.
+    kernel value per entry, and multiplied densely; a source sample whose
+    column of rows is all zero (a gated plane's masked and tapered-off
+    samples) adds nothing, so its kernel row is not evaluated. The RS
+    kernel's values come from `_hankel2_1`, on the `numerics.cis` phasor.
     """
     if _shares_pitch(b_y, a_y):
         return _toeplitz_apply(rows, kernel(_offset_r(b_y, a_y, dx)))
-    return rows @ kernel(_pairwise_r(b_y, a_y, dx))
+    keep = rows.any(axis=0)
+    return rows[:, keep] @ kernel(_pairwise_r(b_y, a_y[keep], dx))
 
 
 # H1^(2)(z) is evaluated by its large-argument expansion from here on.
 _HANKEL_ASYMPTOTIC_FROM = 25.0
+# Values evaluated per block, as in `numerics.cis`: every temporary stays in
+# cache.
+_HANKEL_BLOCK = 8192
 
 
 def _asymptotic_series(terms: int) -> tuple:
@@ -200,17 +209,34 @@ def _hankel2_1(z: np.ndarray, scale=1.0) -> np.ndarray:
 
     From z = 25 on this is the large-argument expansion
     sqrt(2/(pi z)) e^{-jz} e^{j3pi/4} (P - jQ) (`_asymptotic_series`).
-    e^{-jz} comes from cos z and sin z of z itself and the e^{j3pi/4} turn
-    is applied afterwards, because forming z - 3pi/4 would round the phase
-    by up to ulp(z)/2. Entries below 25 come from scipy.special.hankel2.
-    `scale` is a scalar or an array of z's shape, folded into the result.
+    e^{-jz} comes from the table-driven phasor `numerics.cis` of z itself
+    (as the conjugate of cis(z), which is cis(-z) bit for bit), and the
+    e^{j3pi/4} turn is applied afterwards, because forming z - 3pi/4 would
+    round the phase by up to ulp(z)/2. Entries below 25 come from
+    scipy.special.hankel2. `scale` is a scalar or an array of z's shape,
+    folded into the result. Values are evaluated in blocks of
+    `_HANKEL_BLOCK`; each result depends on its own z and scale only, not
+    on the array's shape or the blocks.
     """
     z = np.asarray(z, dtype=float)
     out = np.empty(z.shape, dtype=complex)
+    scale = np.asarray(scale, dtype=float)
+    if scale.ndim:
+        scale = scale.reshape(z.size)
+    flat_z, flat_out = z.reshape(-1), out.reshape(-1)
+    for start in range(0, z.size, _HANKEL_BLOCK):
+        block = slice(start, start + _HANKEL_BLOCK)
+        _hankel2_1_block(flat_z[block], scale[block] if scale.ndim else scale,
+                         flat_out[block])
+    return out
+
+
+def _hankel2_1_block(z: np.ndarray, scale, out: np.ndarray) -> None:
     # every entry takes the expansion (entries below 25 at z = 25, replaced
     # afterwards), so the common all-large case needs no index arrays
     zc = np.maximum(z, _HANKEL_ASYMPTOTIC_FROM)
-    cos, sin = np.cos(zc), np.sin(zc)
+    phasor = cis(zc)
+    cos, sin = phasor.real, phasor.imag
     inv = np.divide(1.0, zc, out=zc)
     t = inv * inv
     p = _horner(_HANKEL_P, t)
@@ -234,11 +260,14 @@ def _hankel2_1(z: np.ndarray, scale=1.0) -> np.ndarray:
     small = z < _HANKEL_ASYMPTOTIC_FROM
     if small.any():
         out[small] = special.hankel2(1, z[small]) * np.broadcast_to(scale, z.shape)[small]
-    return out
 
 
 def _gcm_kernel(carrier: CarrierConfig):
     """Free-space ray-model gain and phase as a function of distance r."""
+    # This stays on np.exp rather than numerics.cis. The unit-weight ray
+    # cascade of `cgwcm` cancels, so it amplifies any change in this
+    # kernel's rounding: cis would move `gcm` by 2.7e-16 relative but
+    # `cgwcm` by up to 2.5e-12 (README geometry, 512 Tx, unblocked).
     def kernel(r):
         amp = SPEED_OF_LIGHT / (4 * math.pi * carrier.frequency * r)
         return amp * np.exp(-1j * carrier.wavenumber * r)

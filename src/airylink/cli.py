@@ -269,7 +269,8 @@ def _load_scenario(doc: dict) -> ScenarioConfig:
         if blockage is not None:
             scenario = scenario.with_virtual_defaults(planes)
     except ValueError as exc:
-        raise ConfigError(f"scenario: {exc}") from exc
+        named = str(exc).startswith("scenario.")  # a rule that names its keys
+        raise ConfigError(str(exc) if named else f"scenario: {exc}") from exc
     return scenario
 
 

@@ -10,14 +10,18 @@ A is evaluated by Gauss-Legendre panels split at the integrand's zeros
 (t = (1+2m)^(1/3)), which keeps every panel a smooth half-oscillation;
 B and D come from scipy.
 
-`cis(theta)` is the table-driven phasor e^{j*theta} every codeword is
-built from. theta is reduced exactly to m*(2*pi/256) + r with |r| <= pi/256
+`cis(theta)` is the table-driven phasor e^{j*theta} every codeword and
+every Rayleigh-Sommerfeld kernel value (`channel._hankel2_1`) is built
+from. theta is reduced exactly to m*(2*pi/256) + r with |r| <= pi/256
 (Cody and Waite's split of the step into three constants), and
 e^{j*theta} = T[m mod 256] * e^{j*r}, with sin r and cos r - 1 from short
 Taylor polynomials (Tang's table-driven scheme). Its absolute error is
-below 2.5e-16 for |theta| < 2^29 table steps (about 1.3e7 rad); beyond
-that, and for NaN or inf, it raises. The table is exactly conjugate
-symmetric, so cis(-theta) == conj(cis(theta)) bit for bit.
+below 2.5e-16 for |theta| < CIS_LIMIT, 2^29 - 1 table steps (about
+1.3e7 rad); for theta that rounds to 2^29 steps or more, and for NaN or
+inf, it raises. A hop's phase k*r is absolute, so `scenario.ScenarioConfig`
+refuses geometries whose longest hop reaches CIS_LIMIT. The table is
+exactly conjugate symmetric, so cis(-theta) == conj(cis(theta)) bit for
+bit.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ _CIS_C1 = float.fromhex("0x1.921fb6p-6")
 _CIS_C2 = float.fromhex("-0x1.777a5cp-31")
 _CIS_C3 = float.fromhex("-0x1.ee59d9cceba40p-56")
 _CIS_MAX_STEPS = 2.0**29
-_CIS_LIMIT = _CIS_MAX_STEPS * 2 * math.pi / _CIS_STEPS
+# Every |theta| below this, 2^29 - 1 table steps, rounds to an accepted step.
+CIS_LIMIT = (_CIS_MAX_STEPS - 1) * 2 * math.pi / _CIS_STEPS
 # Taylor coefficients of sin r (degree 7) and cos r - 1 (degree 6); with
 # |r| <= pi/256 the first omitted terms are below 1e-19.
 _SIN3, _SIN5, _SIN7 = -1 / 6, 1 / 120, -1 / 5040
@@ -89,7 +94,7 @@ def _cis_block(theta, out, cos, sin) -> None:
     m = np.multiply(theta, _CIS_INV_STEP)
     np.rint(m, out=m)
     if m.size and not (-_CIS_MAX_STEPS < m.min() and m.max() < _CIS_MAX_STEPS):
-        raise ValueError(f"cis: theta must be finite with |theta| < {_CIS_LIMIT:.6g} rad")
+        raise ValueError(f"cis: theta must be finite with |theta| < {CIS_LIMIT:.6g} rad")
     r = theta - m * _CIS_C1
     w = m * _CIS_C2
     r -= w

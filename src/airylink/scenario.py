@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numerics import CIS_LIMIT
+
 SPEED_OF_LIGHT = 299792458.0
 
 
@@ -155,6 +157,21 @@ class ScenarioConfig:
                 w = self.blockage.width_along_axis
                 if (self.virtual_arrays.count - 1) * self.virtual_arrays.plane_spacing > w + 1e-12:
                     raise ValueError("virtual planes must fit inside the blockage region")
+        # A hop's phase k*r is absolute, and the kernels take it through
+        # numerics.cis. Every hop between the arrays and the virtual planes
+        # spans at most the link along x and the samples' y extent across.
+        ys = [*self.tx.span, *self.rx.span]
+        if self.virtual_arrays is not None:
+            vy = virtual_grid(self)
+            ys += [vy[0], vy[-1]]
+        hop = math.hypot(self.link_distance, max(ys) - min(ys))
+        phase = self.carrier.wavenumber * hop
+        if not phase < CIS_LIMIT:
+            raise ValueError(
+                f"scenario.frequency_hz, scenario.link_distance_m: the longest hop, "
+                f"{hop:.6g} m at {self.carrier.frequency:.6g} Hz, is {phase:.6g} rad "
+                f"of phase; hop phases must stay below {CIS_LIMIT:.6g} rad, so "
+                "shorten the link or lower the frequency")
 
     def with_virtual_defaults(self, count: int = 8) -> "ScenarioConfig":
         """Return a copy with virtual_arrays filled in if absent.

@@ -276,6 +276,25 @@ def test_other_grids_keep_the_exact_dense_hop(sy, dy):
     assert np.array_equal(_hop(eye, dy, sy, 0.3, _gcm_kernel(CAR)), _dense_gcm(sy, dy, 0.3))
 
 
+@pytest.mark.parametrize("kernel", [_rs_kernel(CAR, 0.3, 0.7), _gcm_kernel(CAR)],
+                         ids=["rs", "ray"])
+def test_pairwise_hop_skips_zero_sources(kernel):
+    # a gated plane's field onto a field-map column: the masked and
+    # tapered-off samples are zero at the start, inside and at the end
+    a = element_positions(ArrayConfig(64, HALF))
+    b = np.linspace(-0.08, 0.08, 200)
+    assert not _shares_pitch(b, a)
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((3, a.size)) + 1j * rng.standard_normal((3, a.size))
+    rows[:, :7] = rows[:, 30:41] = rows[:, -5:] = 0
+    got = _hop(rows, a, b, 0.3, kernel)
+    ref = rows @ kernel(np.sqrt(0.3**2 + (b[None, :] - a[:, None]) ** 2))
+    assert got.shape == (3, b.size)
+    assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+    nothing = _hop(np.zeros((2, a.size), dtype=complex), a, b, 0.3, kernel)
+    assert nothing.shape == (2, b.size) and np.array_equal(nothing, np.zeros((2, b.size)))
+
+
 # The plane spacing of the README geometry's default eight planes.
 PLANE_DX = 0.0029
 
@@ -336,6 +355,41 @@ def test_hankel_kernel_folds_scale_and_keeps_shape():
     np.testing.assert_allclose(_hankel2_1(z, 3.0), special.hankel2(1, z) * 3.0,
                                rtol=1e-14, atol=0)
     assert _hankel2_1(z).shape == (4, 6)
+
+
+def _bits(z):
+    return np.ascontiguousarray(z, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("shape", [(1,), (8191,), (8192,), (8193,), (510, 200)],
+                         ids=["1", "8191", "8192", "8193", "510x200"])
+@pytest.mark.parametrize("array_scale", [False, True], ids=["scalar-scale", "array-scale"])
+def test_hankel_kernel_value_independent_of_shape_and_blocks(shape, array_scale):
+    # Each result depends on its own z and scale only. A one-value call
+    # costs about 0.2 ms, so one-value calls cover both sides of every
+    # block boundary, the ends and a random sample; a permuted evaluation
+    # moves every value to another block and another place in it.
+    rng = np.random.default_rng(shape[0])
+    z = rng.uniform(25.0, 3e4, shape)
+    flat = z.reshape(-1)
+    n = flat.size
+    edges = [i for b in range(0, n + 8192, 8192) for i in range(b - 3, b + 3) if 0 <= i < n]
+    # arguments below the switch at 25 on both sides of every boundary
+    small = [i for i in edges if i % 8192 in (8190, 1)] + [0]
+    flat[small] = rng.uniform(0.01, 25.0, len(small))
+    scale = rng.uniform(0.5, 2.0, shape) if array_scale else 0.37
+    s = np.broadcast_to(scale, shape).reshape(-1)
+    whole = _hankel2_1(z, scale)
+    assert whole.shape == shape
+    whole = whole.reshape(-1)
+    perm = rng.permutation(n)
+    permuted = np.empty_like(whole)
+    permuted[perm] = _hankel2_1(flat[perm], s[perm] if array_scale else scale)
+    assert np.array_equal(_bits(permuted), _bits(whole))
+    for i in sorted(set(edges) | set(rng.integers(0, n, 64).tolist())):
+        one = _hankel2_1(flat[i:i + 1], s[i:i + 1] if array_scale else scale)
+        assert np.array_equal(_bits(one), _bits(whole[i:i + 1])), i
+    assert (flat[small] < 25.0).all()
 
 
 def test_hankel_kernel_matches_mpmath():

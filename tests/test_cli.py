@@ -272,6 +272,32 @@ def test_config_errors_exit_code_2(tmp_path, capsys):
     assert rc == 2
 
 
+# A 10 THz link, where numerics.CIS_LIMIT, the largest hop phase k*r the
+# kernels take, is a hop of about 62.871 m.
+THZ_YAML = (BASE_YAML.replace("140.0e9", "10.0e12")
+            .replace("virtual_planes: 4", "virtual_planes: 2")
+            .replace("extent_above_m: 0.003", "extent_above_m: 0.0001"))
+
+
+@pytest.mark.parametrize("distance", ["1000.0", "62.88"])
+@pytest.mark.parametrize("command", [["channel", "--compare"], ["fieldmap"]],
+                         ids=["compare", "fieldmap"])
+def test_hop_phase_past_the_phasor_range_named_before_output(tmp_path, capsys, command,
+                                                             distance):
+    text = THZ_YAML.replace("link_distance_m: 1.0", f"link_distance_m: {distance}")
+    out = tmp_path / "o"
+    assert main([*command, "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario.frequency_hz, scenario.link_distance_m: ")
+    assert not out.exists()
+
+
+def test_hop_phase_just_inside_the_phasor_range_runs(tmp_path):
+    cfg = _write(tmp_path, THZ_YAML.replace("link_distance_m: 1.0", "link_distance_m: 62.87"))
+    assert main(["channel", "--compare", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    assert main(["fieldmap", "--config", cfg, "--out", str(tmp_path / "f")]) == 0
+
+
 def test_invalid_yaml_exit_2(tmp_path, capsys):
     rc = main(["channel", "--config", _write(tmp_path, "scenario: ["),
                "--out", str(tmp_path / "o")])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from airylink.numerics import CIS_LIMIT
 from airylink.scenario import (
     SPEED_OF_LIGHT,
     ArrayConfig,
@@ -149,6 +150,22 @@ def test_scenario_validation():
 def test_config_rejects_bad_counts_and_non_finite_values(build, field):
     with pytest.raises(ValueError, match=field):
         build()
+
+
+def test_longest_hop_phase_stays_inside_the_phasor_range():
+    # k*r of every hop must stay below numerics.CIS_LIMIT: about 629 m at 1 THz
+    car = CarrierConfig(1e12)
+    arr = half_wavelength_array(16, car)
+    inside = CIS_LIMIT / car.wavenumber * (1 - 1e-9)
+    ScenarioConfig(arr, arr, car, inside)
+    named = r"^scenario\.frequency_hz, scenario\.link_distance_m: the longest hop"
+    with pytest.raises(ValueError, match=named):
+        ScenarioConfig(arr, arr, car, inside * (1 + 2e-9))
+    # the virtual grid's width counts: 400 samples span 60 mm across the link
+    blk = BlockageGeometry(300.0, 0.1, 0.001, 0.001)
+    ScenarioConfig(arr, arr, car, inside, blk, VirtualArrayConfig(2, 40, 0.1))
+    with pytest.raises(ValueError, match=named):
+        ScenarioConfig(arr, arr, car, inside, blk, VirtualArrayConfig(2, 400, 0.1))
 
 
 def test_config_accepts_numpy_integer_counts():
