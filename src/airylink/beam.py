@@ -126,19 +126,70 @@ def focus_factors(focus_distance, focus_angle, array: ArrayConfig,
 
     Column f is exp(j*focusing_phase(y, r_f, theta_f)) / sqrt(N_t); the
     points follow BeamParams' rules.
+
+    Mirror rule: when the element positions are exactly antisymmetric
+    (y[::-1] == -y, an array with no center offset), the column of terms
+    (quad, -sine) is the column of (quad, sine) read backwards, bit for bit:
+    its phase at -y is the same rounded value as the partner's at y. Each
+    column with sine < 0 whose partner's terms are in the book is copied
+    from it, one reversed slice per run of such columns, and only the rest
+    are synthesized. The terms are those of `_focus_terms`, from `math`
+    once per distinct angle, so every column equals the standalone beam's.
     """
     r = np.asarray(focus_distance, dtype=float).reshape(-1)
     theta = np.asarray(focus_angle, dtype=float).reshape(-1)
     _check_focus(r, theta)
-    quad, sine = np.array([_focus_terms(*p) for p in zip(r.tolist(), theta.tolist())],
-                          dtype=float).reshape(-1, 2).T
-    y = element_positions(array)[:, None]
+    quad, sine = _focus_term_columns(r, theta)
+    y = element_positions(array)
+    partner = np.full(r.size, -1)
+    if np.array_equal(y[::-1], -y):
+        partner = _mirror_partners(quad, sine)
+    mirrored = partner >= 0
     factors = np.empty((y.size, r.size), dtype=complex)
     step = max(1, _FOCUS_BLOCK // y.size)
-    for start in range(0, r.size, step):
-        cols = slice(start, start + step)
-        _focus_factor(y, quad[cols], sine[cols], carrier.wavelength, out=factors[:, cols])
+    for lo, hi in _runs(~mirrored, ~mirrored[:-1]):
+        for start in range(lo, hi, step):
+            cols = slice(start, min(start + step, hi))
+            _focus_factor(y[:, None], quad[cols], sine[cols], carrier.wavelength,
+                          out=factors[:, cols])
+    for lo, hi in _runs(mirrored, mirrored[:-1] & (partner[:-1] == partner[1:] + 1)):
+        factors[:, lo:hi] = factors[::-1, partner[hi - 1]:partner[lo] + 1][:, ::-1]
     return factors
+
+
+def _focus_term_columns(r: np.ndarray, theta: np.ndarray) -> tuple:
+    """`_focus_terms` of every point, with cos and sin once per distinct angle."""
+    # distinct by bit pattern, so -0.0 keeps its own sine
+    _, first, inverse = np.unique(theta.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    angles = theta[first].tolist()
+    cos2 = np.array([math.cos(t) ** 2 for t in angles], dtype=float)[inverse]
+    sine = np.array([math.sin(t) for t in angles], dtype=float)[inverse]
+    # cos^2 / inf is +0.0, the far-field quad of `_focus_terms`
+    return cos2 / (2 * r), sine
+
+
+def _mirror_partners(quad: np.ndarray, sine: np.ndarray) -> np.ndarray:
+    """For each column with sine < 0, a column with terms (quad, -sine), else -1."""
+    key = np.empty(quad.size, dtype=complex)
+    key.real, key.imag = quad, sine
+    order = np.argsort(key, kind="stable")  # complex sorts by real, then imaginary
+    ranked = key[order]
+    want = np.conj(key)
+    at = np.minimum(np.searchsorted(ranked, want), quad.size - 1)
+    return np.where((sine < 0) & (ranked[at] == want), order[at], -1)
+
+
+def _runs(member: np.ndarray, joins: np.ndarray) -> list:
+    """(start, stop) of each maximal run of member columns.
+
+    joins[j] says whether column j + 1 continues the run of column j.
+    """
+    link = np.zeros(member.size + 1, dtype=bool)
+    link[1:-1] = member[1:] & joins
+    starts = np.flatnonzero(member & ~link[:-1])
+    stops = np.flatnonzero(member & ~link[1:]) + 1
+    return list(zip(starts.tolist(), stops.tolist()))
 
 
 def airy_beam_vector(params: BeamParams, array: ArrayConfig,

@@ -18,11 +18,13 @@ for the wave model (`_hankel2_1`: its large-argument expansion on the
 about the same time.
 
 Every hop, in the cascades, the direct Tx-to-Rx links and the field maps,
-goes through one operator, `_hop`: rows @ K with K[i, j] = kernel(r)
-between two sample grids. Between grids of one pitch (the virtual planes
-and the arrays) K is Toeplitz, so the kernel is evaluated at the m+n-1
-index offsets only and applied by FFT (`_toeplitz_apply`), with no [m, n]
-matrix formed; field-map columns of another pitch are evaluated pairwise.
+goes through one operator, `_hop_operator`: rows @ K with K[i, j] =
+kernel(r) between two sample grids. Between grids of one pitch (the
+virtual planes and the arrays) K is Toeplitz, so the kernel is evaluated
+at the m+n-1 index offsets only and applied by FFT (`_toeplitz_apply`),
+with no [m, n] matrix formed; field-map columns of another pitch are
+evaluated pairwise. A cascade builds each plane-to-plane operator once per
+distinct hop length and reuses it.
 
 Field maps (``field_on_grid``) hop through the gated virtual planes of the
 wave model's cascade (`_planes`): channel matrices and field maps share one
@@ -125,46 +127,64 @@ def _offset_r(src_y: np.ndarray, dst_y: np.ndarray, dx: float) -> np.ndarray:
     return np.concatenate([col[::-1], row])
 
 
-def _toeplitz_apply(acc: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """acc @ T for the Toeplitz T[i, j] = values[m-1-i+j], by FFT.
+def _toeplitz_spectrum(values: np.ndarray, m: int) -> np.ndarray:
+    """The spectrum `_toeplitz_apply` multiplies [rows, m] products by.
 
-    acc is [rows, m] and values holds the kernel at the m+n-1 distances of
-    `_offset_r`, so the result is [rows, n]. Column j is the linear
+    values holds the kernel at the m+n-1 distances of `_offset_r`, for the
+    Toeplitz T[i, j] = values[m-1-i+j]. Column j of acc @ T is the linear
     convolution of each row with values, read at m-1+j. values is rotated
     so that index lands at 0, and the transform length L >= m+n-1 (a power
-    of two) keeps every term from wrapping: one FFT of the rows, one
-    multiply, one inverse FFT, then the first n columns. O(rows·L log L)
-    instead of O(rows·m·n), and no [m, n] matrix is formed.
+    of two) keeps every term from wrapping. This is the FFT of the rotated
+    values, of length L.
     """
-    m = acc.shape[-1]
     n = values.size - m + 1
     size = 1 << (values.size - 1).bit_length()
     rotated = np.zeros(size, dtype=complex)
     rotated[:n] = values[m - 1:]
     rotated[size - m + 1:] = values[:m - 1]
-    out = np.fft.ifft(np.fft.fft(acc, size) * np.fft.fft(rotated))
-    return out[..., :n]
+    return np.fft.fft(rotated)
+
+
+def _toeplitz_apply(acc: np.ndarray, spectrum: np.ndarray, n: int) -> np.ndarray:
+    """acc @ T for the [m, n] Toeplitz T of `_toeplitz_spectrum`, by FFT.
+
+    One FFT of the rows, one multiply, one inverse FFT, then the first n
+    columns: O(rows·L log L) instead of O(rows·m·n), and no [m, n] matrix
+    is formed.
+    """
+    return np.fft.ifft(np.fft.fft(acc, spectrum.size) * spectrum)[..., :n]
+
+
+def _hop_operator(a_y: np.ndarray, b_y: np.ndarray, dx: float, kernel):
+    """The hop K[i, j] = kernel(r) from a_y[i] to b_y[j], as rows -> rows @ K.
+
+    rows is [R, a_y.size] and the result [R, b_y.size]. The kernel depends
+    on r only, so one operator pushes fields forward from a to b (field
+    maps) and pulls a product back from b to a (the cascades, from the Rx
+    side). Between grids of a shared pitch K is Toeplitz: the kernel is
+    evaluated at the m+n-1 distances of `_offset_r` and its spectrum taken
+    once, when the operator is built; each application is then one FFT
+    product (`_toeplitz_apply`). Any other grid pair is evaluated pairwise
+    at each application, one kernel value per entry, and multiplied
+    densely; a source sample whose column of rows is all zero (a gated
+    plane's masked and tapered-off samples) adds nothing, so its kernel row
+    is not evaluated. The RS kernel's values come from `_hankel2_1`, on the
+    `numerics.cis` phasor.
+    """
+    if _shares_pitch(b_y, a_y):
+        spectrum = _toeplitz_spectrum(kernel(_offset_r(b_y, a_y, dx)), a_y.size)
+        return lambda rows: _toeplitz_apply(rows, spectrum, b_y.size)
+
+    def pairwise(rows):
+        keep = rows.any(axis=0)
+        return rows[:, keep] @ kernel(_pairwise_r(b_y, a_y[keep], dx))
+    return pairwise
 
 
 def _hop(rows: np.ndarray, a_y: np.ndarray, b_y: np.ndarray, dx: float,
          kernel) -> np.ndarray:
-    """rows @ K for the hop K[i, j] = kernel(r) from a_y[i] to b_y[j].
-
-    rows is [R, a_y.size] and the result [R, b_y.size]. The kernel depends
-    on r only, so one call pushes fields forward from a to b (field maps)
-    and pulls a product back from b to a (the cascades, from the Rx side).
-    Between grids of a shared pitch K is Toeplitz: the kernel is evaluated
-    at the m+n-1 distances of `_offset_r` and applied by FFT
-    (`_toeplitz_apply`). Any other grid pair is evaluated pairwise, one
-    kernel value per entry, and multiplied densely; a source sample whose
-    column of rows is all zero (a gated plane's masked and tapered-off
-    samples) adds nothing, so its kernel row is not evaluated. The RS
-    kernel's values come from `_hankel2_1`, on the `numerics.cis` phasor.
-    """
-    if _shares_pitch(b_y, a_y):
-        return _toeplitz_apply(rows, kernel(_offset_r(b_y, a_y, dx)))
-    keep = rows.any(axis=0)
-    return rows[:, keep] @ kernel(_pairwise_r(b_y, a_y[keep], dx))
+    """rows @ K for the hop of `_hop_operator`, applied once."""
+    return _hop_operator(a_y, b_y, dx, kernel)(rows)
 
 
 # H1^(2)(z) is evaluated by its large-argument expansion from here on.
@@ -352,20 +372,31 @@ def _cascade(scenario: ScenarioConfig, kernel, use_blockage: bool) -> np.ndarray
     """Shared plane-cascade structure for the wave and cascaded models.
 
     kernel(dx, weight) -> the hop's kernel as a function of r; the Tx hop
-    has unit weight, every other hop the plane pitch. One loop pulls the
-    product back from the Rx side, so every product keeps N_r rows: it
-    starts at the identity and makes every hop (Rx, plane to plane, Tx)
-    through `_hop`, gated by `_planes` on arrival at each plane.
+    has unit weight, every other hop the plane pitch. The product is pulled
+    back from the Rx side, so every product keeps N_r rows: it starts at
+    the identity and makes every hop (Rx, plane to plane, Tx) through a
+    `_hop_operator`, gated by `_planes` on arrival at each plane.
+
+    The inner (plane-to-plane) hops share one grid and weight and differ
+    only in dx, which takes few distinct values (two, bitwise, at the
+    README geometry, for seven hops). Each inner operator, with its kernel
+    values and their spectrum, is built once per distinct dx, keyed on the
+    exact float, and reused: the values are those of a per-hop build, bit
+    for bit.
     """
     vy, plane_xs, gate = _planes(scenario, use_blockage)
     vspace = _pitch(vy)
-    src_y, src_x = element_positions(scenario.rx), scenario.link_distance
-    acc = np.eye(src_y.size)
-    for x in plane_xs[::-1]:
-        dx = src_x - x
-        acc = _hop(acc, src_y, vy, dx, kernel(dx, vspace)) * gate
-        src_y, src_x = vy, x
-    return _hop(acc, vy, element_positions(scenario.tx), src_x, kernel(src_x, 1.0))
+    rx_y = element_positions(scenario.rx)
+    dx = scenario.link_distance - plane_xs[-1]
+    acc = _hop(np.eye(rx_y.size), rx_y, vy, dx, kernel(dx, vspace)) * gate
+    inner = {}
+    for near, far in zip(plane_xs[-2::-1], plane_xs[:0:-1]):
+        dx = far - near
+        if dx not in inner:
+            inner[dx] = _hop_operator(vy, vy, dx, kernel(dx, vspace))
+        acc = inner[dx](acc) * gate
+    return _hop(acc, vy, element_positions(scenario.tx), plane_xs[0],
+                kernel(plane_xs[0], 1.0))
 
 
 def field_on_grid(scenario: ScenarioConfig, aperture_y, values, xs, ys) -> np.ndarray:

@@ -45,6 +45,8 @@ from .scenario import (
     CarrierConfig,
     ScenarioConfig,
     blocked_pairs,
+    check_hop_phase,
+    virtual_grid,
 )
 from .search import ProbeCombiner, TrainingConfig
 
@@ -457,9 +459,7 @@ def _fieldmap_inputs(args, sc) -> tuple:
         raise ValueError("--focus-distance must be positive (inf allowed)")
     if not abs(args.focus_angle) < math.pi / 2:
         raise ValueError("--focus-angle must lie in (-pi/2, pi/2)")
-    half = max(abs(sc.tx.span[0]), abs(sc.tx.span[1]),
-               abs(sc.rx.span[0]), abs(sc.rx.span[1]))
-    y_lim = 1.5 * half
+    y_lim = 1.5 * max(abs(v) for v in (*sc.tx.span, *sc.rx.span))
     x_min = args.xmin if args.xmin is not None else sc.link_distance / args.nx
     x_max = args.xmax if args.xmax is not None else sc.link_distance
     y_min = args.ymin if args.ymin is not None else -y_lim
@@ -477,6 +477,10 @@ def _fieldmap_inputs(args, sc) -> tuple:
                              "larger array half-length either side of the axis, "
                              "is empty for one-element arrays; give both")
         raise ValueError(f"--ymax must exceed --ymin ({y_min!r} m)")
+    ys = [y_min, y_max, *sc.tx.span]  # the window and every source of its columns
+    if sc.blockage is not None:
+        ys += [*virtual_grid(sc.with_virtual_defaults())[[0, -1]]]
+    check_hop_phase(sc.carrier, x_max, ys, "--ymin/--ymax", "narrow the y window")
     return (BeamParams(args.curving, focus, args.focus_angle),
             GridSpec(x_min, x_max, args.nx, y_min, y_max, args.ny))
 
@@ -628,10 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--focus-angle", type=float, default=0.0)
     p.add_argument("--nx", type=int, default=200)
     p.add_argument("--ny", type=int, default=200)
-    p.add_argument("--xmin", type=float, default=None)
-    p.add_argument("--xmax", type=float, default=None)
-    p.add_argument("--ymin", type=float, default=None)
-    p.add_argument("--ymax", type=float, default=None)
+    for window in ("--xmin", "--xmax", "--ymin", "--ymax"):
+        p.add_argument(window, type=float, default=None)
     p.set_defaults(func=cmd_fieldmap)
 
     p = sub.add_parser("codebook", parents=[common],

@@ -382,21 +382,23 @@ def build_exhaustive_codebook(plan: SamplingPlan, scenario: ScenarioConfig) -> C
                             scenario.tx, scenario.carrier)
 
 
-def build_los_region_points(scenario: ScenarioConfig, plan: SamplingPlan) -> list:
-    """(r, theta) grid points lying in the strip between the apertures.
+def build_los_region_points(scenario: ScenarioConfig, plan: SamplingPlan) -> np.ndarray:
+    """[P, 2] (r, theta) grid points lying in the strip between the apertures.
 
     The strip is 0 <= r*cos(theta) <= link_distance with transverse offset
-    at most half the larger aperture length.
+    at most half the larger aperture length. Points are distance-major, as
+    in the plan's grid; cos and sin come from `math` once per angle.
     """
     half_width = max(scenario.tx.length, scenario.rx.length) / 2
     d_link = scenario.link_distance
-    pts = []
-    for r in plan.focus_distances:
-        for th in plan.angles:
-            axial = r * math.cos(th)
-            if -1e-12 <= axial <= d_link + 1e-9 and abs(r * math.sin(th)) <= half_width + 1e-12:
-                pts.append((float(r), float(th)))
-    return pts
+    angles = plan.angles.tolist()
+    r = plan.focus_distances[:, None]
+    axial = r * np.array([math.cos(th) for th in angles], dtype=float)
+    lateral = r * np.array([math.sin(th) for th in angles], dtype=float)
+    inside = ((-1e-12 <= axial) & (axial <= d_link + 1e-9)
+              & (np.abs(lateral) <= half_width + 1e-12))
+    ri, ti = np.nonzero(inside)
+    return np.column_stack([plan.focus_distances[ri], plan.angles[ti]])
 
 
 def _curving_sweep(scheme: CodebookScheme, plan: SamplingPlan, tx: ArrayConfig,

@@ -137,6 +137,23 @@ class VirtualArrayConfig:
             raise ValueError("plane_spacing must be > 0")
 
 
+def check_hop_phase(carrier: CarrierConfig, dx: float, ys, names: str,
+                    remedy: str) -> None:
+    """Refuse hops whose phase k*r reaches `numerics.CIS_LIMIT`.
+
+    The longest hop spans dx along x and the extent of the y values ys
+    across. The message starts with `names`, the fields or options to
+    change, and ends with `remedy`.
+    """
+    hop = math.hypot(dx, max(ys) - min(ys))
+    phase = carrier.wavenumber * hop
+    if not phase < CIS_LIMIT:
+        raise ValueError(
+            f"{names}: the longest hop, {hop:.6g} m at {carrier.frequency:.6g} Hz, is "
+            f"{phase:.6g} rad of phase; hop phases must stay below {CIS_LIMIT:.6g} rad, "
+            f"so {remedy}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     tx: ArrayConfig
@@ -164,14 +181,9 @@ class ScenarioConfig:
         if self.virtual_arrays is not None:
             vy = virtual_grid(self)
             ys += [vy[0], vy[-1]]
-        hop = math.hypot(self.link_distance, max(ys) - min(ys))
-        phase = self.carrier.wavenumber * hop
-        if not phase < CIS_LIMIT:
-            raise ValueError(
-                f"scenario.frequency_hz, scenario.link_distance_m: the longest hop, "
-                f"{hop:.6g} m at {self.carrier.frequency:.6g} Hz, is {phase:.6g} rad "
-                f"of phase; hop phases must stay below {CIS_LIMIT:.6g} rad, so "
-                "shorten the link or lower the frequency")
+        check_hop_phase(self.carrier, self.link_distance, ys,
+                        "scenario.frequency_hz, scenario.link_distance_m",
+                        "shorten the link or lower the frequency")
 
     def with_virtual_defaults(self, count: int = 8) -> "ScenarioConfig":
         """Return a copy with virtual_arrays filled in if absent.

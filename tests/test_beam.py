@@ -1,5 +1,6 @@
 """Beam synthesis: phase profiles, cubic-phase codewords, field rendering."""
 
+import functools
 import math
 
 import numpy as np
@@ -19,6 +20,12 @@ from airylink.beam import (
     render_aperture_field_map,
     render_field_map,
     steering_beam_vector,
+)
+from airylink.codebook import (
+    angle_grid,
+    build_hierarchical_codebooks,
+    build_los_region_points,
+    solve_sampling_plan,
 )
 from airylink.scenario import (
     ArrayConfig,
@@ -64,6 +71,88 @@ def test_beam_matrix_applies_beam_params_rules_to_every_row(bad, message):
     assert focus_factors(r[:-1], theta[:-1], arr, CAR).shape == (8, 70)
     assert focus_factors([], [], arr, CAR).shape == (8, 0)
     assert curving_factors([], arr, CAR).shape == (8, 0)
+
+
+def _per_column_focus_factors(r, theta, arr):
+    """The slow reference: one `_focus_factor` per column, on scalar `_focus_terms`."""
+    from airylink.beam import _focus_factor, _focus_terms
+
+    y = element_positions(arr)
+    cols = [_focus_factor(y, *_focus_terms(a, b), CAR.wavelength)
+            for a, b in zip(np.asarray(r, dtype=float).tolist(),
+                            np.asarray(theta, dtype=float).tolist())]
+    return np.stack(cols, axis=1) if cols else np.empty((y.size, 0), dtype=complex)
+
+
+def _mirrored_columns(r, theta):
+    """How many columns the fast path copies from a partner instead of synthesizing."""
+    from airylink.beam import _focus_term_columns, _mirror_partners
+
+    r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
+    return int((_mirror_partners(*_focus_term_columns(r, theta)) >= 0).sum())
+
+
+def _readme_link(n_tx):
+    sc = ScenarioConfig(half_wavelength_array(n_tx, CAR), half_wavelength_array(16, CAR),
+                        CAR, 1.0)
+    plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-10.0, 10.0),
+                               r_min=0.14)
+    return sc, plan
+
+
+@functools.cache
+def _focus_cases():
+    half = CAR.wavelength / 2
+    sc256, plan256 = _readme_link(256)
+    stage1 = build_los_region_points(sc256, plan256)
+    _, plan128 = _readme_link(128)
+    grid = np.meshgrid(plan128.focus_distances, plan128.angles, indexing="ij")
+    exhaustive = np.stack([g.ravel() for g in grid], axis=1)
+    farfield = [(math.inf, th) for th in angle_grid(64)]
+    symmetric = [(r, th) for r in (0.3, 1.0, math.inf) for th in (-0.4, -0.1, 0.0, 0.1, 0.4)]
+    # an unpartnered negative angle, a partner at another distance only,
+    # duplicates of both signs, -0.0 and 0.0, points out of order
+    ragged = [(1.0, -0.2), (1.0, 0.3), (2.0, -0.3), (1.0, -0.3), (1.0, 0.3), (1.0, -0.3),
+              (0.5, -0.0), (0.5, 0.0), (1.0, 0.05), (1.0, -0.05), (2.0, 0.3)]
+    return {
+        # the paper's 256-Tx hierarchical stage 1: 1,475 of 2,971 columns mirrored
+        "stage1-256": (sc256.tx, stage1, 1475),
+        "exhaustive-128": (half_wavelength_array(128, CAR), exhaustive,
+                           plan128.focus_distances.size * int((plan128.angles < 0).sum())),
+        "odd-n": (half_wavelength_array(17, CAR), symmetric, 6),
+        # y[::-1] != -y: every column is synthesized
+        "center-offset": (ArrayConfig(64, half, 0.003), symmetric, None),
+        "farfield": (half_wavelength_array(64, CAR), farfield, 31),
+        "ragged": (half_wavelength_array(32, CAR), ragged, 4),
+        "empty": (half_wavelength_array(8, CAR), np.empty((0, 2)), 0),
+    }
+
+
+@pytest.mark.parametrize("name", ["stage1-256", "exhaustive-128", "odd-n", "center-offset",
+                                  "farfield", "ragged", "empty"])
+def test_mirrored_focus_factors_match_per_column_reference(name):
+    arr, points, mirrored = _focus_cases()[name]
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    r, theta = points[:, 0], points[:, 1]
+    y = element_positions(arr)
+    if mirrored is None:
+        assert not np.array_equal(y[::-1], -y)
+    else:
+        assert np.array_equal(y[::-1], -y)
+        assert _mirrored_columns(r, theta) == mirrored
+    got = focus_factors(r, theta, arr, CAR)
+    assert np.array_equal(got, _per_column_focus_factors(r, theta, arr))
+
+
+def test_mirrored_book_words_are_their_beam_vectors():
+    sc, plan = _readme_link(256)
+    stage1, _ = build_hierarchical_codebooks(plan, sc)
+    r, theta = stage1.focus_points.T
+    mirrored = np.flatnonzero(theta < 0)
+    assert _mirrored_columns(r, theta) == mirrored.size == 1475
+    for t in mirrored.tolist():
+        want = airy_beam_vector(BeamParams(*stage1.params[t]), sc.tx, CAR).weights
+        assert np.array_equal(stage1.word(t).weights, want), t
 
 
 def test_focusing_phase_trivial():

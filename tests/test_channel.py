@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from airylink import channel
 from airylink.channel import (
     CalibrationParams,
     ChannelModel,
@@ -437,6 +438,54 @@ def test_rx_side_cascade_matches_tx_side_reference(build, hop, plane_weight, n_t
     ref = _tx_side_cascade(sc, hop, use_blockage, plane_weight)
     assert got.shape == (16, n_tx)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _readme_link(n_tx):
+    """The README geometry: a screen 0.9 m out and 2 cm thick on a 1 m link."""
+    blk = BlockageGeometry(0.9, 0.02, 0.005, 0.5)
+    return ScenarioConfig(half_wavelength_array(n_tx, CAR), half_wavelength_array(16, CAR),
+                          CAR, 1.0, blockage=blk).with_virtual_defaults(8)
+
+
+def _per_hop_cascade(sc, kernel, use_blockage):
+    """The Rx-side plane cascade with every hop's kernel built on its own."""
+    vy, plane_xs, gate = channel._planes(sc, use_blockage)
+    vspace = float(np.mean(np.diff(vy)))
+    src_y, src_x = element_positions(sc.rx), sc.link_distance
+    acc = np.eye(src_y.size)
+    for x in plane_xs[::-1]:
+        dx = src_x - x
+        acc = _hop(acc, src_y, vy, dx, kernel(dx, vspace)) * gate
+        src_y, src_x = vy, x
+    return _hop(acc, vy, element_positions(sc.tx), src_x, kernel(src_x, 1.0))
+
+
+@pytest.mark.parametrize("use_blockage", [True, False])
+@pytest.mark.parametrize("n_tx", [128, 256])
+def test_cascade_reuses_inner_hops_bit_for_bit(n_tx, use_blockage):
+    sc = _readme_link(n_tx)
+    # seven inner hops of two bitwise-distinct lengths, so reuse is exercised
+    assert len(set(np.diff(virtual_plane_positions(sc)).tolist())) == 2
+    wcm = wcm_channel(sc, use_blockage=use_blockage).entries
+    ref = _per_hop_cascade(sc, lambda dx, w: _rs_kernel(CAR, dx, w), use_blockage)
+    assert np.array_equal(wcm, ref)
+    ray = _gcm_kernel(CAR)
+    cgwcm = cgwcm_channel(sc, use_blockage=use_blockage).entries
+    assert np.array_equal(cgwcm, _per_hop_cascade(sc, lambda dx, w: ray, use_blockage))
+
+
+def test_calibrated_wave_pair_evaluates_each_inner_kernel_once(monkeypatch):
+    sizes = []
+
+    def counted(z, scale=1.0):
+        sizes.append(np.size(z))
+        return _hankel2_1(z, scale)
+
+    monkeypatch.setattr(channel, "_hankel2_1", counted)
+    calibrated_wave_channels(_readme_link(256), "wcm")
+    # blocked and unblocked cascades: the Rx hop (16 + 1021 - 1 offsets),
+    # one inner hop per distinct length (2 x 2041) and the Tx hop (1021 + 256 - 1)
+    assert sorted(sizes) == sorted([1036, 2041, 2041, 1276] * 2)
 
 
 def _dense_field(sc, aperture_y, values, xs, ys):

@@ -1,6 +1,7 @@
 """CLI: config validation, commands, artifacts, deterministic reruns."""
 
 import copy
+import math
 import os
 import re
 
@@ -11,6 +12,7 @@ import yaml
 from airylink import _threads
 from airylink.cli import ConfigError, load_config, main
 from airylink.gridio import read_channel_binary, read_field_map_binary
+from airylink.numerics import CIS_LIMIT
 
 BASE_YAML = """\
 scenario:
@@ -296,6 +298,36 @@ def test_hop_phase_just_inside_the_phasor_range_runs(tmp_path):
     cfg = _write(tmp_path, THZ_YAML.replace("link_distance_m: 1.0", "link_distance_m: 62.87"))
     assert main(["channel", "--compare", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
     assert main(["fieldmap", "--config", cfg, "--out", str(tmp_path / "f")]) == 0
+
+
+def _thz_window_edge(cfg) -> float:
+    """Half the widest centered --ymin/--ymax window the 62.87 m link's
+    fieldmap takes: its hop from x = 0 to the Rx plane reaches CIS_LIMIT."""
+    sc = load_config(cfg).scenario
+    longest = CIS_LIMIT / sc.carrier.wavenumber
+    return 0.5 * math.sqrt(longest**2 - sc.link_distance**2)
+
+
+@pytest.mark.parametrize("window", [(-1000.0, 1000.0), "just outside"])
+def test_fieldmap_window_past_the_phasor_range_named_before_output(tmp_path, capsys,
+                                                                  window):
+    cfg = _write(tmp_path, THZ_YAML.replace("link_distance_m: 1.0", "link_distance_m: 62.87"))
+    if window == "just outside":
+        edge = _thz_window_edge(cfg) * (1 + 1e-3)
+        window = (-edge, edge)
+    out = tmp_path / "o"
+    assert main(["fieldmap", "--config", cfg, "--out", str(out), "--nx", "2", "--ny", "4",
+                 "--ymin", repr(window[0]), "--ymax", repr(window[1])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --ymin/--ymax: ")
+    assert not out.exists()
+
+
+def test_fieldmap_window_just_inside_the_phasor_range_runs(tmp_path):
+    cfg = _write(tmp_path, THZ_YAML.replace("link_distance_m: 1.0", "link_distance_m: 62.87"))
+    edge = _thz_window_edge(cfg) * (1 - 1e-3)
+    assert main(["fieldmap", "--config", cfg, "--out", str(tmp_path / "f"), "--nx", "2",
+                 "--ny", "4", "--ymin", repr(-edge), "--ymax", repr(edge)]) == 0
 
 
 def test_invalid_yaml_exit_2(tmp_path, capsys):

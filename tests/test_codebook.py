@@ -1,5 +1,6 @@
 """Correlation envelopes, sampling-plan solver, codebook builders."""
 
+import functools
 import math
 
 import numpy as np
@@ -245,6 +246,72 @@ def test_los_region_points_inside_strip():
     for r, th in pts:
         assert -1e-12 <= r * math.cos(th) <= 3.0 + 1e-9
         assert abs(r * math.sin(th)) <= half + 1e-12
+
+
+def _los_points_by_loop(scenario, plan):
+    """The strip rule one grid point at a time: the slow reference."""
+    half_width = max(scenario.tx.length, scenario.rx.length) / 2
+    d_link = scenario.link_distance
+    pts = []
+    for r in plan.focus_distances:
+        for th in plan.angles:
+            axial = r * math.cos(th)
+            if -1e-12 <= axial <= d_link + 1e-9 and abs(r * math.sin(th)) <= half_width + 1e-12:
+                pts.append((float(r), float(th)))
+    return np.array(pts, dtype=float).reshape(-1, 2)
+
+
+def _ulps_around(x, count=3):
+    """x and its `count` floating-point neighbours on each side."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(float(np.nextafter(below[-1], -np.inf)))
+        above.append(float(np.nextafter(above[-1], np.inf)))
+    return below[::-1] + above[1:]
+
+
+def _boundary_plan(sc, plan):
+    """A plan whose grid straddles the strip's far edge and both lateral edges
+    by single ulps: r*cos(theta) = link_distance + 1e-9 and
+    |r*sin(theta)| = half_width + 1e-12."""
+    import dataclasses
+
+    half_width = max(sc.tx.length, sc.rx.length) / 2
+    theta = 0.3
+    lateral_r = (half_width + 1e-12) / math.sin(theta)
+    far_r = sc.link_distance + 1e-9  # at theta = 0, cos = 1 exactly
+    distances = sorted(_ulps_around(lateral_r) + _ulps_around(far_r))
+    return dataclasses.replace(plan, focus_distances=np.array(distances),
+                               angles=np.array([-theta, 0.0, theta]))
+
+
+@functools.cache
+def _points_cases():
+    readme = _scenario(128, 1.0)
+    at256 = _scenario(256, 1.0)
+    readme_plan = dict(curving_range=(-10.0, 10.0), r_min=0.14)
+    acceptance = _scenario(256, 3.0)
+    return {
+        "readme": (readme, solve_sampling_plan((0.4, 0.15, 0.0), readme, **readme_plan)),
+        "256tx": (at256, solve_sampling_plan((0.4, 0.15, 0.0), at256, **readme_plan)),
+        "acceptance": (acceptance, _plan()),
+        "boundary": (acceptance, _boundary_plan(acceptance, _plan())),
+    }
+
+
+@pytest.mark.parametrize("name", ["readme", "256tx", "acceptance", "boundary"])
+def test_los_region_points_match_the_per_point_loop(name):
+    sc, plan = _points_cases()[name]
+    want = _los_points_by_loop(sc, plan)
+    got = build_los_region_points(sc, plan)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    if name == "boundary":
+        # each edge cuts its seven neighbouring distances: some in, some out
+        far = got[(got[:, 0] > 1.0) & (got[:, 1] == 0.0)]
+        assert 0 < len(far) < 7
+        for sign in (-1, 1):
+            lateral = got[(got[:, 0] < 1.0) & (got[:, 1] == sign * 0.3)]
+            assert 0 < len(lateral) < 7
 
 
 def test_hierarchical_builder():
