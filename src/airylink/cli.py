@@ -1,9 +1,10 @@
 """Command-line interface: config parsing, experiment execution, artifacts.
 
-Every command resolves its YAML config, writes a manifest recording the
-resolved settings (no timestamps), then writes result files under the
-output directory: manifest.txt, results/*.csv, grids/*.bin.  Reruns with
-the same config and seed are byte-identical.
+Every command computes from its resolved YAML config and returns what it
+found; `main` alone then writes the manifest recording the resolved
+settings (no timestamps), then the result files under the output
+directory: manifest.txt, results/*.csv, grids/*.bin.  Reruns with the
+same config and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__, _threads
 from .beam import BeamParams, GridSpec, airy_beam_vector, render_field_map
@@ -382,8 +384,16 @@ def _scenario_lines(sc: ScenarioConfig):
     return lines
 
 
-def write_manifest(args, train: TrainingConfig | None, scenario: ScenarioConfig,
-                   plan: SamplingPlan | None, extra_lines=()) -> Path:
+class CommandOutput(NamedTuple):
+    """What a command computed. No command writes or prints: `main` does."""
+    notes: list                      # the manifest's [run] lines after `command:`
+    train: TrainingConfig | None
+    plan: SamplingPlan | None
+    files: list                      # (path under --out, writer, value)
+    stdout: list
+
+
+def write_manifest(args, scenario: ScenarioConfig, output: CommandOutput) -> Path:
     """Create `--out` with results/ and grids/, write its manifest first; return it."""
     out_dir = Path(args.out)
     try:
@@ -394,6 +404,7 @@ def write_manifest(args, train: TrainingConfig | None, scenario: ScenarioConfig,
                          f"{exc.strerror or exc}") from exc
     lines = [f"tool: airylink {__version__}", f"config: {args.config}",
              f"output_dir: {out_dir}", "", *_scenario_lines(scenario)]
+    train, plan = output.train, output.plan
     if train is not None:
         lines += ["", "[training]", f"transmit_power: {train.transmit_power!r}",
                   f"noise_power: {train.noise_power!r}",
@@ -407,8 +418,7 @@ def write_manifest(args, train: TrainingConfig | None, scenario: ScenarioConfig,
             f"empirical_intervals: {tuple(plan.empirical_intervals)!r}",
             f"grid_counts: curving={j} distance={k} angle={v}",
         ]
-    if extra_lines:
-        lines += ["", "[run]", *extra_lines]
+    lines += ["", "[run]", f"command: {args.command}", *output.notes]
     write_text(out_dir / "manifest.txt", lines)
     return out_dir
 
@@ -417,19 +427,13 @@ def write_manifest(args, train: TrainingConfig | None, scenario: ScenarioConfig,
 # Commands
 
 
-def cmd_channel(args) -> int:
-    cfg = load_config(args.config)
+def cmd_channel(args, cfg: RunConfig) -> CommandOutput:
     sc = cfg.scenario
     models = _MODELS if args.compare else (args.model,)
     built = {model: calibrated_wave_channels(sc, model).blocked for model in models}
-    out_dir = write_manifest(args, None, sc, None, ["command: channel",
-                                                    f"models: {','.join(models)}"])
-
-    for model in models:
-        write_channel_binary(out_dir / "grids" / f"channel_{model}.bin", built[model])
-
     frac = float(blocked_pairs(sc).mean())
     lines = ["model,frobenius_norm,blocked_pair_fraction,relative_error_vs_wcm,error_db"]
+    stdout = []
     for model in models:
         err = err_db = ""
         if args.compare and model != "wcm":
@@ -438,10 +442,12 @@ def cmd_channel(args) -> int:
             err_db = repr(20.0 * math.log10(e)) if e > 0 else "-inf"
         norm = float(abs(built[model].frobenius))
         lines.append(f"{model},{norm!r},{frac!r},{err},{err_db}")
-        print(f"{model}: frobenius_norm={norm!r} blocked_pair_fraction={frac!r}"
-              + (f" err_vs_wcm={err}" if err else ""))
-    write_text(out_dir / "results" / "channel_summary.csv", lines)
-    return 0
+        stdout.append(f"{model}: frobenius_norm={norm!r} blocked_pair_fraction={frac!r}"
+                      + (f" err_vs_wcm={err}" if err else ""))
+    files = [(f"grids/channel_{model}.bin", write_channel_binary, built[model])
+             for model in models]
+    files.append(("results/channel_summary.csv", write_text, lines))
+    return CommandOutput([f"models: {','.join(models)}"], None, None, files, stdout)
 
 
 def _fieldmap_inputs(args, sc) -> tuple:
@@ -485,33 +491,23 @@ def _fieldmap_inputs(args, sc) -> tuple:
             GridSpec(x_min, x_max, args.nx, y_min, y_max, args.ny))
 
 
-def cmd_fieldmap(args) -> int:
-    cfg = load_config(args.config)
+def cmd_fieldmap(args, cfg: RunConfig) -> CommandOutput:
     sc = cfg.scenario
     params, grid = _fieldmap_inputs(args, sc)
-    beam = airy_beam_vector(params, sc.tx, sc.carrier)
-    fmap = render_field_map(beam, sc, grid)
-    out_dir = write_manifest(args, None, sc, None, [
-        "command: fieldmap",
-        f"beam: curving={params.curving!r} focus_distance_m={params.focus_distance!r} "
-        f"focus_angle_rad={params.focus_angle!r}",
-        f"grid: x=[{grid.x_min!r}, {grid.x_max!r}] nx={grid.num_x} "
-        f"y=[{grid.y_min!r}, {grid.y_max!r}] ny={grid.num_y}",
-    ])
-    write_field_map_csv(out_dir / "results" / "fieldmap.csv", fmap)
-    write_field_map_binary(out_dir / "grids" / "fieldmap.bin", fmap)
+    fmap = render_field_map(airy_beam_vector(params, sc.tx, sc.carrier), sc, grid)
+    notes = [f"beam: curving={params.curving!r} focus_distance_m={params.focus_distance!r} "
+             f"focus_angle_rad={params.focus_angle!r}",
+             f"grid: x=[{grid.x_min!r}, {grid.x_max!r}] nx={grid.num_x} "
+             f"y=[{grid.y_min!r}, {grid.y_max!r}] ny={grid.num_y}"]
+    files = [("results/fieldmap.csv", write_field_map_csv, fmap),
+             ("grids/fieldmap.bin", write_field_map_binary, fmap)]
     px, py = fmap.peak()
-    print(f"peak: x={px!r} y={py!r}")
-    return 0
+    return CommandOutput(notes, None, None, files, [f"peak: x={px!r} y={py!r}"])
 
 
-def cmd_codebook(args) -> int:
-    cfg = load_config(args.config)
+def cmd_codebook(args, cfg: RunConfig) -> CommandOutput:
     sc = cfg.scenario
     plan = solve_plan(cfg)
-    out_dir = write_manifest(args, None, sc, plan, ["command: codebook", f"scheme: {args.scheme}"])
-
-    results = out_dir / "results"
     scheme = _SCHEME_ALIASES[args.scheme]
     built = scheme_codebooks(scheme, sc, plan)
     if len(built) == 1:
@@ -521,43 +517,36 @@ def cmd_codebook(args) -> int:
         books = {f"codebook_{args.scheme}_stage1.csv": stage1,
                  f"codebook_{args.scheme}_stage2_on_axis.csv":
                      factory(sc.link_distance, 0.0)}
-    for name, book in books.items():
-        write_codebook_csv(results / name, book)
-        print(f"{name}: {len(book)} codewords")
-    print(plan.describe())
-    return 0
+    files = [(f"results/{name}", write_codebook_csv, book) for name, book in books.items()]
+    stdout = [f"{name}: {len(book)} codewords" for name, book in books.items()]
+    return CommandOutput([f"scheme: {args.scheme}"], None, plan, files,
+                         [*stdout, plan.describe()])
 
 
-def cmd_search(args) -> int:
-    cfg = load_config(args.config)
-    sc = cfg.scenario
+def cmd_search(args, cfg: RunConfig) -> CommandOutput:
     channels = build_channel_set(cfg)
     train = resolve_training(cfg, channels, args.seed)
     plan = solve_plan(cfg)
-    out_dir = write_manifest(args, train, sc, plan, ["command: search", f"scheme: {args.scheme}"])
-
     scheme = _SCHEME_ALIASES[args.scheme]
     design, link = (getattr(channels, name) for name in scheme.channel_fields)
-    result = run_search(scheme, link, sc, plan, train)
-    write_search_trace_csv(out_dir / "results" / "search_trace.csv", result)
-
+    result = run_search(scheme, link, cfg.scenario, plan, train)
     bf = build_scheme_beamformers(scheme, search_result=result, design_channel=design)
     se = bf.evaluate(link, train.transmit_power, train.noise_power)
     p = result.selected_params
     power_db = 10.0 * math.log10(result.selected_power) if result.selected_power > 0 else float("-inf")
-    lines = ["scheme,overhead_slots,curving,focus_distance_m,focus_angle_rad,"
-             "measured_power_db,spectral_efficiency_bps_hz",
-             f"{args.scheme},{result.overhead},{p.curving!r},{p.focus_distance!r},"
-             f"{p.focus_angle!r},{power_db!r},{se!r}"]
-    write_text(out_dir / "results" / "search_summary.csv", lines)
-    print(f"selected: curving={p.curving!r} focus_distance_m={p.focus_distance!r} "
-          f"focus_angle_rad={p.focus_angle!r}")
-    print(f"overhead: {result.overhead} slots; spectral_efficiency: {se!r} bits/s/Hz")
-    return 0
+    summary = ["scheme,overhead_slots,curving,focus_distance_m,focus_angle_rad,"
+               "measured_power_db,spectral_efficiency_bps_hz",
+               f"{args.scheme},{result.overhead},{p.curving!r},{p.focus_distance!r},"
+               f"{p.focus_angle!r},{power_db!r},{se!r}"]
+    files = [("results/search_trace.csv", write_search_trace_csv, result),
+             ("results/search_summary.csv", write_text, summary)]
+    return CommandOutput([f"scheme: {args.scheme}"], train, plan, files, [
+        f"selected: curving={p.curving!r} focus_distance_m={p.focus_distance!r} "
+        f"focus_angle_rad={p.focus_angle!r}",
+        f"overhead: {result.overhead} slots; spectral_efficiency: {se!r} bits/s/Hz"])
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+def cmd_sweep(args, cfg: RunConfig) -> CommandOutput:
     if cfg.sweep is None:
         raise ConfigError("sweep: section is required for the sweep command")
     sc = cfg.scenario
@@ -568,28 +557,20 @@ def cmd_sweep(args) -> int:
     base_seed = args.seed if args.seed is not None else cfg.training.rng_seed
     spec = SweepSpec(variable, cfg.sweep.grid, schemes,
                      repetitions=cfg.sweep.repetitions, base_seed=base_seed)
-    if sc.blockage is None and variable in (SweptVariable.BLOCKAGE_HEIGHT,
-                                            SweptVariable.BLOCKAGE_DISTANCE):
-        raise ConfigError(f"scenario.blockage: required by a {variable.value} sweep")
 
     channels = build_channel_set(cfg)
     train = resolve_training(cfg, channels, base_seed)
     needs_plan = variable is SweptVariable.OVERHEAD or any(s.searched for s in schemes)
     plan = solve_plan(cfg) if needs_plan else None
-    out_dir = write_manifest(args, train, sc, plan, [
-        "command: sweep",
-        f"variable: {variable.value}",
-        f"grid: {','.join(repr(g) for g in cfg.sweep.grid)}",
-        f"schemes: {','.join(cfg.sweep.schemes)}",
-        f"repetitions: {cfg.sweep.repetitions}",
-    ])
-
     # power and overhead points are the base scenario: reuse its channels
     rows = run_sweep(spec, sc, plan, train, channel_builder=lambda point:
                      channels if point is sc else build_channel_set(cfg, point))
-    write_sweep_csv(out_dir / "results" / "sweep.csv", rows)
-    print(f"wrote {len(rows)} rows to {out_dir / 'results' / 'sweep.csv'}")
-    return 0
+    notes = [f"variable: {variable.value}",
+             f"grid: {','.join(repr(g) for g in cfg.sweep.grid)}",
+             f"schemes: {','.join(cfg.sweep.schemes)}",
+             f"repetitions: {cfg.sweep.repetitions}"]
+    return CommandOutput(notes, train, plan, [("results/sweep.csv", write_sweep_csv, rows)],
+                         [f"wrote {len(rows)} rows to {Path(args.out) / 'results' / 'sweep.csv'}"])
 
 
 # ---------------------------------------------------------------------------
@@ -656,17 +637,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Load the config, compute, then write the manifest, the files and stdout."""
     _threads.apply()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = load_config(args.config)
+        output = args.func(args, cfg)
+        out_dir = write_manifest(args, cfg.scenario, output)
+        for path, write, value in output.files:
+            write(out_dir / path, value)
+        print(*output.stdout, sep="\n")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -119,7 +119,6 @@ class SamplingPlan:
     empirical_intervals: tuple  # numeric-inversion intervals (da, d(1/r), d sin)
     first_crossings: tuple      # first-descent envelope crossings (curving, distance)
     curving_range: tuple        # requested symmetric range (-A, +A)
-    r_max: float
     r_min: float
     angle_index: int
     curving_values: np.ndarray
@@ -230,19 +229,18 @@ def _distance_envelope_pair():
     return env, batch, sup, fresnel_lobe_nodes(60.0)
 
 
-def _first_crossing_of_curve(f, target: float, step: float,
+def _first_crossing_of_curve(f, target: float, step: float, axis: str, num_elements: int,
                              max_steps: int = 100000) -> float:
-    """First downward crossing of target by f, scanned from 0 in fixed steps."""
-    prev_x, prev_v = 0.0, f(0.0)
-    if prev_v < target:
-        raise ValueError("curve starts below the target")
+    """First downward crossing of target by f, scanned from 0 in fixed steps;
+    f is the `axis` correlation of `num_elements` elements and f(0) = 1."""
+    prev_x = 0.0
     for k in range(1, max_steps + 1):
         x = k * step
-        v = f(x)
-        if v < target:
+        if f(x) < target:
             return solve_monotone_root(f, target, (prev_x, x))
-        prev_x, prev_v = x, v
-    raise ValueError("no crossing found within the scan range")
+        prev_x = x
+    raise ValueError(f"codebook.targets, scenario.tx_elements: the {axis} correlation of "
+                     f"{num_elements} elements stays above {target!r} over the whole scan")
 
 
 def _empirical_intervals(targets, scenario: ScenarioConfig, design_intervals,
@@ -266,7 +264,7 @@ def _empirical_intervals(targets, scenario: ScenarioConfig, design_intervals,
         v = airy_beam_vector(BeamParams(delta, d_link, 0.0), tx, carrier)
         return beam_correlation_numeric(ref_a, v)
 
-    da = _first_crossing_of_curve(corr_curving, xi_a, step=s_a / 4)
+    da = _first_crossing_of_curve(corr_curving, xi_a, s_a / 4, "curving", tx.num_elements)
 
     def corr_distance(inv_gap):
         if inv_gap == 0:
@@ -275,7 +273,8 @@ def _empirical_intervals(targets, scenario: ScenarioConfig, design_intervals,
         v = focusing_beam_vector(r2, 0.0, tx, carrier)
         return beam_correlation_numeric(ref_a, v)
 
-    dinv = _first_crossing_of_curve(corr_distance, xi_r, step=s_r / 4)
+    dinv = _first_crossing_of_curve(corr_distance, xi_r, s_r / 4, "distance",
+                                    tx.num_elements)
 
     # steering-beam correlation is the exact Dirichlet kernel; its u-th
     # null in sin(angle) is 2u/N by construction
@@ -365,7 +364,6 @@ def solve_sampling_plan(targets, scenario: ScenarioConfig,
         empirical_intervals=empirical,
         first_crossings=(x_a_first, x_r_first),
         curving_range=(-a_lim, a_lim),
-        r_max=d_link,
         r_min=r_lo,
         angle_index=angle_index,
         curving_values=curving_values,

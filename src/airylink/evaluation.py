@@ -515,17 +515,12 @@ def calibrated_wave_channels(scenario: ScenarioConfig, model: str | None = "wcm"
 
 def _point_scenario(scenario: ScenarioConfig, variable: SweptVariable,
                     value: float) -> ScenarioConfig:
-    if variable is SweptVariable.BLOCKAGE_HEIGHT:
-        if scenario.blockage is None:
-            raise ValueError("height sweep requires a blockage in the scenario")
-        blk = replace(scenario.blockage, extent_above=float(value))
-        return replace(scenario, blockage=blk)
-    if variable is SweptVariable.BLOCKAGE_DISTANCE:
-        if scenario.blockage is None:
-            raise ValueError("distance sweep requires a blockage in the scenario")
-        blk = replace(scenario.blockage, distance_from_tx=float(value))
-        return replace(scenario, blockage=blk)
-    return scenario
+    if variable not in (SweptVariable.BLOCKAGE_HEIGHT, SweptVariable.BLOCKAGE_DISTANCE):
+        return scenario
+    if scenario.blockage is None:
+        raise ValueError(f"scenario.blockage: required by a {variable.value} sweep")
+    moved = "extent_above" if variable is SweptVariable.BLOCKAGE_HEIGHT else "distance_from_tx"
+    return replace(scenario, blockage=replace(scenario.blockage, **{moved: float(value)}))
 
 
 def _derive_seed(base_seed: int, point_index: int, repetition: int) -> int:

@@ -143,7 +143,16 @@ def write_sweep_csv(path, rows) -> None:
 
 
 def write_codebook_csv(path, codebook: Codebook) -> None:
-    lines = ["index,scheme,curving,focus_distance_m,focus_angle_rad"]
-    for i, (a, r, th) in enumerate(codebook.params.tolist()):
-        lines.append(f"{i},{codebook.scheme.value},{_fmt(a)},{_fmt(r)},{_fmt(th)}")
-    write_text(path, lines)
+    """One row per codeword, chunk by chunk as in `write_search_trace_csv`:
+    neither `codebook.params` nor the whole text is ever formed."""
+    scheme, focus = codebook.scheme.value, codebook.focus_points
+
+    def lines():
+        yield "index,scheme,curving,focus_distance_m,focus_angle_rad"
+        for start in range(0, len(codebook), _CHUNK_LINES):
+            slots = np.arange(start, min(start + _CHUNK_LINES, len(codebook)))
+            rows = np.column_stack([codebook.curving[slots // len(focus)],
+                                    focus[slots % len(focus)]])
+            yield from [f"{t},{scheme},{a!r},{r!r},{th!r}"
+                        for t, (a, r, th) in zip(slots.tolist(), rows.tolist())]
+    write_text(path, lines())

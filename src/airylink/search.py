@@ -188,7 +188,8 @@ def hierarchical_search(stage1: Codebook, stage2_factory, channel: ChannelMatrix
     through the receiver.
     """
     if len(stage1) == 0:
-        raise ValueError("stage-1 codebook is empty")
+        raise ValueError("scenario.tx_elements: the stage-1 codebook is empty: no focus "
+                         "point of the sampling plan lies in the aperture strip")
     rng = np.random.default_rng(cfg.rng_seed)
     powers1 = _sound(stage1.cubic, stage1.focus, channel, cfg, rng)
     _, r_f, theta_f = stage1.params[int(np.argmax(powers1))].tolist()

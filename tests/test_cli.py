@@ -503,11 +503,28 @@ def test_one_by_one_blocked_link_named_before_output(tmp_path, capsys, command, 
 @pytest.mark.parametrize("text, named", [
     (BASE_YAML.replace("r_min_m: 0.2", "r_min_m: 5.0"), "codebook.r_min_m"),
     (ONE_BY_ONE_YAML, "angle_index"),  # no angle grid to index
-], ids=["r_min-beyond-link", "one-element-tx"])
+    # so few elements keep the focusing-beam correlation above its target
+    # over the whole scan of inverse-distance gaps (about 10 s of scanning)
+    (BASE_YAML.replace("tx_elements: 16", "tx_elements: 2"),
+     "codebook.targets, scenario.tx_elements: the distance "),
+    (BASE_YAML.replace("tx_elements: 16", "tx_elements: 6"),
+     "codebook.targets, scenario.tx_elements: the distance "),
+], ids=["r_min-beyond-link", "one-element-tx", "two-element-tx", "six-element-tx"])
 def test_codebook_plan_errors_named_before_output(tmp_path, capsys, text, named):
     out = tmp_path / "o"
     assert main(["codebook", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {named}")
+    assert not out.exists()
+
+
+def test_empty_hierarchical_stage1_named_before_output(tmp_path, capsys):
+    # an odd element count puts no grid angle on the axis, and every other
+    # angle points past the aperture strip at every planned distance
+    text = BASE_YAML.replace("tx_elements: 16", "tx_elements: 5")
+    out = tmp_path / "o"
+    assert main(["search", "--scheme", "hier", "--config", _write(tmp_path, text),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: scenario.tx_elements: the stage-1 ")
     assert not out.exists()
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from airylink.beam import FieldMap
 from airylink.channel import ChannelMatrix, ChannelModel, gcm_channel
-from airylink.codebook import build_farfield_codebook
+from airylink import gridio
+from airylink.codebook import CodebookScheme, build_farfield_codebook, product_codebook
 from airylink.gridio import (
     read_channel_binary,
     read_field_map_binary,
@@ -149,3 +150,17 @@ def test_codebook_csv(tmp_path):
     assert lines[0] == "index,scheme,curving,focus_distance_m,focus_angle_rad"
     assert len(lines) == 1 + len(book)
     assert lines[1].startswith("0,FarFieldSteering,0.0,inf,")
+
+
+@pytest.mark.parametrize("chunk", [4096, 5])
+def test_codebook_csv_rows_follow_params(tmp_path, monkeypatch, chunk):
+    # a chunk of 5 rows against 4 focus points crosses every curving row
+    monkeypatch.setattr(gridio, "_CHUNK_LINES", chunk)
+    arr = half_wavelength_array(16, CAR)
+    book = product_codebook(CodebookScheme.EXHAUSTIVE, [-0.5, 0.0, 0.5],
+                            [(1.0, 0.1), (2.0, -0.2), (np.inf, 0.0), (0.5, 0.3)], arr, CAR)
+    p = tmp_path / "book.csv"
+    write_codebook_csv(p, book)
+    rows = [f"{t},Exhaustive,{a!r},{r!r},{th!r}"
+            for t, (a, r, th) in enumerate(book.params.tolist())]
+    assert p.read_text().splitlines()[1:] == rows
