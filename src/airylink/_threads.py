@@ -1,9 +1,9 @@
 """Thread-count control for the numeric backends.
 
 AIRYLINK_THREADS caps the BLAS/OpenMP pool sizes.  It only takes effect if
-applied before numpy first loads, so the package __init__ and the CLI entry
-point both call apply() as their first action.  Explicitly set backend
-variables are left alone.
+applied before numpy first loads, so the package __init__ calls apply() before
+it imports anything that loads numpy.  Explicitly set backend variables are
+left alone.
 """
 
 import os

@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
-from . import __version__, _threads
+from . import __version__
 from .beam import BeamParams, GridSpec, airy_beam_vector, render_field_map
 from .channel import MultipathRay, channel_error
 from .codebook import SamplingPlan, solve_sampling_plan
@@ -25,10 +25,9 @@ from .evaluation import (
     ChannelSet,
     SweepSpec,
     SweptVariable,
-    build_scheme_beamformers,
     calibrated_wave_channels,
     noise_for_target_se,
-    run_search,
+    run_scheme,
     run_sweep,
     scheme_codebooks,
 )
@@ -205,14 +204,11 @@ class SweepOptions:
     repetitions: int = _opt(_integer(1), 1)
 
 
-def _check_overhead(sweep: SweepOptions) -> None:
-    """An overhead sweep's rules: whole slot budgets, searched schemes only."""
-    if not all(g.is_integer() and g >= 1 for g in sweep.grid):
-        raise ConfigError("sweep.grid: overhead budgets must be integers >= 1")
-    full = [s for s in sweep.schemes if not _SCHEME_ALIASES[s].searched]
-    if full:
-        raise ConfigError("sweep.schemes: an overhead sweep takes searched schemes "
-                          f"only, not {', '.join(full)}")
+def _sweep_spec(sweep: SweepOptions, variable: str, base_seed: int) -> SweepSpec:
+    """The sweep `sweep` describes, swept over `variable`; `SweepSpec` checks it."""
+    return SweepSpec(SweptVariable(variable), sweep.grid,
+                     tuple(_SCHEME_ALIASES[s] for s in sweep.schemes),
+                     sweep.repetitions, base_seed)
 
 
 @dataclass(frozen=True)
@@ -317,8 +313,10 @@ def load_config(path) -> RunConfig:
                               "los_model none has none")
         multipath = replace(multipath, los_model=None)
     if sweep is not None:
-        if SweptVariable(sweep.variable) is SweptVariable.OVERHEAD:
-            _check_overhead(sweep)
+        try:
+            _sweep_spec(sweep, sweep.variable, training.rng_seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         for s in sweep.schemes:
             if "nlos_only" in _SCHEME_ALIASES[s].channel_fields and multipath is None:
                 raise ConfigError(f"sweep.schemes: {s} needs a multipath section")
@@ -528,10 +526,8 @@ def cmd_search(args, cfg: RunConfig) -> CommandOutput:
     train = resolve_training(cfg, channels, args.seed)
     plan = solve_plan(cfg)
     scheme = _SCHEME_ALIASES[args.scheme]
-    design, link = (getattr(channels, name) for name in scheme.channel_fields)
-    result = run_search(scheme, link, cfg.scenario, plan, train)
-    bf = build_scheme_beamformers(scheme, search_result=result, design_channel=design)
-    se = bf.evaluate(link, train.transmit_power, train.noise_power)
+    books = scheme_codebooks(scheme, cfg.scenario, plan)
+    result, se, notes = run_scheme(scheme, channels, books, train)
     p = result.selected_params
     power_db = 10.0 * math.log10(result.selected_power) if result.selected_power > 0 else float("-inf")
     summary = ["scheme,overhead_slots,curving,focus_distance_m,focus_angle_rad,"
@@ -543,29 +539,25 @@ def cmd_search(args, cfg: RunConfig) -> CommandOutput:
     return CommandOutput([f"scheme: {args.scheme}"], train, plan, files, [
         f"selected: curving={p.curving!r} focus_distance_m={p.focus_distance!r} "
         f"focus_angle_rad={p.focus_angle!r}",
-        f"overhead: {result.overhead} slots; spectral_efficiency: {se!r} bits/s/Hz"])
+        f"overhead: {result.overhead} slots; spectral_efficiency: {se!r} bits/s/Hz",
+        *([f"notes: {notes}"] if notes else [])])
 
 
 def cmd_sweep(args, cfg: RunConfig) -> CommandOutput:
     if cfg.sweep is None:
         raise ConfigError("sweep: section is required for the sweep command")
     sc = cfg.scenario
-    variable = SweptVariable(args.sweep or cfg.sweep.variable)
-    if variable is SweptVariable.OVERHEAD:  # also when --sweep overrides the config
-        _check_overhead(cfg.sweep)
-    schemes = tuple(_SCHEME_ALIASES[s] for s in cfg.sweep.schemes)
     base_seed = args.seed if args.seed is not None else cfg.training.rng_seed
-    spec = SweepSpec(variable, cfg.sweep.grid, schemes,
-                     repetitions=cfg.sweep.repetitions, base_seed=base_seed)
+    # checked again here, as --sweep may override the config's variable
+    spec = _sweep_spec(cfg.sweep, args.sweep or cfg.sweep.variable, base_seed)
 
     channels = build_channel_set(cfg)
     train = resolve_training(cfg, channels, base_seed)
-    needs_plan = variable is SweptVariable.OVERHEAD or any(s.searched for s in schemes)
-    plan = solve_plan(cfg) if needs_plan else None
+    plan = solve_plan(cfg) if any(s.searched for s in spec.schemes) else None
     # power and overhead points are the base scenario: reuse its channels
     rows = run_sweep(spec, sc, plan, train, channel_builder=lambda point:
                      channels if point is sc else build_channel_set(cfg, point))
-    notes = [f"variable: {variable.value}",
+    notes = [f"variable: {spec.swept_variable.value}",
              f"grid: {','.join(repr(g) for g in cfg.sweep.grid)}",
              f"schemes: {','.join(cfg.sweep.schemes)}",
              f"repetitions: {cfg.sweep.repetitions}"]
@@ -638,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Load the config, compute, then write the manifest, the files and stdout."""
-    _threads.apply()
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)

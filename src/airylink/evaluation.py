@@ -12,7 +12,7 @@ import enum
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -67,7 +67,7 @@ __all__ = [
     "airy_beamformers",
     "build_scheme_beamformers",
     "scheme_codebooks",
-    "run_search",
+    "run_scheme",
     "noise_for_target_se",
     "run_sweep",
 ]
@@ -365,20 +365,42 @@ def scheme_codebooks(scheme: BeamformingScheme, scenario: ScenarioConfig,
     return _SCHEMES[scheme].books(scenario, plan)
 
 
-def _search(scheme: BeamformingScheme, books: tuple, channel: ChannelMatrix,
+def _search(scheme: BeamformingScheme, books: tuple, channels: ChannelSet,
             cfg: TrainingConfig) -> SearchResult:
-    return _SCHEMES[scheme].search(*books, channel, cfg)
+    """Train a searched scheme's `books` over its link channel."""
+    return _SCHEMES[scheme].search(*books, getattr(channels, _SCHEMES[scheme].link), cfg)
 
 
-def run_search(scheme: BeamformingScheme, channel: ChannelMatrix,
-               scenario: ScenarioConfig, plan: SamplingPlan,
-               cfg: TrainingConfig) -> SearchResult:
-    """Build a searched scheme's codebooks from `plan` and train over `channel`.
+def run_scheme(scheme: BeamformingScheme, channels: ChannelSet, books: tuple,
+               cfg: TrainingConfig) -> tuple:
+    """(search result or None, spectral efficiency, notes) of `scheme` at one point.
 
-    The books are built on every call; `run_sweep` builds them once per
-    sweep and searches them at every point.
+    A searched scheme first trains `books` (`scheme_codebooks`) over its link
+    channel; a benchmark ignores them.  Then it deploys as `_deploy` says.
     """
-    return _search(scheme, scheme_codebooks(scheme, scenario, plan), channel, cfg)
+    result = _search(scheme, books, channels, cfg) if scheme.searched else None
+    return (result, *_deploy(scheme, result, channels, cfg))
+
+
+def _deploy(scheme: BeamformingScheme, result: SearchResult | None,
+            channels: ChannelSet, cfg: TrainingConfig) -> tuple:
+    """(spectral efficiency, notes) of `scheme` deploying the searched `result`
+    (None for a benchmark), designed on its design channel and run over its
+    link channel.
+
+    Notes, in order: `fully_blocked` (the link is all zero), `rank_deficient`,
+    and `ill_conditioned_noise` (the noise covariance needed a pseudo-inverse).
+    """
+    design, link = (getattr(channels, name) for name in scheme.channel_fields)
+    bf = build_scheme_beamformers(scheme, search_result=result, design_channel=design)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IllConditionedNoiseWarning)
+        se = bf.evaluate(link, cfg.transmit_power, cfg.noise_power)
+    flags = (("fully_blocked", not link.entries.any()),
+             ("rank_deficient", bf.rank_deficient),
+             ("ill_conditioned_noise",
+              any(issubclass(w.category, IllConditionedNoiseWarning) for w in caught)))
+    return se, ";".join(name for name, flag in flags if flag)
 
 
 def build_scheme_beamformers(scheme: BeamformingScheme,
@@ -431,13 +453,19 @@ class SweepSpec:
     base_seed: int = 0
 
     def __post_init__(self):
+        """A sweep's rules; each message starts with its `sweep` config key."""
         if len(self.grid) == 0:
-            raise ValueError("sweep grid must be non-empty")
+            raise ValueError("sweep.grid: must be non-empty")
         if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.swept_variable is SweptVariable.OVERHEAD and not all(
-                float(v).is_integer() and v >= 1 for v in self.grid):
-            raise ValueError("overhead budgets must be integers >= 1")
+            raise ValueError("sweep.repetitions: must be >= 1")
+        if self.swept_variable is not SweptVariable.OVERHEAD:
+            return
+        if not all(float(v).is_integer() and v >= 1 for v in self.grid):
+            raise ValueError("sweep.grid: overhead budgets must be integers >= 1")
+        full = [s.short_name for s in self.schemes if not s.searched]
+        if full:
+            raise ValueError("sweep.schemes: an overhead sweep takes searched schemes "
+                             f"only, not {', '.join(full)}")
 
 
 @dataclass(frozen=True)
@@ -451,8 +479,7 @@ class SweepRow:
     notes: str = ""
 
 
-SWEEP_COLUMNS = ("sweep_variable", "value", "scheme", "seed",
-                 "spectral_efficiency_bps_hz", "overhead_slots", "notes")
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 @dataclass(frozen=True)
@@ -528,35 +555,6 @@ def _derive_seed(base_seed: int, point_index: int, repetition: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _scheme_row(scheme: BeamformingScheme, channels: ChannelSet, books,
-                cfg: TrainingConfig):
-    """(spectral efficiency, overhead, notes) for one scheme at one point."""
-    design, link = (getattr(channels, name) for name in scheme.channel_fields)
-    result = _search(scheme, books(scheme), link, cfg) if scheme.searched else None
-    se, notes = _evaluate_row(scheme, result, design, link, cfg)
-    return se, 0 if result is None else result.overhead, notes
-
-
-def _evaluate_row(scheme: BeamformingScheme, result: SearchResult | None,
-                  design: ChannelMatrix, link: ChannelMatrix,
-                  cfg: TrainingConfig) -> tuple:
-    """(spectral efficiency, notes) of `scheme` deploying the searched `result`
-    (None for a benchmark), designed on `design` and run over `link`.
-
-    Notes, in order: `fully_blocked` (`link` is all zero), `rank_deficient`,
-    and `ill_conditioned_noise` (the noise covariance needed a pseudo-inverse).
-    """
-    bf = build_scheme_beamformers(scheme, search_result=result, design_channel=design)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IllConditionedNoiseWarning)
-        se = bf.evaluate(link, cfg.transmit_power, cfg.noise_power)
-    flags = (("fully_blocked", not link.entries.any()),
-             ("rank_deficient", bf.rank_deficient),
-             ("ill_conditioned_noise",
-              any(issubclass(w.category, IllConditionedNoiseWarning) for w in caught)))
-    return se, ";".join(name for name, flag in flags if flag)
-
-
 def _overhead_rows(spec: SweepSpec, channels: ChannelSet,
                    scenario: ScenarioConfig, books,
                    cfg_base: TrainingConfig, rep_seed: int):
@@ -569,10 +567,7 @@ def _overhead_rows(spec: SweepSpec, channels: ChannelSet,
     rows = []
     cfg = replace(cfg_base, rng_seed=rep_seed)
     for scheme in spec.schemes:
-        if not scheme.searched:
-            raise ValueError("overhead sweep applies to searched schemes only")
-        design, link = (getattr(channels, name) for name in scheme.channel_fields)
-        result = _search(scheme, books(scheme), link, cfg)
+        result = _search(scheme, books(scheme), channels, cfg)
         se_cache: dict = {}
         best_so_far, best_notes = -math.inf, ""
         for value in spec.grid:
@@ -583,7 +578,7 @@ def _overhead_rows(spec: SweepSpec, channels: ChannelSet,
                                             scenario.carrier)
                 sub = SearchResult(result.scheme, selected, result.params[:used],
                                    result.powers[:used])
-                se_cache[key] = _evaluate_row(scheme, sub, design, link, cfg)
+                se_cache[key] = _deploy(scheme, sub, channels, cfg)
             se, notes = se_cache[key]
             if se > best_so_far:
                 best_so_far, best_notes = se, notes
@@ -606,7 +601,8 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig,
     """
     if channel_builder is None:
         channel_builder = calibrated_wave_channels
-    books = functools.cache(lambda scheme: scheme_codebooks(scheme, scenario, plan))
+    books = functools.cache(lambda scheme: scheme_codebooks(scheme, scenario, plan)
+                            if scheme.searched else ())
     channels_at = functools.cache(channel_builder)
     rows = []
     if spec.swept_variable is SweptVariable.OVERHEAD:
@@ -625,8 +621,8 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig,
             if spec.swept_variable is SweptVariable.TRANSMIT_POWER:
                 cfg_run = replace(cfg_run, transmit_power=float(value))
             for scheme in spec.schemes:
-                se, overhead, notes = _scheme_row(scheme, channels, books,
-                                                  cfg_run)
-                rows.append(SweepRow(spec.swept_variable.value, float(value),
-                                     scheme.value, seed, se, overhead, notes))
+                result, se, notes = run_scheme(scheme, channels, books(scheme), cfg_run)
+                rows.append(SweepRow(spec.swept_variable.value, float(value), scheme.value,
+                                     seed, se, 0 if result is None else result.overhead,
+                                     notes))
     return rows

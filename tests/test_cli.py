@@ -559,6 +559,15 @@ def test_search_command_deterministic_and_seeded(tmp_path, capsys):
     assert "noise_power:" in manifest and "seed: 0" in manifest
 
 
+def test_search_prints_its_deployment_notes(tmp_path, capsys):
+    # the screen covers the whole virtual window, so the blocked link is zero
+    text = BASE_YAML.replace("extent_above_m: 0.003", "extent_above_m: 5.0").replace(
+        "extent_below_m: 0.5", "extent_below_m: 5.0")
+    assert main(["search", "--config", _write(tmp_path, text), "--out",
+                 str(tmp_path / "o"), "--scheme", "ff"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "notes: fully_blocked"
+
+
 def test_sweep_rerun_byte_identical(tmp_path):
     cfg = _write(tmp_path, SWEEP_YAML)
     out = tmp_path / "sweep"

@@ -24,8 +24,9 @@ from airylink.evaluation import (
     effective_channel,
     full_digital_beamformers,
     noise_for_target_se,
-    run_search,
+    run_scheme,
     run_sweep,
+    scheme_codebooks,
     spectral_efficiency,
     svd_precoder_combiner,
 )
@@ -285,17 +286,24 @@ def test_noise_for_target_se_exact():
 # ------------------------------------------------------------------- sweeps
 
 def test_sweep_spec_validation():
-    with pytest.raises(ValueError):
+    # each rule's message starts with the `sweep` config key it checks
+    with pytest.raises(ValueError, match="^sweep.grid: must be non-empty$"):
         SweepSpec(SweptVariable.BLOCKAGE_HEIGHT, (), (BeamformingScheme.PERFECT_CSI,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sweep.repetitions: must be >= 1$"):
         SweepSpec(SweptVariable.BLOCKAGE_HEIGHT, (0.1,),
                   (BeamformingScheme.PERFECT_CSI,), repetitions=0)
     # overhead budgets are whole slot counts of at least one
     searched = (BeamformingScheme.FARFIELD_STEERING,)
     for budget in (-3, 0, 0.5, 2.9, math.inf):
-        with pytest.raises(ValueError, match="overhead budgets"):
+        with pytest.raises(ValueError, match="^sweep.grid: overhead budgets"):
             SweepSpec(SweptVariable.OVERHEAD, (1, budget), searched)
     SweepSpec(SweptVariable.OVERHEAD, (1, 2.0, 10_000), searched)
+    # and take searched schemes only, each benchmark listed by its short name
+    benchmarks = (BeamformingScheme.PERFECT_CSI, BeamformingScheme.NLOS_ONLY)
+    with pytest.raises(ValueError, match="^sweep.schemes: an overhead sweep takes "
+                       "searched schemes only, not perfect, nlos$"):
+        SweepSpec(SweptVariable.OVERHEAD, (1,), (*searched, *benchmarks))
+    SweepSpec(SweptVariable.TRANSMIT_POWER, (1.0,), benchmarks)
 
 
 def _sweep_scenario():
@@ -361,8 +369,9 @@ def test_each_scheme_row_designs_and_runs_on_its_own_channels():
         assert row.scheme == scheme.value
         assert row.spectral_efficiency_bps_hz == full_digital_beamformers(
             design).evaluate(link, 2.0, 1.0), scheme
-    result = run_search(searched, cs.blocked, sc, plan, run_cfg)
-    assert rows[-1].overhead_slots == result.overhead
+    result, se, _ = run_scheme(searched, cs, scheme_codebooks(searched, sc, plan), run_cfg)
+    assert (rows[-1].overhead_slots, rows[-1].spectral_efficiency_bps_hz) == (
+        result.overhead, se)
     assert rows[-1].spectral_efficiency_bps_hz == airy_beamformers(
         result, cs.non_blocked).evaluate(cs.blocked, 2.0, 1.0)
 
@@ -485,9 +494,8 @@ def test_overhead_sweep_envelope():
     assert rows[-1].overhead_slots == 31        # clipped at the full trace
     with pytest.raises(ValueError):
         run_sweep(spec, sc, None, cfg)
-    bad = SweepSpec(SweptVariable.OVERHEAD, (5,), (BeamformingScheme.PERFECT_CSI,))
-    with pytest.raises(ValueError):
-        run_sweep(bad, sc, plan, cfg)
+    with pytest.raises(ValueError, match="sweep.schemes"):
+        SweepSpec(SweptVariable.OVERHEAD, (5,), (BeamformingScheme.PERFECT_CSI,))
 
 
 def test_fully_blocked_rows_say_so():
@@ -524,11 +532,12 @@ def test_height_sweep_requires_blockage():
 
 # ------------------------------------------------------------------ search
 
-def test_run_search_matches_each_scheme_search():
+def test_run_scheme_matches_each_scheme_search():
     sc = _sweep_scenario()
     plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-6.0, 6.0),
                                r_min=0.2)
-    channel = calibrated_wave_channels(sc).blocked
+    channels = calibrated_wave_channels(sc)
+    channel = channels.blocked
     cfg = TrainingConfig(1.0, 1e-14, rng_seed=5)
     direct = {
         BeamformingScheme.EXHAUSTIVE: exhaustive_search(
@@ -544,21 +553,23 @@ def test_run_search_matches_each_scheme_search():
     }
     assert {s for s in BeamformingScheme if s.searched} == set(direct)
     for scheme, want in direct.items():
-        got = run_search(scheme, channel, sc, plan, cfg)
+        got, se, _ = run_scheme(scheme, channels, scheme_codebooks(scheme, sc, plan), cfg)
         assert (got.scheme, got.selected_params) == (
             want.scheme, want.selected_params), scheme
         np.testing.assert_array_equal(got.params, want.params)
         np.testing.assert_array_equal(got.powers, want.powers)
         np.testing.assert_array_equal(got.selected_vector.weights,
                                       want.selected_vector.weights)
+        assert se == airy_beamformers(want, channels.non_blocked).evaluate(
+            channel, 1.0, 1e-14), scheme
 
 
 @pytest.mark.parametrize("scheme", [BeamformingScheme.PERFECT_CSI,
                                     BeamformingScheme.NON_BLOCKED,
                                     BeamformingScheme.NLOS_ONLY])
-def test_run_search_rejects_benchmark_schemes(scheme):
+def test_scheme_codebooks_rejects_benchmark_schemes(scheme):
     sc = _sweep_scenario()
     plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-6.0, 6.0),
                                r_min=0.2)
     with pytest.raises(ValueError, match="not a searched scheme"):
-        run_search(scheme, gcm_channel(sc), sc, plan, TrainingConfig(1.0, 1e-12))
+        scheme_codebooks(scheme, sc, plan)

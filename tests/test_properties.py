@@ -33,7 +33,8 @@ from airylink.evaluation import (
     build_scheme_beamformers,
     calibrated_wave_channels,
     noise_for_target_se,
-    run_search,
+    run_scheme,
+    scheme_codebooks,
 )
 from airylink.scenario import (
     BlockageGeometry,
@@ -114,10 +115,7 @@ def test_searched_se_never_exceeds_perfect_csi(n_t, n_r, link, screen, height,
         BeamformingScheme.PERFECT_CSI, design_channel=channels.blocked
     ).evaluate(channels.blocked, 1.0, noise)
     for scheme in (s for s in BeamformingScheme if s.searched):
-        result = run_search(scheme, channels.blocked, sc, plan, cfg)
-        se = build_scheme_beamformers(
-            scheme, search_result=result, non_blocked_channel=channels.non_blocked
-        ).evaluate(channels.blocked, 1.0, noise)
+        _, se, _ = run_scheme(scheme, channels, scheme_codebooks(scheme, sc, plan), cfg)
         assert se <= perfect + 1e-9, (scheme, se, perfect)
 
 
