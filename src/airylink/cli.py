@@ -89,6 +89,27 @@ def _positive(value, path: str) -> float:
     return number
 
 
+def _power_of(base: float, exponent: float) -> float:
+    try:
+        return base ** exponent
+    except OverflowError:  # beyond the float range
+        return math.inf
+
+
+def _target_se(value, path: str) -> float:
+    se = _positive(value, path)  # its SNR factor must stay a positive finite float
+    if not 0 < _power_of(2.0, se) - 1.0 < math.inf:
+        raise ConfigError(f"{path}: 2**value - 1 must be a positive finite float")
+    return se
+
+
+def _k_factor(value, path: str) -> float:
+    k = _number(value, path)  # its power ratio must stay a normal float
+    if not sys.float_info.min <= _power_of(10, k / 10) < math.inf:
+        raise ConfigError(f"{path}: 10**(value/10) must be a positive normal float")
+    return k
+
+
 def _integer(minimum: int):
     def read(value, path: str) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -180,7 +201,7 @@ class CodebookOptions:
 class TrainingOptions:
     transmit_power: float = _opt(_positive, 1.0)
     noise_power: float | None = _opt(_positive, None)
-    target_se_bps_hz: float | None = _opt(_positive, None)
+    target_se_bps_hz: float | None = _opt(_target_se, None)
     probe_combiner: str = _opt(_choice(tuple(c.value for c in ProbeCombiner)),
                                ProbeCombiner.OMNIDIRECTIONAL.value)
     rng_seed: int = _opt(_integer(0), 0)
@@ -190,7 +211,7 @@ class TrainingOptions:
 class MultipathOptions:
     rays: tuple = _opt(_rays, MISSING)
     los_model: str | None = _opt(_choice((*_MODELS, "none", "None")), "gcm")
-    k_factor_db: float | None = _opt(_number, None)
+    k_factor_db: float | None = _opt(_k_factor, None)
 
 
 _VARIABLES = tuple(v.value for v in SweptVariable)

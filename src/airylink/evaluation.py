@@ -1,8 +1,10 @@
-"""Channel sets, precoder/combiner design, spectral efficiency, and sweeps.
+"""Channel sets, one-stream beamformers, spectral efficiency, and sweeps.
 
-The hybrid architecture splits each side into a constant-modulus analog
-stage and a small digital stage.  Full-digital benchmarks are represented
-with an identity analog stage so every scheme flows through the same
+Every scheme deploys one stream, and `build_scheme_beamformers` designs
+its beamformers.  A searched scheme is hybrid: its searched beam is the
+analog precoder, and each side adds a small digital stage, the receive
+side behind a constant-modulus analog combiner.  A full-digital benchmark
+has identity analog stages, so every scheme flows through the same
 spectral-efficiency evaluation.
 """
 
@@ -17,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .beam import BeamParams, airy_beam_vector
+from .beam import BeamParams, BeamVector, airy_beam_vector
 from .channel import (
     ChannelMatrix,
     ChannelModel,
@@ -50,8 +52,6 @@ from .search import (
 __all__ = [
     "IllConditionedNoiseWarning",
     "Beamformers",
-    "SvdBeamformers",
-    "CombinerDecomposition",
     "BeamformingScheme",
     "SweptVariable",
     "SweepSpec",
@@ -59,12 +59,7 @@ __all__ = [
     "SWEEP_COLUMNS",
     "ChannelSet",
     "calibrated_wave_channels",
-    "effective_channel",
-    "svd_precoder_combiner",
-    "decompose_combiner",
     "spectral_efficiency",
-    "full_digital_beamformers",
-    "airy_beamformers",
     "build_scheme_beamformers",
     "scheme_codebooks",
     "run_scheme",
@@ -75,97 +70,6 @@ __all__ = [
 
 class IllConditionedNoiseWarning(RuntimeWarning):
     """Combined noise covariance needed a pseudo-inverse."""
-
-
-def effective_channel(channel: ChannelMatrix, analog_precoder: np.ndarray) -> np.ndarray:
-    """Channel seen by the digital precoder: H @ F_analog, [N_r x L_t]."""
-    h = channel.entries
-    f_a = np.asarray(analog_precoder, dtype=complex)
-    if f_a.ndim == 1:
-        f_a = f_a[:, None]
-    if h.shape[1] != f_a.shape[0]:
-        raise ValueError("analog precoder rows must match channel columns")
-    return h @ f_a
-
-
-@dataclass(frozen=True)
-class SvdBeamformers:
-    """Top-singular-space digital precoder and the matching ideal combiner."""
-
-    digital_precoder: np.ndarray   # [L_t x N_s]
-    optimal_combiner: np.ndarray   # [N_r x N_s]
-    singular_values: np.ndarray
-    rank_deficient: bool
-
-
-def svd_precoder_combiner(effective: np.ndarray, num_streams: int,
-                          analog_precoder: np.ndarray | None = None) -> SvdBeamformers:
-    """Digital precoder and ideal combiner from the effective channel's SVD.
-
-    The digital precoder takes the top-`num_streams` right singular vectors,
-    rescaled so the composite precoder carries total power `num_streams`
-    (computed against `analog_precoder` when given, else assuming
-    orthonormal analog columns).  Streams beyond the matrix rank are
-    zero-padded and flagged.
-    """
-    eff = np.asarray(effective, dtype=complex)
-    if eff.ndim != 2:
-        raise ValueError("effective channel must be a matrix")
-    if num_streams < 1 or num_streams > min(eff.shape):
-        raise ValueError("num_streams must lie in [1, min(N_r, L_t)]")
-    u, s, vh = np.linalg.svd(eff, full_matrices=False)
-    tol = max(eff.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    live = min(rank, num_streams)
-
-    f_bb = np.zeros((eff.shape[1], num_streams), dtype=complex)
-    w_opt = np.zeros((eff.shape[0], num_streams), dtype=complex)
-    f_bb[:, :live] = vh.conj().T[:, :live]
-    w_opt[:, :live] = u[:, :live]
-
-    composite = f_bb if analog_precoder is None else np.asarray(analog_precoder) @ f_bb
-    norm = np.linalg.norm(composite)
-    if norm > 0:
-        f_bb = f_bb * (math.sqrt(num_streams) / norm)
-    return SvdBeamformers(f_bb, w_opt, s[:num_streams].copy(), live < num_streams)
-
-
-@dataclass(frozen=True)
-class CombinerDecomposition:
-    analog_combiner: np.ndarray    # [N_r x L_r], constant modulus
-    digital_combiner: np.ndarray   # [L_r x N_s]
-    residual: float                # Frobenius gap of the least-squares fit
-
-
-def decompose_combiner(optimal_combiner: np.ndarray, num_rx: int,
-                       num_chains: int) -> CombinerDecomposition:
-    """Split an ideal combiner into constant-modulus analog x digital stages.
-
-    Analog columns take the elementwise phases of the ideal combiner
-    (optimal for a single column); the digital stage is the least-squares
-    fit to the ideal combiner, renormalized afterwards so the composite
-    combiner carries total power num_streams.
-    """
-    w_opt = np.asarray(optimal_combiner, dtype=complex)
-    if w_opt.ndim == 1:
-        w_opt = w_opt[:, None]
-    num_streams = w_opt.shape[1]
-    if w_opt.shape[0] != num_rx:
-        raise ValueError("combiner rows must equal num_rx")
-    if num_chains < num_streams:
-        raise ValueError("need at least as many receive chains as streams")
-
-    scale = 1.0 / math.sqrt(num_rx)
-    w_rf = np.full((num_rx, num_chains), scale, dtype=complex)
-    phases = np.where(np.abs(w_opt) > 0, w_opt / np.where(np.abs(w_opt) > 0, np.abs(w_opt), 1.0), 1.0)
-    w_rf[:, :num_streams] = scale * phases
-
-    w_bb, *_ = np.linalg.lstsq(w_rf, w_opt, rcond=None)
-    residual = float(np.linalg.norm(w_opt - w_rf @ w_bb))
-    norm = np.linalg.norm(w_rf @ w_bb)
-    if norm > 0:
-        w_bb = w_bb * (math.sqrt(num_streams) / norm)
-    return CombinerDecomposition(w_rf, w_bb, residual)
 
 
 def spectral_efficiency(precoder: np.ndarray, combiner: np.ndarray,
@@ -245,47 +149,6 @@ class Beamformers:
         return spectral_efficiency(self.composite_precoder,
                                    self.composite_combiner,
                                    channel, transmit_power, noise_power)
-
-
-def full_digital_beamformers(design_channel: ChannelMatrix,
-                             num_streams: int = 1) -> Beamformers:
-    """Unconstrained SVD beamformers (identity analog stages)."""
-    n_r, n_t = design_channel.entries.shape
-    svd = svd_precoder_combiner(design_channel.entries, num_streams)
-    return Beamformers(
-        analog_precoder=np.eye(n_t, dtype=complex),
-        digital_precoder=svd.digital_precoder,
-        analog_combiner=np.eye(n_r, dtype=complex),
-        digital_combiner=svd.optimal_combiner,
-        hybrid=False,
-        rank_deficient=svd.rank_deficient,
-    )
-
-
-def airy_beamformers(search_result: SearchResult,
-                     design_channel: ChannelMatrix,
-                     num_streams: int = 1) -> Beamformers:
-    """Hybrid beamformers around a searched analog beam.
-
-    The analog precoder is the searched vector; the digital stages come
-    from the SVD of the design channel seen through it, with the combiner
-    split into constant-modulus analog x digital via phase extraction.
-    """
-    f_rf = search_result.selected_vector.weights[:, None]
-    if num_streams > f_rf.shape[1]:
-        raise ValueError("single searched beam supports one stream")
-    eff = effective_channel(design_channel, f_rf)
-    svd = svd_precoder_combiner(eff, num_streams, analog_precoder=f_rf)
-    dec = decompose_combiner(svd.optimal_combiner, design_channel.entries.shape[0],
-                             num_streams)
-    return Beamformers(
-        analog_precoder=f_rf,
-        digital_precoder=svd.digital_precoder,
-        analog_combiner=dec.analog_combiner,
-        digital_combiner=dec.digital_combiner,
-        hybrid=True,
-        rank_deficient=svd.rank_deficient,
-    )
 
 
 class BeamformingScheme(enum.Enum):
@@ -379,12 +242,13 @@ def run_scheme(scheme: BeamformingScheme, channels: ChannelSet, books: tuple,
     channel; a benchmark ignores them.  Then it deploys as `_deploy` says.
     """
     result = _search(scheme, books, channels, cfg) if scheme.searched else None
-    return (result, *_deploy(scheme, result, channels, cfg))
+    beam = None if result is None else result.selected_vector
+    return (result, *_deploy(scheme, beam, channels, cfg))
 
 
-def _deploy(scheme: BeamformingScheme, result: SearchResult | None,
+def _deploy(scheme: BeamformingScheme, beam: BeamVector | None,
             channels: ChannelSet, cfg: TrainingConfig) -> tuple:
-    """(spectral efficiency, notes) of `scheme` deploying the searched `result`
+    """(spectral efficiency, notes) of `scheme` deploying its searched `beam`
     (None for a benchmark), designed on its design channel and run over its
     link channel.
 
@@ -392,7 +256,7 @@ def _deploy(scheme: BeamformingScheme, result: SearchResult | None,
     and `ill_conditioned_noise` (the noise covariance needed a pseudo-inverse).
     """
     design, link = (getattr(channels, name) for name in scheme.channel_fields)
-    bf = build_scheme_beamformers(scheme, search_result=result, design_channel=design)
+    bf = build_scheme_beamformers(scheme, beam, design)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IllConditionedNoiseWarning)
         se = bf.evaluate(link, cfg.transmit_power, cfg.noise_power)
@@ -403,29 +267,57 @@ def _deploy(scheme: BeamformingScheme, result: SearchResult | None,
     return se, ";".join(name for name, flag in flags if flag)
 
 
-def build_scheme_beamformers(scheme: BeamformingScheme,
-                             search_result: SearchResult | None = None,
-                             design_channel: ChannelMatrix | None = None,
-                             non_blocked_channel: ChannelMatrix | None = None
-                             ) -> Beamformers:
-    """Assemble the beamformers a given scheme would deploy.
+def _top_pair(h: np.ndarray) -> tuple:
+    """`h`'s top left and right singular vectors as columns (zero at rank 0), and rank 0?"""
+    u, s, vh = np.linalg.svd(h, full_matrices=False)
+    tol = max(h.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    left = np.zeros((h.shape[0], 1), dtype=complex)
+    right = np.zeros((h.shape[1], 1), dtype=complex)
+    rank_deficient = not np.any(s > tol)
+    if not rank_deficient:
+        left[:, 0], right[:, 0] = u[:, 0], vh[0].conj()
+    return left, right, rank_deficient
 
-    The digital stage is designed on `design_channel`; a scheme whose table
-    entry designs on the unblocked channel falls back to
-    `non_blocked_channel` (so a searched scheme given `design_channel` can
-    study blocked-channel design).  Searched schemes wrap the searched beam
-    (`airy_beamformers`); benchmarks are full-digital SVD.
+
+def build_scheme_beamformers(scheme: BeamformingScheme, beam: BeamVector | None = None,
+                             design_channel: ChannelMatrix | None = None) -> Beamformers:
+    """The one-stream beamformers `scheme` deploys, designed on `design_channel`.
+
+    A benchmark is full digital: identity analog stages around the design
+    channel's top singular pair.  A searched scheme is hybrid around its
+    searched `beam`, the analog precoder: the digital precoder is the top
+    right singular vector of the channel seen through the beam, and the
+    ideal combiner, the top left one, splits into its elementwise phases
+    over sqrt(N_r), the constant-modulus analog combiner, times their
+    least-squares digital weight.  Each digital stage is scaled so that its
+    composite has unit power (a benchmark's combiner has it already).  A
+    rank-0 channel gives zero digital stages, flagged `rank_deficient`.
     """
-    if scheme.searched and search_result is None:
-        raise ValueError("searched scheme requires a search result")
-    ref = design_channel
-    if ref is None and _SCHEMES[scheme].design == "non_blocked":
-        ref = non_blocked_channel
-    if ref is None:
+    if scheme.searched and beam is None:
+        raise ValueError("searched scheme requires its searched beam")
+    if design_channel is None:
         raise ValueError(f"{scheme.value} requires its design channel")
-    if scheme.searched:
-        return airy_beamformers(search_result, ref)
-    return full_digital_beamformers(ref)
+    h = np.asarray(design_channel.entries, dtype=complex)
+    n_r, n_t = h.shape
+
+    def unit_power(stage, analog=None):
+        # times the reciprocal norm, which rounds unlike stage / norm
+        norm = np.linalg.norm(stage if analog is None else analog @ stage)
+        return stage * (1.0 / norm) if norm > 0 else stage
+
+    if not scheme.searched:
+        w_opt, f_bb, rank_deficient = _top_pair(h)
+        return Beamformers(np.eye(n_t, dtype=complex), unit_power(f_bb),
+                           np.eye(n_r, dtype=complex), w_opt,
+                           hybrid=False, rank_deficient=rank_deficient)
+    f_rf = beam.weights[:, None]
+    w_opt, f_bb, rank_deficient = _top_pair(h @ f_rf)
+    magnitude = np.abs(w_opt)
+    phases = np.where(magnitude > 0, w_opt / np.where(magnitude > 0, magnitude, 1.0), 1.0)
+    w_rf = (1.0 / math.sqrt(n_r)) * phases
+    w_bb, *_ = np.linalg.lstsq(w_rf, w_opt, rcond=None)
+    return Beamformers(f_rf, unit_power(f_bb, f_rf), w_rf, unit_power(w_bb, w_rf),
+                       hybrid=True, rank_deficient=rank_deficient)
 
 
 def noise_for_target_se(channel: ChannelMatrix, transmit_power: float,
@@ -458,6 +350,9 @@ class SweepSpec:
             raise ValueError("sweep.grid: must be non-empty")
         if self.repetitions < 1:
             raise ValueError("sweep.repetitions: must be >= 1")
+        if (self.swept_variable is SweptVariable.TRANSMIT_POWER
+                and not all(v > 0 for v in self.grid)):
+            raise ValueError("sweep.grid: power values must be > 0")
         if self.swept_variable is not SweptVariable.OVERHEAD:
             return
         if not all(float(v).is_integer() and v >= 1 for v in self.grid):
@@ -540,14 +435,22 @@ def calibrated_wave_channels(scenario: ScenarioConfig, model: str | None = "wcm"
     return ChannelSet(with_rays(blocked), with_rays(non_blocked), nlos)
 
 
-def _point_scenario(scenario: ScenarioConfig, variable: SweptVariable,
-                    value: float) -> ScenarioConfig:
+def _point_scenarios(spec: SweepSpec, scenario: ScenarioConfig) -> list:
+    """Each grid point's scenario; a point the scenario refuses names `sweep.grid`."""
+    variable = spec.swept_variable
     if variable not in (SweptVariable.BLOCKAGE_HEIGHT, SweptVariable.BLOCKAGE_DISTANCE):
-        return scenario
+        return [scenario] * len(spec.grid)
     if scenario.blockage is None:
         raise ValueError(f"scenario.blockage: required by a {variable.value} sweep")
     moved = "extent_above" if variable is SweptVariable.BLOCKAGE_HEIGHT else "distance_from_tx"
-    return replace(scenario, blockage=replace(scenario.blockage, **{moved: float(value)}))
+    points = []
+    for value in spec.grid:
+        try:
+            blockage = replace(scenario.blockage, **{moved: float(value)})
+            points.append(replace(scenario, blockage=blockage))
+        except ValueError as exc:
+            raise ValueError(f"sweep.grid: {value!r}: {exc}") from exc
+    return points
 
 
 def _derive_seed(base_seed: int, point_index: int, repetition: int) -> int:
@@ -574,11 +477,8 @@ def _overhead_rows(spec: SweepSpec, channels: ChannelSet,
             used = min(int(value), result.overhead)
             key = tuple(result.params[int(np.argmax(result.powers[:used]))].tolist())
             if key not in se_cache:
-                selected = airy_beam_vector(BeamParams(*key), scenario.tx,
-                                            scenario.carrier)
-                sub = SearchResult(result.scheme, selected, result.params[:used],
-                                   result.powers[:used])
-                se_cache[key] = _deploy(scheme, sub, channels, cfg)
+                beam = airy_beam_vector(BeamParams(*key), scenario.tx, scenario.carrier)
+                se_cache[key] = _deploy(scheme, beam, channels, cfg)
             se, notes = se_cache[key]
             if se > best_so_far:
                 best_so_far, best_notes = se, notes
@@ -612,8 +512,7 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig,
             rows.extend(_overhead_rows(spec, channels, scenario, books, cfg, seed))
         return rows
 
-    for i, value in enumerate(spec.grid):
-        point = _point_scenario(scenario, spec.swept_variable, value)
+    for i, (value, point) in enumerate(zip(spec.grid, _point_scenarios(spec, scenario))):
         channels = channels_at(point)
         for rep in range(spec.repetitions):
             seed = _derive_seed(spec.base_seed, i, rep)

@@ -316,8 +316,8 @@ def test_search_scheme_spectral_efficiency_ordering(ordering_design):
         ).evaluate(channels.blocked, 1.0, noise)}
         for name, result in results.items():
             se[name] = build_scheme_beamformers(
-                scheme_of[name], search_result=result,
-                non_blocked_channel=channels.non_blocked,
+                scheme_of[name], beam=result.selected_vector,
+                design_channel=channels.non_blocked,
             ).evaluate(channels.blocked, 1.0, noise)
         for pair in violations:
             if se[pair[0]] < se[pair[1]] - 1e-12:
@@ -355,11 +355,11 @@ def test_unblocked_reference_precoder_tracks_blocked_design(ordering_design):
         cfg = TrainingConfig(1.0, noise / 100.0, rng_seed=0)
         result = exhaustive_search(design["exhaustive"], channels.blocked, cfg)
         se_unblocked_ref = build_scheme_beamformers(
-            BeamformingScheme.EXHAUSTIVE, search_result=result,
-            non_blocked_channel=channels.non_blocked,
+            BeamformingScheme.EXHAUSTIVE, beam=result.selected_vector,
+            design_channel=channels.non_blocked,
         ).evaluate(channels.blocked, 1.0, noise)
         se_blocked_ref = build_scheme_beamformers(
-            BeamformingScheme.EXHAUSTIVE, search_result=result,
+            BeamformingScheme.EXHAUSTIVE, beam=result.selected_vector,
             design_channel=channels.blocked,
         ).evaluate(channels.blocked, 1.0, noise)
         assert abs(se_blocked_ref - se_unblocked_ref) <= 1.0, (

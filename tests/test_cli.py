@@ -205,6 +205,11 @@ def test_nlos_scheme_needs_multipath_section(tmp_path, capsys, name):
     ("curving_range: 4.0", "curving_range: 4.0\n  angle_index: 40", "codebook.angle_index"),
     ("r_min_m: 0.2", "r_min_m: 5.0", "codebook.r_min_m"),
     ("rng_seed: 0", "rng_seed: -1", "training.rng_seed"),
+    # values whose SNR or power ratio leaves the float range
+    ("target_se_bps_hz: 10.0", "target_se_bps_hz: 1.0e-20", "training.target_se_bps_hz"),
+    ("target_se_bps_hz: 10.0", "target_se_bps_hz: 2000", "training.target_se_bps_hz"),
+    ("los_model: gcm", "los_model: gcm\n  k_factor_db: 4000", "multipath.k_factor_db"),
+    ("los_model: gcm", "los_model: gcm\n  k_factor_db: -3200", "multipath.k_factor_db"),
 ])
 def test_bad_number_named_once_before_output(tmp_path, capsys, old, new, named):
     text = SWEEP_YAML + MULTIPATH_YAML
@@ -216,6 +221,20 @@ def test_bad_number_named_once_before_output(tmp_path, capsys, old, new, named):
     assert main(["sweep", "--config", bad, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {named}") and err.count(named) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variable, grid", [
+    ("height", "[0.0, -0.6]"),
+    ("distance", "[0.5, 0.99]"),
+    ("power", "[0.0, 1.0]"),
+])
+def test_refused_sweep_point_names_sweep_grid(tmp_path, capsys, variable, grid):
+    bad = _write(tmp_path, SWEEP_YAML.replace("grid: [0.0, 0.003]", f"grid: {grid}"))
+    out = tmp_path / "o"
+    assert main(["sweep", "--sweep", variable, "--config", bad, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep.grid: ") and err.count("sweep.grid") == 1
     assert not out.exists()
 
 

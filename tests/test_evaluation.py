@@ -17,18 +17,13 @@ from airylink.evaluation import (
     SweepRow,
     SweepSpec,
     SweptVariable,
-    airy_beamformers,
     build_scheme_beamformers,
     calibrated_wave_channels,
-    decompose_combiner,
-    effective_channel,
-    full_digital_beamformers,
     noise_for_target_se,
     run_scheme,
     run_sweep,
     scheme_codebooks,
     spectral_efficiency,
-    svd_precoder_combiner,
 )
 from airylink.scenario import (
     BlockageGeometry,
@@ -67,52 +62,42 @@ def _random_channel(nr, nt, seed):
     return ChannelMatrix(h, ChannelModel.SYNTHETIC)
 
 
-# -------------------------------------------------------- effective channel
-
-def test_effective_channel_product():
-    h = _random_channel(4, 6, 0)
-    f = np.arange(12, dtype=complex).reshape(6, 2)
-    np.testing.assert_array_equal(effective_channel(h, f), h.entries @ f)
-    col = effective_channel(h, np.ones(6, complex))
-    assert col.shape == (4, 1)
-    with pytest.raises(ValueError):
-        effective_channel(h, np.ones((5, 2), complex))
-
-
-# ------------------------------------------------------------ SVD factories
+# ------------------------------------------------------------ top singular pair
 
 def test_svd_rank_one_recovery():
     u = np.array([1, 1j, -1, 0.5]) / math.sqrt(3.25)
     v = np.array([1, -1j, 2]) / math.sqrt(6)
-    h = 4.2 * np.outer(u, v.conj())
-    svd = svd_precoder_combiner(h, 1)
-    assert svd.singular_values[0] == pytest.approx(4.2, rel=1e-12)
-    assert not svd.rank_deficient
-    f = svd.digital_precoder[:, 0]
+    h = ChannelMatrix(4.2 * np.outer(u, v.conj()), ChannelModel.SYNTHETIC)
+    bf = build_scheme_beamformers(BeamformingScheme.PERFECT_CSI, design_channel=h)
+    assert not bf.rank_deficient
+    f = bf.digital_precoder[:, 0]
     assert np.linalg.norm(f) == pytest.approx(1.0, rel=1e-12)
     assert abs(np.vdot(f, v)) == pytest.approx(1.0, rel=1e-12)  # aligned up to phase
-    w = svd.optimal_combiner[:, 0]
+    w = bf.digital_combiner[:, 0]
     assert abs(np.vdot(w, u)) == pytest.approx(1.0, rel=1e-12)
+    assert abs(w.conj() @ h.entries @ f) == pytest.approx(4.2, rel=1e-12)
 
 
-def test_svd_rank_deficient_padding():
-    u = np.ones(4) / 2
-    v = np.ones(3) / math.sqrt(3)
-    svd = svd_precoder_combiner(np.outer(u, v), 2)
-    assert svd.rank_deficient
-    np.testing.assert_array_equal(svd.digital_precoder[:, 1], 0)
-    np.testing.assert_array_equal(svd.optimal_combiner[:, 1], 0)
-    # composite power still num_streams via renormalization of the live column
-    assert np.linalg.norm(svd.digital_precoder) ** 2 == pytest.approx(2.0, rel=1e-9)
+def _farfield_beam(sc):
+    return exhaustive_search(build_farfield_codebook(sc), gcm_channel(sc),
+                             TrainingConfig(1.0, 0.0)).selected_vector
 
 
-def test_svd_validation():
-    with pytest.raises(ValueError):
-        svd_precoder_combiner(np.ones((3, 4), complex), 0)
-    with pytest.raises(ValueError):
-        svd_precoder_combiner(np.ones((3, 4), complex), 4)
-    with pytest.raises(ValueError):
-        svd_precoder_combiner(np.ones(4, complex), 1)
+@pytest.mark.parametrize("searched", [False, True])
+def test_zero_design_channel_is_rank_deficient(searched):
+    zero = ChannelMatrix(np.zeros((32, 32), complex), ChannelModel.SYNTHETIC)
+    if searched:
+        bf = build_scheme_beamformers(BeamformingScheme.FARFIELD_STEERING,
+                                      _farfield_beam(_scenario(32, 1.0)), zero)
+    else:
+        bf = build_scheme_beamformers(BeamformingScheme.PERFECT_CSI, design_channel=zero)
+    assert bf.rank_deficient and bf.hybrid == searched
+    np.testing.assert_array_equal(bf.digital_precoder, 0)
+    np.testing.assert_array_equal(bf.digital_combiner, 0)
+    link = _random_channel(32, 32, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedNoiseWarning)
+        assert bf.evaluate(link, 1.0, 1.0) == 0.0
 
 
 # ------------------------------------------------------ spectral efficiency
@@ -167,7 +152,7 @@ def test_se_ill_conditioned_noise_warns():
 
 def test_svd_precoder_dominates_random():
     h = _random_channel(6, 16, 5)
-    bf = full_digital_beamformers(h, num_streams=1)
+    bf = build_scheme_beamformers(BeamformingScheme.PERFECT_CSI, design_channel=h)
     best = bf.evaluate(h, 1.0, 1.0)
     rng = np.random.default_rng(6)
     for _ in range(100):
@@ -181,24 +166,20 @@ def test_svd_precoder_dominates_random():
 # ------------------------------------------------------ combiner decomposition
 
 def test_decompose_exactly_representable():
+    # a rank-one channel whose left vector is constant modulus: the analog
+    # combiner's phases carry it exactly
     rng = np.random.default_rng(7)
-    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, 8))
-    w_opt = (phases / math.sqrt(8))[:, None] * 0.9
-    dec = decompose_combiner(w_opt, 8, 1)
-    assert dec.residual == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(np.abs(dec.analog_combiner), 1 / math.sqrt(8))
-    comp = dec.analog_combiner @ dec.digital_combiner
+    u = np.exp(1j * rng.uniform(-np.pi, np.pi, 8)) / math.sqrt(8)
+    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    h = ChannelMatrix(0.9 * np.outer(u, v.conj()), ChannelModel.SYNTHETIC)
+    beam = _farfield_beam(_scenario(8, 1.0))
+    bf = build_scheme_beamformers(BeamformingScheme.FARFIELD_STEERING, beam, h)
+    np.testing.assert_allclose(np.abs(bf.analog_combiner), 1 / math.sqrt(8))
+    comp = bf.composite_combiner
     assert np.linalg.norm(comp) ** 2 == pytest.approx(1.0, rel=1e-9)
     # composite keeps the ideal direction exactly
-    assert abs(np.vdot(comp[:, 0], w_opt[:, 0])) == pytest.approx(
-        np.linalg.norm(comp[:, 0]) * np.linalg.norm(w_opt), rel=1e-12)
-
-
-def test_decompose_validation():
-    with pytest.raises(ValueError):
-        decompose_combiner(np.ones((8, 2), complex), 4, 2)
-    with pytest.raises(ValueError):
-        decompose_combiner(np.ones((8, 2), complex), 8, 1)
+    assert abs(np.vdot(comp[:, 0], u)) == pytest.approx(
+        np.linalg.norm(comp[:, 0]) * np.linalg.norm(u), rel=1e-12)
 
 
 # ----------------------------------------------------------- beamformer sets
@@ -219,19 +200,20 @@ def test_beamformers_power_constraint_enforced():
 
 def test_full_digital_identity_analog():
     h = _random_channel(4, 6, 8)
-    bf = full_digital_beamformers(h, 2)
+    bf = build_scheme_beamformers(BeamformingScheme.PERFECT_CSI, design_channel=h)
     assert not bf.hybrid
     np.testing.assert_array_equal(bf.analog_precoder, np.eye(6))
     np.testing.assert_array_equal(bf.analog_combiner, np.eye(4))
-    assert np.linalg.norm(bf.composite_precoder) ** 2 == pytest.approx(2.0, rel=1e-9)
+    assert np.linalg.norm(bf.composite_precoder) ** 2 == pytest.approx(1.0, rel=1e-9)
 
 
-def test_airy_beamformers_wrap_searched_vector():
+def test_searched_beamformers_wrap_searched_vector():
     sc = _scenario(32, 1.0)
     h = gcm_channel(sc)
     book = build_farfield_codebook(sc)
     res = exhaustive_search(book, h, TrainingConfig(1.0, 0.0))
-    bf = airy_beamformers(res, h)
+    bf = build_scheme_beamformers(BeamformingScheme.FARFIELD_STEERING,
+                                  res.selected_vector, h)
     assert bf.hybrid
     np.testing.assert_array_equal(bf.analog_precoder[:, 0],
                                   res.selected_vector.weights)
@@ -239,8 +221,6 @@ def test_airy_beamformers_wrap_searched_vector():
     noise = noise_for_target_se(h, 1.0, 8.0)
     se = bf.evaluate(h, 1.0, noise)
     assert 0 < se <= 8.0 + 1e-9
-    with pytest.raises(ValueError):
-        airy_beamformers(res, h, num_streams=2)
 
 
 def test_scheme_builder_validation():
@@ -263,8 +243,8 @@ def test_perfect_csi_dominates_searched_hybrid():
     cfg = TrainingConfig(1.0, 0.0)
     res = farfield_steering_search(build_farfield_codebook(sc), channels.blocked, cfg)
     hybrid = build_scheme_beamformers(BeamformingScheme.FARFIELD_STEERING,
-                                      search_result=res,
-                                      non_blocked_channel=channels.non_blocked)
+                                      beam=res.selected_vector,
+                                      design_channel=channels.non_blocked)
     csi = build_scheme_beamformers(BeamformingScheme.PERFECT_CSI,
                                    design_channel=channels.blocked)
     se_h = hybrid.evaluate(channels.blocked, 1.0, noise)
@@ -276,7 +256,7 @@ def test_noise_for_target_se_exact():
     sc = _scenario(64, 1.0)
     h = gcm_channel(sc)
     noise = noise_for_target_se(h, 1.0, 15.0)
-    bf = full_digital_beamformers(h, 1)
+    bf = build_scheme_beamformers(BeamformingScheme.PERFECT_CSI, design_channel=h)
     assert bf.evaluate(h, 1.0, noise) == pytest.approx(15.0, abs=1e-9)
     zero = ChannelMatrix(np.zeros((2, 2), complex), ChannelModel.SYNTHETIC)
     with pytest.raises(ValueError):
@@ -292,6 +272,8 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError, match="^sweep.repetitions: must be >= 1$"):
         SweepSpec(SweptVariable.BLOCKAGE_HEIGHT, (0.1,),
                   (BeamformingScheme.PERFECT_CSI,), repetitions=0)
+    with pytest.raises(ValueError, match="^sweep.grid: power values must be > 0$"):
+        SweepSpec(SweptVariable.TRANSMIT_POWER, (0.0, 1.0), (BeamformingScheme.PERFECT_CSI,))
     # overhead budgets are whole slot counts of at least one
     searched = (BeamformingScheme.FARFIELD_STEERING,)
     for budget in (-3, 0, 0.5, 2.9, math.inf):
@@ -367,13 +349,13 @@ def test_each_scheme_row_designs_and_runs_on_its_own_channels():
     run_cfg = TrainingConfig(2.0, 1.0, rng_seed=rows[0].seed)
     for row, (scheme, (design, link)) in zip(rows, want.items()):
         assert row.scheme == scheme.value
-        assert row.spectral_efficiency_bps_hz == full_digital_beamformers(
-            design).evaluate(link, 2.0, 1.0), scheme
+        assert row.spectral_efficiency_bps_hz == build_scheme_beamformers(
+            scheme, design_channel=design).evaluate(link, 2.0, 1.0), scheme
     result, se, _ = run_scheme(searched, cs, scheme_codebooks(searched, sc, plan), run_cfg)
     assert (rows[-1].overhead_slots, rows[-1].spectral_efficiency_bps_hz) == (
         result.overhead, se)
-    assert rows[-1].spectral_efficiency_bps_hz == airy_beamformers(
-        result, cs.non_blocked).evaluate(cs.blocked, 2.0, 1.0)
+    assert rows[-1].spectral_efficiency_bps_hz == build_scheme_beamformers(
+        searched, result.selected_vector, cs.non_blocked).evaluate(cs.blocked, 2.0, 1.0)
 
 
 def _count_calls(monkeypatch, names, key):
@@ -560,7 +542,8 @@ def test_run_scheme_matches_each_scheme_search():
         np.testing.assert_array_equal(got.powers, want.powers)
         np.testing.assert_array_equal(got.selected_vector.weights,
                                       want.selected_vector.weights)
-        assert se == airy_beamformers(want, channels.non_blocked).evaluate(
+        assert se == build_scheme_beamformers(
+            scheme, want.selected_vector, channels.non_blocked).evaluate(
             channel, 1.0, 1e-14), scheme
 
 
