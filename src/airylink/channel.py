@@ -14,8 +14,9 @@ Three models of the same partially blocked link:
 Both cascades share `_cascade` and differ only in the kernel: an exponential
 per distinct offset for the cascaded model, the Hankel function H1^(2)(kr)
 for the wave model (`_hankel2_1`: its large-argument expansion on the
-`numerics.cis` phasor from kr = 25 on, scipy below). The two models take
-about the same time.
+`numerics.cis` phasor from kr = 25 on, Hankel's integral by a Gauss-Hermite
+rule from kr = 4, and the power series of J1 and Y1 below). The two models
+take about the same time.
 
 Every hop, in the cascades, the direct Tx-to-Rx links and the field maps,
 goes through one operator, `_hop_operator`: rows @ K with K[i, j] =
@@ -41,9 +42,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy import special
 
 from .numerics import cis
 from .scenario import (
@@ -187,8 +188,11 @@ def _hop(rows: np.ndarray, a_y: np.ndarray, b_y: np.ndarray, dx: float,
     return _hop_operator(a_y, b_y, dx, kernel)(rows)
 
 
-# H1^(2)(z) is evaluated by its large-argument expansion from here on.
+# H1^(2)(z) is evaluated by its large-argument expansion from here on, by
+# Hankel's integral from _HANKEL_SERIES_BELOW, and by the power series of J1
+# and Y1 below that.
 _HANKEL_ASYMPTOTIC_FROM = 25.0
+_HANKEL_SERIES_BELOW = 4.0
 # Values evaluated per block, as in `numerics.cis`: every temporary stays in
 # cache.
 _HANKEL_BLOCK = 8192
@@ -232,11 +236,12 @@ def _hankel2_1(z: np.ndarray, scale=1.0) -> np.ndarray:
     e^{-jz} comes from the table-driven phasor `numerics.cis` of z itself
     (as the conjugate of cis(z), which is cis(-z) bit for bit), and the
     e^{j3pi/4} turn is applied afterwards, because forming z - 3pi/4 would
-    round the phase by up to ulp(z)/2. Entries below 25 come from
-    scipy.special.hankel2. `scale` is a scalar or an array of z's shape,
-    folded into the result. Values are evaluated in blocks of
-    `_HANKEL_BLOCK`; each result depends on its own z and scale only, not
-    on the array's shape or the blocks.
+    round the phase by up to ulp(z)/2. Below 25, P - jQ comes from
+    Hankel's integral instead (`_laplace_rule`), and below 4 the value from
+    the power series of J1 and Y1 (`_hankel2_1_series`). `scale` is a
+    scalar or an array of z's shape, folded into the result. Values are
+    evaluated in blocks of `_HANKEL_BLOCK`; each result depends on its own
+    z and scale only, not on the array's shape or the blocks.
     """
     z = np.asarray(z, dtype=float)
     out = np.empty(z.shape, dtype=complex)
@@ -252,9 +257,9 @@ def _hankel2_1(z: np.ndarray, scale=1.0) -> np.ndarray:
 
 
 def _hankel2_1_block(z: np.ndarray, scale, out: np.ndarray) -> None:
-    # every entry takes the expansion (entries below 25 at z = 25, replaced
-    # afterwards), so the common all-large case needs no index arrays
-    zc = np.maximum(z, _HANKEL_ASYMPTOTIC_FROM)
+    # every entry takes the expansion's form (entries below 4 at z = 4,
+    # replaced afterwards), so the common all-large case needs no index arrays
+    zc = np.maximum(z, _HANKEL_SERIES_BELOW)
     phasor = cis(zc)
     cos, sin = phasor.real, phasor.imag
     inv = np.divide(1.0, zc, out=zc)
@@ -262,6 +267,11 @@ def _hankel2_1_block(z: np.ndarray, scale, out: np.ndarray) -> None:
     p = _horner(_HANKEL_P, t)
     q = _horner(_HANKEL_Q, t)
     q *= inv
+    small = z < _HANKEL_ASYMPTOTIC_FROM
+    any_small = small.any()
+    if any_small:
+        # below 25, P - jQ from Hankel's integral, of which it is the expansion
+        p[small], q[small] = _hankel_integral(inv[small])
     # e^{-jz} (P - jQ) = u - jv with u = cos P - sin Q, v = sin P + cos Q
     u = np.multiply(cos, p, out=t)
     cos *= q
@@ -277,9 +287,76 @@ def _hankel2_1_block(z: np.ndarray, scale, out: np.ndarray) -> None:
     v *= amp
     np.subtract(v, u, out=out.real)
     np.add(u, v, out=out.imag)
-    small = z < _HANKEL_ASYMPTOTIC_FROM
-    if small.any():
-        out[small] = special.hankel2(1, z[small]) * np.broadcast_to(scale, z.shape)[small]
+    if any_small:
+        series = z < _HANKEL_SERIES_BELOW
+        if series.any():
+            out[series] = _hankel2_1_series(z[series]) * np.broadcast_to(scale, z.shape)[series]
+
+
+def _laplace_rule(nodes: int) -> tuple:
+    """Squared nodes and weights of a Gauss-Hermite rule for Hankel's integral.
+
+    Hankel's integral (Watson, section 7.2; DLMF 10.9) with u = t^2 gives
+    H1^(2)(z) = sqrt(2/(pi z)) e^{-j(z - 3pi/4)} (P - jQ), exactly, with
+    P - jQ = (2/sqrt(pi)) int e^{-t^2} t^2 (1 - j t^2/(2z))^{1/2} dt over
+    the real line; the large-argument expansion is its series in 1/z. The
+    integrand is even, so the rule keeps its positive nodes tau_i = t_i^2
+    with doubled weights: P - jQ = sum_i w_i sqrt(1 - j tau_i/(2z)).
+    """
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    t, w = t[t > 0], w[t > 0]
+    tau = t * t
+    return tau, (4 / math.sqrt(math.pi)) * w * tau
+
+
+# 40 nodes: within 1e-15 (relative) of H1^(2) from z = 4 on.
+_LAPLACE_TAU, _LAPLACE_W = _laplace_rule(40)
+
+
+def _hankel_integral(inv: np.ndarray) -> tuple:
+    """(P, Q) of `_laplace_rule` for inv = 1/z.
+
+    sqrt(1 - ja) = rho - j a/(2 rho) with rho = sqrt((1 + hypot(1, a))/2),
+    which needs no complex square root and cancels nothing. The sums run
+    along rows, so each value depends on its own z only.
+    """
+    a = (0.5 * inv)[:, None] * _LAPLACE_TAU
+    rho = np.sqrt(0.5 + 0.5 * np.hypot(1.0, a))
+    return (rho * _LAPLACE_W).sum(axis=1), (a / rho * (0.5 * _LAPLACE_W)).sum(axis=1)
+
+
+def _power_series(terms: int) -> tuple:
+    """Coefficients of J1 and of Y1's series part in powers of w = (z/2)^2.
+
+    DLMF 10.8.1 and 10.2.2 with n = 1 and h = z/2: J1 = h sum_k a_k w^k and
+    Y1 = (2/pi)(ln h + gamma) J1 - 1/(pi h) - (h/pi) sum_k b_k w^k, with
+    a_k = (-1)^k / (k! (k+1)!) and b_k = a_k (H_k + H_{k+1}), H_k the k-th
+    harmonic number (psi(k+1) + psi(k+2) = H_k + H_{k+1} - 2 gamma, and the
+    gamma terms fold into J1). Each coefficient is one correctly rounded
+    division of exact integers.
+    """
+    a, b, harmonic = [], [], Fraction(0)
+    for k in range(terms):
+        following = harmonic + Fraction(1, k + 1)
+        ak = Fraction((-1) ** k, math.factorial(k) * math.factorial(k + 1))
+        a.append(float(ak))
+        b.append(float(ak * (harmonic + following)))
+        harmonic = following
+    return tuple(a), tuple(b)
+
+
+# 17 terms: the first one left out is below 1e-18 of the sum at z = 4.
+_SERIES_J, _SERIES_Y = _power_series(17)
+
+
+def _hankel2_1_series(z: np.ndarray) -> np.ndarray:
+    """H1^(2)(z) = J1(z) - j Y1(z) for 0 < z < 4, from `_power_series`."""
+    h = 0.5 * z
+    w = h * h
+    j1 = h * _horner(_SERIES_J, w)
+    y1 = ((2 / math.pi) * (np.log(h) + np.euler_gamma) * j1 - 1 / (math.pi * h)
+          - (h / math.pi) * _horner(_SERIES_Y, w))
+    return j1 - 1j * y1
 
 
 def _gcm_kernel(carrier: CarrierConfig):
@@ -305,7 +382,8 @@ def _rs_kernel(carrier: CarrierConfig, dx: float, weight: float):
     sqrt(lambda*r) e^{j pi/4}. Using the 3-D point-source kernel directly
     would over-weight short hops and make iterated plane-to-plane cascades
     diverge. The Hankel values come from `_hankel2_1`: its large-argument
-    expansion from kr = 25 on, scipy below.
+    expansion from kr = 25 on, Hankel's integral from kr = 4, and the power
+    series of J1 and Y1 below.
     """
     k = carrier.wavenumber
 

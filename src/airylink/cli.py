@@ -40,6 +40,7 @@ from .gridio import (
     write_sweep_csv,
     write_text,
 )
+from .numerics import power_of
 from .scenario import (
     ArrayConfig,
     BlockageGeometry,
@@ -89,23 +90,16 @@ def _positive(value, path: str) -> float:
     return number
 
 
-def _power_of(base: float, exponent: float) -> float:
-    try:
-        return base ** exponent
-    except OverflowError:  # beyond the float range
-        return math.inf
-
-
 def _target_se(value, path: str) -> float:
     se = _positive(value, path)  # its SNR factor must stay a positive finite float
-    if not 0 < _power_of(2.0, se) - 1.0 < math.inf:
+    if not 0 < power_of(2.0, se) - 1.0 < math.inf:
         raise ConfigError(f"{path}: 2**value - 1 must be a positive finite float")
     return se
 
 
 def _k_factor(value, path: str) -> float:
     k = _number(value, path)  # its power ratio must stay a normal float
-    if not sys.float_info.min <= _power_of(10, k / 10) < math.inf:
+    if not sys.float_info.min <= power_of(10, k / 10) < math.inf:
         raise ConfigError(f"{path}: 10**(value/10) must be a positive normal float")
     return k
 

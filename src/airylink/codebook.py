@@ -216,6 +216,12 @@ def _curving_envelope_pair():
     return env, batch, sup, nodes
 
 
+# sup over x >= 0 of |B(x) + jD(x)|, the global max of the Fresnel primitive,
+# attained at x = 1.2093781287830067 where B cos(pi/2 x^2) + D sin(pi/2 x^2)
+# changes sign (checked against mpmath in the tests).
+FRESNEL_PRIMITIVE_SUP = 0.9490564666710863
+
+
 def _distance_envelope_pair():
     env = distance_correlation_closed
 
@@ -223,10 +229,7 @@ def _distance_envelope_pair():
         b, d = fresnel_integrals(grid)
         return np.hypot(b, d) / np.where(grid > 0, grid, 1.0)
 
-    probe = np.linspace(0.0, 40.0, 40001)
-    b, d = fresnel_integrals(probe)
-    sup = float(np.hypot(b, d).max())
-    return env, batch, sup, fresnel_lobe_nodes(60.0)
+    return env, batch, FRESNEL_PRIMITIVE_SUP, fresnel_lobe_nodes(60.0)
 
 
 def _first_crossing_of_curve(f, target: float, step: float, axis: str, num_elements: int,

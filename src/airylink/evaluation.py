@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
@@ -38,6 +39,7 @@ from .codebook import (
     build_low_complexity_codebooks,
     build_nearfield_codebook,
 )
+from .numerics import power_of
 from .scenario import ScenarioConfig
 from .search import (
     SearchResult,
@@ -323,10 +325,14 @@ def build_scheme_beamformers(scheme: BeamformingScheme, beam: BeamVector | None 
 def noise_for_target_se(channel: ChannelMatrix, transmit_power: float,
                         target_se: float) -> float:
     """Noise power that puts the full-digital single-stream rate at target_se."""
+    snr = power_of(2.0, target_se) - 1.0
+    if not 0 < snr < math.inf:
+        raise ValueError(f"target_se: 2**target_se - 1 must be a positive finite float, "
+                         f"got target_se={target_se!r}")
     top = float(np.linalg.svd(channel.entries, compute_uv=False)[0])
     if top == 0.0:
         raise ValueError("channel has no energy")
-    return transmit_power * top**2 / (2.0**target_se - 1.0)
+    return transmit_power * top**2 / snr
 
 
 class SweptVariable(enum.Enum):
@@ -401,6 +407,11 @@ def calibrated_wave_channels(scenario: ScenarioConfig, model: str | None = "wcm"
     builders = {"gcm": gcm_channel, "wcm": wcm_channel, "cgwcm": cgwcm_channel}
     if model is not None and model not in builders:
         raise ValueError(f"unknown direct-path model {model!r}")
+    if k_factor_db is not None:
+        k_ratio = power_of(10.0, k_factor_db / 10)
+        if not sys.float_info.min <= k_ratio < math.inf:
+            raise ValueError(f"k_factor_db: 10**(k_factor_db/10) must be a positive normal "
+                             f"float, got k_factor_db={k_factor_db!r}")
     nlos = nlos_component(scenario, rays) if rays else None
     if model is None:
         if nlos is None:
@@ -425,7 +436,7 @@ def calibrated_wave_channels(scenario: ScenarioConfig, model: str | None = "wcm"
     if k_factor_db is not None and nlos.entries.any():
         p_ratio = (np.linalg.norm(non_blocked.entries) ** 2
                    / np.linalg.norm(nlos.entries) ** 2)
-        scale = math.sqrt(p_ratio / 10 ** (k_factor_db / 10))
+        scale = math.sqrt(p_ratio / k_ratio)
         nlos = ChannelMatrix(nlos.entries * scale, ChannelModel.SYNTHETIC)
 
     def with_rays(direct: ChannelMatrix) -> ChannelMatrix:

@@ -402,6 +402,23 @@ def test_hankel_kernel_matches_mpmath():
     np.testing.assert_allclose(_hankel2_1(z), exact, rtol=2e-15, atol=0)
 
 
+def test_small_argument_hankel_matches_mpmath():
+    # Both sides of the switches at z = 4 (power series | Hankel's integral)
+    # and z = 25 (| large-argument expansion), the first zeros of Y1, where
+    # H1^(2) is J1 alone, and down to z = 1e-3. The worst case, 2.3e-15, is
+    # the series just below 4, where its alternating terms reach 5.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        y1_zeros = np.array([float(mpmath.besselyzero(1, k)) for k in range(1, 5)])
+        switches = np.array([4.0, 25.0])
+        z = np.concatenate([
+            np.geomspace(1e-3, 30.0, 61), np.linspace(3.9, 4.1, 41), np.linspace(24.9, 25.1, 21),
+            np.nextafter(switches, 0.0), switches, np.nextafter(switches, 30.0),
+            y1_zeros, y1_zeros * (1 - 1e-9), y1_zeros * (1 + 1e-9)])
+        exact = np.array([complex(mpmath.hankel2(1, mpmath.mpf(float(v)))) for v in z])
+    np.testing.assert_allclose(_hankel2_1(z), exact, rtol=3e-15, atol=0)
+
+
 def _tx_side_cascade(sc, hop, use_blockage, plane_weight):
     """The plane cascade multiplied from the Tx side with dense hops."""
     tx_y, rx_y = element_positions(sc.tx), element_positions(sc.rx)

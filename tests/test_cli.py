@@ -4,11 +4,14 @@ import copy
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import airylink
 from airylink import _threads
 from airylink.cli import ConfigError, load_config, main
 from airylink.gridio import read_channel_binary, read_field_map_binary
@@ -48,6 +51,40 @@ def _write(tmp_path, text, name="cfg.yaml"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return str(p)
+
+
+# A fresh interpreter in which `import scipy` fails: every command must
+# still run, including any function that imports lazily.
+_WITHOUT_SCIPY = """\
+import sys
+sys.modules["scipy"] = None
+from airylink.cli import main
+config, out = sys.argv[1:]
+for i, command in enumerate([["channel", "--compare"], ["codebook"], ["search", "--scheme", "hier"],
+                             ["sweep"], ["fieldmap", "--nx", "8", "--ny", "8"]]):
+    if main([*command, "--config", config, "--out", f"{out}/{i}"]) != 0:
+        sys.exit(f"{command} failed")
+"""
+
+
+def _python(*args):
+    src = os.path.dirname(os.path.dirname(airylink.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, stdin=subprocess.DEVNULL)
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    run = _python("-c", _WITHOUT_SCIPY, _write(tmp_path, SWEEP_YAML), str(tmp_path / "out"))
+    assert run.returncode == 0, run.stderr
+
+
+def test_cli_import_loads_no_scipy_module():
+    run = _python("-c", "import sys, airylink.cli; "
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------------- config

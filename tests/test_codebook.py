@@ -15,6 +15,7 @@ from airylink.beam import (
     steering_beam_vector,
 )
 from airylink.codebook import (
+    FRESNEL_PRIMITIVE_SUP,
     Codebook,
     CodebookScheme,
     angle_correlation_closed,
@@ -33,6 +34,7 @@ from airylink.codebook import (
     normalized_distance_separation,
     solve_sampling_plan,
 )
+from airylink.numerics import fresnel_integrals
 from airylink.scenario import CarrierConfig, ScenarioConfig, element_positions, half_wavelength_array
 
 CAR = CarrierConfig(140e9)
@@ -78,6 +80,25 @@ def test_envelopes_at_zero_and_validation():
     for f in (curving_correlation_closed, distance_correlation_closed):
         with pytest.raises(ValueError):
             f(-0.1)
+
+
+def test_fresnel_primitive_sup_matches_mpmath():
+    # The plan's scan bound sup |B + jD|: the modulus peaks where its
+    # derivative, 2 (B cos + D sin)(pi/2 x^2), changes sign near x = 1.21.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        def slope(x):
+            phase = mpmath.pi / 2 * x**2
+            return mpmath.fresnelc(x) * mpmath.cos(phase) + mpmath.fresnels(x) * mpmath.sin(phase)
+
+        peak = mpmath.findroot(slope, 1.2)
+        sup = float(mpmath.hypot(mpmath.fresnelc(peak), mpmath.fresnels(peak)))
+    assert FRESNEL_PRIMITIVE_SUP == sup
+    # it is the global max: below it on [0, 40], and past 40 |B + jD| stays
+    # within about 1/(40 pi) of |(1 + j)/2| (DLMF 7.12)
+    b, d = fresnel_integrals(np.linspace(0.0, 40.0, 40001))
+    assert np.hypot(b, d).max() <= FRESNEL_PRIMITIVE_SUP
+    assert math.sqrt(0.5) + 1 / (40 * math.pi) < FRESNEL_PRIMITIVE_SUP
 
 
 def test_angle_correlation_is_exact_dirichlet():

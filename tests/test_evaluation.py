@@ -263,6 +263,26 @@ def test_noise_for_target_se_exact():
         noise_for_target_se(zero, 1.0, 10.0)
 
 
+@pytest.mark.parametrize("target_se", [1e-20, 2000.0, 0.0, -1.0, math.nan])
+def test_noise_for_target_se_refuses_target_named(target_se):
+    # 1e-20 rounds 2**t - 1 to zero (ZeroDivisionError before), 2000
+    # overflows it (OverflowError before)
+    identity = ChannelMatrix(np.eye(2, dtype=complex), ChannelModel.SYNTHETIC)
+    with pytest.raises(ValueError, match="target_se"):
+        noise_for_target_se(identity, 1.0, target_se)
+
+
+@pytest.mark.parametrize("k_factor_db", [4000.0, -3200.0, math.nan])
+def test_k_factor_refused_before_any_channel_named(k_factor_db, monkeypatch):
+    # 4000 overflows 10**(k/10) (OverflowError before); -3200 makes it
+    # subnormal, so the scattered part would scale to inf
+    calls = _count_channel_builds(monkeypatch)
+    rays = (MultipathRay(-8.0, 0.25, -0.2, 3e-10),)
+    with pytest.raises(ValueError, match="k_factor_db"):
+        calibrated_wave_channels(_sweep_scenario(), "wcm", rays, k_factor_db=k_factor_db)
+    assert not calls
+
+
 # ------------------------------------------------------------------- sweeps
 
 def test_sweep_spec_validation():

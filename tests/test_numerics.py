@@ -119,6 +119,23 @@ def test_fresnel_asymptote_and_bounds():
     assert np.all(d >= -0.9) and np.all(d <= 1.0)
 
 
+def test_fresnel_integrals_match_mpmath_on_both_branches():
+    # Gauss-Legendre panels below x = 6, the auxiliary-function expansion
+    # from there on. The worst case, 1.7e-15 near x = 33, is the rounding of
+    # x^2 in the phase.
+    x = np.concatenate([np.linspace(0.0, 40.0, 401), np.linspace(5.9, 6.1, 21),
+                        [1e-3, np.nextafter(6.0, 0.0), np.nextafter(6.0, 7.0)]])
+    b, d = fresnel_integrals(x)
+    with mpmath.workdps(40):
+        b_exact = np.array([float(mpmath.fresnelc(mpmath.mpf(v))) for v in x])
+        d_exact = np.array([float(mpmath.fresnels(mpmath.mpf(v))) for v in x])
+    np.testing.assert_allclose(b, b_exact, rtol=0, atol=2e-15)
+    np.testing.assert_allclose(d, d_exact, rtol=0, atol=2e-15)
+    # each value depends on its own x only
+    for i in range(0, x.size, 23):
+        assert fresnel_integrals(float(x[i])) == (b[i], d[i])
+
+
 def test_airy_cos_integral_table_matches_frozen_values():
     # the cumulative sweep matches the scalar integral at its grid points
     vals = airy_cos_integral_table(np.array([0.0, 0.5, 1.0]))
