@@ -13,7 +13,9 @@ Every codeword is synthesized as the product of two factors: the cubic
 factor exp(j*2*pi/lambda*a*y^3) of its curving, and the focus factor
 exp(j*2*pi/lambda*(cos(theta)^2/(2r)*y^2 - sin(theta)*y)) / sqrt(N_t) of
 its focus point. A codebook over J curving values and F focus points thus
-takes J + F columns of exponentials, not J*F. Every factor's exponential
+takes J + F columns of exponentials, not J*F, and keeps only the [F]-sized
+terms of its focus factors (`FocusTerms`), from which it synthesizes any
+range of focus columns when it needs them. Every factor's exponential
 is the table-driven phasor `numerics.cis`, so a standalone beam vector and
 the same word of a book are built by one code path and agree bit for bit.
 """
@@ -120,22 +122,65 @@ def curving_factors(curving, array: ArrayConfig, carrier: CarrierConfig) -> np.n
 _FOCUS_BLOCK = 8192
 
 
-def focus_factors(focus_distance, focus_angle, array: ArrayConfig,
-                  carrier: CarrierConfig) -> np.ndarray:
-    """[N_t, F] unit-norm focus factors, column f for point (r_f, theta_f).
+@dataclass(frozen=True)
+class FocusTerms:
+    """What a book keeps of F focus points: [F]-sized terms, no [N_t, F] matrix.
 
-    Column f is exp(j*focusing_phase(y, r_f, theta_f)) / sqrt(N_t); the
-    points follow BeamParams' rules.
+    quad and sine are `_focus_terms` of each point, from `math` once per
+    distinct angle. `columns` synthesizes the focus factors of any range
+    of points from them: column f is exp(j*focusing_phase(y, r_f,
+    theta_f)) / sqrt(N_t), equal to the standalone beam's bit for bit.
 
     Mirror rule: when the element positions are exactly antisymmetric
     (y[::-1] == -y, an array with no center offset), the column of terms
     (quad, -sine) is the column of (quad, sine) read backwards, bit for bit:
-    its phase at -y is the same rounded value as the partner's at y. Each
-    column with sine < 0 whose partner's terms are in the book is copied
-    from it, one reversed slice per run of such columns, and only the rest
-    are synthesized. The terms are those of `_focus_terms`, from `math`
-    once per distinct angle, so every column equals the standalone beam's.
+    its phase at -y is the same rounded value as the partner's at y.
+    partner[f] is such a column for each column with sine < 0 whose
+    partner's terms are in the book, else -1.
     """
+
+    positions: np.ndarray  # [N_t] element positions y
+    wavelength: float
+    quad: np.ndarray       # [F]
+    sine: np.ndarray       # [F]
+    partner: np.ndarray    # [F]
+
+    def __len__(self) -> int:
+        return self.quad.size
+
+    def column(self, f: int) -> np.ndarray:
+        """[N_t] focus factor of point f alone, equal to columns(f, f + 1)[:, 0]."""
+        return _focus_factor(self.positions, self.quad[f], self.sine[f], self.wavelength)
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        """[N_t, hi - lo] unit-norm focus factors of points lo:hi.
+
+        A column whose partner lies in lo:hi is copied from it, one reversed
+        slice per run of such columns; the rest are synthesized. Either way
+        a column does not depend on the range it is synthesized in.
+        """
+        if not 0 <= lo <= hi <= len(self):
+            raise ValueError(f"focus columns {lo}:{hi} are outside 0:{len(self)}")
+        y = self.positions
+        quad, sine = self.quad[lo:hi], self.sine[lo:hi]
+        partner = self.partner[lo:hi] - lo  # -1 - lo < 0 where there is none
+        copied = (partner >= 0) & (partner < quad.size)
+        factors = np.empty((y.size, quad.size), dtype=complex)
+        step = max(1, _FOCUS_BLOCK // y.size)
+        for a, b in _runs(~copied, ~copied[:-1]):
+            for start in range(a, b, step):
+                cols = slice(start, min(start + step, b))
+                _focus_factor(y[:, None], quad[cols], sine[cols], self.wavelength,
+                              out=factors[:, cols])
+        for a, b in _runs(copied, copied[:-1] & (partner[:-1] == partner[1:] + 1)):
+            factors[:, a:b] = factors[::-1, partner[b - 1]:partner[a] + 1][:, ::-1]
+        _check_unit_norm(factors)
+        return factors
+
+
+def focus_terms(focus_distance, focus_angle, array: ArrayConfig,
+                carrier: CarrierConfig) -> FocusTerms:
+    """The `FocusTerms` of points (r_f, theta_f), which follow BeamParams' rules."""
     r = np.asarray(focus_distance, dtype=float).reshape(-1)
     theta = np.asarray(focus_angle, dtype=float).reshape(-1)
     _check_focus(r, theta)
@@ -144,17 +189,7 @@ def focus_factors(focus_distance, focus_angle, array: ArrayConfig,
     partner = np.full(r.size, -1)
     if np.array_equal(y[::-1], -y):
         partner = _mirror_partners(quad, sine)
-    mirrored = partner >= 0
-    factors = np.empty((y.size, r.size), dtype=complex)
-    step = max(1, _FOCUS_BLOCK // y.size)
-    for lo, hi in _runs(~mirrored, ~mirrored[:-1]):
-        for start in range(lo, hi, step):
-            cols = slice(start, min(start + step, hi))
-            _focus_factor(y[:, None], quad[cols], sine[cols], carrier.wavelength,
-                          out=factors[:, cols])
-    for lo, hi in _runs(mirrored, mirrored[:-1] & (partner[:-1] == partner[1:] + 1)):
-        factors[:, lo:hi] = factors[::-1, partner[hi - 1]:partner[lo] + 1][:, ::-1]
-    return factors
+    return FocusTerms(y, carrier.wavelength, quad, sine, partner)
 
 
 def _focus_term_columns(r: np.ndarray, theta: np.ndarray) -> tuple:

@@ -23,7 +23,6 @@ formula evaluated at the first crossing (see README).
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -32,10 +31,10 @@ import numpy as np
 from .beam import (
     BeamParams,
     BeamVector,
-    _check_unit_norm,
+    FocusTerms,
     airy_beam_vector,
     curving_factors,
-    focus_factors,
+    focus_terms,
     focusing_beam_vector,
 )
 from .numerics import (
@@ -150,49 +149,65 @@ class CodebookScheme(enum.Enum):
     NEAR_FIELD_FOCUSING = "NearFieldFocusing"
 
 
+def _slot_indices(slots, count: int) -> np.ndarray:
+    """`slots` (an int, or a sequence or range of them) as an integer array,
+    each in [0, count); anything else raises, naming the range."""
+    t = np.asarray(slots)
+    if t.size == 0:  # an empty sequence, even range(0), comes out as float
+        return t.astype(np.int64)
+    if t.dtype.kind not in "iu":
+        raise TypeError(f"slots must be integers, got {t.dtype}")
+    outside = (t < 0) | (t >= count)
+    if np.any(outside):
+        raise ValueError(f"slot {t[outside].flat[0]} is outside [0, {count})")
+    return t
+
+
 @dataclass(frozen=True)
 class Codebook:
     """T = J*F codewords: every one of J curving values at every one of F
     focus points, curving-major.
 
     Slot t = i*F + f is the beam (curving[i], *focus_points[f]) with weights
-    cubic[:, i] * focus[:, f], where `cubic` [N_t, J] holds the curving
-    factors and `focus` [N_t, F] the focus factors of beam.py. The [N_t, T]
-    product is never formed: `word(t)` multiplies out one codeword.
+    cubic[:, i] * g_f, where `cubic` [N_t, J] holds the curving factors of
+    beam.py and g_f is the focus factor of point f. A book keeps its focus
+    factors only as [F]-sized terms (`beam.FocusTerms`), so it holds neither
+    the [N_t, F] focus matrix nor the [N_t, T] product: `focus_terms.columns`
+    synthesizes any range of focus columns, `word(t)` multiplies out one
+    codeword, and `slot_params` gives the parameters of any slots.
     """
 
     scheme: CodebookScheme
     curving: np.ndarray       # [J]
     focus_points: np.ndarray  # [F, 2]: (focus_distance, focus_angle)
     cubic: np.ndarray         # [N_t, J]
-    focus: np.ndarray         # [N_t, F]
+    focus_terms: FocusTerms   # F points
 
     def __post_init__(self):
         if self.curving.ndim != 1 or self.focus_points.ndim != 2 \
                 or self.focus_points.shape[1] != 2:
             raise ValueError("codebook takes [J] curving values and [F, 2] focus points")
-        if self.cubic.shape != (self.focus.shape[0], self.curving.size) \
-                or self.focus.shape[1] != self.focus_points.shape[0]:
+        if self.cubic.shape != (self.focus_terms.positions.size, self.curving.size) \
+                or len(self.focus_terms) != self.focus_points.shape[0]:
             raise ValueError("codebook factors must have one column per curving value "
                              "and per focus point")
         if np.any(np.abs(np.abs(self.cubic) - 1.0) > 1e-9):
             raise ValueError("curving factors must have unit modulus")
-        _check_unit_norm(self.focus)
 
     def __len__(self) -> int:
         return self.curving.size * self.focus_points.shape[0]
 
-    @functools.cached_property
-    def params(self) -> np.ndarray:
-        """[T, 3]: row t is the (curving, focus_distance, focus_angle) of slot t."""
-        return np.column_stack([np.repeat(self.curving, self.focus_points.shape[0]),
-                                np.tile(self.focus_points, (self.curving.size, 1))])
+    def slot_params(self, slots) -> np.ndarray:
+        """(curving, focus_distance, focus_angle) of each slot: [3] for one
+        slot, [n, 3] for a sequence of n."""
+        i, f = np.divmod(_slot_indices(slots, len(self)), self.focus_points.shape[0])
+        return np.concatenate([self.curving[i][..., None], self.focus_points[f]], axis=-1)
 
     def word(self, t: int) -> BeamVector:
         """Codeword t as a standalone beam, multiplied out of its two factors."""
-        i, f = divmod(t, self.focus_points.shape[0])
+        i, f = divmod(int(_slot_indices(t, len(self))), self.focus_points.shape[0])
         return BeamVector(BeamParams(self.curving[i], *self.focus_points[f]),
-                          self.cubic[:, i] * self.focus[:, f])
+                          self.cubic[:, i] * self.focus_terms.column(f))
 
 
 def product_codebook(scheme: CodebookScheme, curving, focus_points, tx: ArrayConfig,
@@ -201,7 +216,7 @@ def product_codebook(scheme: CodebookScheme, curving, focus_points, tx: ArrayCon
     a = np.array(curving, dtype=float).reshape(-1)
     points = np.array(focus_points, dtype=float).reshape(-1, 2)
     return Codebook(scheme, a, points, curving_factors(a, tx, carrier),
-                    focus_factors(points[:, 0], points[:, 1], tx, carrier))
+                    focus_terms(points[:, 0], points[:, 1], tx, carrier))
 
 
 def _curving_envelope_pair():
@@ -409,7 +424,7 @@ def _curving_sweep(scheme: CodebookScheme, plan: SamplingPlan, tx: ArrayConfig,
 
     def stage2_factory(r_f: float, theta_f: float) -> Codebook:
         return Codebook(scheme, plan.curving_values, np.array([[r_f, theta_f]]), cubic,
-                        focus_factors(r_f, theta_f, tx, carrier))
+                        focus_terms(r_f, theta_f, tx, carrier))
     return stage2_factory
 
 

@@ -482,11 +482,12 @@ def _overhead_rows(spec: SweepSpec, channels: ChannelSet,
     cfg = replace(cfg_base, rng_seed=rep_seed)
     for scheme in spec.schemes:
         result = _search(scheme, books(scheme), channels, cfg)
+        budgets = [min(int(value), result.overhead) for value in spec.grid]
+        leaders = result.slot_params([int(np.argmax(result.powers[:used]))
+                                      for used in budgets])
         se_cache: dict = {}
         best_so_far, best_notes = -math.inf, ""
-        for value in spec.grid:
-            used = min(int(value), result.overhead)
-            key = tuple(result.params[int(np.argmax(result.powers[:used]))].tolist())
+        for value, used, key in zip(spec.grid, budgets, map(tuple, leaders.tolist())):
             if key not in se_cache:
                 beam = airy_beam_vector(BeamParams(*key), scenario.tx, scenario.carrier)
                 se_cache[key] = _deploy(scheme, beam, channels, cfg)

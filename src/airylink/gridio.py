@@ -114,22 +114,21 @@ def write_field_map_csv(path, field_map: FieldMap) -> None:
 def write_search_trace_csv(path, result: SearchResult) -> None:
     """Per-slot training record: beam parameters and measured power in dB.
 
-    Rows are converted to Python floats and formatted one chunk at a time,
-    so an exhaustive book's hundreds of thousands of slots never sit in
-    memory as text or as float objects.
+    Rows are formed one chunk at a time, with parameters from
+    `result.slot_params` and dB values from that chunk's powers, so an
+    exhaustive book's millions of slots never sit in memory as a parameter
+    table, a dB array, text or float objects.
     """
-    powers = result.powers
-    power_db = np.full(powers.shape, -np.inf)
-    positive = powers > 0
-    power_db[positive] = 10.0 * np.log10(powers[positive])
-
     def lines():
         yield "slot,curving,focus_distance_m,focus_angle_rad,power_db"
-        for start in range(0, powers.size, _CHUNK_LINES):
-            rows = slice(start, start + _CHUNK_LINES)
+        for start in range(0, result.overhead, _CHUNK_LINES):
+            slots = range(start, min(start + _CHUNK_LINES, result.overhead))
+            powers = result.powers[start:slots.stop]
+            power_db = np.full(powers.shape, -np.inf)
+            positive = powers > 0
+            power_db[positive] = 10.0 * np.log10(powers[positive])
             yield from [f"{slot},{a!r},{r!r},{th!r},{p!r}" for slot, (a, r, th), p
-                        in zip(itertools.count(start), result.params[rows].tolist(),
-                               power_db[rows].tolist())]
+                        in zip(slots, result.slot_params(slots).tolist(), power_db.tolist())]
     write_text(path, lines())
 
 
@@ -144,15 +143,13 @@ def write_sweep_csv(path, rows) -> None:
 
 def write_codebook_csv(path, codebook: Codebook) -> None:
     """One row per codeword, chunk by chunk as in `write_search_trace_csv`:
-    neither `codebook.params` nor the whole text is ever formed."""
-    scheme, focus = codebook.scheme.value, codebook.focus_points
+    neither a [T, 3] parameter table nor the whole text is ever formed."""
+    scheme = codebook.scheme.value
 
     def lines():
         yield "index,scheme,curving,focus_distance_m,focus_angle_rad"
         for start in range(0, len(codebook), _CHUNK_LINES):
-            slots = np.arange(start, min(start + _CHUNK_LINES, len(codebook)))
-            rows = np.column_stack([codebook.curving[slots // len(focus)],
-                                    focus[slots % len(focus)]])
+            slots = range(start, min(start + _CHUNK_LINES, len(codebook)))
             yield from [f"{t},{scheme},{a!r},{r!r},{th!r}"
-                        for t, (a, r, th) in zip(slots.tolist(), rows.tolist())]
+                        for t, (a, r, th) in zip(slots, codebook.slot_params(slots).tolist())]
     write_text(path, lines())

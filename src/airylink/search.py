@@ -6,23 +6,29 @@ power at the receiver probe.  A search scheme is a policy for which
 candidates are sounded and how the winner is picked; reported overhead is
 always the number of slots actually consumed.
 
-A search stage sounds a codebook from its two factor matrices (see
+A search stage sounds a codebook from its factors (see
 `codebook.Codebook`), never forming the [N_t, T] codeword matrix.  Slot
 i*F + f receives (H * c_i) @ g_f, with c_i a curving factor and g_f a
 focus factor.  The stage runs in blocks of slots in slot order.  A block
 stacks H * c_i for each of its curving values and multiplies the stack
 by its focus factors G in one matrix product; when it has fewer focus
 than curving columns (a stage-2 book) it stacks H * g_f instead and
-multiplies by its curving factors.  Each block then takes one noise draw
-and one combiner product.  Slot t takes N_r standard-normal real parts and then N_r imaginary parts
-from the stream, slot after slot, and blocks follow slot order, so the
-per-block draws rng.standard_normal((slots, 2, N_r)) are the stream a
-slot-by-slot loop would consume, and the stages of a search continue one
-stream.  A noiseless run (noise_power == 0) draws nothing.
+multiplies by its curving factors.  A book keeps no focus matrix: a
+one-curving book (stage 1, far field, near field) synthesizes each
+block's focus columns from the book's terms and drops them once sounded,
+and a book with more curving values synthesizes all of them once per
+sounding, since every curving row sounds them all.  Each block then takes
+one noise draw and one combiner product.  Slot t takes N_r standard-normal
+real parts and then N_r imaginary parts from the stream, slot after slot,
+and blocks follow slot order, so the per-block draws
+rng.standard_normal((slots, 2, N_r)) are the stream a slot-by-slot loop
+would consume, and the stages of a search continue one stream.  A
+noiseless run (noise_power == 0) draws nothing.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -31,7 +37,7 @@ import numpy as np
 
 from .beam import BeamParams, BeamVector
 from .channel import ChannelMatrix
-from .codebook import Codebook, CodebookScheme
+from .codebook import Codebook, CodebookScheme, _slot_indices
 # Unused here, but bench/spans.py patches them on this module by name.
 from .codebook import build_farfield_codebook, build_nearfield_codebook  # noqa: F401
 
@@ -81,6 +87,10 @@ def probe_combiner_matrix(combiner: ProbeCombiner, num_rx: int) -> np.ndarray:
 
 # Slots sounded per block: bounds the [N_r, slots] temporaries of a large book.
 _BLOCK_SLOTS = 8192
+# Focus-factor entries a one-curving book synthesizes per block (1 MiB of
+# complex128, 256 columns at 256 Tx): bounds the [N_t, columns] block that
+# stands in for the book's [N_t, F] focus matrix.
+_FOCUS_ENTRIES = 1 << 16
 
 
 def _blocks(num_curving: int, num_focus: int):
@@ -92,22 +102,64 @@ def _blocks(num_curving: int, num_focus: int):
             yield slice(i, i + per), slice(f, f + width)
 
 
-def _sound(cubic: np.ndarray, focus: np.ndarray, channel: ChannelMatrix,
-           cfg: TrainingConfig, rng: np.random.Generator) -> np.ndarray:
-    """Measured power of each word cubic[:, i] * focus[:, f], slot i*F + f."""
+def _focus_blocks(partner: np.ndarray, cap: int) -> list:
+    """(lo, hi) focus-column ranges of a one-curving book, in order.
+
+    A range may end after column c only if no mirror pair straddles the
+    cut (max(f, partner[f]) over every pair with a member at or before c is
+    at most c), so each column copied from its partner finds it in the same
+    range and each pair is synthesized once. A range takes as many whole
+    mirror-closed runs as fit in `cap` columns, or the next run alone if it
+    is wider; only a run wider than _BLOCK_SLOTS is cut inside, its
+    split pairs then synthesized on both sides.
+    """
+    n = partner.size
+    reach = np.arange(n)
+    paired = np.flatnonzero(partner >= 0)
+    np.maximum.at(reach, np.minimum(paired, partner[paired]),
+                  np.maximum(paired, partner[paired]))
+    ends = (np.flatnonzero(np.maximum.accumulate(reach) == np.arange(n)) + 1).tolist()
+    blocks, lo = [], 0
+    while lo < n:
+        k = bisect.bisect_right(ends, lo + cap)
+        if k and ends[k - 1] > lo:
+            hi = ends[k - 1]
+        else:
+            hi = min(ends[k], lo + _BLOCK_SLOTS)
+        blocks.append((lo, hi))
+        lo = hi
+    return blocks
+
+
+def _book_blocks(book: Codebook):
+    """(curving factors, focus factors) of each block of `book`, in slot order."""
+    terms = book.focus_terms
+    if book.curving.size == 1:
+        cap = min(_BLOCK_SLOTS, max(1, _FOCUS_ENTRIES // book.cubic.shape[0]))
+        for lo, hi in _focus_blocks(terms.partner, cap):
+            yield book.cubic, terms.columns(lo, hi)
+    else:
+        focus = terms.columns(0, len(terms))
+        for rows, cols in _blocks(book.curving.size, len(terms)):
+            yield book.cubic[:, rows], focus[:, cols]
+
+
+def _measure(blocks, num_slots: int, num_tx: int, channel: ChannelMatrix,
+             cfg: TrainingConfig, rng: np.random.Generator) -> np.ndarray:
+    """Measured power of each slot of `blocks`, (cubic, focus) factor pairs
+    whose words cubic[:, i] * focus[:, f] are the slots in slot order."""
     h = channel.entries
-    num_rx, num_tx = h.shape
-    if num_tx != focus.shape[0]:
+    num_rx = h.shape[0]
+    if num_tx != h.shape[1]:
         raise ValueError("codeword length does not match channel columns")
     combiner = probe_combiner_matrix(cfg.rx_probe_combiner, num_rx).conj().T
-    powers = np.empty(cubic.shape[1] * focus.shape[1])
+    powers = np.empty(num_slots)
     start = 0
-    for rows, cols in _blocks(cubic.shape[1], focus.shape[1]):
+    for cub, foc in blocks:
         # received[:, i, f] = (H * c_i) @ g_f = (H * g_f) @ c_i: H is scaled
         # by whichever factor the block has fewer of, the scaled copies are
         # stacked into one matrix product, and column i*w + f of the
         # [N_r, b*w] result is slot start + i*w + f
-        cub, foc = cubic[:, rows], focus[:, cols]
         if cub.shape[1] <= foc.shape[1]:
             scaled = (h * cub.T[:, None, :]).reshape(-1, num_tx)
             received = (scaled @ foc).reshape(-1, num_rx, foc.shape[1]).transpose(1, 0, 2)
@@ -124,7 +176,14 @@ def _sound(cubic: np.ndarray, focus: np.ndarray, channel: ChannelMatrix,
         stop = start + received.shape[1]
         powers[start:stop] = np.sum(np.abs(combiner @ received) ** 2, axis=0)
         start = stop
+        del cub, foc  # before the next block is synthesized
     return powers
+
+
+def _sound(book: Codebook, channel: ChannelMatrix, cfg: TrainingConfig,
+           rng: np.random.Generator) -> np.ndarray:
+    """Measured power of every slot of `book`, in slot order."""
+    return _measure(_book_blocks(book), len(book), book.cubic.shape[0], channel, cfg, rng)
 
 
 def measure_slot(codeword: BeamVector, channel: ChannelMatrix,
@@ -136,21 +195,28 @@ def measure_slot(codeword: BeamVector, channel: ChannelMatrix,
     """
     rng = np.random.default_rng(cfg.rng_seed)
     weights = codeword.weights[:, None]
-    return float(_sound(np.ones(weights.shape), weights, channel, cfg, rng)[0])
+    return float(_measure([(np.ones(weights.shape), weights)], 1, weights.shape[0],
+                          channel, cfg, rng)[0])
 
 
 @dataclass(frozen=True)
 class SearchResult:
     """The selected beam and the record of every slot, in slot order.
 
-    Row t of `params` [overhead, 3] is the (curving, focus_distance,
-    focus_angle) sounded in slot t, and `powers[t]` its measured power.
+    The slots of `books` follow one another: slot t is slot t of books[0],
+    then slot t - len(books[0]) of books[1], and so on. `powers[t]` is its
+    measured power and `slot_params(t)` its (curving, focus_distance,
+    focus_angle), derived from the books rather than stored.
     """
 
     scheme: CodebookScheme
     selected_vector: BeamVector
-    params: np.ndarray
+    books: tuple
     powers: np.ndarray
+
+    def __post_init__(self):
+        if self.powers.size != sum(len(book) for book in self.books):
+            raise ValueError("a search result has one power per slot of its books")
 
     @property
     def selected_params(self) -> BeamParams:
@@ -164,6 +230,18 @@ class SearchResult:
     def selected_power(self) -> float:
         return float(self.powers.max())
 
+    def slot_params(self, slots) -> np.ndarray:
+        """(curving, focus_distance, focus_angle) of each slot: [3] for one
+        slot, [n, 3] for a sequence of n."""
+        t = _slot_indices(slots, self.overhead)
+        params = np.empty(t.shape + (3,))
+        start = 0
+        for book in self.books:
+            inside = (t >= start) & (t < start + len(book))
+            params[inside] = book.slot_params(t[inside] - start)
+            start += len(book)
+        return params
+
 
 def exhaustive_search(codebook: Codebook, channel: ChannelMatrix,
                       cfg: TrainingConfig) -> SearchResult:
@@ -171,9 +249,9 @@ def exhaustive_search(codebook: Codebook, channel: ChannelMatrix,
     if len(codebook) == 0:
         raise ValueError("codebook is empty")
     rng = np.random.default_rng(cfg.rng_seed)
-    powers = _sound(codebook.cubic, codebook.focus, channel, cfg, rng)
+    powers = _sound(codebook, channel, cfg, rng)
     best = codebook.word(int(np.argmax(powers)))
-    return SearchResult(codebook.scheme, best, codebook.params, powers)
+    return SearchResult(codebook.scheme, best, (codebook,), powers)
 
 
 def hierarchical_search(stage1: Codebook, stage2_factory, channel: ChannelMatrix,
@@ -191,15 +269,14 @@ def hierarchical_search(stage1: Codebook, stage2_factory, channel: ChannelMatrix
         raise ValueError("scenario.tx_elements: the stage-1 codebook is empty: no focus "
                          "point of the sampling plan lies in the aperture strip")
     rng = np.random.default_rng(cfg.rng_seed)
-    powers1 = _sound(stage1.cubic, stage1.focus, channel, cfg, rng)
-    _, r_f, theta_f = stage1.params[int(np.argmax(powers1))].tolist()
+    powers1 = _sound(stage1, channel, cfg, rng)
+    _, r_f, theta_f = stage1.slot_params(int(np.argmax(powers1))).tolist()
     stage2 = stage2_factory(r_f, theta_f)
     if not np.any(stage2.curving == 0.0):
         raise ValueError("stage-2 codebook must include the zero-curving beam")
-    powers2 = _sound(stage2.cubic, stage2.focus, channel, cfg, rng)
+    powers2 = _sound(stage2, channel, cfg, rng)
     best = stage2.word(int(np.argmax(powers2)))
-    return SearchResult(stage2.scheme, best,
-                        np.concatenate([stage1.params, stage2.params]),
+    return SearchResult(stage2.scheme, best, (stage1, stage2),
                         np.concatenate([powers1, powers2]))
 
 

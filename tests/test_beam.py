@@ -1,6 +1,7 @@
 """Beam synthesis: phase profiles, cubic-phase codewords, field rendering."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from airylink.beam import (
     GridSpec,
     airy_beam_vector,
     curving_factors,
-    focus_factors,
+    focus_terms,
     focusing_beam_vector,
     focusing_phase,
     render_aperture_field_map,
@@ -67,9 +68,9 @@ def test_beam_matrix_applies_beam_params_rules_to_every_row(bad, message):
         BeamParams(*bad)
     _, r, theta = np.array(rows).T
     with pytest.raises(ValueError, match=message):
-        focus_factors(r, theta, arr, CAR)
-    assert focus_factors(r[:-1], theta[:-1], arr, CAR).shape == (8, 70)
-    assert focus_factors([], [], arr, CAR).shape == (8, 0)
+        focus_terms(r, theta, arr, CAR)
+    assert focus_terms(r[:-1], theta[:-1], arr, CAR).columns(0, 70).shape == (8, 70)
+    assert focus_terms([], [], arr, CAR).columns(0, 0).shape == (8, 0)
     assert curving_factors([], arr, CAR).shape == (8, 0)
 
 
@@ -140,8 +141,15 @@ def test_mirrored_focus_factors_match_per_column_reference(name):
     else:
         assert np.array_equal(y[::-1], -y)
         assert _mirrored_columns(r, theta) == mirrored
-    got = focus_factors(r, theta, arr, CAR)
-    assert np.array_equal(got, _per_column_focus_factors(r, theta, arr))
+    terms = focus_terms(r, theta, arr, CAR)
+    want = _per_column_focus_factors(r, theta, arr)
+    assert np.array_equal(terms.columns(0, r.size), want)
+    # any range, cutting mirror pairs or not, gives the same columns
+    cuts = sorted({0, r.size, r.size // 3, r.size // 2, min(r.size, 2 * r.size // 3 + 1)})
+    for lo, hi in itertools.combinations(cuts, 2):
+        assert np.array_equal(terms.columns(lo, hi), want[:, lo:hi]), (lo, hi)
+    for f in range(0, r.size, 7):
+        assert np.array_equal(terms.column(f), want[:, f]), f
 
 
 def test_mirrored_book_words_are_their_beam_vectors():
@@ -151,7 +159,7 @@ def test_mirrored_book_words_are_their_beam_vectors():
     mirrored = np.flatnonzero(theta < 0)
     assert _mirrored_columns(r, theta) == mirrored.size == 1475
     for t in mirrored.tolist():
-        want = airy_beam_vector(BeamParams(*stage1.params[t]), sc.tx, CAR).weights
+        want = airy_beam_vector(BeamParams(*stage1.slot_params(t)), sc.tx, CAR).weights
         assert np.array_equal(stage1.word(t).weights, want), t
 
 

@@ -6,14 +6,16 @@ import math
 import numpy as np
 import pytest
 
+from airylink import beam
 from airylink.beam import (
     BeamParams,
     airy_beam_vector,
     curving_factors,
-    focus_factors,
+    focus_terms,
     focusing_beam_vector,
     steering_beam_vector,
 )
+from airylink.channel import ChannelMatrix, ChannelModel
 from airylink.codebook import (
     FRESNEL_PRIMITIVE_SUP,
     Codebook,
@@ -32,10 +34,12 @@ from airylink.codebook import (
     normalized_angle_separation,
     normalized_curving_separation,
     normalized_distance_separation,
+    product_codebook,
     solve_sampling_plan,
 )
 from airylink.numerics import fresnel_integrals
 from airylink.scenario import CarrierConfig, ScenarioConfig, element_positions, half_wavelength_array
+from airylink.search import TrainingConfig, exhaustive_search
 
 CAR = CarrierConfig(140e9)
 
@@ -252,10 +256,11 @@ def test_exhaustive_lexicographic_order():
     assert p1.curving == p0.curving and p1.focus_distance == p0.focus_distance
     want = [(a, r, th) for a in plan.curving_values for r in plan.focus_distances
             for th in plan.angles]
-    np.testing.assert_array_equal(book.params, want)
-    assert book.cubic.shape == (256, j) and book.focus.shape == (256, k * v)
+    np.testing.assert_array_equal(book.slot_params(range(len(book))), want)
+    focus = book.focus_terms.columns(0, k * v)
+    assert book.cubic.shape == (256, j) and focus.shape == (256, k * v)
     np.testing.assert_allclose(np.abs(book.cubic), 1.0, rtol=1e-12)
-    np.testing.assert_allclose(np.linalg.norm(book.focus, axis=0), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(focus, axis=0), 1.0, rtol=1e-12)
 
 
 def test_los_region_points_inside_strip():
@@ -344,9 +349,10 @@ def test_hierarchical_builder():
     s2 = factory(plan.focus_distances[1], plan.angles[127])
     assert s2.scheme is CodebookScheme.HIERARCHICAL_STAGE2
     assert len(s2) == plan.counts[0]
-    np.testing.assert_array_equal(s2.params[:, 0], plan.curving_values)
-    assert np.all(s2.params[:, 1] == plan.focus_distances[1])
-    assert np.all(s2.params[:, 2] == plan.angles[127])
+    params = s2.slot_params(range(len(s2)))
+    np.testing.assert_array_equal(params[:, 0], plan.curving_values)
+    assert np.all(params[:, 1] == plan.focus_distances[1])
+    assert np.all(params[:, 2] == plan.angles[127])
 
 
 def test_low_complexity_rides_receiver_circle():
@@ -357,7 +363,7 @@ def test_low_complexity_rides_receiver_circle():
     assert stage1.scheme is CodebookScheme.LOW_COMPLEXITY_STAGE1
     assert len(stage1) == 12
     assert len(stage1) + len(factory(3.0, 0.0)) == 29
-    for _, r, th in stage1.params:
+    for _, r, th in stage1.slot_params(range(len(stage1))):
         assert r == pytest.approx(3.0 * math.cos(th), rel=1e-12)
 
 
@@ -366,7 +372,7 @@ def test_farfield_codebook():
     book = build_farfield_codebook(sc)
     assert book.scheme is CodebookScheme.FAR_FIELD_STEERING
     assert len(book) == 63
-    assert np.all(np.isinf(book.params[:, 1]))
+    assert np.all(np.isinf(book.slot_params(range(len(book)))[:, 1]))
     plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, angle_index=2)
     book2 = build_farfield_codebook(sc, plan)
     assert len(book2) == plan.angles.size
@@ -378,7 +384,7 @@ def test_nearfield_codebook_targets_rx_elements():
     assert book.scheme is CodebookScheme.NEAR_FIELD_FOCUSING
     assert len(book) == 32
     rx_y = element_positions(sc.rx)
-    for (_, r, th), y in zip(book.params, rx_y):
+    for (_, r, th), y in zip(book.slot_params(range(len(book))), rx_y):
         assert r == pytest.approx(math.hypot(3.0, y), rel=1e-12)
         assert th == pytest.approx(math.atan2(y, 3.0), abs=1e-12)
 
@@ -411,10 +417,11 @@ def test_every_builder_column_is_its_beam_vector():
     sc, books = _every_book()
     assert len(books["exhaustive"]) > 8 * 256
     for name, book in books.items():
-        assert book.params.shape == (len(book), 3), name
+        params = book.slot_params(range(len(book)))
+        assert params.shape == (len(book), 3), name
         assert book.cubic.shape == (sc.tx.num_elements, book.curving.size), name
-        assert book.focus.shape == (sc.tx.num_elements, len(book) // book.curving.size), name
-        for i, prm in enumerate(book.params):
+        assert len(book.focus_terms) == len(book) // book.curving.size, name
+        for i, prm in enumerate(params):
             want = airy_beam_vector(BeamParams(*prm), sc.tx, CAR).weights
             assert np.array_equal(book.word(i).weights, want), (name, i)
 
@@ -423,31 +430,97 @@ def test_word_is_a_standalone_copy():
     sc, books = _every_book()
     book = books["hier_stage1"]
     w = book.word(3)
-    assert w.params == BeamParams(*book.params[3])
-    np.testing.assert_array_equal(w.weights, book.cubic[:, 0] * book.focus[:, 3])
+    assert w.params == BeamParams(*book.slot_params(3))
+    np.testing.assert_array_equal(w.weights,
+                                  book.cubic[:, 0] * book.focus_terms.columns(3, 4)[:, 0])
     assert not np.shares_memory(w.weights, book.cubic)
-    assert not np.shares_memory(w.weights, book.focus)
 
 
 def test_codebook_shapes_validated():
     sc = _scenario(16)
     curving, points = np.array([0.0, 1.0]), np.array([[3.0, 0.0], [2.0, 0.1]])
     cubic = curving_factors(curving, sc.tx, CAR)
-    focus = focus_factors(points[:, 0], points[:, 1], sc.tx, CAR)
+    focus = focus_terms(points[:, 0], points[:, 1], sc.tx, CAR)
     book = Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic, focus)
     assert len(book) == 4
     with pytest.raises(ValueError, match="one column per curving value and per focus"):
-        Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic, focus[:, :1])
+        Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic,
+                 focus_terms(points[:1, 0], points[:1, 1], sc.tx, CAR))
     with pytest.raises(ValueError, match="one column per curving value and per focus"):
         Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic[:, :1], focus)
+    with pytest.raises(ValueError, match="one column per curving value and per focus"):
+        Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic[:8], focus)
     with pytest.raises(ValueError, match=r"\[F, 2\]"):
         Codebook(CodebookScheme.EXHAUSTIVE, curving, points[:, :1], cubic, focus)
     with pytest.raises(ValueError, match=r"\[J\]"):
         Codebook(CodebookScheme.EXHAUSTIVE, curving[:, None], points, cubic, focus)
-    # the unit-norm rules hold on the factors, to 1e-9
+    # the unit-modulus rule holds on the curving factors, to 1e-9
     with pytest.raises(ValueError, match="unit modulus"):
         Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic * (1 + 1e-8), focus)
-    with pytest.raises(ValueError, match="unit l2 norm"):
-        Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic, focus * (1 + 1e-8))
-    Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic * (1 + 1e-10),
-             focus * (1 + 1e-10))
+    Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic * (1 + 1e-10), focus)
+
+
+@pytest.mark.parametrize("scale, fails", [(1 + 1e-8, True), (1 + 1e-10, False)])
+def test_every_synthesized_focus_block_is_norm_checked(monkeypatch, scale, fails):
+    # the unit-norm rule holds, to 1e-9, on each range of focus columns a
+    # book synthesizes, and so on each word and each sounding block
+    sc = _scenario(16)
+    book = product_codebook(CodebookScheme.FAR_FIELD_STEERING, [0.0],
+                            [(3.0, 0.0), (2.0, 0.1), (2.0, -0.1)], sc.tx, CAR)
+    synthesize = beam._focus_factor
+
+    def scaled(*args, out=None):
+        factors = synthesize(*args, out=out)
+        factors *= scale
+        return factors
+    monkeypatch.setattr(beam, "_focus_factor", scaled)
+    chan = ChannelMatrix(np.ones((2, 16), complex), ChannelModel.SYNTHETIC)
+    calls = [lambda: book.focus_terms.columns(0, 3), lambda: book.focus_terms.columns(1, 2),
+             lambda: book.word(2),
+             lambda: exhaustive_search(book, chan, TrainingConfig(1.0, 0.0))]
+    for call in calls:
+        if fails:
+            with pytest.raises(ValueError, match="unit l2 norm"):
+                call()
+        else:
+            call()
+
+
+@pytest.mark.parametrize("t", [-1, 4, 5, -5, 10**6])
+def test_word_and_slot_params_reject_slots_outside_the_book(t):
+    sc = _scenario(16)
+    book = product_codebook(CodebookScheme.EXHAUSTIVE, [-0.5, 0.5],
+                            [(3.0, 0.0), (2.0, 0.1)], sc.tx, CAR)
+    assert len(book) == 4
+    with pytest.raises(ValueError, match=rf"slot {t} is outside \[0, 4\)"):
+        book.word(t)
+    with pytest.raises(ValueError, match=rf"slot {t} is outside \[0, 4\)"):
+        book.slot_params(t)
+    with pytest.raises(ValueError, match=rf"slot {t} is outside \[0, 4\)"):
+        book.slot_params([0, t, 1])
+
+
+@pytest.mark.parametrize("lo, hi", [(-1, 2), (0, 4), (2, 1), (4, 4)])
+def test_focus_columns_reject_ranges_outside_the_book(lo, hi):
+    terms = focus_terms([3.0, 2.0, 2.0], [0.0, 0.1, -0.1], _scenario(16).tx, CAR)
+    with pytest.raises(ValueError, match=rf"focus columns {lo}:{hi} are outside 0:3"):
+        terms.columns(lo, hi)
+    assert terms.columns(3, 3).shape == (16, 0)
+
+
+def test_slot_params_maps_slots_and_chunks():
+    sc = _scenario(16)
+    book = product_codebook(CodebookScheme.EXHAUSTIVE, [-0.5, 0.5],
+                            [(3.0, 0.0), (2.0, 0.1), (math.inf, -0.2)], sc.tx, CAR)
+    want = [(a, r, th) for a in (-0.5, 0.5) for r, th in book.focus_points.tolist()]
+    np.testing.assert_array_equal(book.slot_params(range(6)), want)
+    np.testing.assert_array_equal(book.slot_params(np.array([5, 0, 3])),
+                                  [want[5], want[0], want[3]])
+    for t in range(6):
+        assert book.slot_params(t).tolist() == list(want[t])
+        assert book.word(np.int64(t)).params == BeamParams(*want[t])
+    assert book.slot_params(range(0)).shape == (0, 3)
+    with pytest.raises(TypeError, match="integers"):
+        book.slot_params(1.0)
+    with pytest.raises(TypeError, match="integers"):
+        book.word(1.0)

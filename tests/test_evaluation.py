@@ -558,7 +558,8 @@ def test_run_scheme_matches_each_scheme_search():
         got, se, _ = run_scheme(scheme, channels, scheme_codebooks(scheme, sc, plan), cfg)
         assert (got.scheme, got.selected_params) == (
             want.scheme, want.selected_params), scheme
-        np.testing.assert_array_equal(got.params, want.params)
+        np.testing.assert_array_equal(got.slot_params(range(got.overhead)),
+                                      want.slot_params(range(want.overhead)))
         np.testing.assert_array_equal(got.powers, want.powers)
         np.testing.assert_array_equal(got.selected_vector.weights,
                                       want.selected_vector.weights)

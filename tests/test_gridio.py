@@ -162,5 +162,5 @@ def test_codebook_csv_rows_follow_params(tmp_path, monkeypatch, chunk):
     p = tmp_path / "book.csv"
     write_codebook_csv(p, book)
     rows = [f"{t},Exhaustive,{a!r},{r!r},{th!r}"
-            for t, (a, r, th) in enumerate(book.params.tolist())]
+            for t, (a, r, th) in enumerate(book.slot_params(range(len(book))).tolist())]
     assert p.read_text().splitlines()[1:] == rows

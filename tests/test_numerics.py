@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from airylink.beam import curving_factors, focus_factors, focusing_phase
+from airylink.beam import curving_factors, focus_terms, focusing_phase
 from airylink.codebook import build_los_region_points, solve_sampling_plan
 from airylink.numerics import (
     airy_cos_integral,
@@ -314,7 +314,8 @@ def test_codeword_factors_match_the_complex_exp_reference():
     y = element_positions(tx)
     want = np.stack([np.exp(1j * focusing_phase(y, r, th, car)) for r, th in points],
                     axis=1) / math.sqrt(y.size)
-    assert np.abs(focus_factors(points[:, 0], points[:, 1], tx, car) - want).max() <= 1e-15
+    focus = focus_terms(points[:, 0], points[:, 1], tx, car).columns(0, len(points))
+    assert np.abs(focus - want).max() <= 1e-15
     a = plan.curving_values
     want = np.exp(1j * (2 * math.pi / car.wavelength * a * y[:, None] ** 3))
     assert np.abs(curving_factors(a, tx, car) - want).max() <= 1e-15

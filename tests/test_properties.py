@@ -87,7 +87,7 @@ def test_codewords_unit_norm_constant_modulus_and_match_single_beams(n, curving,
     arr = half_wavelength_array(n, CAR)
     book = product_codebook(CodebookScheme.EXHAUSTIVE, curving, points, arr, CAR)
     rows = [(a, r, th) for a, (r, th) in itertools.product(curving, points)]
-    np.testing.assert_array_equal(book.params, rows)
+    np.testing.assert_array_equal(book.slot_params(range(len(book))), rows)
     weights = np.stack([book.word(t).weights for t in range(len(book))], axis=1)
     assert weights.shape == (n, len(rows))
     np.testing.assert_allclose(np.abs(weights), 1 / math.sqrt(n), rtol=1e-14)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from airylink import beam
 from airylink.beam import BeamParams, airy_beam_vector
 from airylink.channel import ChannelMatrix, ChannelModel, gcm_channel, wcm_channel
 from airylink.codebook import (
@@ -19,6 +20,7 @@ from airylink.codebook import (
     build_exhaustive_codebook,
     build_farfield_codebook,
     build_hierarchical_codebooks,
+    build_los_region_points,
     build_low_complexity_codebooks,
     build_nearfield_codebook,
     product_codebook,
@@ -142,7 +144,8 @@ def test_exhaustive_noiseless_matches_argmax():
     best = int(np.argmax(exact))
     assert res.selected_params == book.word(best).params
     assert res.overhead == len(book)
-    np.testing.assert_array_equal(res.params, book.params)
+    np.testing.assert_array_equal(res.slot_params(range(res.overhead)),
+                                  book.slot_params(range(len(book))))
     np.testing.assert_allclose(res.powers, exact, rtol=1e-12)
     assert res.selected_power == pytest.approx(max(exact), rel=1e-12)
 
@@ -205,6 +208,33 @@ def test_hierarchical_unblocked_selects_straight_beam():
     assert res.overhead == len(stage1) + plan.counts[0]
     stage1_best = res.powers[:len(stage1)].max()
     assert res.selected_power >= stage1_best * (1 - 1e-12)
+
+
+def test_two_stage_result_maps_slots_through_both_books():
+    # slots run through stage 1, then stage 2 at stage 1's best point; each
+    # slot's parameters come from its book, in chunks that cross the stages
+    sc, plan = _hier_setup()
+    stage1, factory = build_hierarchical_codebooks(plan, sc)
+    res = hierarchical_search(stage1, factory, gcm_channel(sc), TrainingConfig(1.0, 0.0))
+    stage2 = res.books[1]
+    assert res.books[0] is stage1 and res.overhead == len(stage1) + len(stage2)
+    want = np.concatenate([stage1.slot_params(range(len(stage1))),
+                           stage2.slot_params(range(len(stage2)))])
+    np.testing.assert_array_equal(res.slot_params(range(res.overhead)), want)
+    best1 = int(np.argmax(res.powers[:len(stage1)]))
+    assert np.all(stage2.slot_params(range(len(stage2)))[:, 1:]
+                  == stage1.slot_params(best1)[1:])
+    cross = np.arange(len(stage1) - 3, len(stage1) + 3)
+    np.testing.assert_array_equal(res.slot_params(cross), want[cross])
+    np.testing.assert_array_equal(res.slot_params(cross[::-1]), want[cross[::-1]])
+    assert res.slot_params(len(stage1)).tolist() == want[len(stage1)].tolist()
+    assert BeamParams(*res.slot_params(len(stage1) + int(np.argmax(
+        res.powers[len(stage1):])))) == res.selected_params
+    for t in (-1, res.overhead):
+        with pytest.raises(ValueError, match=rf"slot {t} is outside \[0, {res.overhead}\)"):
+            res.slot_params(t)
+    with pytest.raises(ValueError, match="one power per slot"):
+        search.SearchResult(res.scheme, res.selected_vector, (stage1,), res.powers)
 
 
 def test_two_stage_requires_zero_curving():
@@ -283,12 +313,13 @@ def _reference_slot(w, h, cfg, rng, combiner):
 def _reference_stage(book, h, cfg, rng, combiner, vector):
     """Powers of every codeword, slot by slot, and the first argmax."""
     powers, best, best_power = [], 0, -math.inf
-    for i, prm in enumerate(book.params):
+    params = book.slot_params(range(len(book)))
+    for i, prm in enumerate(params):
         p = _reference_slot(vector(prm), h, cfg, rng, combiner)
         powers.append(p)
         if p > best_power:
             best, best_power = i, p
-    return powers, BeamParams(*book.params[best])
+    return powers, BeamParams(*params[best])
 
 
 def _single_beams(tx):
@@ -405,7 +436,7 @@ def test_noise_stream_order():
         pytest.approx(noisy.powers[0], rel=1e-12)
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
-    search._sound(book.cubic, book.focus, h, TrainingConfig(1.0, 0.0), rng)
+    search._sound(book, h, TrainingConfig(1.0, 0.0), rng)
     assert rng.bit_generator.state == state
 
 
@@ -434,7 +465,7 @@ def test_exhaustive_search_matches_per_slot_loop_on_random_channels(
     arr = half_wavelength_array(n_t, CAR)
     book = product_codebook(CodebookScheme.EXHAUSTIVE, curving, points, arr, CAR)
     params = np.array([(a, r, th) for a, (r, th) in itertools.product(curving, points)])
-    np.testing.assert_array_equal(book.params, params)
+    np.testing.assert_array_equal(book.slot_params(range(len(book))), params)
     gen = np.random.default_rng(seed)
     h = gen.standard_normal((n_r, n_t)) + 1j * gen.standard_normal((n_r, n_t))
     cfg = TrainingConfig(1.0, noise, rx_probe_combiner=combiner, rng_seed=seed)
@@ -459,8 +490,8 @@ def test_exhaustive_search_matches_per_slot_loop_on_random_channels(
 
 def _dense_powers(book, channel, cfg, rng, tx):
     h = channel.entries
-    w = np.stack([airy_beam_vector(BeamParams(*p), tx, CAR).weights for p in book.params],
-                 axis=1)
+    w = np.stack([airy_beam_vector(BeamParams(*p), tx, CAR).weights
+                  for p in book.slot_params(range(len(book)))], axis=1)
     received = math.sqrt(cfg.transmit_power) * (h @ w)
     if cfg.noise_power != 0.0:
         noise = math.sqrt(cfg.noise_power / 2.0) * rng.standard_normal(
@@ -508,11 +539,126 @@ def test_factored_sounding_matches_dense_reference(sized_books, noisy, combiner,
     noise = noise_for_target_se(channels.non_blocked, 1.0, 15.0) / 100.0 if noisy else 0.0
     cfg = TrainingConfig(1.0, noise, rx_probe_combiner=combiner, rng_seed=3)
     for name, book in books.items():
-        got = search._sound(book.cubic, book.focus, channels.blocked, cfg,
-                            np.random.default_rng(3))
+        got = search._sound(book, channels.blocked, cfg, np.random.default_rng(3))
         want = _dense_powers(book, channels.blocked, cfg, np.random.default_rng(3), sc.tx)
         assert int(np.argmax(got)) == int(np.argmax(want)), name
         np.testing.assert_allclose(got, want, rtol=POWER_RTOL, atol=0, err_msg=name)
+
+
+def _unmirrored_books(kind):
+    """Every builder's books on a 63-element array (odd N: the middle
+    element sits at y = 0) or on a 64-element array 3 mm off center (no
+    mirror pairs), with a seeded random channel."""
+    tx = (half_wavelength_array(63, CAR) if kind == "odd"
+          else half_wavelength_array(64, CAR, center_offset=0.003))
+    sc = ScenarioConfig(tx, half_wavelength_array(16, CAR), CAR, 1.0,
+                        blockage=BlockageGeometry(0.9, 0.02, 0.005, 0.5))
+    plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-10.0, 10.0),
+                               r_min=0.14)
+    h1, hier2 = build_hierarchical_codebooks(plan, sc)
+    l1, lowc2 = build_low_complexity_codebooks(sc, plan)
+    books = {
+        "exhaustive": build_exhaustive_codebook(plan, sc),
+        "hier_stage1": h1,
+        "hier_stage2": hier2(float(plan.focus_distances[-1]), float(plan.angles[9])),
+        "lowc_stage1": l1,
+        "lowc_stage2": lowc2(1.0, 0.0),
+        "farfield": build_farfield_codebook(sc, plan),
+        "nearfield": build_nearfield_codebook(sc),
+    }
+    gen = np.random.default_rng(17)
+    h = gen.standard_normal((16, tx.num_elements)) + 1j * gen.standard_normal(
+        (16, tx.num_elements))
+    return sc, books, ChannelMatrix(h, ChannelModel.SYNTHETIC)
+
+
+@pytest.mark.parametrize("block_slots", [search._BLOCK_SLOTS, 100])
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("kind", ["odd", "offset"])
+def test_streamed_sounding_matches_dense_reference_off_the_mirror(kind, noisy, block_slots,
+                                                                  monkeypatch):
+    monkeypatch.setattr(search, "_BLOCK_SLOTS", block_slots)
+    sc, books, channel = _unmirrored_books(kind)
+    paired = sum(int(np.sum(b.focus_terms.partner >= 0)) for b in books.values())
+    assert (paired > 0) == (kind == "odd")
+    cfg = TrainingConfig(1.0, 1e-2 if noisy else 0.0, rng_seed=3)
+    for name, book in books.items():
+        got = search._sound(book, channel, cfg, np.random.default_rng(3))
+        want = _dense_powers(book, channel, cfg, np.random.default_rng(3), sc.tx)
+        assert int(np.argmax(got)) == int(np.argmax(want)), name
+        np.testing.assert_allclose(got, want, rtol=POWER_RTOL, atol=0, err_msg=name)
+
+
+def _allowed_ends(partner):
+    """Every c such that no mirror pair has one member before c and one at
+    or after it, by brute force over the pairs."""
+    ends = set(range(1, partner.size + 1))
+    for f, p in enumerate(partner.tolist()):
+        if p >= 0:
+            ends -= set(range(min(f, p) + 1, max(f, p) + 1))
+    return sorted(ends)
+
+
+def _sounding_synthesis(book, channel, monkeypatch):
+    """(lo, hi) of each focus range one sounding of `book` synthesizes, and
+    how many columns it synthesizes rather than copies."""
+    ranges, synthesized = [], []
+    columns, focus_factor = beam.FocusTerms.columns, beam._focus_factor
+
+    def record(terms, lo, hi):
+        ranges.append((lo, hi))
+        return columns(terms, lo, hi)
+
+    def count(y, quad, sine, wavelength, out=None):
+        synthesized.append(quad.size)
+        return focus_factor(y, quad, sine, wavelength, out=out)
+    with monkeypatch.context() as m:
+        m.setattr(beam.FocusTerms, "columns", record)
+        m.setattr(beam, "_focus_factor", count)
+        search._sound(book, channel, TrainingConfig(1.0, 0.0), np.random.default_rng(0))
+    return ranges, sum(synthesized)
+
+
+def test_sounding_blocks_are_mirror_closed_and_synthesize_each_column_once(
+        sized_books, monkeypatch):
+    sc, books, channels = sized_books
+    odd_sc, odd_books, odd_channel = _unmirrored_books("odd")
+    cases = [(name, book, channels.blocked, sc) for name, book in books.items()]
+    cases += [(f"odd_{name}", book, odd_channel, odd_sc) for name, book in odd_books.items()]
+    for name, book, channel, scenario in cases:
+        partner = book.focus_terms.partner
+        num_focus = partner.size
+        ranges, synthesized = _sounding_synthesis(book, channel, monkeypatch)
+        # no more columns than the book's non-copied ones, each once
+        assert synthesized == num_focus - int(np.sum(partner >= 0)), name
+        if book.curving.size > 1:
+            assert ranges == [(0, num_focus)], name
+            continue
+        # one-curving books: slot-order ranges, each ending where no mirror
+        # pair straddles the cut, as many whole runs as fit the cap
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]], name
+        assert ranges[-1][1] == num_focus, name
+        cap = search._FOCUS_ENTRIES // scenario.tx.num_elements
+        ends = _allowed_ends(partner)
+        for lo, hi in ranges:
+            fitting = [c for c in ends if lo < c <= lo + cap]
+            assert hi == (fitting[-1] if fitting else min(c for c in ends if c > lo)), name
+            assert hi - lo <= search._BLOCK_SLOTS, name
+            copied = np.flatnonzero(partner[lo:hi] >= 0) + lo
+            assert np.all((lo <= partner[copied]) & (partner[copied] < hi)), name
+
+
+def test_a_run_wider_than_the_slot_cap_is_split(monkeypatch):
+    # one mirror pair spans the whole book; at a 4-slot cap it is cut inside
+    # and the split pairs are synthesized on both sides
+    partner = np.full(10, -1)
+    partner[9], partner[6] = 0, 3
+    assert search._focus_blocks(partner, 8192) == [(0, 10)]
+    assert search._focus_blocks(partner, 2) == [(0, 10)]
+    monkeypatch.setattr(search, "_BLOCK_SLOTS", 4)
+    assert search._focus_blocks(partner, 2) == [(0, 4), (4, 8), (8, 10)]
+    assert search._focus_blocks(np.full(5, -1), 2) == [(0, 2), (2, 4), (4, 5)]
+    assert search._focus_blocks(np.full(0, -1), 2) == []
 
 
 @pytest.mark.parametrize("num_curving, num_focus", [(11, 762), (81, 5355), (1, 2971),
@@ -531,13 +677,37 @@ def test_blocks_cover_slots_in_order_and_noise_is_the_one_shot_draw(num_curving,
     assert np.array_equal(per_block, one_shot)
 
 
-def test_exhaustive_search_at_256_tx():
-    # the paper's reference array size: 433,755 words, sounded without the
-    # [N_t, T] matrix (which alone would take 1.8 GB)
+@pytest.fixture(scope="module")
+def readme_256():
+    """The README geometry at the paper's reference size, 256 Tx."""
     sc = _sized_readme_scenario(256)
     plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-10.0, 10.0),
                                r_min=0.14)
-    channel = calibrated_wave_channels(sc).blocked
+    return sc, plan, calibrated_wave_channels(sc).blocked
+
+
+def test_hierarchical_search_at_256_tx_holds_no_focus_matrix(readme_256):
+    # the stage-1 book has 2,971 focus points: its [N_t, F] focus matrix
+    # alone would take 12.2 MB; the streamed sounding holds about 1 MB of it
+    sc, plan, channel = readme_256
+    cfg = TrainingConfig(1.0, noise_for_target_se(channel, 1.0, 15.0), rng_seed=3)
+    want = hierarchical_search(*build_hierarchical_codebooks(plan, sc), channel, cfg)
+    tracemalloc.start()
+    try:
+        res = hierarchical_search(*build_hierarchical_codebooks(plan, sc), channel, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(build_los_region_points(sc, plan)) == 2971
+    assert peak <= 4e6
+    assert res.selected_params == want.selected_params
+    np.testing.assert_array_equal(res.powers, want.powers)
+
+
+def test_exhaustive_search_at_256_tx(readme_256):
+    # the paper's reference array size: 433,755 words, sounded without the
+    # [N_t, T] matrix (which alone would take 1.8 GB)
+    sc, plan, channel = readme_256
     cfg = TrainingConfig(1.0, 0.0)
     tracemalloc.start()
     try:
@@ -555,5 +725,5 @@ def test_exhaustive_search_at_256_tx():
     top = np.argsort(-res.powers, kind="stable")[:5]
     combiner = probe_combiner_matrix(cfg.rx_probe_combiner, 16)
     dense = [float(np.sum(np.abs(combiner.conj().T @ (channel.entries @ airy_beam_vector(
-        BeamParams(*res.params[t]), sc.tx, CAR).weights)) ** 2)) for t in top]
-    assert res.selected_params == BeamParams(*res.params[top[int(np.argmax(dense))]])
+        BeamParams(*res.slot_params(t)), sc.tx, CAR).weights)) ** 2)) for t in top]
+    assert res.selected_params == BeamParams(*res.slot_params(top[int(np.argmax(dense))]))
