@@ -424,11 +424,12 @@ def write_manifest(args, scenario: ScenarioConfig, output: CommandOutput) -> Pat
                   f"probe_combiner: {train.rx_probe_combiner.value}", f"seed: {train.rng_seed}"]
     if plan is not None:
         j, k, v = plan.counts
+        near_a, near_r = plan.adjacent_correlations
         lines += [
             "",
             "[sampling_plan]",
             f"summary: {plan.describe()}",
-            f"empirical_intervals: {tuple(plan.empirical_intervals)!r}",
+            f"adjacent_correlations: curving={near_a!r} distance={near_r!r}",
             f"grid_counts: curving={j} distance={k} angle={v}",
         ]
     lines += ["", "[run]", f"command: {args.command}", *output.notes]

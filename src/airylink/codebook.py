@@ -13,11 +13,15 @@ rebound before decaying for good. The solver reports the location of the
 highest rebound peak beyond the first crossing (the level at which
 residual correlation between non-adjacent codewords peaks); for a target
 the envelope reaches monotonically this reduces to the plain first-descent
-root. Design intervals follow the envelope variables directly
-(s_a = x_a^3/(d^2 N^3), s_r = x_r^2/(d N^2), s_th = 2u/N); the plan also
-records calibration-free empirical intervals found by inverting the exact
-numeric correlation, which come out about 2*lambda/d times the design
-formula evaluated at the first crossing (see README).
+root. One mapping, `_design_interval`, turns an envelope argument into a
+design interval (s_a = x_a^3/(d^2 N^3), s_r = x_r^2/(d N^2); s_th = 2u/N),
+and its inverse at gap*d/(2*lambda) gives the envelope argument of a
+parameter gap. The targets are therefore envelope levels in the paper's
+normalization: two beams reach the solved argument only at a gap of
+2*lambda/d times the interval (4 at half-wavelength spacing), so adjacent
+codewords, one interval apart, correlate above the targets. The plan
+reports their numeric correlation on each axis
+(`SamplingPlan.adjacent_correlations`).
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .beam import (
     airy_beam_vector,
     curving_factors,
     focus_terms,
-    focusing_beam_vector,
 )
 from .numerics import (
     airy_cos_integral,
@@ -44,7 +47,6 @@ from .numerics import (
     fresnel_integrals,
     fresnel_lobe_nodes,
     invert_oscillatory_envelope,
-    solve_monotone_root,
 )
 from .scenario import ArrayConfig, CarrierConfig, ScenarioConfig, element_positions
 
@@ -86,11 +88,27 @@ def angle_correlation_closed(x: float, num_elements: int) -> float:
     return abs(math.sin(num_elements * x / 2) / (num_elements * s))
 
 
+def _design_interval(x: float, p: int, d: float, n: int) -> float:
+    """The plan's interval for envelope argument x on an axis whose phase
+    grows as the p-th power of aperture position: p = 3 for curving, p = 2
+    for distance (inverse focus distance)."""
+    return x**p / (d ** (p - 1) * n**p)
+
+
+def _envelope_argument(gap: float, p: int, array: ArrayConfig,
+                       carrier: CarrierConfig) -> float:
+    """Envelope argument of two beams `gap` apart on the p-th power axis: the
+    inverse of `_design_interval` at gap*d/(2*lambda). So the argument that
+    `_design_interval` maps to s is reached at a gap of s*2*lambda/d, not s."""
+    d, n = array.spacing, array.num_elements
+    s = gap * d / (2 * carrier.wavelength)
+    return (s * d ** (p - 1) * n**p) ** (1 / p)
+
+
 def normalized_curving_separation(delta_a: float, array: ArrayConfig,
                                   carrier: CarrierConfig) -> float:
     """Map a curving-coefficient gap to the cubic envelope's argument."""
-    alpha = 2 / carrier.wavelength * abs(delta_a) * array.spacing**3
-    return (2 * alpha) ** (1 / 3) * array.num_elements / 2
+    return _envelope_argument(abs(delta_a), 3, array, carrier)
 
 
 def normalized_distance_separation(r1: float, r2: float, focus_angle: float,
@@ -98,8 +116,7 @@ def normalized_distance_separation(r1: float, r2: float, focus_angle: float,
     """Map a focus-distance gap to the Fresnel envelope's argument."""
     inv_gap = abs((0.0 if math.isinf(r1) else 1 / r1) -
                   (0.0 if math.isinf(r2) else 1 / r2))
-    beta = math.cos(focus_angle) ** 2 / carrier.wavelength * inv_gap * array.spacing**2
-    return math.sqrt(2 * beta) * array.num_elements / 2
+    return _envelope_argument(math.cos(focus_angle) ** 2 * inv_gap, 2, array, carrier)
 
 
 def normalized_angle_separation(sin1: float, sin2: float, array: ArrayConfig,
@@ -115,7 +132,7 @@ class SamplingPlan:
     target_correlations: tuple  # (xi_a, xi_r, xi_theta)
     solved_parameters: tuple    # envelope arguments for (curving, distance, angle)
     intervals: tuple            # design intervals (s_a, s_r, s_theta=2u/N)
-    empirical_intervals: tuple  # numeric-inversion intervals (da, d(1/r), d sin)
+    adjacent_correlations: tuple  # numeric correlation of adjacent codewords (curving, distance)
     first_crossings: tuple      # first-descent envelope crossings (curving, distance)
     curving_range: tuple        # requested symmetric range (-A, +A)
     r_min: float
@@ -247,57 +264,16 @@ def _distance_envelope_pair():
     return env, batch, FRESNEL_PRIMITIVE_SUP, fresnel_lobe_nodes(60.0)
 
 
-def _first_crossing_of_curve(f, target: float, step: float, axis: str, num_elements: int,
-                             max_steps: int = 100000) -> float:
-    """First downward crossing of target by f, scanned from 0 in fixed steps;
-    f is the `axis` correlation of `num_elements` elements and f(0) = 1."""
-    prev_x = 0.0
-    for k in range(1, max_steps + 1):
-        x = k * step
-        if f(x) < target:
-            return solve_monotone_root(f, target, (prev_x, x))
-        prev_x = x
-    raise ValueError(f"codebook.targets, scenario.tx_elements: the {axis} correlation of "
-                     f"{num_elements} elements stays above {target!r} over the whole scan")
-
-
-def _empirical_intervals(targets, scenario: ScenarioConfig, design_intervals,
-                         angle_index: int):
-    """Invert the exact numeric correlation along each axis (first crossing).
-
-    First-crossing semantics makes the round trip exact: plugging the
-    returned interval back into the numeric correlation recovers the
-    target. The angle axis returns the u-th Dirichlet null.
-    """
-    tx, carrier = scenario.tx, scenario.carrier
-    d_link = scenario.link_distance
-    xi_a, xi_r, _ = targets
-    s_a, s_r, _ = design_intervals
-
-    ref_a = airy_beam_vector(BeamParams(0.0, d_link, 0.0), tx, carrier)
-
-    def corr_curving(delta):
-        if delta == 0:
-            return 1.0
-        v = airy_beam_vector(BeamParams(delta, d_link, 0.0), tx, carrier)
-        return beam_correlation_numeric(ref_a, v)
-
-    da = _first_crossing_of_curve(corr_curving, xi_a, s_a / 4, "curving", tx.num_elements)
-
-    def corr_distance(inv_gap):
-        if inv_gap == 0:
-            return 1.0
-        r2 = 1.0 / (1.0 / d_link + inv_gap)
-        v = focusing_beam_vector(r2, 0.0, tx, carrier)
-        return beam_correlation_numeric(ref_a, v)
-
-    dinv = _first_crossing_of_curve(corr_distance, xi_r, s_r / 4, "distance",
-                                    tx.num_elements)
-
-    # steering-beam correlation is the exact Dirichlet kernel; its u-th
-    # null in sin(angle) is 2u/N by construction
-    dsin = 2.0 * angle_index / tx.num_elements
-    return (da, dinv, dsin)
+def _adjacent_correlations(scenario: ScenarioConfig, s_a: float,
+                           s_r: float) -> tuple:
+    """(curving, distance): the numeric correlation of the reference beam
+    (0, D, 0) with its planned neighbours (s_a, D, 0) and (0, 1/(1/D + s_r), 0)."""
+    tx, carrier, d_link = scenario.tx, scenario.carrier, scenario.link_distance
+    ref = airy_beam_vector(BeamParams(0.0, d_link, 0.0), tx, carrier)
+    return tuple(
+        beam_correlation_numeric(ref, airy_beam_vector(params, tx, carrier))
+        for params in (BeamParams(s_a, d_link, 0.0),
+                       BeamParams(0.0, 1.0 / (1.0 / d_link + s_r), 0.0)))
 
 
 def angle_grid(num_elements: int, angle_index: int = 1) -> np.ndarray:
@@ -321,26 +297,35 @@ def solve_sampling_plan(targets, scenario: ScenarioConfig,
                         r_min: float | None = None) -> SamplingPlan:
     """Solve the per-axis sampling intervals and lay out the beam grids.
 
-    targets = (xi_a, xi_r, xi_theta): adjacent-codeword correlation targets
-    for the curving and distance axes in (0, 1), and 0 for the angle axis
-    (orthogonal angular sampling at the angle_index-th Dirichlet null).
+    targets = (xi_a, xi_r, xi_theta): envelope levels, in the paper's
+    normalization, for the curving and distance axes in (0, 1), and 0 for
+    the angle axis (orthogonal angular sampling at the angle_index-th
+    Dirichlet null). Each envelope is inverted at its target (the rebound
+    peak past the first crossing; see the module docstring) and the solved
+    argument becomes an interval through `_design_interval`. Adjacent
+    codewords then correlate at the plan's `adjacent_correlations`, above
+    the targets (0.790 and 0.363 at targets 0.4 and 0.15). Each error names
+    the config key it comes from.
     """
     xi_a, xi_r, xi_theta = targets
     for name, xi in (("curving", xi_a), ("distance", xi_r)):
         if not (0 < xi < 1):
-            raise ValueError(f"{name} correlation target must lie strictly in (0, 1)")
+            raise ValueError(f"codebook.targets: the {name} correlation target must "
+                             "lie strictly in (0, 1)")
     if xi_theta != 0:
-        raise ValueError("only orthogonal angle sampling (target 0) is supported; "
-                         "choose the null via angle_index")
-    if angle_index < 1 or angle_index >= scenario.tx.num_elements:
-        raise ValueError("angle_index must lie in [1, N_t)")
+        raise ValueError("codebook.targets: only orthogonal angle sampling (target 0) "
+                         "is supported; choose the null via codebook.angle_index")
+    n = scenario.tx.num_elements
+    if angle_index < 1 or angle_index >= n:
+        raise ValueError(f"codebook.angle_index, scenario.tx_elements: angle_index must "
+                         f"lie in [1, N_t) with N_t = {n}, got {angle_index}")
     a_lim = float(curving_range[1])
     if not (a_lim > 0) or curving_range[0] != -a_lim:
-        raise ValueError("curving_range must be symmetric (-A, +A) with A > 0")
-
-    n = scenario.tx.num_elements
-    d = scenario.tx.spacing
+        raise ValueError("codebook.curving_range: must be symmetric (-A, +A) with A > 0")
     d_link = scenario.link_distance
+    r_lo = d_link / 4 if r_min is None else float(r_min)
+    if not (0 < r_lo <= d_link):
+        raise ValueError("codebook.r_min_m: must lie in (0, link_distance]")
 
     env_a, batch_a, sup_a, nodes_a = _curving_envelope_pair()
     x_a, x_a_first = invert_oscillatory_envelope(env_a, xi_a, sup_a, nodes_a,
@@ -350,19 +335,14 @@ def solve_sampling_plan(targets, scenario: ScenarioConfig,
                                                  batch_envelope=batch_r)
     gamma = 2 * math.pi * angle_index / n
 
-    s_a = x_a**3 / (d**2 * n**3)
-    s_r = x_r**2 / (d * n**2)
+    d = scenario.tx.spacing
+    s_a = _design_interval(x_a, 3, d, n)
+    s_r = _design_interval(x_r, 2, d, n)
     s_theta = 2.0 * angle_index / n
-
-    empirical = _empirical_intervals(targets, scenario, (s_a, s_r, s_theta),
-                                     angle_index)
 
     half = int(math.floor(a_lim / s_a + 1e-9))
     curving_values = np.arange(-half, half + 1, dtype=float) * s_a
 
-    r_lo = d_link / 4 if r_min is None else float(r_min)
-    if not (0 < r_lo <= d_link):
-        raise ValueError("r_min must lie in (0, link_distance]")
     inv = 1.0 / d_link
     focus = []
     while True:
@@ -379,7 +359,7 @@ def solve_sampling_plan(targets, scenario: ScenarioConfig,
         target_correlations=(xi_a, xi_r, xi_theta),
         solved_parameters=(x_a, x_r, gamma),
         intervals=(s_a, s_r, s_theta),
-        empirical_intervals=empirical,
+        adjacent_correlations=_adjacent_correlations(scenario, s_a, s_r),
         first_crossings=(x_a_first, x_r_first),
         curving_range=(-a_lim, a_lim),
         r_min=r_lo,

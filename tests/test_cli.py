@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,12 +277,13 @@ def test_refused_sweep_point_names_sweep_grid(tmp_path, capsys, variable, grid):
     assert not out.exists()
 
 
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def _readme_config_table() -> dict:
     """{key: default cell} of the README's config reference table."""
-    from pathlib import Path
-
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("### Config reference", 1)[1].split("\n#", 1)[0]
+    section = _readme().split("### Config reference", 1)[1].split("\n#", 1)[0]
     rows = re.findall(r"^\| `([^`]+)` \| (.+?) \| .+ \|$", section, flags=re.M)
     return dict(rows)
 
@@ -558,19 +561,59 @@ def test_one_by_one_blocked_link_named_before_output(tmp_path, capsys, command, 
 
 @pytest.mark.parametrize("text, named", [
     (BASE_YAML.replace("r_min_m: 0.2", "r_min_m: 5.0"), "codebook.r_min_m"),
-    (ONE_BY_ONE_YAML, "angle_index"),  # no angle grid to index
-    # so few elements keep the focusing-beam correlation above its target
-    # over the whole scan of inverse-distance gaps (about 10 s of scanning)
-    (BASE_YAML.replace("tx_elements: 16", "tx_elements: 2"),
-     "codebook.targets, scenario.tx_elements: the distance "),
-    (BASE_YAML.replace("tx_elements: 16", "tx_elements: 6"),
-     "codebook.targets, scenario.tx_elements: the distance "),
-], ids=["r_min-beyond-link", "one-element-tx", "two-element-tx", "six-element-tx"])
+    # no angle grid to index
+    (ONE_BY_ONE_YAML, "codebook.angle_index, scenario.tx_elements: "),
+], ids=["r_min-beyond-link", "one-element-tx"])
 def test_codebook_plan_errors_named_before_output(tmp_path, capsys, text, named):
     out = tmp_path / "o"
     assert main(["codebook", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {named}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["codebook"], ["search", "--scheme", "hier"]],
+                         ids=["codebook", "search-hier"])
+@pytest.mark.parametrize("n_tx", [2, 6])
+def test_few_element_plan_reports_adjacent_correlations(tmp_path, command, n_tx):
+    # so few elements keep adjacent codewords far above the targets; the plan
+    # reports how far, in bounded time, and the run goes on
+    text = BASE_YAML.replace("tx_elements: 16", f"tx_elements: {n_tx}")
+    out = tmp_path / "o"
+    t0 = time.perf_counter()
+    assert main([*command, "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    lines = [line for line in (out / "manifest.txt").read_text().splitlines()
+             if line.startswith("adjacent_correlations: ")]
+    assert len(lines) == 1
+    found = re.fullmatch(r"adjacent_correlations: curving=(\S+) distance=(\S+)", lines[0])
+    assert all(0.0 <= float(value) <= 1.0 for value in found.groups())
+
+
+def _readme_example_yaml() -> str:
+    """The README's example config, as the CI step extracts it."""
+    return _readme().split("Example config:", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+def test_every_array_size_plans_or_names_a_key(tmp_path):
+    from airylink import cli
+
+    text = _readme_example_yaml()
+    assert "  tx_elements: 128\n" in text
+    refused = {}
+    for n_tx in range(1, 513):
+        cfg = load_config(_write(tmp_path, text.replace("tx_elements: 128",
+                                                        f"tx_elements: {n_tx}")))
+        t0 = time.perf_counter()
+        try:
+            plan = cli.solve_plan(cfg)
+        except ValueError as exc:
+            assert re.match(r"(codebook|scenario)\.\w+[,:]", str(exc)), (n_tx, str(exc))
+            refused[n_tx] = str(exc)
+        else:
+            assert all(0.0 <= c <= 1.0 for c in plan.adjacent_correlations), n_tx
+        assert time.perf_counter() - t0 < 1.0, n_tx
+    # one element has no angle grid; every other size plans
+    assert list(refused) == [1]
 
 
 def test_empty_hierarchical_stage1_named_before_output(tmp_path, capsys):

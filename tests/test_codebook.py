@@ -53,8 +53,6 @@ DISTANCE_PEAK = 0.16752637743339485
 S_A = 0.24507609165285402
 S_R = 0.30471708760421373
 R_GRID = [3.0, 1.56727426, 1.0607069, 0.8016131]
-EMP_DA = 0.5985866920335293
-EMP_DINV = 1.0854379325677237
 
 
 def _scenario(n=256, d_link=3.0):
@@ -199,18 +197,24 @@ def test_plan_grid_structure():
     assert plan.r_min == 0.75  # default D/4
 
 
-def test_plan_empirical_roundtrip():
+def test_plan_adjacent_correlations():
+    # the reported pair is the numeric correlation of the reference beam with
+    # its planned neighbours on the curving and distance grids
     plan = _plan()
-    da, dinv, dsin = plan.empirical_intervals
-    assert da == pytest.approx(EMP_DA, abs=1e-6)
-    assert dinv == pytest.approx(EMP_DINV, abs=1e-6)
-    assert dsin == 2.0 / 256
     sc = _scenario()
+    s_a, s_r, _ = plan.intervals
+    assert plan.curving_values[plan.curving_values.size // 2 + 1] == s_a
+    assert plan.focus_distances[1] == 1.0 / (1.0 / 3.0 + s_r)
     ref = airy_beam_vector(BeamParams(0.0, 3.0, 0.0), sc.tx, CAR)
-    va = airy_beam_vector(BeamParams(da, 3.0, 0.0), sc.tx, CAR)
-    assert beam_correlation_numeric(ref, va) == pytest.approx(0.4, abs=1e-12)
-    vr = focusing_beam_vector(1.0 / (1.0 / 3.0 + dinv), 0.0, sc.tx, CAR)
-    assert beam_correlation_numeric(ref, vr) == pytest.approx(0.15, abs=1e-12)
+    va = airy_beam_vector(BeamParams(s_a, 3.0, 0.0), sc.tx, CAR)
+    vr = focusing_beam_vector(plan.focus_distances[1], 0.0, sc.tx, CAR)
+    near_a, near_r = plan.adjacent_correlations
+    assert near_a == pytest.approx(beam_correlation_numeric(ref, va), abs=1e-12)
+    assert near_r == pytest.approx(beam_correlation_numeric(ref, vr), abs=1e-12)
+    # the targets (0.4, 0.15) are envelope levels, reached at a gap of
+    # 2*lambda/d = 4 intervals, so adjacent codewords correlate above them
+    assert near_a == pytest.approx(0.790, abs=1e-3)
+    assert near_r == pytest.approx(0.363, abs=1e-3)
 
 
 def test_plan_monotone_target_collapses_to_first_crossing():
@@ -221,22 +225,20 @@ def test_plan_monotone_target_collapses_to_first_crossing():
 
 
 def test_plan_validation():
+    # each error starts with the config key it comes from
     sc = _scenario()
-    for bad in ((0.0, 0.15, 0.0), (0.4, 1.0, 0.0), (-0.1, 0.15, 0.0)):
-        with pytest.raises(ValueError):
+    for bad in ((0.0, 0.15, 0.0), (0.4, 1.0, 0.0), (-0.1, 0.15, 0.0), (0.4, 0.15, 0.3)):
+        with pytest.raises(ValueError, match=r"^codebook\.targets: "):
             solve_sampling_plan(bad, sc)
-    with pytest.raises(ValueError):
-        solve_sampling_plan((0.4, 0.15, 0.3), sc)
-    with pytest.raises(ValueError):
-        solve_sampling_plan((0.4, 0.15, 0.0), sc, angle_index=0)
-    with pytest.raises(ValueError):
-        solve_sampling_plan((0.4, 0.15, 0.0), sc, angle_index=256)
-    with pytest.raises(ValueError):
+    for index in (0, 256):
+        with pytest.raises(ValueError,
+                           match=r"^codebook\.angle_index, scenario\.tx_elements: "):
+            solve_sampling_plan((0.4, 0.15, 0.0), sc, angle_index=index)
+    with pytest.raises(ValueError, match=r"^codebook\.curving_range: "):
         solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-2.0, 3.0))
-    with pytest.raises(ValueError):
-        solve_sampling_plan((0.4, 0.15, 0.0), sc, r_min=0.0)
-    with pytest.raises(ValueError):
-        solve_sampling_plan((0.4, 0.15, 0.0), sc, r_min=4.0)
+    for r_min in (0.0, 4.0):
+        with pytest.raises(ValueError, match=r"^codebook\.r_min_m: "):
+            solve_sampling_plan((0.4, 0.15, 0.0), sc, r_min=r_min)
 
 
 # --------------------------------------------------------------- codebooks
