@@ -7,23 +7,22 @@ candidates are sounded and how the winner is picked; reported overhead is
 always the number of slots actually consumed.
 
 A search stage sounds a codebook from its factors (see
-`codebook.Codebook`), never forming the [N_t, T] codeword matrix.  Slot
-i*F + f receives (H * c_i) @ g_f, with c_i a curving factor and g_f a
-focus factor.  The stage runs in blocks of slots in slot order.  A block
-stacks H * c_i for each of its curving values and multiplies the stack
-by its focus factors G in one matrix product; when it has fewer focus
-than curving columns (a stage-2 book) it stacks H * g_f instead and
-multiplies by its curving factors.  A book keeps no focus matrix: a
-one-curving book (stage 1, far field, near field) synthesizes each
-block's focus columns from the book's terms and drops them once sounded,
-and a book with more curving values synthesizes all of them once per
-sounding, since every curving row sounds them all.  Each block then takes
-one noise draw and one combiner product.  Slot t takes N_r standard-normal
-real parts and then N_r imaginary parts from the stream, slot after slot,
-and blocks follow slot order, so the per-block draws
-rng.standard_normal((slots, 2, N_r)) are the stream a slot-by-slot loop
-would consume, and the stages of a search continue one stream.  A
-noiseless run (noise_power == 0) draws nothing.
+`codebook.Codebook`) through the real probe combiner C ([N_r, n_probe]),
+forming neither the [N_t, T] codeword matrix nor the N_r antenna outputs:
+with g = C^T H, taken once per sounding, slot i*F + f receives the n_probe
+values (g * c_i) @ g_f, c_i a curving and g_f a focus factor.  Blocks of
+slots run in slot order.  A block stacks g * c_i for each of its curving
+values and multiplies the stack by its focus factors in one matrix
+product, or stacks g * g_f and multiplies by its curving factors when it
+has fewer focus than curving columns (a stage-2 book).  A book keeps no
+focus matrix: a one-curving book (stage 1, far field, near field)
+synthesizes each block's focus columns and drops them once sounded; a
+book with more curving values synthesizes them all once per sounding.
+Each block's noise, rng.standard_normal((slots, 2, N_r)), is combined by
+C in one real product.  Slot t takes N_r standard-normal real parts and
+then N_r imaginary parts from the stream, slot after slot, so the
+per-block draws are the stream a slot-by-slot loop would consume, and the
+stages of a search continue one stream.  A noiseless run draws nothing.
 """
 
 from __future__ import annotations
@@ -76,16 +75,21 @@ class TrainingConfig:
         # noise_power == 0 is the exact noiseless limit; negative is invalid
         if not (math.isfinite(self.noise_power) and self.noise_power >= 0):
             raise ValueError("noise_power must be non-negative and finite")
+        if not isinstance(self.rx_probe_combiner, ProbeCombiner):
+            raise ValueError(f"rx_probe_combiner must be a ProbeCombiner, "
+                             f"not {self.rx_probe_combiner!r}")
 
 
 def probe_combiner_matrix(combiner: ProbeCombiner, num_rx: int) -> np.ndarray:
-    """[N_r, n_probe] combiner applied to every training observation."""
+    """Real [N_r, n_probe] combiner C: probe p of a slot measures C[:, p]^T y."""
     if combiner is ProbeCombiner.OMNIDIRECTIONAL:
-        return np.full((num_rx, 1), 1.0 / math.sqrt(num_rx), dtype=complex)
-    return np.eye(num_rx, dtype=complex)
+        return np.full((num_rx, 1), 1.0 / math.sqrt(num_rx))
+    if combiner is ProbeCombiner.FULL_ARRAY_NORM:
+        return np.eye(num_rx)
+    raise ValueError(f"rx_probe_combiner: unknown probe combiner {combiner!r}")
 
 
-# Slots sounded per block: bounds the [N_r, slots] temporaries of a large book.
+# Slots sounded per block: bounds the [n_probe, slots] temporaries of a large book.
 _BLOCK_SLOTS = 8192
 # Focus-factor entries a one-curving book synthesizes per block (1 MiB of
 # complex128, 256 columns at 256 Tx): bounds the [N_t, columns] block that
@@ -146,35 +150,37 @@ def _book_blocks(book: Codebook):
 
 def _measure(blocks, num_slots: int, num_tx: int, channel: ChannelMatrix,
              cfg: TrainingConfig, rng: np.random.Generator) -> np.ndarray:
-    """Measured power of each slot of `blocks`, (cubic, focus) factor pairs
-    whose words cubic[:, i] * focus[:, f] are the slots in slot order."""
+    """Measured power of each slot of `blocks`, (cubic, focus) factor pairs whose
+    words w are the slots in slot order: |(C^T H) @ w + C^T noise|^2 over probes."""
     h = channel.entries
     num_rx = h.shape[0]
     if num_tx != h.shape[1]:
         raise ValueError("codeword length does not match channel columns")
-    combiner = probe_combiner_matrix(cfg.rx_probe_combiner, num_rx).conj().T
+    combiner = probe_combiner_matrix(cfg.rx_probe_combiner, num_rx)
+    g = combiner.T @ h
+    noise_combiner = combiner * math.sqrt(cfg.noise_power / 2.0)
     powers = np.empty(num_slots)
     start = 0
     for cub, foc in blocks:
-        # received[:, i, f] = (H * c_i) @ g_f = (H * g_f) @ c_i: H is scaled
+        # received[:, i, f] = (g * c_i) @ g_f = (g * g_f) @ c_i: g is scaled
         # by whichever factor the block has fewer of, the scaled copies are
         # stacked into one matrix product, and column i*w + f of the
-        # [N_r, b*w] result is slot start + i*w + f
+        # [n_probe, b*w] result is slot start + i*w + f
         if cub.shape[1] <= foc.shape[1]:
-            scaled = (h * cub.T[:, None, :]).reshape(-1, num_tx)
-            received = (scaled @ foc).reshape(-1, num_rx, foc.shape[1]).transpose(1, 0, 2)
+            scaled = (g * cub.T[:, None, :]).reshape(-1, num_tx)
+            received = (scaled @ foc).reshape(-1, g.shape[0], foc.shape[1]).transpose(1, 0, 2)
         else:
-            scaled = (h * foc.T[:, None, :]).reshape(-1, num_tx)
-            received = (scaled @ cub).reshape(-1, num_rx, cub.shape[1]).transpose(1, 2, 0)
-        received = received.reshape(num_rx, -1)
+            scaled = (g * foc.T[:, None, :]).reshape(-1, num_tx)
+            received = (scaled @ cub).reshape(-1, g.shape[0], cub.shape[1]).transpose(1, 2, 0)
+        received = received.reshape(g.shape[0], -1)
         received *= math.sqrt(cfg.transmit_power)
         if cfg.noise_power != 0.0:
-            noise = rng.standard_normal((received.shape[1], 2, num_rx))
-            noise *= math.sqrt(cfg.noise_power / 2.0)
+            draws = rng.standard_normal((received.shape[1], 2, num_rx)).reshape(-1, num_rx)
+            noise = (draws @ noise_combiner).reshape(-1, 2, g.shape[0])
             received.real += noise[:, 0].T
             received.imag += noise[:, 1].T
         stop = start + received.shape[1]
-        powers[start:stop] = np.sum(np.abs(combiner @ received) ** 2, axis=0)
+        powers[start:stop] = np.sum(np.abs(received) ** 2, axis=0)
         start = stop
         del cub, foc  # before the next block is synthesized
     return powers

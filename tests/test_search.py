@@ -83,12 +83,23 @@ def test_training_config_rejects_non_finite_powers(field, kwargs):
         TrainingConfig(**kwargs)
 
 
+@pytest.mark.parametrize("value", ["Omnidirectional", "FullArrayNorm", None])
+def test_training_config_rejects_a_probe_combiner_that_is_not_one(value):
+    # a string used to be accepted and sounded through the identity combiner
+    with pytest.raises(ValueError, match="rx_probe_combiner"):
+        TrainingConfig(1.0, 0.0, rx_probe_combiner=value)
+    with pytest.raises(ValueError, match="rx_probe_combiner"):
+        probe_combiner_matrix(value, 8)
+
+
 def test_probe_combiner_shapes():
     omni = probe_combiner_matrix(ProbeCombiner.OMNIDIRECTIONAL, 8)
     assert omni.shape == (8, 1)
+    assert omni.dtype == np.float64
     np.testing.assert_allclose(omni, 1 / math.sqrt(8))
     full = probe_combiner_matrix(ProbeCombiner.FULL_ARRAY_NORM, 8)
     np.testing.assert_array_equal(full, np.eye(8))
+    assert full.dtype == np.float64
 
 
 def test_measure_slot_zero_channel():
@@ -543,6 +554,101 @@ def test_factored_sounding_matches_dense_reference(sized_books, noisy, combiner,
         want = _dense_powers(book, channels.blocked, cfg, np.random.default_rng(3), sc.tx)
         assert int(np.argmax(got)) == int(np.argmax(want)), name
         np.testing.assert_allclose(got, want, rtol=POWER_RTOL, atol=0, err_msg=name)
+
+
+# The per-antenna formula: each block of slots forms all N_r antenna
+# outputs from the book's factors, adds each antenna's noise, and combines
+# afterwards.  The sounding projects the channel onto the probe combiner
+# first, so through the identity combiner it must match this bit for bit,
+# and through the omnidirectional probe to rounding.
+
+def _per_antenna_powers(book, channel, cfg, rng):
+    h = channel.entries
+    n_r, n_t = h.shape
+    combiner = probe_combiner_matrix(cfg.rx_probe_combiner, n_r)
+    powers = []
+    for cub, foc in search._book_blocks(book):
+        if cub.shape[1] <= foc.shape[1]:
+            received = ((h * cub.T[:, None, :]).reshape(-1, n_t) @ foc).reshape(
+                -1, n_r, foc.shape[1]).transpose(1, 0, 2)
+        else:
+            received = ((h * foc.T[:, None, :]).reshape(-1, n_t) @ cub).reshape(
+                -1, n_r, cub.shape[1]).transpose(1, 2, 0)
+        received = received.reshape(n_r, -1) * math.sqrt(cfg.transmit_power)
+        if cfg.noise_power != 0.0:
+            noise = math.sqrt(cfg.noise_power / 2.0) * rng.standard_normal(
+                (received.shape[1], 2, n_r))
+            received.real += noise[:, 0].T
+            received.imag += noise[:, 1].T
+        powers.append(np.sum(np.abs(combiner.T @ received) ** 2, axis=0))
+    return np.concatenate(powers)
+
+
+def test_identity_combiner_sounding_is_the_per_antenna_formula_bit_for_bit(sized_books):
+    _, books, channels = sized_books
+    noise = noise_for_target_se(channels.non_blocked, 1.0, 15.0) / 100.0
+    cfg = TrainingConfig(1.0, noise, rx_probe_combiner=ProbeCombiner.FULL_ARRAY_NORM,
+                         rng_seed=3)
+    for name, book in books.items():
+        got = search._sound(book, channels.blocked, cfg, np.random.default_rng(3))
+        want = _per_antenna_powers(book, channels.blocked, cfg, np.random.default_rng(3))
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("combiner", list(ProbeCombiner))
+def test_noisy_sounding_draws_2_n_r_normals_per_slot(sized_books, combiner):
+    sc, books, channels = sized_books
+    cfg = TrainingConfig(1.0, 1e-3, rx_probe_combiner=combiner, rng_seed=3)
+    for name, book in books.items():
+        rng = np.random.default_rng(3)
+        search._sound(book, channels.blocked, cfg, rng)
+        drawn = np.random.default_rng(3)
+        drawn.standard_normal((len(book), 2, sc.rx.num_elements))
+        assert rng.bit_generator.state == drawn.bit_generator.state, name
+
+
+def _per_antenna_search(stages, channel, cfg):
+    """(per-stage winning slots, powers) of a one- or two-stage search
+    sounded by the per-antenna formula."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    stage1, factory = (stages, None) if isinstance(stages, Codebook) else stages
+    powers = [_per_antenna_powers(stage1, channel, cfg, rng)]
+    winners = [int(np.argmax(powers[0]))]
+    if factory is not None:
+        _, r_f, theta_f = stage1.slot_params(winners[0]).tolist()
+        powers.append(_per_antenna_powers(factory(r_f, theta_f), channel, cfg, rng))
+        winners.append(int(np.argmax(powers[1])))
+    return winners, np.concatenate(powers)
+
+
+@pytest.mark.parametrize("n_tx", [128, 256])
+def test_omnidirectional_searches_select_as_the_per_antenna_formula(n_tx):
+    sc = _sized_readme_scenario(n_tx)
+    plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-10.0, 10.0),
+                               r_min=0.14)
+    channel = calibrated_wave_channels(sc).blocked
+    searches = {
+        "hierarchical": (build_hierarchical_codebooks(plan, sc),
+                         lambda st, h, c: hierarchical_search(*st, h, c)),
+        "low_complexity": (build_low_complexity_codebooks(sc, plan),
+                           lambda st, h, c: low_complexity_search(*st, h, c)),
+        "farfield": (build_farfield_codebook(sc, plan), farfield_steering_search),
+        "nearfield": (build_nearfield_codebook(sc), nearfield_focusing_search),
+    }
+    if n_tx == 128:
+        searches["exhaustive"] = (build_exhaustive_codebook(plan, sc), exhaustive_search)
+    for seed, noise in enumerate([0.0, noise_for_target_se(channel, 1.0, 15.0)]):
+        cfg = TrainingConfig(1.0, noise, rng_seed=seed)
+        for name, (stages, run) in searches.items():
+            got = run(stages, channel, cfg)
+            winners, want = _per_antenna_search(stages, channel, cfg)
+            np.testing.assert_allclose(got.powers, want, rtol=POWER_RTOL, atol=0,
+                                       err_msg=f"{name} {cfg}")
+            starts = np.cumsum([0] + [len(book) for book in got.books[:-1]])
+            for start, book, winner in zip(starts, got.books, winners):
+                assert int(np.argmax(got.powers[start:start + len(book)])) == winner, name
+            assert got.selected_params == BeamParams(
+                *got.books[-1].slot_params(winners[-1])), name
 
 
 def _unmirrored_books(kind):
