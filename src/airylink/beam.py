@@ -148,9 +148,11 @@ class FocusTerms:
     def __len__(self) -> int:
         return self.quad.size
 
-    def column(self, f: int) -> np.ndarray:
-        """[N_t] focus factor of point f alone, equal to columns(f, f + 1)[:, 0]."""
-        return _focus_factor(self.positions, self.quad[f], self.sine[f], self.wavelength)
+    def at(self, f) -> np.ndarray:
+        """Focus factors of points f, each synthesized alone: [N_t] for one
+        point, equal to columns(f, f + 1)[:, 0], or [N_t, n] for n points."""
+        y = self.positions if np.ndim(f) == 0 else self.positions[:, None]
+        return _focus_factor(y, self.quad[f], self.sine[f], self.wavelength)
 
     def columns(self, lo: int, hi: int) -> np.ndarray:
         """[N_t, hi - lo] unit-norm focus factors of points lo:hi.
@@ -232,7 +234,8 @@ def airy_beam_vector(params: BeamParams, array: ArrayConfig,
     """Unit-norm constant-modulus codeword: curving factor times focus factor.
 
     A codebook word is the same product of the same factors, so
-    `Codebook.word(t)` equals this vector for its params bit for bit.
+    `Codebook.words` and `Codebook.word(t)` equal this vector for its
+    params bit for bit.
     """
     y = element_positions(array)
     quad, sine = _focus_terms(params.focus_distance, params.focus_angle)

@@ -36,6 +36,7 @@ from .beam import (
     BeamParams,
     BeamVector,
     FocusTerms,
+    _check_unit_norm,
     airy_beam_vector,
     curving_factors,
     focus_terms,
@@ -190,8 +191,9 @@ class Codebook:
     beam.py and g_f is the focus factor of point f. A book keeps its focus
     factors only as [F]-sized terms (`beam.FocusTerms`), so it holds neither
     the [N_t, F] focus matrix nor the [N_t, T] product: `focus_terms.columns`
-    synthesizes any range of focus columns, `word(t)` multiplies out one
-    codeword, and `slot_params` gives the parameters of any slots.
+    synthesizes any range of focus columns, `words` multiplies out the
+    codewords of any slots (`word(t)` one of them as a beam), and
+    `slot_params` gives their parameters.
     """
 
     scheme: CodebookScheme
@@ -220,11 +222,21 @@ class Codebook:
         i, f = np.divmod(_slot_indices(slots, len(self)), self.focus_points.shape[0])
         return np.concatenate([self.curving[i][..., None], self.focus_points[f]], axis=-1)
 
+    def words(self, slots) -> np.ndarray:
+        """Weights of each slot, multiplied out of its two factors: [N_t] for
+        one slot, [N_t, n] for a sequence of n, whose focus factors are
+        synthesized together."""
+        i, f = np.divmod(_slot_indices(slots, len(self)), self.focus_points.shape[0])
+        # both factors C-ordered, as the standalone beam's are: numpy's complex
+        # product rounds differently when the operands' layouts differ
+        weights = np.ascontiguousarray(self.cubic[:, i]) * self.focus_terms.at(f)
+        _check_unit_norm(weights)
+        return weights
+
     def word(self, t: int) -> BeamVector:
-        """Codeword t as a standalone beam, multiplied out of its two factors."""
-        i, f = divmod(int(_slot_indices(t, len(self))), self.focus_points.shape[0])
-        return BeamVector(BeamParams(self.curving[i], *self.focus_points[f]),
-                          self.cubic[:, i] * self.focus_terms.column(f))
+        """Codeword t as a standalone beam."""
+        t = int(_slot_indices(t, len(self)))
+        return BeamVector(BeamParams(*self.slot_params(t)), self.words(t))
 
 
 def product_codebook(scheme: CodebookScheme, curving, focus_points, tx: ArrayConfig,

@@ -6,6 +6,15 @@ analog precoder, and each side adds a small digital stage, the receive
 side behind a constant-modulus analog combiner.  A full-digital benchmark
 has identity analog stages, so every scheme flows through the same
 spectral-efficiency evaluation.
+
+Beamformers, their design and their spectral efficiency take a stack of
+K searched beams along a leading axis as readily as one: `_deploy`
+deploys every beam of a scheme at one point as one stack, a search's
+selected beam as a stack of one, and an overhead sweep each scheme's
+distinct budget leaders.  A beam's result does not depend on the stack it
+is deployed in: the stacked products, decompositions and solves round
+each beam as they round it alone, and the steps that would not (a
+least-squares fit, a norm, a pseudo-inverse) run beam by beam.
 """
 
 from __future__ import annotations
@@ -20,7 +29,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .beam import BeamParams, BeamVector, airy_beam_vector
+from .beam import BeamVector
+# Unused here, but bench/spans.py patches it on this module by name.
+from .beam import airy_beam_vector  # noqa: F401
 from .channel import (
     ChannelMatrix,
     ChannelModel,
@@ -71,72 +82,93 @@ __all__ = [
 
 
 class IllConditionedNoiseWarning(RuntimeWarning):
-    """Combined noise covariance needed a pseudo-inverse."""
+    """Combined noise covariance needed a pseudo-inverse.
+
+    `members` are the stack positions that needed it ([0] for one link).
+    """
+
+    def __init__(self, message: str, members=(0,)):
+        super().__init__(message)
+        self.members = members
 
 
 def spectral_efficiency(precoder: np.ndarray, combiner: np.ndarray,
                         channel: ChannelMatrix, transmit_power: float,
-                        noise_power: float) -> float:
+                        noise_power: float):
     """Log-det rate of the combined link in bits/s/Hz.
 
     precoder [N_t x N_s] and combiner [N_r x N_s] are composite
-    (analog x digital) matrices.  The noise covariance after combining is
-    noise_power * W^H W; if it is numerically singular a pseudo-inverse is
-    used and an IllConditionedNoiseWarning is emitted.
+    (analog x digital) matrices, giving a float; stacks [K x N_t x N_s] and
+    [K x N_r x N_s] of K such pairs, each over `channel`, give [K] rates.
+    The noise covariance after combining is noise_power * W^H W; where it
+    is numerically singular a pseudo-inverse is used, and one
+    IllConditionedNoiseWarning names the stack positions that needed it.
     """
-    f = np.atleast_2d(np.asarray(precoder, dtype=complex))
-    w = np.atleast_2d(np.asarray(combiner, dtype=complex))
-    if f.shape[0] == 1 and channel.entries.shape[1] != 1:
-        f = f.T
-    if w.shape[0] == 1 and channel.entries.shape[0] != 1:
-        w = w.T
-    num_streams = f.shape[1]
+    f = np.asarray(precoder, dtype=complex)
+    w = np.asarray(combiner, dtype=complex)
+    stacked = f.ndim == 3
+    if not stacked:
+        f, w = np.atleast_2d(f), np.atleast_2d(w)
+        if f.shape[0] == 1 and channel.entries.shape[1] != 1:
+            f = f.T
+        if w.shape[0] == 1 and channel.entries.shape[0] != 1:
+            w = w.T
+        f, w = f[None], w[None]
+    num_streams = f.shape[2]
     if not (transmit_power > 0 and noise_power > 0):
         raise ValueError("powers must be positive")
 
-    g = w.conj().T @ channel.entries @ f
-    r_n = noise_power * (w.conj().T @ w)
-    rho_term = (transmit_power / num_streams) * (g @ g.conj().T)
+    w_h = w.conj().swapaxes(1, 2)
+    g = w_h @ channel.entries @ f
+    r_n = noise_power * (w_h @ w)
+    rho_term = (transmit_power / num_streams) * (g @ g.conj().swapaxes(1, 2))
     cond = np.linalg.cond(r_n)
-    if not np.isfinite(cond) or cond > 1e12:
-        warnings.warn("noise covariance ill-conditioned; using pseudo-inverse",
-                      IllConditionedNoiseWarning)
-        core = np.linalg.pinv(r_n) @ rho_term
+    ill = ~np.isfinite(cond) | (cond > 1e12)
+    if ill.any():
+        members = np.flatnonzero(ill)
+        warnings.warn(IllConditionedNoiseWarning(
+            "noise covariance ill-conditioned; using pseudo-inverse", members.tolist()))
+        core = np.empty_like(rho_term)
+        core[~ill] = np.linalg.solve(r_n[~ill], rho_term[~ill])
+        for k in members:
+            core[k] = np.linalg.pinv(r_n[k]) @ rho_term[k]
     else:
         core = np.linalg.solve(r_n, rho_term)
     sign, logdet = np.linalg.slogdet(np.eye(num_streams) + core)
-    return float(logdet / math.log(2.0))
+    se = logdet / math.log(2.0)
+    return se if stacked else float(se[0])
 
 
 @dataclass(frozen=True)
 class Beamformers:
-    """Hybrid (or identity-analog full-digital) precoder/combiner set."""
+    """Hybrid (or identity-analog full-digital) precoder/combiner set, or a
+    stack of K searched sets along a leading axis of every stage."""
 
-    analog_precoder: np.ndarray    # [N_t x L_t]
-    digital_precoder: np.ndarray   # [L_t x N_s]
-    analog_combiner: np.ndarray    # [N_r x L_r]
-    digital_combiner: np.ndarray   # [L_r x N_s]
+    analog_precoder: np.ndarray    # [(K x) N_t x L_t]
+    digital_precoder: np.ndarray   # [(K x) L_t x N_s]
+    analog_combiner: np.ndarray    # [(K x) N_r x L_r]
+    digital_combiner: np.ndarray   # [(K x) L_r x N_s]
     hybrid: bool = True
-    rank_deficient: bool = False
+    rank_deficient: bool | np.ndarray = False  # [K] for a stack
 
     def __post_init__(self):
         f = self.composite_precoder
         n_s = self.num_streams
-        norm_sq = float(np.linalg.norm(f) ** 2)
-        if norm_sq == 0.0:
-            if not self.rank_deficient:
-                raise ValueError("zero precoder without rank_deficient flag")
-        elif not math.isclose(norm_sq, n_s, rel_tol=1e-9):
+        norm_sq = np.sum(np.abs(f) ** 2, axis=(-2, -1))
+        zero = norm_sq == 0.0
+        if (zero & ~np.asarray(self.rank_deficient)).any():
+            raise ValueError("zero precoder without rank_deficient flag")
+        if (~zero & (np.abs(norm_sq - n_s) > 1e-9 * np.maximum(norm_sq, n_s))).any():
             raise ValueError("composite precoder power must equal num_streams")
         if self.hybrid:
             for mat in (self.analog_precoder, self.analog_combiner):
-                target = 1.0 / math.sqrt(mat.shape[0])
+                target = 1.0 / math.sqrt(mat.shape[-2])
                 if np.max(np.abs(np.abs(mat) - target)) > 1e-12:
                     raise ValueError("analog stages must be constant modulus")
 
     @property
     def num_streams(self) -> int:
-        return self.digital_precoder.shape[1]
+        return self.digital_precoder.shape[-1]
 
     @property
     def composite_precoder(self) -> np.ndarray:
@@ -147,7 +179,8 @@ class Beamformers:
         return self.analog_combiner @ self.digital_combiner
 
     def evaluate(self, channel: ChannelMatrix, transmit_power: float,
-                 noise_power: float) -> float:
+                 noise_power: float):
+        """Spectral efficiency over `channel`: a float, or [K] for a stack."""
         return spectral_efficiency(self.composite_precoder,
                                    self.composite_combiner,
                                    channel, transmit_power, noise_power)
@@ -244,44 +277,70 @@ def run_scheme(scheme: BeamformingScheme, channels: ChannelSet, books: tuple,
     channel; a benchmark ignores them.  Then it deploys as `_deploy` says.
     """
     result = _search(scheme, books, channels, cfg) if scheme.searched else None
-    beam = None if result is None else result.selected_vector
-    return (result, *_deploy(scheme, beam, channels, cfg))
+    beams = None if result is None else result.selected_vector.weights[:, None]
+    [(se, notes)] = _deploy(scheme, beams, channels, cfg)
+    return result, se, notes
 
 
-def _deploy(scheme: BeamformingScheme, beam: BeamVector | None,
-            channels: ChannelSet, cfg: TrainingConfig) -> tuple:
-    """(spectral efficiency, notes) of `scheme` deploying its searched `beam`
-    (None for a benchmark), designed on its design channel and run over its
-    link channel.
+def _deploy(scheme: BeamformingScheme, beams: np.ndarray | None,
+            channels: ChannelSet, cfg: TrainingConfig) -> list:
+    """(spectral efficiency, notes) of `scheme` deploying each of its searched
+    `beams`, the [N_t, K] weights of K beams as columns (None for a
+    benchmark, which deploys once), designed on its design channel and run
+    over its link channel.
 
-    Notes, in order: `fully_blocked` (the link is all zero), `rank_deficient`,
-    and `ill_conditioned_noise` (the noise covariance needed a pseudo-inverse).
+    The K beams are designed and evaluated as one stack of beamformers,
+    each with the result it has alone.  Notes, in order: `fully_blocked`
+    (the link is all zero), `rank_deficient`, and `ill_conditioned_noise`
+    (the noise covariance needed a pseudo-inverse).
     """
     design, link = (getattr(channels, name) for name in scheme.channel_fields)
-    bf = build_scheme_beamformers(scheme, beam, design)
+    bf = build_scheme_beamformers(scheme, beams, design)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IllConditionedNoiseWarning)
-        se = bf.evaluate(link, cfg.transmit_power, cfg.noise_power)
-    flags = (("fully_blocked", not link.entries.any()),
-             ("rank_deficient", bf.rank_deficient),
-             ("ill_conditioned_noise",
-              any(issubclass(w.category, IllConditionedNoiseWarning) for w in caught)))
-    return se, ";".join(name for name, flag in flags if flag)
+        se = np.atleast_1d(bf.evaluate(link, cfg.transmit_power, cfg.noise_power))
+    ill = np.zeros(se.size, dtype=bool)
+    for w in caught:
+        if issubclass(w.category, IllConditionedNoiseWarning):
+            ill[w.message.members] = True
+    blocked = not link.entries.any()
+    deployed = []
+    for value, rank_deficient, ill_conditioned in zip(
+            se.tolist(), np.atleast_1d(bf.rank_deficient).tolist(), ill.tolist()):
+        flags = (("fully_blocked", blocked), ("rank_deficient", rank_deficient),
+                 ("ill_conditioned_noise", ill_conditioned))
+        deployed.append((value, ";".join(name for name, flag in flags if flag)))
+    return deployed
 
 
-def _top_pair(h: np.ndarray) -> tuple:
-    """`h`'s top left and right singular vectors as columns (zero at rank 0), and rank 0?"""
+def _top_pairs(h: np.ndarray) -> tuple:
+    """Top left and right singular vectors of each [K x N_r x N_t] slice of
+    `h` as columns (zero at rank 0), and whether the slice has rank 0."""
     u, s, vh = np.linalg.svd(h, full_matrices=False)
-    tol = max(h.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    left = np.zeros((h.shape[0], 1), dtype=complex)
-    right = np.zeros((h.shape[1], 1), dtype=complex)
-    rank_deficient = not np.any(s > tol)
-    if not rank_deficient:
-        left[:, 0], right[:, 0] = u[:, 0], vh[0].conj()
+    tol = max(h.shape[1:]) * np.finfo(float).eps * s[:, :1]
+    rank_deficient = ~np.any(s > tol, axis=1)
+    full = ~rank_deficient[:, None, None]
+    left = np.where(full, u[:, :, :1], 0)
+    right = np.where(full, vh[:, :1].conj().swapaxes(1, 2), 0)
     return left, right, rank_deficient
 
 
-def build_scheme_beamformers(scheme: BeamformingScheme, beam: BeamVector | None = None,
+def _unit_power(stage: np.ndarray, analog: np.ndarray | None = None) -> np.ndarray:
+    """Each set of a [K x L x N_s] digital `stage` scaled so that its composite
+    with `analog` has unit power; a zero composite is left as it is."""
+    composite = stage if analog is None else analog @ stage
+    scaled = stage.copy()
+    for part, comp in zip(scaled, composite):
+        # the norm of each set alone, times its reciprocal: a norm over
+        # axes, or part / norm, rounds differently
+        norm = np.linalg.norm(comp)
+        if norm > 0:
+            part *= 1.0 / norm
+    return scaled
+
+
+def build_scheme_beamformers(scheme: BeamformingScheme,
+                             beam: BeamVector | np.ndarray | None = None,
                              design_channel: ChannelMatrix | None = None) -> Beamformers:
     """The one-stream beamformers `scheme` deploys, designed on `design_channel`.
 
@@ -294,6 +353,10 @@ def build_scheme_beamformers(scheme: BeamformingScheme, beam: BeamVector | None 
     least-squares digital weight.  Each digital stage is scaled so that its
     composite has unit power (a benchmark's combiner has it already).  A
     rank-0 channel gives zero digital stages, flagged `rank_deficient`.
+
+    `beam` is a `BeamVector`, giving one set, or the [N_t, K] weights of K
+    beams as columns, giving a stack of K sets; one beam is designed as a
+    stack of one either way.
     """
     if scheme.searched and beam is None:
         raise ValueError("searched scheme requires its searched beam")
@@ -302,24 +365,26 @@ def build_scheme_beamformers(scheme: BeamformingScheme, beam: BeamVector | None 
     h = np.asarray(design_channel.entries, dtype=complex)
     n_r, n_t = h.shape
 
-    def unit_power(stage, analog=None):
-        # times the reciprocal norm, which rounds unlike stage / norm
-        norm = np.linalg.norm(stage if analog is None else analog @ stage)
-        return stage * (1.0 / norm) if norm > 0 else stage
-
     if not scheme.searched:
-        w_opt, f_bb, rank_deficient = _top_pair(h)
-        return Beamformers(np.eye(n_t, dtype=complex), unit_power(f_bb),
-                           np.eye(n_r, dtype=complex), w_opt,
-                           hybrid=False, rank_deficient=rank_deficient)
-    f_rf = beam.weights[:, None]
-    w_opt, f_bb, rank_deficient = _top_pair(h @ f_rf)
+        w_opt, f_bb, rank_deficient = _top_pairs(h[None])
+        return Beamformers(np.eye(n_t, dtype=complex), _unit_power(f_bb)[0],
+                           np.eye(n_r, dtype=complex), w_opt[0],
+                           hybrid=False, rank_deficient=bool(rank_deficient[0]))
+    one = isinstance(beam, BeamVector)
+    weights = beam.weights[:, None] if one else np.asarray(beam)
+    f_rf = np.ascontiguousarray(weights.T)[:, :, None]  # [K, N_t, 1]
+    w_opt, f_bb, rank_deficient = _top_pairs(h @ f_rf)
     magnitude = np.abs(w_opt)
     phases = np.where(magnitude > 0, w_opt / np.where(magnitude > 0, magnitude, 1.0), 1.0)
     w_rf = (1.0 / math.sqrt(n_r)) * phases
-    w_bb, *_ = np.linalg.lstsq(w_rf, w_opt, rcond=None)
-    return Beamformers(f_rf, unit_power(f_bb, f_rf), w_rf, unit_power(w_bb, w_rf),
-                       hybrid=True, rank_deficient=rank_deficient)
+    w_bb = np.empty_like(f_bb)
+    for a, b, out in zip(w_rf, w_opt, w_bb):  # lstsq has no stacked form
+        out[...] = np.linalg.lstsq(a, b, rcond=None)[0]
+    stages = (f_rf, _unit_power(f_bb, f_rf), w_rf, _unit_power(w_bb, w_rf))
+    if one:
+        return Beamformers(*(stage[0] for stage in stages), hybrid=True,
+                           rank_deficient=bool(rank_deficient[0]))
+    return Beamformers(*stages, hybrid=True, rank_deficient=rank_deficient)
 
 
 def noise_for_target_se(channel: ChannelMatrix, transmit_power: float,
@@ -469,8 +534,7 @@ def _derive_seed(base_seed: int, point_index: int, repetition: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _overhead_rows(spec: SweepSpec, channels: ChannelSet,
-                   scenario: ScenarioConfig, books,
+def _overhead_rows(spec: SweepSpec, channels: ChannelSet, books,
                    cfg_base: TrainingConfig, rep_seed: int):
     """Best-so-far spectral efficiency under a training-slot budget.
 
@@ -483,15 +547,16 @@ def _overhead_rows(spec: SweepSpec, channels: ChannelSet,
     for scheme in spec.schemes:
         result = _search(scheme, books(scheme), channels, cfg)
         budgets = [min(int(value), result.overhead) for value in spec.grid]
-        leaders = result.slot_params([int(np.argmax(result.powers[:used]))
-                                      for used in budgets])
-        se_cache: dict = {}
+        leaders = [int(np.argmax(result.powers[:used])) for used in budgets]
+        keys = list(map(tuple, result.slot_params(leaders).tolist()))
+        first: dict = {}  # each distinct beam's first leader; all deploy as one stack
+        for key, slot in zip(keys, leaders):
+            first.setdefault(key, slot)
+        deployed = dict(zip(first, _deploy(scheme, result.words(list(first.values())),
+                                           channels, cfg)))
         best_so_far, best_notes = -math.inf, ""
-        for value, used, key in zip(spec.grid, budgets, map(tuple, leaders.tolist())):
-            if key not in se_cache:
-                beam = airy_beam_vector(BeamParams(*key), scenario.tx, scenario.carrier)
-                se_cache[key] = _deploy(scheme, beam, channels, cfg)
-            se, notes = se_cache[key]
+        for value, used, key in zip(spec.grid, budgets, keys):
+            se, notes = deployed[key]
             if se > best_so_far:
                 best_so_far, best_notes = se, notes
             rows.append(SweepRow(spec.swept_variable.value, float(value),
@@ -521,7 +586,7 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig,
         channels = channels_at(scenario)
         for rep in range(spec.repetitions):
             seed = _derive_seed(spec.base_seed, 0, rep)
-            rows.extend(_overhead_rows(spec, channels, scenario, books, cfg, seed))
+            rows.extend(_overhead_rows(spec, channels, books, cfg, seed))
         return rows
 
     for i, (value, point) in enumerate(zip(spec.grid, _point_scenarios(spec, scenario))):

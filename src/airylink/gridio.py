@@ -43,6 +43,19 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _param_columns(params: np.ndarray) -> list:
+    """The `_fmt` text of each column of a chunk's [n, 3] slot parameters,
+    each distinct value formatted once. Values are told apart by bit
+    pattern, so -0.0 and 0.0 keep their own text."""
+    columns = []
+    for values in params.T:
+        _, first, inverse = np.unique(values.view(np.int64), return_index=True,
+                                      return_inverse=True)
+        texts = [repr(v) for v in values[first].tolist()]
+        columns.append([texts[i] for i in inverse.tolist()])
+    return columns
+
+
 def write_text(path, lines) -> None:
     """Write the iterable `lines` as UTF-8 text, each ended by a newline.
 
@@ -117,7 +130,9 @@ def write_search_trace_csv(path, result: SearchResult) -> None:
     Rows are formed one chunk at a time, with parameters from
     `result.slot_params` and dB values from that chunk's powers, so an
     exhaustive book's millions of slots never sit in memory as a parameter
-    table, a dB array, text or float objects.
+    table, a dB array, text or float objects. A chunk formats each distinct
+    parameter value once (its rows repeat a few curving values, distances
+    and angles) and each power per row.
     """
     def lines():
         yield "slot,curving,focus_distance_m,focus_angle_rad,power_db"
@@ -127,8 +142,9 @@ def write_search_trace_csv(path, result: SearchResult) -> None:
             power_db = np.full(powers.shape, -np.inf)
             positive = powers > 0
             power_db[positive] = 10.0 * np.log10(powers[positive])
-            yield from [f"{slot},{a!r},{r!r},{th!r},{p!r}" for slot, (a, r, th), p
-                        in zip(slots, result.slot_params(slots).tolist(), power_db.tolist())]
+            yield from [f"{slot},{a},{r},{th},{p!r}" for slot, a, r, th, p
+                        in zip(slots, *_param_columns(result.slot_params(slots)),
+                               power_db.tolist())]
     write_text(path, lines())
 
 
@@ -150,6 +166,6 @@ def write_codebook_csv(path, codebook: Codebook) -> None:
         yield "index,scheme,curving,focus_distance_m,focus_angle_rad"
         for start in range(0, len(codebook), _CHUNK_LINES):
             slots = range(start, min(start + _CHUNK_LINES, len(codebook)))
-            yield from [f"{t},{scheme},{a!r},{r!r},{th!r}"
-                        for t, (a, r, th) in zip(slots, codebook.slot_params(slots).tolist())]
+            yield from [f"{t},{scheme},{a},{r},{th}"
+                        for t, a, r, th in zip(slots, *_param_columns(codebook.slot_params(slots)))]
     write_text(path, lines())

@@ -211,8 +211,9 @@ class SearchResult:
 
     The slots of `books` follow one another: slot t is slot t of books[0],
     then slot t - len(books[0]) of books[1], and so on. `powers[t]` is its
-    measured power and `slot_params(t)` its (curving, focus_distance,
-    focus_angle), derived from the books rather than stored.
+    measured power, `slot_params(t)` its (curving, focus_distance,
+    focus_angle) and `words(t)` its weights, derived from the books rather
+    than stored.
     """
 
     scheme: CodebookScheme
@@ -247,6 +248,18 @@ class SearchResult:
             params[inside] = book.slot_params(t[inside] - start)
             start += len(book)
         return params
+
+    def words(self, slots) -> np.ndarray:
+        """Weights of each slot: [N_t] for one slot, [N_t, n] for a sequence
+        of n, from one `Codebook.words` call per book."""
+        t = _slot_indices(slots, self.overhead)
+        weights = np.empty(self.selected_vector.weights.shape + t.shape, dtype=complex)
+        start = 0
+        for book in self.books:
+            inside = (t >= start) & (t < start + len(book))
+            weights[..., inside] = book.words(t[inside] - start)
+            start += len(book)
+        return weights
 
 
 def exhaustive_search(codebook: Codebook, channel: ChannelMatrix,

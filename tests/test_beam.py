@@ -149,7 +149,10 @@ def test_mirrored_focus_factors_match_per_column_reference(name):
     for lo, hi in itertools.combinations(cuts, 2):
         assert np.array_equal(terms.columns(lo, hi), want[:, lo:hi]), (lo, hi)
     for f in range(0, r.size, 7):
-        assert np.array_equal(terms.column(f), want[:, f]), f
+        assert np.array_equal(terms.at(f), want[:, f]), f
+    # and any points at once, each synthesized alone
+    picked = np.arange(r.size)[::-7]
+    assert np.array_equal(terms.at(picked), want[:, picked])
 
 
 def test_mirrored_book_words_are_their_beam_vectors():

@@ -39,7 +39,7 @@ from airylink.codebook import (
 )
 from airylink.numerics import fresnel_integrals
 from airylink.scenario import CarrierConfig, ScenarioConfig, element_positions, half_wavelength_array
-from airylink.search import TrainingConfig, exhaustive_search
+from airylink.search import SearchResult, TrainingConfig, exhaustive_search
 
 CAR = CarrierConfig(140e9)
 
@@ -393,11 +393,11 @@ def test_nearfield_codebook_targets_rx_elements():
 
 # ------------------------------------------- factored words vs single beams
 
-def _every_book():
-    """Each builder's books at the README size, where the exhaustive book
-    spans many synthesis and sounding blocks."""
+def _every_book(n_tx=128):
+    """Each builder's books at the README geometry (by default its size,
+    where the exhaustive book spans many synthesis and sounding blocks)."""
     d_link = 1.0
-    sc = _scenario(128, d_link)
+    sc = _scenario(n_tx, d_link)
     plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-10.0, 10.0),
                                r_min=0.14)
     h1, hier2 = build_hierarchical_codebooks(plan, sc)
@@ -426,6 +426,58 @@ def test_every_builder_column_is_its_beam_vector():
         for i, prm in enumerate(params):
             want = airy_beam_vector(BeamParams(*prm), sc.tx, CAR).weights
             assert np.array_equal(book.word(i).weights, want), (name, i)
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _beam_columns(params, sc) -> np.ndarray:
+    return np.stack([airy_beam_vector(BeamParams(*p), sc.tx, CAR).weights
+                     for p in params], axis=1)
+
+
+def _sampled_slots(book, rng, count=400) -> np.ndarray:
+    """Up to `count` slots of `book` with the slots of their mirror partners,
+    out of order and with repeats."""
+    slots = np.arange(len(book))
+    if len(book) > count:
+        slots = rng.choice(len(book), count, replace=False)
+    i, f = np.divmod(slots, len(book.focus_terms))
+    partner = book.focus_terms.partner[f]
+    mirrored = i[partner >= 0] * len(book.focus_terms) + partner[partner >= 0]
+    return np.concatenate([slots[::-1], mirrored, slots[:3]])
+
+
+@pytest.mark.parametrize("n_tx", [64, 128])
+def test_words_are_their_beam_vectors_bit_for_bit(n_tx):
+    # each book's words and each search result's words, slots out of order
+    # and repeated, against one standalone beam per slot: mirror partners
+    # and far-field (inf) points included
+    sc, books = _every_book(n_tx)
+    rng = np.random.default_rng(n_tx)
+    mirrored = far = 0
+    for name, book in books.items():
+        slots = _sampled_slots(book, rng)
+        want = _beam_columns(book.slot_params(slots), sc)
+        got = book.words(slots)
+        assert got.shape == (n_tx, slots.size) and _bits(got) == _bits(want), name
+        assert _bits(book.words(int(slots[0]))) == _bits(want[:, 0]), name
+        mirrored += int(np.sum(book.focus_terms.partner >= 0))
+        far += int(np.sum(np.isinf(book.focus_points[:, 0])))
+    assert mirrored > 0 and far > 0
+    results = [SearchResult(books[b].scheme, books[b].word(0), (books[a], books[b]),
+                            np.zeros(len(books[a]) + len(books[b])))
+               for a, b in (("hier_stage1", "hier_stage2"), ("lowc_stage1", "lowc_stage2"))]
+    results += [SearchResult(book.scheme, book.word(0), (book,), np.zeros(len(book)))
+                for name, book in books.items() if "stage" not in name]
+    for result in results:
+        slots = rng.permutation(result.overhead)[:300]
+        slots = np.concatenate([slots, [0, result.overhead - 1, slots[0]]])
+        want = _beam_columns(result.slot_params(slots), sc)
+        assert _bits(result.words(slots)) == _bits(want), result.scheme
+        assert _bits(result.words(int(slots[-1]))) == _bits(want[:, -1]), result.scheme
+        assert result.words([]).shape == (n_tx, 0)
 
 
 def test_word_is_a_standalone_copy():

@@ -3,10 +3,13 @@
 import math
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from airylink import evaluation
+from airylink.beam import BeamParams, BeamVector, airy_beam_vector
 from airylink.channel import ChannelMatrix, ChannelModel, MultipathRay, gcm_channel, nlos_component
 from airylink.codebook import solve_sampling_plan
 from airylink.evaluation import (
@@ -577,3 +580,200 @@ def test_scheme_codebooks_rejects_benchmark_schemes(scheme):
                                r_min=0.2)
     with pytest.raises(ValueError, match="not a searched scheme"):
         scheme_codebooks(scheme, sc, plan)
+
+
+# ------------------------------------------------------ stacked deployments
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _stack_case(link_zero=False):
+    """Five constant-modulus beams over 16 Tx and 8 Rx, each entry of
+    modulus 1/4, and a rank-one design channel whose rows alternate in sign
+    along the array: the flat beam 0 sees exactly zero through it (rank 0,
+    so its combined noise covariance is singular), the others do not."""
+    rng = np.random.default_rng(7)
+    n_t, n_r = 16, 8
+    beams = 0.25 * np.exp(1j * rng.uniform(-np.pi, np.pi, (n_t, 5)))
+    beams[:, 0] = 0.25
+    alternating = np.where(np.arange(n_t) % 2 == 0, 1.0, -1.0)
+    gains = rng.standard_normal(n_r) + 1j * rng.standard_normal(n_r)
+    design = ChannelMatrix(np.outer(gains, alternating), ChannelModel.SYNTHETIC)
+    link = (ChannelMatrix(np.zeros((n_r, n_t), complex), ChannelModel.SYNTHETIC)
+            if link_zero else _random_channel(n_r, n_t, 8))
+    return beams, ChannelSet(link, design)
+
+
+def _one_beam_reference(weights, design, link, transmit_power, noise_power):
+    """Stages, rank-0 flag and rate of one hybrid beam, in 2-D products and
+    2-D norms, step by step as the beamformer design and the rate take them."""
+    h = design.entries
+    n_r = h.shape[0]
+    f_rf = weights[:, None]
+    u, s, vh = np.linalg.svd(h @ f_rf, full_matrices=False)
+    w_opt = np.zeros((n_r, 1), complex)
+    f_bb = np.zeros((1, 1), complex)
+    rank_deficient = not np.any(s > n_r * np.finfo(float).eps * s[0])
+    if not rank_deficient:
+        w_opt[:, 0], f_bb[:, 0] = u[:, 0], vh[0].conj()
+    magnitude = np.abs(w_opt)
+    phases = np.where(magnitude > 0, w_opt / np.where(magnitude > 0, magnitude, 1.0), 1.0)
+    w_rf = (1.0 / math.sqrt(n_r)) * phases
+    w_bb = np.linalg.lstsq(w_rf, w_opt, rcond=None)[0]
+
+    def unit_power(stage, analog):
+        norm = np.linalg.norm(analog @ stage)
+        return stage * (1.0 / norm) if norm > 0 else stage
+    stages = (f_rf, unit_power(f_bb, f_rf), w_rf, unit_power(w_bb, w_rf))
+    f, w = stages[0] @ stages[1], stages[2] @ stages[3]
+    g = w.conj().T @ link.entries @ f
+    r_n = noise_power * (w.conj().T @ w)
+    rho = transmit_power * (g @ g.conj().T)
+    cond = np.linalg.cond(r_n)
+    ill = not np.isfinite(cond) or cond > 1e12
+    core = np.linalg.pinv(r_n) @ rho if ill else np.linalg.solve(r_n, rho)
+    se = float(np.linalg.slogdet(np.eye(1) + core)[1] / math.log(2.0))
+    return stages, rank_deficient, ill, se
+
+
+@pytest.mark.parametrize("link_zero", [False, True], ids=["link", "fully_blocked"])
+def test_stacked_deploy_is_each_single_beam_deploy_bit_for_bit(link_zero):
+    beams, channels = _stack_case(link_zero)
+    scheme = BeamformingScheme.HIERARCHICAL
+    cfg = TrainingConfig(1.0, 0.05)
+    stacked = evaluation._deploy(scheme, beams, channels, cfg)
+    single = [evaluation._deploy(scheme, beams[:, [k]], channels, cfg)[0]
+              for k in range(beams.shape[1])]
+    assert [(repr(se), notes) for se, notes in stacked] == \
+        [(repr(se), notes) for se, notes in single]
+    notes = [n for _, n in stacked]
+    if link_zero:
+        assert notes[0] == "fully_blocked;rank_deficient;ill_conditioned_noise"
+        assert set(notes[1:]) == {"fully_blocked"}
+    else:
+        assert notes == ["rank_deficient;ill_conditioned_noise"] + [""] * 4
+        assert stacked[0][0] == 0.0 and all(se > 0 for se, _ in stacked[1:])
+    # every stage of the stack, the one-beam form of each member, and the
+    # 2-D reference
+    stack = build_scheme_beamformers(scheme, beams, channels.non_blocked)
+    assert stack.rank_deficient.tolist() == [True, False, False, False, False]
+    for k in range(beams.shape[1]):
+        stages, rank_deficient, ill, se = _one_beam_reference(
+            beams[:, k], channels.non_blocked, channels.blocked, 1.0, 0.05)
+        assert repr(se) == repr(stacked[k][0])
+        assert (rank_deficient, ill) == (bool(stack.rank_deficient[k]),
+                                         "ill_conditioned_noise" in stacked[k][1])
+        for name, stage in zip(("analog_precoder", "digital_precoder", "analog_combiner",
+                                "digital_combiner"), stages):
+            assert _bits(stage) == _bits(getattr(stack, name)[k]), name
+        one = build_scheme_beamformers(scheme, beams[:, [k]], channels.non_blocked)
+        vector = build_scheme_beamformers(
+            scheme, BeamVector(BeamParams(0.0, 1.0, 0.0), beams[:, k].copy()),
+            channels.non_blocked)
+        assert vector.rank_deficient == bool(stack.rank_deficient[k])
+        for name in ("analog_precoder", "digital_precoder", "analog_combiner",
+                     "digital_combiner"):
+            assert _bits(getattr(one, name)[0]) == _bits(getattr(stack, name)[k]), name
+            assert _bits(getattr(vector, name)) == _bits(getattr(stack, name)[k]), name
+
+
+def test_stacked_spectral_efficiency_names_its_ill_conditioned_members():
+    beams, channels = _stack_case()
+    bf = build_scheme_beamformers(BeamformingScheme.HIERARCHICAL, beams,
+                                  channels.non_blocked)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IllConditionedNoiseWarning)
+        se = bf.evaluate(channels.blocked, 1.0, 0.05)
+    assert se.shape == (5,)
+    assert [w.message.members for w in caught] == [[0]]
+    for k in range(5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedNoiseWarning)
+            alone = spectral_efficiency(bf.composite_precoder[k], bf.composite_combiner[k],
+                                        channels.blocked, 1.0, 0.05)
+        assert repr(alone) == repr(float(se[k]))
+
+
+def test_stacked_beamformers_keep_every_check():
+    beams, channels = _stack_case()
+    scheme = BeamformingScheme.HIERARCHICAL
+    with pytest.raises(ValueError, match="constant modulus"):
+        build_scheme_beamformers(scheme, beams * 1.01, channels.non_blocked)
+    bf = build_scheme_beamformers(scheme, beams, channels.non_blocked)
+    with pytest.raises(ValueError, match="zero precoder without rank_deficient"):
+        replace(bf, rank_deficient=np.zeros(5, dtype=bool))
+    bad = bf.analog_combiner.copy()
+    bad[3, 0, 0] *= 1.5
+    with pytest.raises(ValueError, match="constant modulus"):
+        replace(bf, analog_combiner=bad)
+    loud = bf.digital_precoder.copy()
+    loud[2] *= 2.0
+    with pytest.raises(ValueError, match="power must equal num_streams"):
+        replace(bf, digital_precoder=loud)
+
+
+def _readme_overhead_case():
+    tx, rx = half_wavelength_array(128, CAR), half_wavelength_array(16, CAR)
+    sc = ScenarioConfig(tx, rx, CAR, 1.0, blockage=BlockageGeometry(
+        0.9, 0.02, 0.005, 0.5)).with_virtual_defaults(8)
+    plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-10.0, 10.0),
+                               r_min=0.14)
+    channels = calibrated_wave_channels(sc)
+    cfg = TrainingConfig(1.0, noise_for_target_se(channels.non_blocked, 1.0, 15.0))
+    return sc, plan, channels, cfg
+
+
+def _reference_overhead_rows(spec, sc, plan, channels, cfg):
+    """Each budget's leader rebuilt as a standalone beam and deployed alone."""
+    rows = []
+    for rep in range(spec.repetitions):
+        seed = evaluation._derive_seed(spec.base_seed, 0, rep)
+        run_cfg = replace(cfg, rng_seed=seed)
+        for scheme in spec.schemes:
+            result, _, _ = run_scheme(scheme, channels, scheme_codebooks(scheme, sc, plan),
+                                      run_cfg)
+            best, best_notes = -math.inf, ""
+            for value in spec.grid:
+                used = min(int(value), result.overhead)
+                leader = result.slot_params(int(np.argmax(result.powers[:used])))
+                beam = airy_beam_vector(BeamParams(*leader), sc.tx, sc.carrier)
+                bf = build_scheme_beamformers(scheme, beam, channels.non_blocked)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", IllConditionedNoiseWarning)
+                    se = bf.evaluate(channels.blocked, cfg.transmit_power, cfg.noise_power)
+                flags = (("fully_blocked", not channels.blocked.entries.any()),
+                         ("rank_deficient", bf.rank_deficient),
+                         ("ill_conditioned_noise", bool(caught)))
+                if se > best:
+                    best = se
+                    best_notes = ";".join(name for name, flag in flags if flag)
+                rows.append(SweepRow("overhead", float(value), scheme.value, seed, best,
+                                     used, best_notes))
+    return rows
+
+
+def test_overhead_rows_match_the_per_leader_reference():
+    sc, plan, channels, cfg = _readme_overhead_case()
+    grid = (1, 2, 4, 8, 16, 20, 32, 64, 127, 128, 221, 256, 512, 1024, 2048, 4096, 8382)
+    spec = SweepSpec(SweptVariable.OVERHEAD, grid,
+                     tuple(s for s in BeamformingScheme if s.searched),
+                     repetitions=2, base_seed=11)
+    rows = run_sweep(spec, sc, plan, cfg)
+    want = _reference_overhead_rows(spec, sc, plan, channels, cfg)
+    assert len(rows) == 2 * 5 * len(grid)
+    # and each search's deployment, a stack of one, against the 2-D reference
+    for rep in range(2):
+        run_cfg = replace(cfg, rng_seed=evaluation._derive_seed(11, 0, rep))
+        for scheme in spec.schemes:
+            result, se, _ = run_scheme(scheme, channels, scheme_codebooks(scheme, sc, plan),
+                                       run_cfg)
+            alone = _one_beam_reference(result.selected_vector.weights, channels.non_blocked,
+                                        channels.blocked, cfg.transmit_power,
+                                        cfg.noise_power)[3]
+            assert repr(se) == repr(alone), scheme
+    assert [(r, repr(r.spectral_efficiency_bps_hz)) for r in rows] == \
+        [(r, repr(r.spectral_efficiency_bps_hz)) for r in want]
+    # distinct leaders per scheme: the stacks are more than one beam
+    assert len({r.spectral_efficiency_bps_hz for r in rows
+                if r.scheme == "exhaustive" and r.seed == rows[0].seed}) > 3

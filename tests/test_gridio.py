@@ -19,7 +19,7 @@ from airylink.gridio import (
 )
 from airylink.evaluation import SweepRow
 from airylink.scenario import CarrierConfig, ScenarioConfig, half_wavelength_array
-from airylink.search import TrainingConfig, exhaustive_search
+from airylink.search import SearchResult, TrainingConfig, exhaustive_search
 
 CAR = CarrierConfig(140e9)
 
@@ -164,3 +164,28 @@ def test_codebook_csv_rows_follow_params(tmp_path, monkeypatch, chunk):
     rows = [f"{t},Exhaustive,{a!r},{r!r},{th!r}"
             for t, (a, r, th) in enumerate(book.slot_params(range(len(book))).tolist())]
     assert p.read_text().splitlines()[1:] == rows
+
+
+@pytest.mark.parametrize("chunk", [4096, 5])
+def test_parameter_text_is_each_values_repr_with_signed_zeros(tmp_path, monkeypatch, chunk):
+    # the writers format each distinct parameter value once; -0.0 and 0.0
+    # are distinct values, and every row still reads as its own repr
+    monkeypatch.setattr(gridio, "_CHUNK_LINES", chunk)
+    arr = half_wavelength_array(16, CAR)
+    book = product_codebook(CodebookScheme.EXHAUSTIVE, [-0.0, 0.0, 0.5, -0.5],
+                            [(np.inf, -0.0), (np.inf, 0.0), (2.0, -0.2), (1 / 3, 0.2),
+                             (2.0, 0.0)], arr, CAR)
+    params = book.slot_params(range(len(book))).tolist()
+    p = tmp_path / "book.csv"
+    write_codebook_csv(p, book)
+    rows = [f"{t},Exhaustive,{a!r},{r!r},{th!r}" for t, (a, r, th) in enumerate(params)]
+    assert p.read_text().splitlines()[1:] == rows
+    assert rows[0] == "0,Exhaustive,-0.0,inf,-0.0" and rows[6] == "6,Exhaustive,0.0,inf,0.0"
+    powers = np.random.default_rng(2).uniform(0.0, 2.0, len(book))
+    powers[:3] = 0.0, 1e-300, 1 / 3
+    result = SearchResult(book.scheme, book.word(0), (book,), powers)
+    q = tmp_path / "trace.csv"
+    write_search_trace_csv(q, result)
+    db = [float(10.0 * np.log10(v)) if v > 0 else -np.inf for v in powers]
+    rows = [f"{t},{a!r},{r!r},{th!r},{d!r}" for t, ((a, r, th), d) in enumerate(zip(params, db))]
+    assert q.read_text().splitlines()[1:] == rows
