@@ -21,7 +21,7 @@ def apply() -> None:
     value = os.environ.get("AIRYLINK_THREADS")
     if not value:
         return
-    if not value.isdigit() or int(value) < 1:
+    if not (value.isascii() and value.isdigit()) or int(value) < 1:
         raise ValueError("AIRYLINK_THREADS must be a positive integer")
     for var in _BACKEND_VARS:
         os.environ.setdefault(var, value)

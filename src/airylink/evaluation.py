@@ -14,7 +14,7 @@ selected beam as a stack of one, and an overhead sweep each scheme's
 distinct budget leaders.  A beam's result does not depend on the stack it
 is deployed in: the stacked products, decompositions and solves round
 each beam as they round it alone, and the steps that would not (a
-least-squares fit, a norm, a pseudo-inverse) run beam by beam.
+least-squares fit, a norm) run beam by beam.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import enum
 import functools
 import math
 import sys
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
@@ -63,7 +62,6 @@ from .search import (
 )
 
 __all__ = [
-    "IllConditionedNoiseWarning",
     "Beamformers",
     "BeamformingScheme",
     "SweptVariable",
@@ -81,28 +79,17 @@ __all__ = [
 ]
 
 
-class IllConditionedNoiseWarning(RuntimeWarning):
-    """Combined noise covariance needed a pseudo-inverse.
-
-    `members` are the stack positions that needed it ([0] for one link).
-    """
-
-    def __init__(self, message: str, members=(0,)):
-        super().__init__(message)
-        self.members = members
-
-
 def spectral_efficiency(precoder: np.ndarray, combiner: np.ndarray,
                         channel: ChannelMatrix, transmit_power: float,
                         noise_power: float):
-    """Log-det rate of the combined link in bits/s/Hz.
+    """Rate of the combined one-stream link in bits/s/Hz.
 
-    precoder [N_t x N_s] and combiner [N_r x N_s] are composite
-    (analog x digital) matrices, giving a float; stacks [K x N_t x N_s] and
-    [K x N_r x N_s] of K such pairs, each over `channel`, give [K] rates.
-    The noise covariance after combining is noise_power * W^H W; where it
-    is numerically singular a pseudo-inverse is used, and one
-    IllConditionedNoiseWarning names the stack positions that needed it.
+    precoder [N_t x 1] and combiner [N_r x 1] are composite (analog x
+    digital) columns, giving a float; stacks [K x N_t x 1] and [K x N_r x 1]
+    of K such pairs, each over `channel`, give [K] rates.  More than one
+    column (stream) is refused.  The noise after combining has power
+    noise_power * ||w||^2; where that is zero (a zero combiner, which
+    collects no signal either) the rate is 0.
     """
     f = np.asarray(precoder, dtype=complex)
     w = np.asarray(combiner, dtype=complex)
@@ -114,27 +101,20 @@ def spectral_efficiency(precoder: np.ndarray, combiner: np.ndarray,
         if w.shape[0] == 1 and channel.entries.shape[0] != 1:
             w = w.T
         f, w = f[None], w[None]
-    num_streams = f.shape[2]
+    if f.shape[2] != 1 or w.shape[2] != 1:
+        raise ValueError("every scheme deploys one stream: precoder and combiner must "
+                         f"have one column each, got {f.shape[2]} and {w.shape[2]}")
     if not (transmit_power > 0 and noise_power > 0):
         raise ValueError("powers must be positive")
 
     w_h = w.conj().swapaxes(1, 2)
     g = w_h @ channel.entries @ f
     r_n = noise_power * (w_h @ w)
-    rho_term = (transmit_power / num_streams) * (g @ g.conj().swapaxes(1, 2))
-    cond = np.linalg.cond(r_n)
-    ill = ~np.isfinite(cond) | (cond > 1e12)
-    if ill.any():
-        members = np.flatnonzero(ill)
-        warnings.warn(IllConditionedNoiseWarning(
-            "noise covariance ill-conditioned; using pseudo-inverse", members.tolist()))
-        core = np.empty_like(rho_term)
-        core[~ill] = np.linalg.solve(r_n[~ill], rho_term[~ill])
-        for k in members:
-            core[k] = np.linalg.pinv(r_n[k]) @ rho_term[k]
-    else:
-        core = np.linalg.solve(r_n, rho_term)
-    sign, logdet = np.linalg.slogdet(np.eye(num_streams) + core)
+    rho_term = transmit_power * (g @ g.conj().swapaxes(1, 2))
+    silent = r_n == 0.0
+    core = np.linalg.solve(np.where(silent, 1.0, r_n), rho_term)
+    core[silent] = 0.0
+    sign, logdet = np.linalg.slogdet(np.eye(1) + core)
     se = logdet / math.log(2.0)
     return se if stacked else float(se[0])
 
@@ -153,22 +133,17 @@ class Beamformers:
 
     def __post_init__(self):
         f = self.composite_precoder
-        n_s = self.num_streams
         norm_sq = np.sum(np.abs(f) ** 2, axis=(-2, -1))
         zero = norm_sq == 0.0
         if (zero & ~np.asarray(self.rank_deficient)).any():
             raise ValueError("zero precoder without rank_deficient flag")
-        if (~zero & (np.abs(norm_sq - n_s) > 1e-9 * np.maximum(norm_sq, n_s))).any():
-            raise ValueError("composite precoder power must equal num_streams")
+        if (~zero & (np.abs(norm_sq - 1) > 1e-9 * np.maximum(norm_sq, 1))).any():
+            raise ValueError("composite precoder must have unit power, one stream's")
         if self.hybrid:
             for mat in (self.analog_precoder, self.analog_combiner):
                 target = 1.0 / math.sqrt(mat.shape[-2])
                 if np.max(np.abs(np.abs(mat) - target)) > 1e-12:
                     raise ValueError("analog stages must be constant modulus")
-
-    @property
-    def num_streams(self) -> int:
-        return self.digital_precoder.shape[-1]
 
     @property
     def composite_precoder(self) -> np.ndarray:
@@ -292,17 +267,13 @@ def _deploy(scheme: BeamformingScheme, beams: np.ndarray | None,
     The K beams are designed and evaluated as one stack of beamformers,
     each with the result it has alone.  Notes, in order: `fully_blocked`
     (the link is all zero), `rank_deficient`, and `ill_conditioned_noise`
-    (the noise covariance needed a pseudo-inverse).
+    (the composite combiner is zero, so the combined noise covariance is
+    singular and the rate is 0).
     """
     design, link = (getattr(channels, name) for name in scheme.channel_fields)
     bf = build_scheme_beamformers(scheme, beams, design)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IllConditionedNoiseWarning)
-        se = np.atleast_1d(bf.evaluate(link, cfg.transmit_power, cfg.noise_power))
-    ill = np.zeros(se.size, dtype=bool)
-    for w in caught:
-        if issubclass(w.category, IllConditionedNoiseWarning):
-            ill[w.message.members] = True
+    se = np.atleast_1d(bf.evaluate(link, cfg.transmit_power, cfg.noise_power))
+    ill = np.atleast_1d(~bf.composite_combiner.any(axis=(-2, -1)))
     blocked = not link.entries.any()
     deployed = []
     for value, rank_deficient, ill_conditioned in zip(

@@ -235,7 +235,8 @@ class SearchResult:
 
     @property
     def selected_power(self) -> float:
-        return float(self.powers.max())
+        """Best measured power of the last book, the one the beam is selected from."""
+        return float(self.powers[self.overhead - len(self.books[-1]):].max())
 
     def slot_params(self, slots) -> np.ndarray:
         """(curving, focus_distance, focus_angle) of each slot: [3] for one

@@ -729,6 +729,12 @@ def test_threads_env_respects_existing(monkeypatch):
 
 
 def test_threads_env_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("AIRYLINK_THREADS", "-3")
-    with pytest.raises(ValueError):
-        _threads.apply()
+    # a superscript two passes str.isdigit but not int(); fullwidth digits
+    # pass both, and would be copied to backends that do not read them
+    for var in _threads._BACKEND_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for value in ("-3", "\N{SUPERSCRIPT TWO}", "\N{FULLWIDTH DIGIT ONE}\N{FULLWIDTH DIGIT TWO}"):
+        monkeypatch.setenv("AIRYLINK_THREADS", value)
+        with pytest.raises(ValueError, match="AIRYLINK_THREADS"):
+            _threads.apply()
+        assert not any(var in os.environ for var in _threads._BACKEND_VARS), value

@@ -221,6 +221,24 @@ def test_hierarchical_unblocked_selects_straight_beam():
     assert res.selected_power >= stage1_best * (1 - 1e-12)
 
 
+def test_two_stage_selected_power_is_the_selected_slots():
+    # noise lifts the best stage-1 slot above every stage-2 slot for some
+    # seeds; the beam is still selected from stage 2, and so is its power
+    sc, plan = _hier_setup()
+    stage1, factory = build_low_complexity_codebooks(sc, plan)
+    h = gcm_channel(sc)
+    noise = 0.1 * measure_slot(stage1.word(0), h, TrainingConfig(1.0, 0.0))
+    lifted = 0
+    for seed in range(10):
+        res = low_complexity_search(stage1, factory, h, TrainingConfig(1.0, noise, rng_seed=seed))
+        stage2 = res.powers[len(stage1):]
+        selected = len(stage1) + int(np.argmax(stage2))
+        np.testing.assert_array_equal(res.words(selected), res.selected_vector.weights)
+        assert res.selected_power == res.powers[selected]
+        lifted += res.powers[:len(stage1)].max() > res.selected_power
+    assert lifted
+
+
 def test_two_stage_result_maps_slots_through_both_books():
     # slots run through stage 1, then stage 2 at stage 1's best point; each
     # slot's parameters come from its book, in chunks that cross the stages
