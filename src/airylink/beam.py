@@ -29,7 +29,14 @@ import numpy as np
 
 from .channel import field_on_grid
 from .numerics import cis
-from .scenario import ArrayConfig, CarrierConfig, ScenarioConfig, element_positions
+from .scenario import (
+    ArrayConfig,
+    CarrierConfig,
+    ScenarioConfig,
+    _check_count,
+    _check_finite,
+    element_positions,
+)
 
 
 @dataclass(frozen=True)
@@ -267,13 +274,17 @@ class GridSpec:
     num_y: int
 
     def __post_init__(self):
+        _check_count("num_x", self.num_x)
+        _check_count("num_y", self.num_y)
+        _check_finite(x_min=self.x_min, x_max=self.x_max, y_min=self.y_min, y_max=self.y_max)
         if not (self.x_min > 0):
-            raise ValueError("grid must start strictly after the aperture plane x=0")
-        single_column = self.num_x == 1 and self.x_max == self.x_min
-        if not (self.x_max > self.x_min or single_column) or self.y_max <= self.y_min:
-            raise ValueError("grid extents must be increasing")
-        if self.num_x < 1 or self.num_y < 2:
-            raise ValueError("grid too small")
+            raise ValueError("x_min: grid must start strictly after the aperture plane x=0")
+        if not (self.x_max > self.x_min or (self.num_x == 1 and self.x_max == self.x_min)):
+            raise ValueError("x_max must exceed x_min, or equal it when num_x is 1")
+        if not self.y_max > self.y_min:
+            raise ValueError("y_max must exceed y_min")
+        if self.num_y < 2:
+            raise ValueError("num_y must be >= 2")
 
     @property
     def x(self) -> np.ndarray:

@@ -24,8 +24,11 @@ kernel(r) between two sample grids. Between grids of one pitch (the
 virtual planes and the arrays) K is Toeplitz, so the kernel is evaluated
 at the m+n-1 index offsets only and applied by FFT (`_toeplitz_apply`),
 with no [m, n] matrix formed; field-map columns of another pitch are
-evaluated pairwise. A cascade builds each plane-to-plane operator once per
-distinct hop length and reuses it.
+evaluated pairwise, once per mirror pair: an entry whose distance equals
+that of its mirror entry (m-1-i, n-1-j) bit for bit copies the mirror's
+kernel value (`_mirrored_kernel`), so grids symmetric about the axis
+evaluate about half their entries. A cascade builds each plane-to-plane
+operator once per distinct hop length and reuses it.
 
 Field maps (``field_on_grid``) hop through the gated virtual planes of the
 wave model's cascade (`_planes`): channel matrices and field maps share one
@@ -166,11 +169,14 @@ def _hop_operator(a_y: np.ndarray, b_y: np.ndarray, dx: float, kernel):
     evaluated at the m+n-1 distances of `_offset_r` and its spectrum taken
     once, when the operator is built; each application is then one FFT
     product (`_toeplitz_apply`). Any other grid pair is evaluated pairwise
-    at each application, one kernel value per entry, and multiplied
-    densely; a source sample whose column of rows is all zero (a gated
-    plane's masked and tapered-off samples) adds nothing, so its kernel row
-    is not evaluated. The RS kernel's values come from `_hankel2_1`, on the
-    `numerics.cis` phasor.
+    at each application and multiplied densely; a source sample whose
+    column of rows is all zero (a gated plane's masked and tapered-off
+    samples) adds nothing, so its kernel row is not evaluated. Of the
+    [m, n] distances left, an entry in the bottom m//2 rows that equals
+    its mirror entry (m-1-i, n-1-j) bit for bit takes the mirror's kernel
+    value (`_mirrored_kernel`), so K is the entrywise kernel bit for bit.
+    The RS kernel's values come from `_hankel2_1`, on the `numerics.cis`
+    phasor.
     """
     if _shares_pitch(b_y, a_y):
         spectrum = _toeplitz_spectrum(kernel(_offset_r(b_y, a_y, dx)), a_y.size)
@@ -178,8 +184,33 @@ def _hop_operator(a_y: np.ndarray, b_y: np.ndarray, dx: float, kernel):
 
     def pairwise(rows):
         keep = rows.any(axis=0)
-        return rows[:, keep] @ kernel(_pairwise_r(b_y, a_y[keep], dx))
+        return rows[:, keep] @ _mirrored_kernel(kernel, _pairwise_r(b_y, a_y[keep], dx))
     return pairwise
+
+
+def _mirrored_kernel(kernel, r: np.ndarray) -> np.ndarray:
+    """kernel(r) of an [m, n] distance matrix, one evaluation per mirror pair.
+
+    Entry (i, j) of a hop between two grids symmetric about the axis has
+    the distance of entry (m-1-i, n-1-j), often bit for bit even where the
+    grids are mirror images only to rounding. The top m - m//2 rows are
+    evaluated, with each bottom entry that differs from its mirror, in one
+    kernel call; every other bottom entry copies its mirror's value. A
+    kernel whose values depend on their own r only (as `_hankel2_1`'s do)
+    gives the entrywise kernel(r) bit for bit. Grids without such entries
+    (an offset array, an asymmetric window, a gated plane) evaluate every
+    entry through the same test.
+    """
+    m = r.shape[0]
+    h = m // 2
+    top, bottom = r[:m - h], r[m - h:]
+    lone = bottom != top[:h][::-1, ::-1]
+    values = kernel(np.concatenate([top.reshape(-1), bottom[lone]]))
+    out = np.empty(r.shape, dtype=values.dtype)
+    out[:m - h] = values[:top.size].reshape(top.shape)
+    out[m - h:] = out[:h][::-1, ::-1]
+    out[m - h:][lone] = values[top.size:]
+    return out
 
 
 def _hop(rows: np.ndarray, a_y: np.ndarray, b_y: np.ndarray, dx: float,

@@ -145,11 +145,13 @@ class Beamformers:
                 if np.max(np.abs(np.abs(mat) - target)) > 1e-12:
                     raise ValueError("analog stages must be constant modulus")
 
-    @property
+    # Formed once per set, on first use: the power check, `evaluate` and
+    # `_deploy`'s notes share them.
+    @functools.cached_property
     def composite_precoder(self) -> np.ndarray:
         return self.analog_precoder @ self.digital_precoder
 
-    @property
+    @functools.cached_property
     def composite_combiner(self) -> np.ndarray:
         return self.analog_combiner @ self.digital_combiner
 

@@ -255,6 +255,18 @@ def test_grid_spec_validation():
     assert GridSpec(1.0, 1.0, 1, -0.1, 0.1, 10).x.tolist() == [1.0]  # one column
     with pytest.raises(ValueError):
         GridSpec(1.0, 1.0, 2, -0.1, 0.1, 10)
+    # non-finite extents and non-integer counts fail early, naming the field
+    for field, args in [("y_min", (0.1, 1.0, 10, math.nan, 0.1, 10)),
+                        ("y_max", (0.1, 1.0, 10, -0.1, math.inf, 10)),
+                        ("x_min", (-math.inf, 1.0, 10, -0.1, 0.1, 10)),
+                        ("x_max", (0.1, math.nan, 10, -0.1, 0.1, 10)),
+                        ("num_x", (0.1, 1.0, 10.0, -0.1, 0.1, 10)),
+                        ("num_y", (0.1, 1.0, 10, -0.1, 0.1, 10.5)),
+                        ("num_x", (0.1, 1.0, True, -0.1, 0.1, 10)),
+                        ("num_x", (0.1, 1.0, 0, -0.1, 0.1, 10))]:
+        with pytest.raises(ValueError, match=f"^{field}"):
+            GridSpec(*args)
+    assert GridSpec(0.1, 1.0, np.int64(3), -0.1, 0.1, 10).x.size == 3
 
 
 def _scenario(n=64, d_link=1.0, blockage=None):

@@ -296,6 +296,64 @@ def test_pairwise_hop_skips_zero_sources(kernel):
     assert nothing.shape == (2, b.size) and np.array_equal(nothing, np.zeros((2, b.size)))
 
 
+_APERTURE_128 = element_positions(ArrayConfig(128, HALF))
+_HALF_128 = 1.5 * float(np.max(np.abs(_APERTURE_128)))
+_POSITIVE = np.linspace(0.0011, 0.08, 100)
+
+
+@pytest.mark.parametrize("a, b, zeros", [
+    # exactly antisymmetric source and map
+    (_APERTURE_128, np.concatenate([-_POSITIVE[::-1], _POSITIVE]), ()),
+    # the benchmark's grid: a 128-element aperture onto the default window
+    (_APERTURE_128, np.linspace(-_HALF_128, _HALF_128, 200), ()),
+    # odd counts on both sides, with a sample on the axis
+    (element_positions(ArrayConfig(127, HALF)), np.linspace(-0.08, 0.08, 201), ()),
+    # a Tx center offset, and an asymmetric window
+    (element_positions(ArrayConfig(128, HALF, 0.003)), np.linspace(-0.08, 0.08, 200), ()),
+    (_APERTURE_128, np.linspace(-0.05, 0.08, 200), ()),
+    # a gated source: zero samples at the start, inside and at the end
+    (element_positions(ArrayConfig(64, HALF)), np.linspace(-0.08, 0.08, 200),
+     (slice(0, 7), slice(30, 41), slice(-5, None))),
+    # one-element grids
+    (np.array([0.0]), np.linspace(-0.08, 0.08, 200), ()),
+    (_APERTURE_128, np.array([0.0]), ()),
+    (np.array([0.001]), np.array([-0.002]), ()),
+], ids=["antisymmetric", "benchmark-grid", "odd-counts", "tx-offset", "asymmetric-window",
+        "gated-source", "one-source", "one-row", "one-to-one"])
+@pytest.mark.parametrize("kernel", [_rs_kernel(CAR, 0.3, 0.7), _gcm_kernel(CAR)],
+                         ids=["rs", "ray"])
+def test_pairwise_hop_matches_entrywise_kernel_bit_for_bit(kernel, a, b, zeros):
+    # The mirror rule against the slow reference, every entry's kernel
+    # value evaluated on its own.
+    assert not _shares_pitch(b, a)
+    rng = np.random.default_rng(a.size)
+    rows = rng.standard_normal((3, a.size)) + 1j * rng.standard_normal((3, a.size))
+    for cut in zeros:
+        rows[:, cut] = 0
+    keep = rows.any(axis=0)
+    ref = rows[:, keep] @ kernel(channel._pairwise_r(b, a[keep], 0.3))
+    assert np.array_equal(_hop(rows, a, b, 0.3, kernel), ref)
+
+
+def test_pairwise_hop_evaluates_each_mirror_pair_once():
+    rows = np.ones((1, _APERTURE_128.size))
+    assert np.array_equal(_APERTURE_128[::-1], -_APERTURE_128)
+    sizes, rs = [], _rs_kernel(CAR, 0.3, 0.7)
+
+    def kernel(r):
+        sizes.append(r.size)
+        return rs(r)
+    # exactly antisymmetric: the top half of the rows, in one call
+    b = np.concatenate([-_POSITIVE[::-1], _POSITIVE])
+    _hop(rows, _APERTURE_128, b, 0.3, kernel)
+    m, n = _APERTURE_128.size, b.size
+    assert sizes == [(m - m // 2) * n]
+    # the benchmark's window: near-mirror offsets round to the same r too
+    sizes.clear()
+    _hop(rows, _APERTURE_128, np.linspace(-_HALF_128, _HALF_128, 200), 0.3, kernel)
+    assert len(sizes) == 1 and sizes[0] <= 0.55 * m * 200
+
+
 # The plane spacing of the README geometry's default eight planes.
 PLANE_DX = 0.0029
 
