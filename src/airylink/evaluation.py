@@ -1,20 +1,19 @@
 """Channel sets, one-stream beamformers, spectral efficiency, and sweeps.
 
 Every scheme deploys one stream, and `build_scheme_beamformers` designs
-its beamformers.  A searched scheme is hybrid: its searched beam is the
-analog precoder, and each side adds a small digital stage, the receive
-side behind a constant-modulus analog combiner.  A full-digital benchmark
-has identity analog stages, so every scheme flows through the same
-spectral-efficiency evaluation.
+its beamformers as one composite precoder and combiner vector per beam.
+A searched scheme's searched beam is its analog precoder, and each side
+adds a scalar digital weight, the receive side behind a constant-modulus
+analog combiner.  A full-digital benchmark deploys the design channel's
+top singular pair.
 
 Beamformers, their design and their spectral efficiency take a stack of
-K searched beams along a leading axis as readily as one: `_deploy`
-deploys every beam of a scheme at one point as one stack, a search's
-selected beam as a stack of one, and an overhead sweep each scheme's
-distinct budget leaders.  A beam's result does not depend on the stack it
-is deployed in: the stacked products, decompositions and solves round
-each beam as they round it alone, and the steps that would not (a
-least-squares fit, a norm) run beam by beam.
+K beams along a leading axis: `_deploy` deploys every beam of a scheme at
+one point as one stack, a search's selected beam as a stack of one, and
+an overhead sweep each scheme's distinct budget leaders.  A beam's result
+does not depend on the stack it is deployed in: the stacked products,
+decompositions and solves round each beam as they round it alone, and the
+steps that would not (a least-squares fit, a norm) run beam by beam.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from .codebook import (
     build_nearfield_codebook,
 )
 from .numerics import power_of
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, _check_count
 from .search import (
     SearchResult,
     TrainingConfig,
@@ -81,32 +80,24 @@ __all__ = [
 
 def spectral_efficiency(precoder: np.ndarray, combiner: np.ndarray,
                         channel: ChannelMatrix, transmit_power: float,
-                        noise_power: float):
-    """Rate of the combined one-stream link in bits/s/Hz.
+                        noise_power: float) -> np.ndarray:
+    """Rates [K] in bits/s/Hz of K combined one-stream links over `channel`.
 
-    precoder [N_t x 1] and combiner [N_r x 1] are composite (analog x
-    digital) columns, giving a float; stacks [K x N_t x 1] and [K x N_r x 1]
-    of K such pairs, each over `channel`, give [K] rates.  More than one
-    column (stream) is refused.  The noise after combining has power
-    noise_power * ||w||^2; where that is zero (a zero combiner, which
-    collects no signal either) the rate is 0.
+    precoder [K x N_t] and combiner [K x N_r] hold one composite (analog x
+    digital) vector per link; other shapes are refused, naming them.  The
+    noise after combining has power noise_power * ||w||^2; where that is
+    zero (a zero combiner, which collects no signal either) the rate is 0.
     """
     f = np.asarray(precoder, dtype=complex)
     w = np.asarray(combiner, dtype=complex)
-    stacked = f.ndim == 3
-    if not stacked:
-        f, w = np.atleast_2d(f), np.atleast_2d(w)
-        if f.shape[0] == 1 and channel.entries.shape[1] != 1:
-            f = f.T
-        if w.shape[0] == 1 and channel.entries.shape[0] != 1:
-            w = w.T
-        f, w = f[None], w[None]
-    if f.shape[2] != 1 or w.shape[2] != 1:
-        raise ValueError("every scheme deploys one stream: precoder and combiner must "
-                         f"have one column each, got {f.shape[2]} and {w.shape[2]}")
+    n_r, n_t = channel.entries.shape
+    if f.ndim != 2 or w.ndim != 2 or f.shape != (len(w), n_t) or w.shape[1] != n_r:
+        raise ValueError(f"precoder must be [K, {n_t}] and combiner [K, {n_r}] over a "
+                         f"{n_r} x {n_t} channel, got {f.shape} and {w.shape}")
     if not (transmit_power > 0 and noise_power > 0):
         raise ValueError("powers must be positive")
 
+    f, w = f[:, :, None], w[:, :, None]
     w_h = w.conj().swapaxes(1, 2)
     g = w_h @ channel.entries @ f
     r_n = noise_power * (w_h @ w)
@@ -114,53 +105,32 @@ def spectral_efficiency(precoder: np.ndarray, combiner: np.ndarray,
     silent = r_n == 0.0
     core = np.linalg.solve(np.where(silent, 1.0, r_n), rho_term)
     core[silent] = 0.0
-    sign, logdet = np.linalg.slogdet(np.eye(1) + core)
-    se = logdet / math.log(2.0)
-    return se if stacked else float(se[0])
+    sign, logdet = np.linalg.slogdet(1.0 + core)
+    return logdet / math.log(2.0)
 
 
 @dataclass(frozen=True)
 class Beamformers:
-    """Hybrid (or identity-analog full-digital) precoder/combiner set, or a
-    stack of K searched sets along a leading axis of every stage."""
+    """K one-stream deployments: each one's composite (analog x digital)
+    precoder and combiner vector, and whether its design channel had rank 0."""
 
-    analog_precoder: np.ndarray    # [(K x) N_t x L_t]
-    digital_precoder: np.ndarray   # [(K x) L_t x N_s]
-    analog_combiner: np.ndarray    # [(K x) N_r x L_r]
-    digital_combiner: np.ndarray   # [(K x) L_r x N_s]
-    hybrid: bool = True
-    rank_deficient: bool | np.ndarray = False  # [K] for a stack
+    precoder: np.ndarray        # [K x N_t]
+    combiner: np.ndarray        # [K x N_r]
+    rank_deficient: np.ndarray  # [K]
 
     def __post_init__(self):
-        f = self.composite_precoder
-        norm_sq = np.sum(np.abs(f) ** 2, axis=(-2, -1))
+        norm_sq = np.sum(np.abs(self.precoder) ** 2, axis=-1)
         zero = norm_sq == 0.0
-        if (zero & ~np.asarray(self.rank_deficient)).any():
+        if (zero & ~self.rank_deficient).any():
             raise ValueError("zero precoder without rank_deficient flag")
         if (~zero & (np.abs(norm_sq - 1) > 1e-9 * np.maximum(norm_sq, 1))).any():
             raise ValueError("composite precoder must have unit power, one stream's")
-        if self.hybrid:
-            for mat in (self.analog_precoder, self.analog_combiner):
-                target = 1.0 / math.sqrt(mat.shape[-2])
-                if np.max(np.abs(np.abs(mat) - target)) > 1e-12:
-                    raise ValueError("analog stages must be constant modulus")
-
-    # Formed once per set, on first use: the power check, `evaluate` and
-    # `_deploy`'s notes share them.
-    @functools.cached_property
-    def composite_precoder(self) -> np.ndarray:
-        return self.analog_precoder @ self.digital_precoder
-
-    @functools.cached_property
-    def composite_combiner(self) -> np.ndarray:
-        return self.analog_combiner @ self.digital_combiner
 
     def evaluate(self, channel: ChannelMatrix, transmit_power: float,
-                 noise_power: float):
-        """Spectral efficiency over `channel`: a float, or [K] for a stack."""
-        return spectral_efficiency(self.composite_precoder,
-                                   self.composite_combiner,
-                                   channel, transmit_power, noise_power)
+                 noise_power: float) -> np.ndarray:
+        """Spectral efficiency [K] of each deployment over `channel`."""
+        return spectral_efficiency(self.precoder, self.combiner, channel,
+                                   transmit_power, noise_power)
 
 
 class BeamformingScheme(enum.Enum):
@@ -193,7 +163,7 @@ class BeamformingScheme(enum.Enum):
 
 class _Scheme(NamedTuple):
     short_name: str
-    design: str                       # ChannelSet field its digital stage is designed on
+    design: str                       # ChannelSet field its beamformers are designed on
     link: str                         # ChannelSet field it trains and runs over
     books: Callable | None = None     # books(scenario, plan) -> tuple
     search: Callable | None = None    # search(*books, channel, cfg)
@@ -274,12 +244,12 @@ def _deploy(scheme: BeamformingScheme, beams: np.ndarray | None,
     """
     design, link = (getattr(channels, name) for name in scheme.channel_fields)
     bf = build_scheme_beamformers(scheme, beams, design)
-    se = np.atleast_1d(bf.evaluate(link, cfg.transmit_power, cfg.noise_power))
-    ill = np.atleast_1d(~bf.composite_combiner.any(axis=(-2, -1)))
+    se = bf.evaluate(link, cfg.transmit_power, cfg.noise_power)
+    ill = ~bf.combiner.any(axis=1)
     blocked = not link.entries.any()
     deployed = []
     for value, rank_deficient, ill_conditioned in zip(
-            se.tolist(), np.atleast_1d(bf.rank_deficient).tolist(), ill.tolist()):
+            se.tolist(), bf.rank_deficient.tolist(), ill.tolist()):
         flags = (("fully_blocked", blocked), ("rank_deficient", rank_deficient),
                  ("ill_conditioned_noise", ill_conditioned))
         deployed.append((value, ";".join(name for name, flag in flags if flag)))
@@ -298,13 +268,14 @@ def _top_pairs(h: np.ndarray) -> tuple:
     return left, right, rank_deficient
 
 
-def _unit_power(stage: np.ndarray, analog: np.ndarray | None = None) -> np.ndarray:
-    """Each set of a [K x L x N_s] digital `stage` scaled so that its composite
-    with `analog` has unit power; a zero composite is left as it is."""
-    composite = stage if analog is None else analog @ stage
-    scaled = stage.copy()
+def _unit_power(weight: np.ndarray, analog: np.ndarray | None = None) -> np.ndarray:
+    """Each beam's [L x 1] digital `weight` of a [K x L x 1] stack scaled so
+    that its composite with `analog` has unit power; a zero composite is
+    left as it is."""
+    composite = weight if analog is None else analog @ weight
+    scaled = weight.copy()
     for part, comp in zip(scaled, composite):
-        # the norm of each set alone, times its reciprocal: a norm over
+        # the norm of each beam alone, times its reciprocal: a norm over
         # axes, or part / norm, rounds differently
         norm = np.linalg.norm(comp)
         if norm > 0:
@@ -317,19 +288,19 @@ def build_scheme_beamformers(scheme: BeamformingScheme,
                              design_channel: ChannelMatrix | None = None) -> Beamformers:
     """The one-stream beamformers `scheme` deploys, designed on `design_channel`.
 
-    A benchmark is full digital: identity analog stages around the design
-    channel's top singular pair.  A searched scheme is hybrid around its
-    searched `beam`, the analog precoder: the digital precoder is the top
-    right singular vector of the channel seen through the beam, and the
-    ideal combiner, the top left one, splits into its elementwise phases
-    over sqrt(N_r), the constant-modulus analog combiner, times their
-    least-squares digital weight.  Each digital stage is scaled so that its
-    composite has unit power (a benchmark's combiner has it already).  A
-    rank-0 channel gives zero digital stages, flagged `rank_deficient`.
+    A benchmark is full digital: its precoder and combiner are the design
+    channel's top right and left singular vectors, as a stack of one.  A
+    searched scheme designs around each searched beam, its analog
+    precoder: the digital precoder is the top right singular vector of the
+    channel seen through the beam, and the ideal combiner, the top left
+    one, splits into its elementwise phases over sqrt(N_r), the
+    constant-modulus analog combiner, times their least-squares digital
+    weight.  Each digital weight is scaled so that its composite has unit
+    power (a benchmark's combiner has it already).  A rank-0 channel gives
+    zero digital weights, flagged `rank_deficient`.
 
-    `beam` is a `BeamVector`, giving one set, or the [N_t, K] weights of K
-    beams as columns, giving a stack of K sets; one beam is designed as a
-    stack of one either way.
+    `beam` is the [N_t, K] constant-modulus weights of K beams as columns,
+    or a `BeamVector`, a stack of one.
     """
     if scheme.searched and beam is None:
         raise ValueError("searched scheme requires its searched beam")
@@ -340,11 +311,12 @@ def build_scheme_beamformers(scheme: BeamformingScheme,
 
     if not scheme.searched:
         w_opt, f_bb, rank_deficient = _top_pairs(h[None])
-        return Beamformers(np.eye(n_t, dtype=complex), _unit_power(f_bb)[0],
-                           np.eye(n_r, dtype=complex), w_opt[0],
-                           hybrid=False, rank_deficient=bool(rank_deficient[0]))
-    one = isinstance(beam, BeamVector)
-    weights = beam.weights[:, None] if one else np.asarray(beam)
+        return Beamformers(_unit_power(f_bb)[:, :, 0], w_opt[:, :, 0], rank_deficient)
+    weights = beam.weights[:, None] if isinstance(beam, BeamVector) else np.asarray(beam)
+    if weights.ndim != 2 or len(weights) != n_t:
+        raise ValueError(f"beams must be [{n_t}, K] weights, got {weights.shape}")
+    if np.max(np.abs(np.abs(weights) - 1.0 / math.sqrt(n_t))) > 1e-12:
+        raise ValueError("searched beams must be constant modulus, 1/sqrt(N_t)")
     f_rf = np.ascontiguousarray(weights.T)[:, :, None]  # [K, N_t, 1]
     w_opt, f_bb, rank_deficient = _top_pairs(h @ f_rf)
     magnitude = np.abs(w_opt)
@@ -353,11 +325,8 @@ def build_scheme_beamformers(scheme: BeamformingScheme,
     w_bb = np.empty_like(f_bb)
     for a, b, out in zip(w_rf, w_opt, w_bb):  # lstsq has no stacked form
         out[...] = np.linalg.lstsq(a, b, rcond=None)[0]
-    stages = (f_rf, _unit_power(f_bb, f_rf), w_rf, _unit_power(w_bb, w_rf))
-    if one:
-        return Beamformers(*(stage[0] for stage in stages), hybrid=True,
-                           rank_deficient=bool(rank_deficient[0]))
-    return Beamformers(*stages, hybrid=True, rank_deficient=rank_deficient)
+    return Beamformers((f_rf @ _unit_power(f_bb, f_rf))[:, :, 0],
+                       (w_rf @ _unit_power(w_bb, w_rf))[:, :, 0], rank_deficient)
 
 
 def noise_for_target_se(channel: ChannelMatrix, transmit_power: float,
@@ -389,11 +358,13 @@ class SweepSpec:
     base_seed: int = 0
 
     def __post_init__(self):
-        """A sweep's rules; each message starts with its `sweep` config key."""
+        """A sweep's rules; each message starts with the config key it checks."""
         if len(self.grid) == 0:
             raise ValueError("sweep.grid: must be non-empty")
-        if self.repetitions < 1:
-            raise ValueError("sweep.repetitions: must be >= 1")
+        if len(self.schemes) == 0:
+            raise ValueError("sweep.schemes: must be non-empty")
+        _check_count("sweep.repetitions:", self.repetitions)
+        _check_count("training.rng_seed:", self.base_seed, minimum=0)
         if (self.swept_variable is SweptVariable.TRANSMIT_POWER
                 and not all(v > 0 for v in self.grid)):
             raise ValueError("sweep.grid: power values must be > 0")

@@ -19,11 +19,11 @@ from .numerics import CIS_LIMIT
 SPEED_OF_LIGHT = 299792458.0
 
 
-def _check_count(name: str, value) -> None:
+def _check_count(name: str, value, minimum: int = 1) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
 
 
 def _check_finite(**values) -> None:

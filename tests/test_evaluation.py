@@ -71,11 +71,10 @@ def test_svd_rank_one_recovery():
     v = np.array([1, -1j, 2]) / math.sqrt(6)
     h = ChannelMatrix(4.2 * np.outer(u, v.conj()), ChannelModel.SYNTHETIC)
     bf = build_scheme_beamformers(BeamformingScheme.PERFECT_CSI, design_channel=h)
-    assert not bf.rank_deficient
-    f = bf.digital_precoder[:, 0]
+    assert bf.rank_deficient.tolist() == [False]
+    [f], [w] = bf.precoder, bf.combiner
     assert np.linalg.norm(f) == pytest.approx(1.0, rel=1e-12)
     assert abs(np.vdot(f, v)) == pytest.approx(1.0, rel=1e-12)  # aligned up to phase
-    w = bf.digital_combiner[:, 0]
     assert abs(np.vdot(w, u)) == pytest.approx(1.0, rel=1e-12)
     assert abs(w.conj() @ h.entries @ f) == pytest.approx(4.2, rel=1e-12)
 
@@ -93,36 +92,41 @@ def test_zero_design_channel_is_rank_deficient(searched):
                                       _farfield_beam(_scenario(32, 1.0)), zero)
     else:
         bf = build_scheme_beamformers(BeamformingScheme.PERFECT_CSI, design_channel=zero)
-    assert bf.rank_deficient and bf.hybrid == searched
-    np.testing.assert_array_equal(bf.digital_precoder, 0)
-    np.testing.assert_array_equal(bf.digital_combiner, 0)
+    assert bf.rank_deficient.tolist() == [True]
+    np.testing.assert_array_equal(bf.precoder, 0)
+    np.testing.assert_array_equal(bf.combiner, 0)
     link = _random_channel(32, 32, 0)
-    assert bf.evaluate(link, 1.0, 1.0) == 0.0
+    assert bf.evaluate(link, 1.0, 1.0).tolist() == [0.0]
 
 
 # ------------------------------------------------------ spectral efficiency
 
 def test_siso_shannon_rate():
     h = ChannelMatrix(np.array([[2.0 + 0j]]), ChannelModel.SYNTHETIC)
-    se = spectral_efficiency(np.array([1.0 + 0j]), np.array([1.0 + 0j]), h, 1.0, 1.0)
+    [se] = spectral_efficiency(np.array([[1.0 + 0j]]), np.array([[1.0 + 0j]]), h, 1.0, 1.0)
     assert se == pytest.approx(math.log2(5.0), rel=1e-12)
 
 
-def test_se_refuses_more_than_one_stream():
-    h = ChannelMatrix(np.diag([2.0 + 0j, 1.0]), ChannelModel.SYNTHETIC)
-    two = np.eye(2, dtype=complex)
-    one = two[:, :1]
-    for f, w in ((two, two), (two, one), (one, two), (two[None], two[None])):
-        with pytest.raises(ValueError, match="one stream"):
-            spectral_efficiency(f, w, h, 1.0, 1.0)
+def test_se_refuses_misshapen_vectors_naming_shapes():
+    # K vectors of the channel's columns and of its rows, one per link
+    h = _random_channel(2, 3, 10)
+    f, w = np.ones((4, 3), complex) / math.sqrt(3), np.ones((4, 2), complex)
+    assert spectral_efficiency(f, w, h, 1.0, 1.0).shape == (4,)
+    for bad_f, bad_w in ((f[0], w[0]), (f, w[0]), (f[:, :, None], w[:, :, None]),
+                         (f[:, :2], w), (f, np.ones((4, 3))), (f.T, w.T), (f[:3], w)):
+        want = (f"precoder must be [K, 3] and combiner [K, 2] over a 2 x 3 channel, "
+                f"got {bad_f.shape} and {bad_w.shape}")
+        with pytest.raises(ValueError) as err:
+            spectral_efficiency(bad_f, bad_w, h, 1.0, 1.0)
+        assert str(err.value) == want
 
 
 def test_se_global_phase_and_combiner_scale_invariance():
     h = _random_channel(5, 8, 1)
     rng = np.random.default_rng(2)
-    f = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    f = rng.standard_normal((1, 8)) + 1j * rng.standard_normal((1, 8))
     f /= np.linalg.norm(f)
-    w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    w = rng.standard_normal((1, 5)) + 1j * rng.standard_normal((1, 5))
     base = spectral_efficiency(f, w, h, 2.0, 0.5)
     assert spectral_efficiency(f * np.exp(0.7j), w, h, 2.0, 0.5) == \
         pytest.approx(base, abs=1e-9)
@@ -134,7 +138,7 @@ def test_se_global_phase_and_combiner_scale_invariance():
 
 def test_se_requires_positive_powers():
     h = _random_channel(2, 2, 3)
-    f = np.array([1.0 + 0j, 0.0])
+    f = np.array([[1.0 + 0j, 0.0]])
     with pytest.raises(ValueError, match="powers must be positive"):
         spectral_efficiency(f, f, h, 0.0, 1.0)
     with pytest.raises(ValueError, match="powers must be positive"):
@@ -148,27 +152,25 @@ def test_se_zero_combiner_rate_is_zero():
     w = np.zeros(4, complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert spectral_efficiency(f, w, h, 1.0, 1.0) == 0.0
-        se = spectral_efficiency(np.stack([f, f])[:, :, None],
-                                 np.stack([w, f])[:, :, None], h, 1.0, 1.0)
+        assert spectral_efficiency(f[None], w[None], h, 1.0, 1.0).tolist() == [0.0]
+        se = spectral_efficiency(np.stack([f, f]), np.stack([w, f]), h, 1.0, 1.0)
     assert se[0] == 0.0 and se[1] > 0
     # a combiner whose noise power underflows to zero is taken as zero too,
     # though it still collects signal
     loud = ChannelMatrix(1e165 * h.entries, ChannelModel.SYNTHETIC)
-    assert spectral_efficiency(f, np.full(4, 1e-170 + 0j), loud, 1.0, 1.0) == 0.0
+    assert spectral_efficiency(f[None], np.full((1, 4), 1e-170 + 0j), loud,
+                               1.0, 1.0).tolist() == [0.0]
 
 
 def test_svd_precoder_dominates_random():
     h = _random_channel(6, 16, 5)
     bf = build_scheme_beamformers(BeamformingScheme.PERFECT_CSI, design_channel=h)
-    best = bf.evaluate(h, 1.0, 1.0)
+    [best] = bf.evaluate(h, 1.0, 1.0)
     rng = np.random.default_rng(6)
-    for _ in range(100):
-        f = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        f /= np.linalg.norm(f)
-        w = h.entries @ f              # matched-filter combiner
-        se = spectral_efficiency(f, w, h, 1.0, 1.0)
-        assert se <= best + 1e-12
+    f = rng.standard_normal((100, 16)) + 1j * rng.standard_normal((100, 16))
+    f /= np.linalg.norm(f, axis=1, keepdims=True)
+    w = f @ h.entries.T                # matched-filter combiners
+    assert np.all(spectral_efficiency(f, w, h, 1.0, 1.0) <= best + 1e-12)
 
 
 # ------------------------------------------------------ combiner decomposition
@@ -182,36 +184,53 @@ def test_decompose_exactly_representable():
     h = ChannelMatrix(0.9 * np.outer(u, v.conj()), ChannelModel.SYNTHETIC)
     beam = _farfield_beam(_scenario(8, 1.0))
     bf = build_scheme_beamformers(BeamformingScheme.FARFIELD_STEERING, beam, h)
-    np.testing.assert_allclose(np.abs(bf.analog_combiner), 1 / math.sqrt(8))
-    comp = bf.composite_combiner
+    [comp] = bf.combiner
+    np.testing.assert_allclose(np.abs(comp), 1 / math.sqrt(8))
     assert np.linalg.norm(comp) ** 2 == pytest.approx(1.0, rel=1e-9)
     # composite keeps the ideal direction exactly
-    assert abs(np.vdot(comp[:, 0], u)) == pytest.approx(
-        np.linalg.norm(comp[:, 0]) * np.linalg.norm(u), rel=1e-12)
+    assert abs(np.vdot(comp, u)) == pytest.approx(
+        np.linalg.norm(comp) * np.linalg.norm(u), rel=1e-12)
 
 
 # ----------------------------------------------------------- beamformer sets
 
 def test_beamformers_power_constraint_enforced():
     n = 8
-    f_rf = np.full((n, 1), 1 / math.sqrt(n), dtype=complex)
-    Beamformers(f_rf, np.array([[1.0 + 0j]]), f_rf, np.array([[1.0 + 0j]]))
+    f = np.full((1, n), 1 / math.sqrt(n), dtype=complex)
+    flat = np.array([False])
+    Beamformers(f, f, flat)
     with pytest.raises(ValueError, match="must have unit power"):
-        Beamformers(f_rf, np.array([[2.0 + 0j]]), f_rf, np.array([[1.0 + 0j]]))
-    bad_analog = f_rf.copy()
-    bad_analog[0] *= 2  # not constant modulus
-    unit_digital = np.array([[1.0 / np.linalg.norm(bad_analog)]], dtype=complex)
-    with pytest.raises(ValueError, match="constant modulus"):
-        Beamformers(bad_analog, unit_digital, f_rf, np.array([[1.0 + 0j]]))
+        Beamformers(2.0 * f, f, flat)
+    Beamformers(0.0 * f, f, np.array([True]))  # a rank-0 design's zero precoder
+
+
+def _benchmark_reference(design):
+    """A benchmark's composites [N x 1] and rank-0 flag formed as before
+    composites were stored: identity analog stages times the design
+    channel's top singular pair."""
+    h = design.entries
+    n_r, n_t = h.shape
+    w_opt, f_bb, rank_deficient = evaluation._top_pairs(h[None])
+    return (np.eye(n_t, dtype=complex) @ evaluation._unit_power(f_bb)[0],
+            np.eye(n_r, dtype=complex) @ w_opt[0], bool(rank_deficient[0]))
 
 
 def test_full_digital_identity_analog():
-    h = _random_channel(4, 6, 8)
-    bf = build_scheme_beamformers(BeamformingScheme.PERFECT_CSI, design_channel=h)
-    assert not bf.hybrid
-    np.testing.assert_array_equal(bf.analog_precoder, np.eye(6))
-    np.testing.assert_array_equal(bf.analog_combiner, np.eye(4))
-    assert np.linalg.norm(bf.composite_precoder) ** 2 == pytest.approx(1.0, rel=1e-9)
+    # dropping the identity analog stages changes no composite and no rate
+    zero = ChannelMatrix(np.zeros((4, 6), complex), ChannelModel.SYNTHETIC)
+    cases = {"random": ChannelSet(*(_random_channel(4, 6, seed) for seed in (11, 12, 13))),
+             "zero": ChannelSet(zero, zero, zero),
+             "1x1": ChannelSet(*(_random_channel(1, 1, seed) for seed in (14, 15, 16)))}
+    cfg = TrainingConfig(1.0, 0.05)
+    for case, channels in cases.items():
+        for scheme in (s for s in BeamformingScheme if not s.searched):
+            design, link = (getattr(channels, name) for name in scheme.channel_fields)
+            f, w, rank_deficient = _benchmark_reference(design)
+            bf = build_scheme_beamformers(scheme, design_channel=design)
+            assert np.array_equal(bf.precoder, f.T) and np.array_equal(bf.combiner, w.T)
+            assert bf.rank_deficient.tolist() == [rank_deficient] == [case == "zero"]
+            [(se, _)] = evaluation._deploy(scheme, None, channels, cfg)
+            assert repr(se) == repr(_reference_rate(f, w, link, 1.0, 0.05)[1]), (case, scheme)
 
 
 def test_searched_beamformers_wrap_searched_vector():
@@ -221,12 +240,13 @@ def test_searched_beamformers_wrap_searched_vector():
     res = exhaustive_search(book, h, TrainingConfig(1.0, 0.0))
     bf = build_scheme_beamformers(BeamformingScheme.FARFIELD_STEERING,
                                   res.selected_vector, h)
-    assert bf.hybrid
-    np.testing.assert_array_equal(bf.analog_precoder[:, 0],
-                                  res.selected_vector.weights)
-    assert np.linalg.norm(bf.composite_precoder) ** 2 == pytest.approx(1.0, rel=1e-9)
+    # the searched beam times a unit-modulus digital weight
+    [f] = bf.precoder
+    weights = res.selected_vector.weights
+    np.testing.assert_allclose(f / weights, f[0] / weights[0], rtol=1e-12)
+    assert abs(f[0] / weights[0]) == pytest.approx(1.0, rel=1e-12)
     noise = noise_for_target_se(h, 1.0, 8.0)
-    se = bf.evaluate(h, 1.0, noise)
+    [se] = bf.evaluate(h, 1.0, noise)
     assert 0 < se <= 8.0 + 1e-9
 
 
@@ -239,7 +259,8 @@ def test_scheme_builder_validation():
     with pytest.raises(ValueError):
         build_scheme_beamformers(BeamformingScheme.NON_BLOCKED)
     bf = build_scheme_beamformers(BeamformingScheme.PERFECT_CSI, design_channel=h)
-    assert not bf.hybrid
+    assert (bf.precoder.shape, bf.combiner.shape, bf.rank_deficient.shape) == \
+        ((1, 8), (1, 4), (1,))
 
 
 def test_perfect_csi_dominates_searched_hybrid():
@@ -313,6 +334,22 @@ def test_sweep_spec_validation():
                        "searched schemes only, not perfect, nlos$"):
         SweepSpec(SweptVariable.OVERHEAD, (1,), (*searched, *benchmarks))
     SweepSpec(SweptVariable.TRANSMIT_POWER, (1.0,), benchmarks)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"schemes": ()}, "sweep.schemes: must be non-empty"),
+    ({"repetitions": 1.5}, "sweep.repetitions: must be an integer, got 1.5"),
+    ({"repetitions": True}, "sweep.repetitions: must be an integer, got True"),
+    ({"repetitions": -2}, "sweep.repetitions: must be >= 1"),
+    ({"base_seed": -1}, "training.rng_seed: must be >= 0"),
+    ({"base_seed": 2.0}, "training.rng_seed: must be an integer, got 2.0"),
+])
+def test_sweep_spec_refuses_library_input_naming_key(change, message):
+    fields = {"swept_variable": SweptVariable.TRANSMIT_POWER, "grid": (1.0,),
+              "schemes": (BeamformingScheme.PERFECT_CSI,), **change}
+    with pytest.raises(ValueError) as err:
+        SweepSpec(**fields)
+    assert str(err.value) == message
 
 
 def _sweep_scenario():
@@ -609,9 +646,22 @@ def _stack_case(link_zero=False):
     return beams, ChannelSet(link, design)
 
 
+def _reference_rate(f, w, link, transmit_power, noise_power):
+    """Whether the combined noise covariance of composites f [N_t x 1] and
+    w [N_r x 1] is singular, and their rate, in 2-D products."""
+    g = w.conj().T @ link.entries @ f
+    r_n = noise_power * (w.conj().T @ w)
+    rho = transmit_power * (g @ g.conj().T)
+    cond = np.linalg.cond(r_n)
+    ill = not np.isfinite(cond) or cond > 1e12
+    core = np.linalg.pinv(r_n) @ rho if ill else np.linalg.solve(r_n, rho)
+    return ill, float(np.linalg.slogdet(np.eye(1) + core)[1] / math.log(2.0))
+
+
 def _one_beam_reference(weights, design, link, transmit_power, noise_power):
-    """Stages, rank-0 flag and rate of one hybrid beam, in 2-D products and
-    2-D norms, step by step as the beamformer design and the rate take them."""
+    """Composites [N x 1], rank-0 flag and rate of one searched beam, in 2-D
+    products and 2-D norms, stage by stage as the beamformer design and the
+    rate take them."""
     h = design.entries
     n_r = h.shape[0]
     f_rf = weights[:, None]
@@ -629,16 +679,8 @@ def _one_beam_reference(weights, design, link, transmit_power, noise_power):
     def unit_power(stage, analog):
         norm = np.linalg.norm(analog @ stage)
         return stage * (1.0 / norm) if norm > 0 else stage
-    stages = (f_rf, unit_power(f_bb, f_rf), w_rf, unit_power(w_bb, w_rf))
-    f, w = stages[0] @ stages[1], stages[2] @ stages[3]
-    g = w.conj().T @ link.entries @ f
-    r_n = noise_power * (w.conj().T @ w)
-    rho = transmit_power * (g @ g.conj().T)
-    cond = np.linalg.cond(r_n)
-    ill = not np.isfinite(cond) or cond > 1e12
-    core = np.linalg.pinv(r_n) @ rho if ill else np.linalg.solve(r_n, rho)
-    se = float(np.linalg.slogdet(np.eye(1) + core)[1] / math.log(2.0))
-    return stages, rank_deficient, ill, se
+    f, w = f_rf @ unit_power(f_bb, f_rf), w_rf @ unit_power(w_bb, w_rf)
+    return (f, w), rank_deficient, *_reference_rate(f, w, link, transmit_power, noise_power)
 
 
 @pytest.mark.parametrize("link_zero", [False, True], ids=["link", "fully_blocked"])
@@ -658,28 +700,26 @@ def test_stacked_deploy_is_each_single_beam_deploy_bit_for_bit(link_zero):
     else:
         assert notes == ["rank_deficient;ill_conditioned_noise"] + [""] * 4
         assert stacked[0][0] == 0.0 and all(se > 0 for se, _ in stacked[1:])
-    # every stage of the stack, the one-beam form of each member, and the
-    # 2-D reference
+    # every composite of the stack, the one-beam forms of each member, and
+    # the 2-D reference
     stack = build_scheme_beamformers(scheme, beams, channels.non_blocked)
     assert stack.rank_deficient.tolist() == [True, False, False, False, False]
     for k in range(beams.shape[1]):
-        stages, rank_deficient, ill, se = _one_beam_reference(
+        (f, w), rank_deficient, ill, se = _one_beam_reference(
             beams[:, k], channels.non_blocked, channels.blocked, 1.0, 0.05)
         assert repr(se) == repr(stacked[k][0])
         assert (rank_deficient, ill) == (bool(stack.rank_deficient[k]),
                                          "ill_conditioned_noise" in stacked[k][1])
-        for name, stage in zip(("analog_precoder", "digital_precoder", "analog_combiner",
-                                "digital_combiner"), stages):
-            assert _bits(stage) == _bits(getattr(stack, name)[k]), name
+        assert _bits(f) == _bits(stack.precoder[k])
+        assert _bits(w) == _bits(stack.combiner[k])
         one = build_scheme_beamformers(scheme, beams[:, [k]], channels.non_blocked)
         vector = build_scheme_beamformers(
             scheme, BeamVector(BeamParams(0.0, 1.0, 0.0), beams[:, k].copy()),
             channels.non_blocked)
-        assert vector.rank_deficient == bool(stack.rank_deficient[k])
-        for name in ("analog_precoder", "digital_precoder", "analog_combiner",
-                     "digital_combiner"):
-            assert _bits(getattr(one, name)[0]) == _bits(getattr(stack, name)[k]), name
-            assert _bits(getattr(vector, name)) == _bits(getattr(stack, name)[k]), name
+        for alone in (one, vector):
+            assert alone.rank_deficient.tolist() == [stack.rank_deficient[k]]
+            assert _bits(alone.precoder) == _bits(stack.precoder[k])
+            assert _bits(alone.combiner) == _bits(stack.combiner[k])
 
 
 def test_stacked_spectral_efficiency_is_each_alone():
@@ -689,27 +729,49 @@ def test_stacked_spectral_efficiency_is_each_alone():
     se = bf.evaluate(channels.blocked, 1.0, 0.05)
     assert se.shape == (5,)
     for k in range(5):
-        alone = spectral_efficiency(bf.composite_precoder[k], bf.composite_combiner[k],
+        alone = spectral_efficiency(bf.precoder[[k]], bf.combiner[[k]],
                                     channels.blocked, 1.0, 0.05)
-        assert repr(alone) == repr(float(se[k]))
+        assert repr(alone.tolist()) == repr([float(se[k])])
 
 
 def test_stacked_beamformers_keep_every_check():
     beams, channels = _stack_case()
     scheme = BeamformingScheme.HIERARCHICAL
-    with pytest.raises(ValueError, match="constant modulus"):
-        build_scheme_beamformers(scheme, beams * 1.01, channels.non_blocked)
+    uneven = beams.copy()
+    uneven[3, 2] *= 1.5
+    for bad in (beams * 1.01, uneven):
+        with pytest.raises(ValueError, match="constant modulus"):
+            build_scheme_beamformers(scheme, bad, channels.non_blocked)
+    for bad in (beams[:-1], beams[:, 0]):
+        with pytest.raises(ValueError, match=r"beams must be \[16, K\] weights"):
+            build_scheme_beamformers(scheme, bad, channels.non_blocked)
     bf = build_scheme_beamformers(scheme, beams, channels.non_blocked)
     with pytest.raises(ValueError, match="zero precoder without rank_deficient"):
         replace(bf, rank_deficient=np.zeros(5, dtype=bool))
-    bad = bf.analog_combiner.copy()
-    bad[3, 0, 0] *= 1.5
-    with pytest.raises(ValueError, match="constant modulus"):
-        replace(bf, analog_combiner=bad)
-    loud = bf.digital_precoder.copy()
+    loud = bf.precoder.copy()
     loud[2] *= 2.0
     with pytest.raises(ValueError, match="must have unit power"):
-        replace(bf, digital_precoder=loud)
+        replace(bf, precoder=loud)
+
+
+def test_searched_composite_combiners_are_constant_modulus():
+    # built from the phases of the ideal combiner, so no runtime check
+    sc = _sweep_scenario()
+    plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-6.0, 6.0),
+                               r_min=0.2)
+    channels = calibrated_wave_channels(sc)
+    beams, stack_channels = _stack_case()
+    deployed = [build_scheme_beamformers(BeamformingScheme.HIERARCHICAL, beams,
+                                         stack_channels.non_blocked)]
+    for scheme in (s for s in BeamformingScheme if s.searched):
+        result = evaluation._search(scheme, scheme_codebooks(scheme, sc, plan), channels,
+                                    TrainingConfig(1.0, 1e-14))
+        deployed.append(build_scheme_beamformers(
+            scheme, result.words(range(result.overhead)), channels.non_blocked))
+    for bf in deployed:
+        magnitude = np.abs(bf.combiner)
+        assert np.all(np.abs(magnitude - magnitude[:, :1]) <= 1e-12 * magnitude[:, :1])
+        assert magnitude[~bf.rank_deficient].all()
 
 
 def _readme_overhead_case():
@@ -738,11 +800,13 @@ def _reference_overhead_rows(spec, sc, plan, channels, cfg):
                 leader = result.slot_params(int(np.argmax(result.powers[:used])))
                 beam = airy_beam_vector(BeamParams(*leader), sc.tx, sc.carrier)
                 bf = build_scheme_beamformers(scheme, beam, channels.non_blocked)
-                se = bf.evaluate(channels.blocked, cfg.transmit_power, cfg.noise_power)
+                [se] = bf.evaluate(channels.blocked, cfg.transmit_power,
+                                   cfg.noise_power).tolist()
                 ill = _one_beam_reference(beam.weights, channels.non_blocked, channels.blocked,
                                           cfg.transmit_power, cfg.noise_power)[2]
+                [rank_deficient] = bf.rank_deficient.tolist()
                 flags = (("fully_blocked", not channels.blocked.entries.any()),
-                         ("rank_deficient", bf.rank_deficient),
+                         ("rank_deficient", rank_deficient),
                          ("ill_conditioned_noise", ill))
                 if se > best:
                     best = se
