@@ -332,12 +332,15 @@ def render_aperture_field_map(aperture_positions, aperture_values,
 
 
 def _finalize_map(xs, ys, field, mask_applied: bool) -> FieldMap:
-    mag = np.abs(field)
-    peak = mag.max()
+    """The map of |field| in dB of its peak, floored, formed in one array."""
+    power = np.abs(field)
+    peak = power.max()
     if peak == 0:
-        power = np.full(mag.shape, FieldMap.DB_FLOOR)
+        power.fill(FieldMap.DB_FLOOR)
     else:
+        power /= peak
         with np.errstate(divide="ignore"):
-            power = 20 * np.log10(mag / peak)
-        power = np.maximum(power, FieldMap.DB_FLOOR)
+            np.log10(power, out=power)
+        power *= 20
+        np.maximum(power, FieldMap.DB_FLOOR, out=power)
     return FieldMap(xs, ys, power, mask_applied)

@@ -24,15 +24,17 @@ kernel(r) between two sample grids. Between grids of one pitch (the
 virtual planes and the arrays) K is Toeplitz, so the kernel is evaluated
 at the m+n-1 index offsets only and applied by FFT (`_toeplitz_apply`),
 with no [m, n] matrix formed; field-map columns of another pitch are
-evaluated pairwise, once per mirror pair: an entry whose distance equals
-that of its mirror entry (m-1-i, n-1-j) bit for bit copies the mirror's
-kernel value (`_mirrored_kernel`), so grids symmetric about the axis
-evaluate about half their entries. A cascade builds each plane-to-plane
-operator once per distinct hop length and reuses it.
+evaluated pairwise (`_pairwise_hop`), once per mirror pair: an entry whose
+distance equals that of its mirror entry (m-1-i, n-1-j) bit for bit copies
+the mirror's kernel value, so grids symmetric about the axis evaluate about
+half their entries. A cascade builds each plane-to-plane operator once per
+distinct hop length and reuses it.
 
 Field maps (``field_on_grid``) hop through the gated virtual planes of the
 wave model's cascade (`_planes`): channel matrices and field maps share one
-plane chain.
+plane chain. A map plans each source once for its columns (`_pairwise_plan`),
+which form their distances, kernel values and K in buffers shared across the
+render; the RS kernel works in blocks of `_HANKEL_BLOCK` values.
 
 Phase convention: all models use exp(-j*k*r) for a path of length r, and
 the diffraction kernel is the matching conjugate Rayleigh-Sommerfeld form
@@ -99,10 +101,6 @@ def _plane_mask(y: np.ndarray, blockage: BlockageGeometry) -> np.ndarray:
     """1 outside the blockage's vertical extent, 0 inside."""
     inside = (y >= blockage.bottom_y) & (y <= blockage.top_y)
     return np.where(inside, 0.0, 1.0)
-
-
-def _pairwise_r(src_y: np.ndarray, dst_y: np.ndarray, dx: float) -> np.ndarray:
-    return np.sqrt(dx * dx + (dst_y[:, None] - src_y[None, :]) ** 2)
 
 
 def _shares_pitch(src_y: np.ndarray, dst_y: np.ndarray) -> bool:
@@ -174,7 +172,7 @@ def _hop_operator(a_y: np.ndarray, b_y: np.ndarray, dx: float, kernel):
     samples) adds nothing, so its kernel row is not evaluated. Of the
     [m, n] distances left, an entry in the bottom m//2 rows that equals
     its mirror entry (m-1-i, n-1-j) bit for bit takes the mirror's kernel
-    value (`_mirrored_kernel`), so K is the entrywise kernel bit for bit.
+    value (`_pairwise_hop`), so K is the entrywise kernel bit for bit.
     The RS kernel's values come from `_hankel2_1`, on the `numerics.cis`
     phasor.
     """
@@ -182,35 +180,55 @@ def _hop_operator(a_y: np.ndarray, b_y: np.ndarray, dx: float, kernel):
         spectrum = _toeplitz_spectrum(kernel(_offset_r(b_y, a_y, dx)), a_y.size)
         return lambda rows: _toeplitz_apply(rows, spectrum, b_y.size)
 
-    def pairwise(rows):
-        keep = rows.any(axis=0)
-        return rows[:, keep] @ _mirrored_kernel(kernel, _pairwise_r(b_y, a_y[keep], dx))
-    return pairwise
+    return lambda rows: _pairwise_hop(*_pairwise_plan(rows, a_y, b_y), dx, kernel)
 
 
-def _mirrored_kernel(kernel, r: np.ndarray) -> np.ndarray:
-    """kernel(r) of an [m, n] distance matrix, one evaluation per mirror pair.
+def _pairwise_plan(rows: np.ndarray, a_y: np.ndarray, b_y: np.ndarray) -> tuple:
+    """(kept rows, squared offsets [m, n]) of a pairwise hop from a_y to b_y,
+    dropping sources whose column of rows is all zero: both hold for any dx."""
+    keep = rows.any(axis=0)
+    return rows[:, keep], (a_y[keep][:, None] - b_y[None, :]) ** 2
+
+
+def _pairwise_buffers(size: int) -> tuple:
+    """`_pairwise_hop`'s buffers for hops of up to `size` entries."""
+    return (np.empty(size), np.empty(size, dtype=complex), np.empty(size, dtype=complex),
+            np.empty(size, dtype=bool))
+
+
+def _pairwise_hop(rows: np.ndarray, sq: np.ndarray, dx: float, kernel,
+                  buffers: tuple | None = None) -> np.ndarray:
+    """rows @ K, K[i, j] = kernel(sqrt(dx^2 + sq[i, j])), one evaluation per mirror pair.
 
     Entry (i, j) of a hop between two grids symmetric about the axis has
     the distance of entry (m-1-i, n-1-j), often bit for bit even where the
     grids are mirror images only to rounding. The top m - m//2 rows are
-    evaluated, with each bottom entry that differs from its mirror, in one
-    kernel call; every other bottom entry copies its mirror's value. A
-    kernel whose values depend on their own r only (as `_hankel2_1`'s do)
-    gives the entrywise kernel(r) bit for bit. Grids without such entries
-    (an offset array, an asymmetric window, a gated plane) evaluate every
-    entry through the same test.
+    evaluated, with each bottom entry whose distance differs from its
+    mirror's, in one kernel call; every other bottom entry copies its
+    mirror's value. A kernel whose values depend on their own r only (as
+    `_hankel2_1`'s do) gives the entrywise kernel(r) bit for bit. Grids
+    without such entries (an offset array, an asymmetric window, a gated
+    plane) evaluate every entry through the same test. Distances, kernel
+    values (kernel(r, out)) and K are formed in `buffers` when given.
     """
-    m = r.shape[0]
+    m, n = sq.shape
     h = m // 2
+    r_buf, v_buf, k_buf, lone_buf = buffers or _pairwise_buffers(sq.size)
+    r = np.add(sq, dx * dx, out=r_buf[:sq.size].reshape(m, n))
+    np.sqrt(r, out=r)
     top, bottom = r[:m - h], r[m - h:]
-    lone = bottom != top[:h][::-1, ::-1]
-    values = kernel(np.concatenate([top.reshape(-1), bottom[lone]]))
-    out = np.empty(r.shape, dtype=values.dtype)
-    out[:m - h] = values[:top.size].reshape(top.shape)
-    out[m - h:] = out[:h][::-1, ::-1]
-    out[m - h:][lone] = values[top.size:]
-    return out
+    lone = np.not_equal(bottom, top[:h][::-1, ::-1], out=lone_buf[:h * n].reshape(h, n))
+    # the distances evaluated: the top rows, then each lone bottom entry's,
+    # formed again from sq over the bottom rows, which are no longer needed
+    dist = r_buf[:top.size + np.count_nonzero(lone)]
+    lone_r = np.compress(lone.reshape(-1), sq[m - h:].reshape(-1), out=dist[top.size:])
+    np.sqrt(np.add(lone_r, dx * dx, out=lone_r), out=lone_r)
+    values = kernel(dist, out=v_buf[:dist.size])
+    k = k_buf[:sq.size].reshape(m, n)
+    k[:m - h] = values[:top.size].reshape(top.shape)
+    k[m - h:] = k[:h][::-1, ::-1]
+    k[m - h:][lone] = values[top.size:]
+    return rows @ k
 
 
 def _hop(rows: np.ndarray, a_y: np.ndarray, b_y: np.ndarray, dx: float,
@@ -396,9 +414,9 @@ def _gcm_kernel(carrier: CarrierConfig):
     # cascade of `cgwcm` cancels, so it amplifies any change in this
     # kernel's rounding: cis would move `gcm` by 2.7e-16 relative but
     # `cgwcm` by up to 2.5e-12 (README geometry, 512 Tx, unblocked).
-    def kernel(r):
+    def kernel(r, out=None):
         amp = SPEED_OF_LIGHT / (4 * math.pi * carrier.frequency * r)
-        return amp * np.exp(-1j * carrier.wavenumber * r)
+        return np.multiply(amp, np.exp(-1j * carrier.wavenumber * r), out=out)
 
     return kernel
 
@@ -414,12 +432,17 @@ def _rs_kernel(carrier: CarrierConfig, dx: float, weight: float):
     would over-weight short hops and make iterated plane-to-plane cascades
     diverge. The Hankel values come from `_hankel2_1`: its large-argument
     expansion from kr = 25 on, Hankel's integral from kr = 4, and the power
-    series of J1 and Y1 below.
+    series of J1 and Y1 below, one `_HANKEL_BLOCK` of distances at a time.
     """
     k = carrier.wavenumber
+    c = 0.5 * k * dx * weight
 
-    def kernel(r):
-        values = _hankel2_1(k * r, (0.5 * k * dx * weight) / r)
+    def kernel(r, out=None):
+        values = np.empty(np.shape(r), dtype=complex) if out is None else out
+        flat_r, flat = np.reshape(r, -1), values.reshape(-1)
+        for start in range(0, flat.size, _HANKEL_BLOCK):
+            block = flat_r[start:start + _HANKEL_BLOCK]
+            flat[start:start + block.size] = _hankel2_1(k * block, c / block)
         values *= -1j
         return values
 
@@ -515,7 +538,8 @@ def field_on_grid(scenario: ScenarioConfig, aperture_y, values, xs, ys) -> np.nd
     `_planes`, chained once. Each column hops from the nearest source
     strictly upstream (a column on a plane from the source before it), so
     columns accumulate no error from one another, and is zero inside the
-    screen. Every hop weighs its source samples by `_pitch`.
+    screen. Every hop weighs its source samples by `_pitch`. A source is planned
+    once for its run of columns, and all columns share one set of buffers.
     """
     def push(source, x, y):
         sx, sy, sv, sw = source
@@ -531,11 +555,22 @@ def field_on_grid(scenario: ScenarioConfig, aperture_y, values, xs, ys) -> np.nd
         screen = _plane_mask(ys, blk)
     source_xs = np.array([x for x, *_ in sources])
     field = np.empty((ys.size, xs.size), dtype=complex)
+    kept = max(np.count_nonzero(sv.any(axis=0)) for _, _, sv, _ in sources)
+    buffers, planned = _pairwise_buffers(kept * ys.size), None
     for i, xc in enumerate(xs):
         s = int(np.searchsorted(source_xs, xc, side="right")) - 1
         if s > 0 and math.isclose(xc, source_xs[s], rel_tol=1e-12, abs_tol=1e-15):
             s -= 1
-        field[:, i] = push(sources[s], xc, ys)[0]
+        sx, sy, sv, sw = sources[s]
+        if s != planned:  # one plan per run of columns, held for that run only
+            planned, plan = s, None
+            if not _shares_pitch(ys, sy):
+                plan = _pairwise_plan(sv, sy, ys)
+        if plan is None:
+            field[:, i] = push(sources[s], xc, ys)[0]
+        else:
+            kernel = _rs_kernel(scenario.carrier, xc - sx, sw)
+            field[:, i] = _pairwise_hop(*plan, xc - sx, kernel, buffers)[0]
         if blk is not None and blk.near_x - 1e-15 <= xc <= blk.far_x + 1e-15:
             field[:, i] *= screen
     return field

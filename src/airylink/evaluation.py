@@ -87,6 +87,8 @@ def spectral_efficiency(precoder: np.ndarray, combiner: np.ndarray,
     digital) vector per link; other shapes are refused, naming them.  The
     noise after combining has power noise_power * ||w||^2; where that is
     zero (a zero combiner, which collects no signal either) the rate is 0.
+    Each combiner is first scaled, exactly, by the power of two that brings
+    its largest modulus into [0.5, 1), so no combiner scale under- or overflows.
     """
     f = np.asarray(precoder, dtype=complex)
     w = np.asarray(combiner, dtype=complex)
@@ -97,6 +99,8 @@ def spectral_efficiency(precoder: np.ndarray, combiner: np.ndarray,
     if not (transmit_power > 0 and noise_power > 0):
         raise ValueError("powers must be positive")
 
+    _, exponent = np.frexp(np.abs(w).max(axis=1, initial=0.0))
+    w = np.ldexp(np.ascontiguousarray(w).view(float), -exponent[:, None]).view(complex)
     f, w = f[:, :, None], w[:, :, None]
     w_h = w.conj().swapaxes(1, 2)
     g = w_h @ channel.entries @ f

@@ -115,13 +115,16 @@ def read_field_map_binary(path) -> FieldMap:
 
 
 def write_field_map_csv(path, field_map: FieldMap) -> None:
-    """Long-format (x, y, power_db) rows, row-major over the grid."""
+    """Long-format (x, y, power_db) rows, row-major over the grid, formed one
+    grid row at a time and streamed through `write_text`."""
     xs = [_fmt(v) for v in field_map.x]
-    lines = ["x_m,y_m,power_db"]
-    for yv, row in zip(field_map.y, np.asarray(field_map.power_db, dtype=float).tolist()):
-        y = _fmt(yv)
-        lines.extend([f"{x},{y},{p!r}" for x, p in zip(xs, row)])
-    write_text(path, lines)
+
+    def lines():
+        yield "x_m,y_m,power_db"
+        for yv, row in zip(field_map.y, np.asarray(field_map.power_db, dtype=float)):
+            y = _fmt(yv)
+            yield from [f"{x},{y},{p!r}" for x, p in zip(xs, row.tolist())]
+    write_text(path, lines())
 
 
 def write_search_trace_csv(path, result: SearchResult) -> None:

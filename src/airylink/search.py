@@ -18,10 +18,11 @@ has fewer focus than curving columns (a stage-2 book).  A book keeps no
 focus matrix: a one-curving book (stage 1, far field, near field)
 synthesizes each block's focus columns and drops them once sounded; a
 book with more curving values synthesizes them all once per sounding.
-Each block's noise, rng.standard_normal((slots, 2, N_r)), is combined by
-C in one real product.  Slot t takes N_r standard-normal real parts and
-then N_r imaginary parts from the stream, slot after slot, so the
-per-block draws are the stream a slot-by-slot loop would consume, and the
+Each block's noise is drawn in sub-blocks of _NOISE_VALUES normals into one
+buffer per sounding, each combined by C in one real product and added to
+its slots.  Slot t takes N_r standard-normal real parts and then N_r
+imaginary parts from the stream, slot after slot, so the sub-blocks are
+the stream a slot-by-slot loop would consume, whatever their size, and the
 stages of a search continue one stream.  A noiseless run draws nothing.
 """
 
@@ -91,6 +92,10 @@ def probe_combiner_matrix(combiner: ProbeCombiner, num_rx: int) -> np.ndarray:
 
 # Slots sounded per block: bounds the [n_probe, slots] temporaries of a large book.
 _BLOCK_SLOTS = 8192
+# Noise values per sub-block (64 KiB, 256 slots at N_r = 16). A sub-block is a
+# power of two of slots, at least two, so it starts where a whole-block product
+# starts a BLAS row group (OpenBLAS's [rows, N_r] @ [N_r, 1] rounds in fours).
+_NOISE_VALUES = 8192
 # Focus-factor entries a one-curving book synthesizes per block (1 MiB of
 # complex128, 256 columns at 256 Tx): bounds the [N_t, columns] block that
 # stands in for the book's [N_t, F] focus matrix.
@@ -151,7 +156,8 @@ def _book_blocks(book: Codebook):
 def _measure(blocks, num_slots: int, num_tx: int, channel: ChannelMatrix,
              cfg: TrainingConfig, rng: np.random.Generator) -> np.ndarray:
     """Measured power of each slot of `blocks`, (cubic, focus) factor pairs whose
-    words w are the slots in slot order: |(C^T H) @ w + C^T noise|^2 over probes."""
+    words w are the slots in slot order: |(C^T H) @ w + C^T noise|^2 over probes.
+    Noise is drawn and added in sub-blocks through one buffer per call."""
     h = channel.entries
     num_rx = h.shape[0]
     if num_tx != h.shape[1]:
@@ -159,6 +165,8 @@ def _measure(blocks, num_slots: int, num_tx: int, channel: ChannelMatrix,
     combiner = probe_combiner_matrix(cfg.rx_probe_combiner, num_rx)
     g = combiner.T @ h
     noise_combiner = combiner * math.sqrt(cfg.noise_power / 2.0)
+    per = 1 << max(1, (_NOISE_VALUES // (2 * num_rx)).bit_length() - 1)
+    draws = np.empty(per * 2 * num_rx) if cfg.noise_power != 0.0 else None
     powers = np.empty(num_slots)
     start = 0
     for cub, foc in blocks:
@@ -174,11 +182,13 @@ def _measure(blocks, num_slots: int, num_tx: int, channel: ChannelMatrix,
             received = (scaled @ cub).reshape(-1, g.shape[0], cub.shape[1]).transpose(1, 2, 0)
         received = received.reshape(g.shape[0], -1)
         received *= math.sqrt(cfg.transmit_power)
-        if cfg.noise_power != 0.0:
-            draws = rng.standard_normal((received.shape[1], 2, num_rx)).reshape(-1, num_rx)
-            noise = (draws @ noise_combiner).reshape(-1, 2, g.shape[0])
-            received.real += noise[:, 0].T
-            received.imag += noise[:, 1].T
+        if draws is not None:
+            for lo in range(0, received.shape[1], per):
+                hi = min(lo + per, received.shape[1])
+                part = rng.standard_normal(out=draws[:(hi - lo) * 2 * num_rx])
+                noise = (part.reshape(-1, num_rx) @ noise_combiner).reshape(-1, 2, g.shape[0])
+                received.real[:, lo:hi] += noise[:, 0].T
+                received.imag[:, lo:hi] += noise[:, 1].T
         stop = start + received.shape[1]
         powers[start:stop] = np.sum(np.abs(received) ** 2, axis=0)
         start = stop

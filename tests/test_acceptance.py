@@ -354,11 +354,11 @@ def test_unblocked_reference_precoder_tracks_blocked_design(ordering_design):
         noise = noise_for_target_se(channels.non_blocked, 1.0, 15.0)
         cfg = TrainingConfig(1.0, noise / 100.0, rng_seed=0)
         result = exhaustive_search(design["exhaustive"], channels.blocked, cfg)
-        se_unblocked_ref = build_scheme_beamformers(
+        [se_unblocked_ref] = build_scheme_beamformers(
             BeamformingScheme.EXHAUSTIVE, beam=result.selected_vector,
             design_channel=channels.non_blocked,
         ).evaluate(channels.blocked, 1.0, noise)
-        se_blocked_ref = build_scheme_beamformers(
+        [se_blocked_ref] = build_scheme_beamformers(
             BeamformingScheme.EXHAUSTIVE, beam=result.selected_vector,
             design_channel=channels.blocked,
         ).evaluate(channels.blocked, 1.0, noise)

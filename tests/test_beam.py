@@ -358,6 +358,23 @@ def test_render_with_fast_hankel_kernel_matches_scipy_kernel(monkeypatch):
     np.testing.assert_allclose(fast.power_db, ref.power_db, rtol=0, atol=1e-9)
 
 
+def test_field_map_renders_do_not_depend_on_earlier_renders():
+    # each render plans its sources and allocates its column buffers anew:
+    # beam A rendered before and after beam B gives A's map bit for bit
+    tx = half_wavelength_array(128, CAR)
+    sc = ScenarioConfig(tx, half_wavelength_array(16, CAR), CAR, 1.0,
+                        blockage=BlockageGeometry(0.9, 0.02, 0.005, 0.5))
+    half = 1.5 * max(abs(v) for v in (*tx.span, *sc.rx.span))
+    grid = GridSpec(1.0 / 200, 1.0, 200, -half, half, 200)
+    a = airy_beam_vector(BeamParams(2.0, 1.0, 0.0), tx, CAR)
+    b = airy_beam_vector(BeamParams(-7.5, 0.4, 0.2), tx, CAR)
+    first = render_field_map(a, sc, grid).power_db
+    other = render_field_map(b, sc, grid).power_db
+    again = render_field_map(a, sc, grid).power_db
+    assert not np.array_equal(first, other)
+    assert np.array_equal(first, again)
+
+
 def test_self_healing_airy_recovers_at_rx_plane():
     # obstruct the main lobe mid-path; the cubic-phase beam re-forms at x=D.
     # Absolute Rx-plane fields come from the wave channel (no per-map

@@ -331,7 +331,7 @@ def test_pairwise_hop_matches_entrywise_kernel_bit_for_bit(kernel, a, b, zeros):
     for cut in zeros:
         rows[:, cut] = 0
     keep = rows.any(axis=0)
-    ref = rows[:, keep] @ kernel(channel._pairwise_r(b, a[keep], 0.3))
+    ref = rows[:, keep] @ kernel(np.sqrt(0.3 * 0.3 + (a[keep][:, None] - b[None, :]) ** 2))
     assert np.array_equal(_hop(rows, a, b, 0.3, kernel), ref)
 
 
@@ -340,9 +340,9 @@ def test_pairwise_hop_evaluates_each_mirror_pair_once():
     assert np.array_equal(_APERTURE_128[::-1], -_APERTURE_128)
     sizes, rs = [], _rs_kernel(CAR, 0.3, 0.7)
 
-    def kernel(r):
+    def kernel(r, out=None):
         sizes.append(r.size)
-        return rs(r)
+        return rs(r, out)
     # exactly antisymmetric: the top half of the rows, in one call
     b = np.concatenate([-_POSITIVE[::-1], _POSITIVE])
     _hop(rows, _APERTURE_128, b, 0.3, kernel)
@@ -620,6 +620,45 @@ def test_field_on_grid_matches_dense_plane_chain(sc, xs):
     ref = _dense_field(sc, tx_y, values, xs, ys)
     assert got.shape == (41, xs.size)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _per_column_field(sc, aperture_y, values, xs, ys):
+    """`field_on_grid` as one `_hop` per column, each with its own buffers,
+    and every source's hop decided and planned again for every column."""
+    def push(source, x, y):
+        sx, sy, sv, sw = source
+        return _hop(sv, sy, y, x - sx, _rs_kernel(CAR, x - sx, sw))
+
+    sources = [(0.0, aperture_y, values[None], channel._pitch(aperture_y))]
+    vy, plane_xs, gate = channel._planes(sc, use_blockage=True)
+    for px in plane_xs:
+        sources.append((px, vy, push(sources[-1], px, vy) * gate, channel._pitch(vy)))
+    source_xs = np.array([x for x, *_ in sources])
+    blk = sc.blockage
+    field = np.empty((ys.size, xs.size), dtype=complex)
+    for i, xc in enumerate(xs):
+        s = int(np.searchsorted(source_xs, xc, side="right")) - 1
+        if s > 0 and math.isclose(xc, source_xs[s], rel_tol=1e-12, abs_tol=1e-15):
+            s -= 1
+        field[:, i] = push(sources[s], xc, ys)[0]
+        if blk.near_x - 1e-15 <= xc <= blk.far_x + 1e-15:
+            field[:, i] *= _plane_mask(ys, blk)
+    return field
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.003], ids=["centered", "tx-offset"])
+def test_field_on_grid_buffers_match_per_column_hops_bit_for_bit(offset):
+    # 128 Tx through the README screen on the grid `airylink fieldmap`
+    # renders by default: the per-render plans and shared buffers against
+    # a fresh `_hop` per column. With a Tx offset no mirror pair exists.
+    sc = ScenarioConfig(ArrayConfig(128, HALF, offset), half_wavelength_array(16, CAR),
+                        CAR, 1.0, blockage=README_SCREEN).with_virtual_defaults(8)
+    tx_y = element_positions(sc.tx)
+    half = 1.5 * max(abs(v) for v in (*sc.tx.span, *sc.rx.span))
+    xs, ys = np.linspace(1.0 / 200, 1.0, 200), np.linspace(-half, half, 200)
+    values = np.exp(1j * 2e5 * tx_y**3) / math.sqrt(tx_y.size)
+    got = field_on_grid(sc, tx_y, values, xs, ys)
+    assert np.array_equal(got, _per_column_field(sc, tx_y, values, xs, ys))
 
 
 # ---------------------------------------------------------- cascaded model

@@ -155,11 +155,24 @@ def test_se_zero_combiner_rate_is_zero():
         assert spectral_efficiency(f[None], w[None], h, 1.0, 1.0).tolist() == [0.0]
         se = spectral_efficiency(np.stack([f, f]), np.stack([w, f]), h, 1.0, 1.0)
     assert se[0] == 0.0 and se[1] > 0
-    # a combiner whose noise power underflows to zero is taken as zero too,
-    # though it still collects signal
-    loud = ChannelMatrix(1e165 * h.entries, ChannelModel.SYNTHETIC)
-    assert spectral_efficiency(f[None], np.full((1, 4), 1e-170 + 0j), loud,
-                               1.0, 1.0).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e150])
+def test_se_combiner_scale_invariance_at_extreme_scales(scale):
+    # a combiner whose ||w||^2 underflows or nears overflow still has the
+    # unit combiner's rate: each combiner is scaled by a power of two first
+    h = _random_channel(5, 8, 1)
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal((1, 8)) + 1j * rng.standard_normal((1, 8))
+    f /= np.linalg.norm(f)
+    w = rng.standard_normal((1, 5)) + 1j * rng.standard_normal((1, 5))
+    w /= np.linalg.norm(w)
+    [unit] = spectral_efficiency(f, w, h, 1.0, 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        [scaled] = spectral_efficiency(f, w * scale, h, 1.0, 1e-3)
+    assert unit > 1.0
+    assert scaled == pytest.approx(unit, rel=1e-12)
 
 
 def test_svd_precoder_dominates_random():

@@ -625,6 +625,53 @@ def test_noisy_sounding_draws_2_n_r_normals_per_slot(sized_books, combiner):
         assert rng.bit_generator.state == drawn.bit_generator.state, name
 
 
+class _RecordingRng:
+    """A generator that records the size of each noise draw it serves."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def standard_normal(self, *args, out=None):
+        self.sizes.append(out.size)
+        return self.rng.standard_normal(*args, out=out)
+
+
+@pytest.mark.parametrize("values, slots", [(1, 2), (3, 2), (16 * 32, 16),
+                                           (32 * (search._BLOCK_SLOTS + 1), 16384)],
+                         ids=["1-value", "3-values", "16-slots", "above-the-block"])
+@pytest.mark.parametrize("combiner", list(ProbeCombiner))
+def test_noise_sub_blocks_move_no_power(sized_books, combiner, values, slots, monkeypatch):
+    # a block's noise is drawn and added a sub-block at a time, the largest
+    # power of two of slots that fits `_NOISE_VALUES` and at least two; the
+    # stream is consumed in slot order, so neither a power nor the stream
+    # left after a sounding depends on the sub-block size
+    sc, books, channels = sized_books
+    noise = noise_for_target_se(channels.non_blocked, 1.0, 15.0) / 100.0
+    cfg = TrainingConfig(1.0, noise, rx_probe_combiner=combiner, rng_seed=5)
+    names = ("exhaustive", "hier_stage1", "hier_stage2")
+    word = books["exhaustive"].word(17)
+
+    def sound_all():
+        sounded = {}
+        for name in names:
+            rng = _RecordingRng(5)
+            sounded[name] = (search._sound(books[name], channels.blocked, cfg, rng),
+                             rng.rng.bit_generator.state, rng.sizes)
+        return sounded, measure_slot(word, channels.blocked, cfg)
+
+    want, want_slot = sound_all()
+    default = search._NOISE_VALUES
+    monkeypatch.setattr(search, "_NOISE_VALUES", values)
+    got, got_slot = sound_all()
+    per_slot = 2 * sc.rx.num_elements
+    for name in names:
+        assert np.array_equal(got[name][0], want[name][0]), name
+        assert got[name][1] == want[name][1], name
+        assert max(want[name][2]) <= default and max(got[name][2]) <= per_slot * slots
+        assert sum(got[name][2]) == sum(want[name][2]) == per_slot * len(books[name])
+    assert got_slot == want_slot
+
+
 def _per_antenna_search(stages, channel, cfg):
     """(per-stage winning slots, powers) of a one- or two-stage search
     sounded by the per-antenna formula."""
