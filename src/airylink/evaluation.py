@@ -1,19 +1,17 @@
 """Channel sets, one-stream beamformers, spectral efficiency, and sweeps.
 
-Every scheme deploys one stream, and `build_scheme_beamformers` designs
-its beamformers as one composite precoder and combiner vector per beam.
-A searched scheme's searched beam is its analog precoder, and each side
-adds a scalar digital weight, the receive side behind a constant-modulus
-analog combiner.  A full-digital benchmark deploys the design channel's
-top singular pair.
+Every scheme deploys one stream: a full-digital benchmark the design
+channel's top singular pair, a searched scheme its searched beam and a
+constant-modulus combiner matched to the beam's response.  A digital
+stage would only scale each vector by a complex scalar, which leaves a
+one-stream rate as it is, so none is designed.
 
 Beamformers, their design and their spectral efficiency take a stack of
 K beams along a leading axis: `_deploy` deploys every beam of a scheme at
 one point as one stack, a search's selected beam as a stack of one, and
 an overhead sweep each scheme's distinct budget leaders.  A beam's result
-does not depend on the stack it is deployed in: the stacked products,
-decompositions and solves round each beam as they round it alone, and the
-steps that would not (a least-squares fit, a norm) run beam by beam.
+does not depend on the stack it is deployed in: the stacked products and
+solves round each beam as they round it alone.
 """
 
 from __future__ import annotations
@@ -83,10 +81,11 @@ def spectral_efficiency(precoder: np.ndarray, combiner: np.ndarray,
                         noise_power: float) -> np.ndarray:
     """Rates [K] in bits/s/Hz of K combined one-stream links over `channel`.
 
-    precoder [K x N_t] and combiner [K x N_r] hold one composite (analog x
-    digital) vector per link; other shapes are refused, naming them.  The
-    noise after combining has power noise_power * ||w||^2; where that is
-    zero (a zero combiner, which collects no signal either) the rate is 0.
+    precoder [K x N_t] and combiner [K x N_r] hold one vector per link;
+    other shapes are refused, naming them.  The rate, log2(1 + P |w^H H f|^2
+    / (noise_power ||w||^2)), does not change when f or w is scaled, so one
+    stream needs no digital stage.  Where ||w|| is 0 (a zero combiner,
+    which collects no signal either) the rate is 0.
     Each combiner is first scaled, exactly, by the power of two that brings
     its largest modulus into [0.5, 1), so no combiner scale under- or overflows.
     """
@@ -115,8 +114,9 @@ def spectral_efficiency(precoder: np.ndarray, combiner: np.ndarray,
 
 @dataclass(frozen=True)
 class Beamformers:
-    """K one-stream deployments: each one's composite (analog x digital)
-    precoder and combiner vector, and whether its design channel had rank 0."""
+    """K one-stream deployments: each one's precoder and combiner vector, and
+    whether its design channel had rank 0.  A digital stage would only scale
+    a vector, which leaves a one-stream rate as it is, so there is none."""
 
     precoder: np.ndarray        # [K x N_t]
     combiner: np.ndarray        # [K x N_r]
@@ -243,7 +243,7 @@ def _deploy(scheme: BeamformingScheme, beams: np.ndarray | None,
     The K beams are designed and evaluated as one stack of beamformers,
     each with the result it has alone.  Notes, in order: `fully_blocked`
     (the link is all zero), `rank_deficient`, and `ill_conditioned_noise`
-    (the composite combiner is zero, so the combined noise covariance is
+    (the combiner is zero, so the combined noise covariance is
     singular and the rate is 0).
     """
     design, link = (getattr(channels, name) for name in scheme.channel_fields)
@@ -260,33 +260,6 @@ def _deploy(scheme: BeamformingScheme, beams: np.ndarray | None,
     return deployed
 
 
-def _top_pairs(h: np.ndarray) -> tuple:
-    """Top left and right singular vectors of each [K x N_r x N_t] slice of
-    `h` as columns (zero at rank 0), and whether the slice has rank 0."""
-    u, s, vh = np.linalg.svd(h, full_matrices=False)
-    tol = max(h.shape[1:]) * np.finfo(float).eps * s[:, :1]
-    rank_deficient = ~np.any(s > tol, axis=1)
-    full = ~rank_deficient[:, None, None]
-    left = np.where(full, u[:, :, :1], 0)
-    right = np.where(full, vh[:, :1].conj().swapaxes(1, 2), 0)
-    return left, right, rank_deficient
-
-
-def _unit_power(weight: np.ndarray, analog: np.ndarray | None = None) -> np.ndarray:
-    """Each beam's [L x 1] digital `weight` of a [K x L x 1] stack scaled so
-    that its composite with `analog` has unit power; a zero composite is
-    left as it is."""
-    composite = weight if analog is None else analog @ weight
-    scaled = weight.copy()
-    for part, comp in zip(scaled, composite):
-        # the norm of each beam alone, times its reciprocal: a norm over
-        # axes, or part / norm, rounds differently
-        norm = np.linalg.norm(comp)
-        if norm > 0:
-            part *= 1.0 / norm
-    return scaled
-
-
 def build_scheme_beamformers(scheme: BeamformingScheme,
                              beam: BeamVector | np.ndarray | None = None,
                              design_channel: ChannelMatrix | None = None) -> Beamformers:
@@ -294,14 +267,13 @@ def build_scheme_beamformers(scheme: BeamformingScheme,
 
     A benchmark is full digital: its precoder and combiner are the design
     channel's top right and left singular vectors, as a stack of one.  A
-    searched scheme designs around each searched beam, its analog
-    precoder: the digital precoder is the top right singular vector of the
-    channel seen through the beam, and the ideal combiner, the top left
-    one, splits into its elementwise phases over sqrt(N_r), the
-    constant-modulus analog combiner, times their least-squares digital
-    weight.  Each digital weight is scaled so that its composite has unit
-    power (a benchmark's combiner has it already).  A rank-0 channel gives
-    zero digital weights, flagged `rank_deficient`.
+    searched scheme deploys each searched beam as its precoder, and as its
+    combiner the elementwise phases of the design channel's response to the
+    beam over sqrt(N_r), a constant-modulus combiner matched to that
+    response.  With one stream, a digital stage would only scale each
+    vector by a complex scalar, which leaves the rate as it is, so none is
+    designed.  A design channel of rank 0 (for a searched beam, an all-zero
+    response) gives a zero precoder and combiner, flagged `rank_deficient`.
 
     `beam` is the [N_t, K] constant-modulus weights of K beams as columns,
     or a `BeamVector`, a stack of one.
@@ -314,23 +286,24 @@ def build_scheme_beamformers(scheme: BeamformingScheme,
     n_r, n_t = h.shape
 
     if not scheme.searched:
-        w_opt, f_bb, rank_deficient = _top_pairs(h[None])
-        return Beamformers(_unit_power(f_bb)[:, :, 0], w_opt[:, :, 0], rank_deficient)
+        u, s, vh = np.linalg.svd(h, full_matrices=False)
+        live = bool(s[0] > 0)  # rank > 0
+        f = vh[0].conj()
+        f = np.where(live, f * (1.0 / np.linalg.norm(f)), 0)
+        return Beamformers(f[None], np.where(live, u[:, 0], 0)[None], np.array([not live]))
     weights = beam.weights[:, None] if isinstance(beam, BeamVector) else np.asarray(beam)
     if weights.ndim != 2 or len(weights) != n_t:
         raise ValueError(f"beams must be [{n_t}, K] weights, got {weights.shape}")
     if np.max(np.abs(np.abs(weights) - 1.0 / math.sqrt(n_t))) > 1e-12:
         raise ValueError("searched beams must be constant modulus, 1/sqrt(N_t)")
-    f_rf = np.ascontiguousarray(weights.T)[:, :, None]  # [K, N_t, 1]
-    w_opt, f_bb, rank_deficient = _top_pairs(h @ f_rf)
-    magnitude = np.abs(w_opt)
-    phases = np.where(magnitude > 0, w_opt / np.where(magnitude > 0, magnitude, 1.0), 1.0)
-    w_rf = (1.0 / math.sqrt(n_r)) * phases
-    w_bb = np.empty_like(f_bb)
-    for a, b, out in zip(w_rf, w_opt, w_bb):  # lstsq has no stacked form
-        out[...] = np.linalg.lstsq(a, b, rcond=None)[0]
-    return Beamformers((f_rf @ _unit_power(f_bb, f_rf))[:, :, 0],
-                       (w_rf @ _unit_power(w_bb, w_rf))[:, :, 0], rank_deficient)
+    f = np.ascontiguousarray(weights.T, dtype=complex)  # [K, N_t]
+    # stacked matrix-vector products round each beam as it rounds alone
+    response = (h @ f[:, :, None])[:, :, 0]
+    magnitude = np.abs(response)
+    phases = np.where(magnitude > 0, response / np.where(magnitude > 0, magnitude, 1.0), 1.0)
+    live = response.any(axis=1)[:, None]
+    return Beamformers(np.where(live, f, 0), np.where(live, (1.0 / math.sqrt(n_r)) * phases, 0),
+                       ~live[:, 0])
 
 
 def noise_for_target_se(channel: ChannelMatrix, transmit_power: float,
@@ -369,9 +342,11 @@ class SweepSpec:
             raise ValueError("sweep.schemes: must be non-empty")
         _check_count("sweep.repetitions:", self.repetitions)
         _check_count("training.rng_seed:", self.base_seed, minimum=0)
-        if (self.swept_variable is SweptVariable.TRANSMIT_POWER
-                and not all(v > 0 for v in self.grid)):
-            raise ValueError("sweep.grid: power values must be > 0")
+        if self.swept_variable is SweptVariable.TRANSMIT_POWER:
+            if not all(v > 0 for v in self.grid):
+                raise ValueError("sweep.grid: power values must be > 0")
+            if not all(math.isfinite(v) for v in self.grid):
+                raise ValueError("sweep.grid: power values must be finite")
         if self.swept_variable is not SweptVariable.OVERHEAD:
             return
         if not all(float(v).is_integer() and v >= 1 for v in self.grid):

@@ -40,6 +40,7 @@ from .channel import ChannelMatrix
 from .codebook import Codebook, CodebookScheme, _slot_indices
 # Unused here, but bench/spans.py patches them on this module by name.
 from .codebook import build_farfield_codebook, build_nearfield_codebook  # noqa: F401
+from .scenario import _check_count
 
 __all__ = [
     "ProbeCombiner",
@@ -79,6 +80,7 @@ class TrainingConfig:
         if not isinstance(self.rx_probe_combiner, ProbeCombiner):
             raise ValueError(f"rx_probe_combiner must be a ProbeCombiner, "
                              f"not {self.rx_probe_combiner!r}")
+        _check_count("rng_seed", self.rng_seed, minimum=0)
 
 
 def probe_combiner_matrix(combiner: ProbeCombiner, num_rx: int) -> np.ndarray:

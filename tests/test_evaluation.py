@@ -218,14 +218,20 @@ def test_beamformers_power_constraint_enforced():
 
 
 def _benchmark_reference(design):
-    """A benchmark's composites [N x 1] and rank-0 flag formed as before
-    composites were stored: identity analog stages times the design
-    channel's top singular pair."""
+    """A benchmark's vectors [N x 1] and rank-0 flag formed as before they
+    were stored alone: identity analog stages times the top singular pair
+    of the design channel as a stack of one, with a rank test against a
+    tolerance and a unit-power digital precoder."""
     h = design.entries
     n_r, n_t = h.shape
-    w_opt, f_bb, rank_deficient = evaluation._top_pairs(h[None])
-    return (np.eye(n_t, dtype=complex) @ evaluation._unit_power(f_bb)[0],
-            np.eye(n_r, dtype=complex) @ w_opt[0], bool(rank_deficient[0]))
+    u, s, vh = np.linalg.svd(h[None], full_matrices=False)
+    rank_deficient = not np.any(s[0] > max(n_r, n_t) * np.finfo(float).eps * s[0, 0])
+    f_bb, w_opt = np.zeros((n_t, 1), complex), np.zeros((n_r, 1), complex)
+    if not rank_deficient:
+        f_bb[:, 0], w_opt[:, 0] = vh[0, 0].conj(), u[0, :, 0]
+        f_bb *= 1.0 / np.linalg.norm(f_bb)
+    return (np.eye(n_t, dtype=complex) @ f_bb, np.eye(n_r, dtype=complex) @ w_opt,
+            rank_deficient)
 
 
 def test_full_digital_identity_analog():
@@ -253,11 +259,8 @@ def test_searched_beamformers_wrap_searched_vector():
     res = exhaustive_search(book, h, TrainingConfig(1.0, 0.0))
     bf = build_scheme_beamformers(BeamformingScheme.FARFIELD_STEERING,
                                   res.selected_vector, h)
-    # the searched beam times a unit-modulus digital weight
-    [f] = bf.precoder
-    weights = res.selected_vector.weights
-    np.testing.assert_allclose(f / weights, f[0] / weights[0], rtol=1e-12)
-    assert abs(f[0] / weights[0]) == pytest.approx(1.0, rel=1e-12)
+    # the searched beam itself
+    assert np.array_equal(bf.precoder, [res.selected_vector.weights])
     noise = noise_for_target_se(h, 1.0, 8.0)
     [se] = bf.evaluate(h, 1.0, noise)
     assert 0 < se <= 8.0 + 1e-9
@@ -356,6 +359,7 @@ def test_sweep_spec_validation():
     ({"repetitions": -2}, "sweep.repetitions: must be >= 1"),
     ({"base_seed": -1}, "training.rng_seed: must be >= 0"),
     ({"base_seed": 2.0}, "training.rng_seed: must be an integer, got 2.0"),
+    ({"grid": (1.0, math.inf)}, "sweep.grid: power values must be finite"),
 ])
 def test_sweep_spec_refuses_library_input_naming_key(change, message):
     fields = {"swept_variable": SweptVariable.TRANSMIT_POWER, "grid": (1.0,),
@@ -672,9 +676,11 @@ def _reference_rate(f, w, link, transmit_power, noise_power):
 
 
 def _one_beam_reference(weights, design, link, transmit_power, noise_power):
-    """Composites [N x 1], rank-0 flag and rate of one searched beam, in 2-D
-    products and 2-D norms, stage by stage as the beamformer design and the
-    rate take them."""
+    """Composites [N x 1], rank-0 flag and rate of one searched beam under
+    the hybrid design, in 2-D products and 2-D norms: the beam as analog
+    precoder times the top right singular vector of the channel seen
+    through it, and the phases of the top left one as analog combiner times
+    their least-squares digital weight, each scaled to unit power."""
     h = design.entries
     n_r = h.shape[0]
     f_rf = weights[:, None]
@@ -713,18 +719,26 @@ def test_stacked_deploy_is_each_single_beam_deploy_bit_for_bit(link_zero):
     else:
         assert notes == ["rank_deficient;ill_conditioned_noise"] + [""] * 4
         assert stacked[0][0] == 0.0 and all(se > 0 for se, _ in stacked[1:])
-    # every composite of the stack, the one-beam forms of each member, and
-    # the 2-D reference
+    # every beamformer of the stack against the 2-D hybrid reference, the
+    # exact 2-D forms, and the one-beam forms of each member
     stack = build_scheme_beamformers(scheme, beams, channels.non_blocked)
     assert stack.rank_deficient.tolist() == [True, False, False, False, False]
+    n_r = channels.non_blocked.entries.shape[0]
     for k in range(beams.shape[1]):
         (f, w), rank_deficient, ill, se = _one_beam_reference(
             beams[:, k], channels.non_blocked, channels.blocked, 1.0, 0.05)
-        assert repr(se) == repr(stacked[k][0])
         assert (rank_deficient, ill) == (bool(stack.rank_deficient[k]),
                                          "ill_conditioned_noise" in stacked[k][1])
-        assert _bits(f) == _bits(stack.precoder[k])
-        assert _bits(w) == _bits(stack.combiner[k])
+        # the hybrid design's digital scalars move rate and combiner by rounding only
+        assert abs(stacked[k][0] - se) <= 1e-13 * max(abs(se), 1.0)
+        assert np.max(np.abs(stack.combiner[k] - w[:, 0])) <= 1e-13 / math.sqrt(n_r)
+        if rank_deficient:
+            assert not stack.precoder[k].any() and not stack.combiner[k].any()
+        else:
+            response = channels.non_blocked.entries @ beams[:, k]
+            assert _bits(stack.precoder[k]) == _bits(beams[:, k])
+            assert _bits(stack.combiner[k]) == _bits(
+                (1.0 / math.sqrt(n_r)) * (response / np.abs(response)))
         one = build_scheme_beamformers(scheme, beams[:, [k]], channels.non_blocked)
         vector = build_scheme_beamformers(
             scheme, BeamVector(BeamParams(0.0, 1.0, 0.0), beams[:, k].copy()),

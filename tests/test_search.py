@@ -83,6 +83,13 @@ def test_training_config_rejects_non_finite_powers(field, kwargs):
         TrainingConfig(**kwargs)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_training_config_refuses_a_seed_that_is_not_a_count(seed):
+    # numpy's generator raised for these at the first search, naming no field
+    with pytest.raises(ValueError, match="rng_seed"):
+        TrainingConfig(1.0, 0.0, rng_seed=seed)
+
+
 @pytest.mark.parametrize("value", ["Omnidirectional", "FullArrayNorm", None])
 def test_training_config_rejects_a_probe_combiner_that_is_not_one(value):
     # a string used to be accepted and sounded through the identity combiner
