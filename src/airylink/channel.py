@@ -11,30 +11,22 @@ Three models of the same partially blocked link:
   each hop replaced by a free-space ray-model matrix, calibrated against
   the ray model's unblocked reference.
 
-Both cascades share `_cascade` and differ only in the kernel: an exponential
-per distinct offset for the cascaded model, the Hankel function H1^(2)(kr)
-for the wave model (`_hankel2_1`: its large-argument expansion on the
-`numerics.cis` phasor from kr = 25 on, Hankel's integral by a Gauss-Hermite
-rule from kr = 4, and the power series of J1 and Y1 below). The two models
-take about the same time.
+Both cascades and the field maps (``field_on_grid``) cross one plane
+chain, `_chain`: the gated virtual planes of `_planes` and one inner
+(plane-to-plane) operator per distinct hop length. The cascades pull a
+product back through it from the Rx side; field maps push the aperture's
+field forward. The cascades differ only in the kernel: an exponential per
+distinct offset for the cascaded model, the Hankel function H1^(2)(kr) for
+the wave model (`_hankel2_1`, on the `numerics.cis` phasor).
 
-Every hop, in the cascades, the direct Tx-to-Rx links and the field maps,
-goes through one operator, `_hop_operator`: rows @ K with K[i, j] =
-kernel(r) between two sample grids. Between grids of one pitch (the
-virtual planes and the arrays) K is Toeplitz, so the kernel is evaluated
-at the m+n-1 index offsets only and applied by FFT (`_toeplitz_apply`),
-with no [m, n] matrix formed; field-map columns of another pitch are
-evaluated pairwise (`_pairwise_hop`), once per mirror pair: an entry whose
-distance equals that of its mirror entry (m-1-i, n-1-j) bit for bit copies
-the mirror's kernel value, so grids symmetric about the axis evaluate about
-half their entries. A cascade builds each plane-to-plane operator once per
-distinct hop length and reuses it.
-
-Field maps (``field_on_grid``) hop through the gated virtual planes of the
-wave model's cascade (`_planes`): channel matrices and field maps share one
-plane chain. A map plans each source once for its columns (`_pairwise_plan`),
-which form their distances, kernel values and K in buffers shared across the
-render; the RS kernel works in blocks of `_HANKEL_BLOCK` values.
+Every hop goes through one operator, `_hop_operator`: rows @ K with
+K[i, j] = kernel(r) between two sample grids. Between grids of one pitch
+(the virtual planes and the arrays) K is Toeplitz, so the kernel is
+evaluated at the m+n-1 index offsets only and applied by FFT
+(`_toeplitz_apply`), with no [m, n] matrix formed. Field-map columns of
+another pitch are evaluated pairwise (`_pairwise_hop`), once per mirror
+pair, from one plan per source (`_pairwise_plan`) and in buffers shared
+across the render.
 
 Phase convention: all models use exp(-j*k*r) for a path of length r, and
 the diffraction kernel is the matching conjugate Rayleigh-Sommerfeld form
@@ -48,6 +40,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -173,8 +166,6 @@ def _hop_operator(a_y: np.ndarray, b_y: np.ndarray, dx: float, kernel):
     [m, n] distances left, an entry in the bottom m//2 rows that equals
     its mirror entry (m-1-i, n-1-j) bit for bit takes the mirror's kernel
     value (`_pairwise_hop`), so K is the entrywise kernel bit for bit.
-    The RS kernel's values come from `_hankel2_1`, on the `numerics.cis`
-    phasor.
     """
     if _shares_pitch(b_y, a_y):
         spectrum = _toeplitz_spectrum(kernel(_offset_r(b_y, a_y, dx)), a_y.size)
@@ -242,8 +233,8 @@ def _hop(rows: np.ndarray, a_y: np.ndarray, b_y: np.ndarray, dx: float,
 # and Y1 below that.
 _HANKEL_ASYMPTOTIC_FROM = 25.0
 _HANKEL_SERIES_BELOW = 4.0
-# Values evaluated per block, as in `numerics.cis`: every temporary stays in
-# cache.
+# Distances `_rs_kernel` evaluates per `_hankel2_1` call, as in `numerics.cis`:
+# every temporary stays in cache.
 _HANKEL_BLOCK = 8192
 
 
@@ -278,7 +269,7 @@ def _horner(coefficients, t: np.ndarray) -> np.ndarray:
 
 
 def _hankel2_1(z: np.ndarray, scale=1.0) -> np.ndarray:
-    """scale * H1^(2)(z) for real z > 0, as one new complex array.
+    """scale * H1^(2)(z) for real z > 0, as one new complex array of z's shape.
 
     From z = 25 on this is the large-argument expansion
     sqrt(2/(pi z)) e^{-jz} e^{j3pi/4} (P - jQ) (`_asymptotic_series`).
@@ -288,24 +279,12 @@ def _hankel2_1(z: np.ndarray, scale=1.0) -> np.ndarray:
     round the phase by up to ulp(z)/2. Below 25, P - jQ comes from
     Hankel's integral instead (`_laplace_rule`), and below 4 the value from
     the power series of J1 and Y1 (`_hankel2_1_series`). `scale` is a
-    scalar or an array of z's shape, folded into the result. Values are
-    evaluated in blocks of `_HANKEL_BLOCK`; each result depends on its own
-    z and scale only, not on the array's shape or the blocks.
+    scalar or an array of z's shape, folded into the result. Each result
+    depends on its own z and scale only, so callers may split z into
+    blocks (`_rs_kernel` does).
     """
     z = np.asarray(z, dtype=float)
     out = np.empty(z.shape, dtype=complex)
-    scale = np.asarray(scale, dtype=float)
-    if scale.ndim:
-        scale = scale.reshape(z.size)
-    flat_z, flat_out = z.reshape(-1), out.reshape(-1)
-    for start in range(0, z.size, _HANKEL_BLOCK):
-        block = slice(start, start + _HANKEL_BLOCK)
-        _hankel2_1_block(flat_z[block], scale[block] if scale.ndim else scale,
-                         flat_out[block])
-    return out
-
-
-def _hankel2_1_block(z: np.ndarray, scale, out: np.ndarray) -> None:
     # every entry takes the expansion's form (entries below 4 at z = 4,
     # replaced afterwards), so the common all-large case needs no index arrays
     zc = np.maximum(z, _HANKEL_SERIES_BELOW)
@@ -340,6 +319,7 @@ def _hankel2_1_block(z: np.ndarray, scale, out: np.ndarray) -> None:
         series = z < _HANKEL_SERIES_BELOW
         if series.any():
             out[series] = _hankel2_1_series(z[series]) * np.broadcast_to(scale, z.shape)[series]
+    return out
 
 
 def _laplace_rule(nodes: int) -> tuple:
@@ -430,9 +410,8 @@ def _rs_kernel(carrier: CarrierConfig, dx: float, weight: float):
     samples; its large-kr limit is the familiar point-source kernel times
     sqrt(lambda*r) e^{j pi/4}. Using the 3-D point-source kernel directly
     would over-weight short hops and make iterated plane-to-plane cascades
-    diverge. The Hankel values come from `_hankel2_1`: its large-argument
-    expansion from kr = 25 on, Hankel's integral from kr = 4, and the power
-    series of J1 and Y1 below, one `_HANKEL_BLOCK` of distances at a time.
+    diverge. The Hankel values come from `_hankel2_1`, one `_HANKEL_BLOCK`
+    of distances per call: this is the kernel's only block loop.
     """
     k = carrier.wavenumber
     c = 0.5 * k * dx * weight
@@ -500,33 +479,41 @@ def _planes(scenario: ScenarioConfig, use_blockage: bool) -> tuple:
     return vy, virtual_plane_positions(scen), mask * taper
 
 
-def _cascade(scenario: ScenarioConfig, kernel, use_blockage: bool) -> np.ndarray:
-    """Shared plane-cascade structure for the wave and cascaded models.
+def _chain(scenario: ScenarioConfig, use_blockage: bool, kernel) -> tuple:
+    """(grid, x positions, gate, inner operators in hop order) of the plane chain.
 
-    kernel(dx, weight) -> the hop's kernel as a function of r; the Tx hop
-    has unit weight, every other hop the plane pitch. The product is pulled
-    back from the Rx side, so every product keeps N_r rows: it starts at
-    the identity and makes every hop (Rx, plane to plane, Tx) through a
-    `_hop_operator`, gated by `_planes` on arrival at each plane.
-
-    The inner (plane-to-plane) hops share one grid and weight and differ
-    only in dx, which takes few distinct values (two, bitwise, at the
-    README geometry, for seven hops). Each inner operator, with its kernel
-    values and their spectrum, is built once per distinct dx, keyed on the
-    exact float, and reused: the values are those of a per-hop build, bit
-    for bit.
+    kernel(dx, weight) -> the hop's kernel as a function of r. The inner
+    (plane-to-plane) hops share the grid of `_planes` and weigh their
+    sources by its pitch, so they differ only in dx, which takes few
+    distinct values (two, bitwise, for the seven hops of the README
+    geometry). Each inner `_hop_operator`, with its kernel values and their
+    spectrum, is built once per distinct dx (`np.diff` of the positions,
+    keyed on the exact float) and listed once per hop. K depends on r only,
+    so one operator pushes a field forward (field maps) and pulls a product
+    back (the cascades).
     """
     vy, plane_xs, gate = _planes(scenario, use_blockage)
-    vspace = _pitch(vy)
+    steps = np.diff(plane_xs)
+    built = {dx: _hop_operator(vy, vy, dx, kernel(dx, _pitch(vy)))
+             for dx in dict.fromkeys(steps)}
+    return vy, plane_xs, gate, [built[dx] for dx in steps]
+
+
+def _cascade(scenario: ScenarioConfig, kernel, use_blockage: bool) -> np.ndarray:
+    """The [N_r, N_t] plane cascade of the wave and cascaded models.
+
+    The product is pulled back through `_chain` from the Rx side, so it
+    keeps N_r rows: it starts at the identity, hops from the Rx array to
+    the last plane, back through each inner operator and from the first
+    plane to the Tx array, gated on arrival at each plane. The Tx hop has
+    unit weight, every other hop the plane pitch.
+    """
+    vy, plane_xs, gate, inner = _chain(scenario, use_blockage, kernel)
     rx_y = element_positions(scenario.rx)
     dx = scenario.link_distance - plane_xs[-1]
-    acc = _hop(np.eye(rx_y.size), rx_y, vy, dx, kernel(dx, vspace)) * gate
-    inner = {}
-    for near, far in zip(plane_xs[-2::-1], plane_xs[:0:-1]):
-        dx = far - near
-        if dx not in inner:
-            inner[dx] = _hop_operator(vy, vy, dx, kernel(dx, vspace))
-        acc = inner[dx](acc) * gate
+    acc = _hop(np.eye(rx_y.size), rx_y, vy, dx, kernel(dx, _pitch(vy))) * gate
+    for hop in reversed(inner):
+        acc = hop(acc) * gate
     return _hop(acc, vy, element_positions(scenario.tx), plane_xs[0],
                 kernel(plane_xs[0], 1.0))
 
@@ -535,23 +522,28 @@ def field_on_grid(scenario: ScenarioConfig, aperture_y, values, xs, ys) -> np.nd
     """Field [len(ys), len(xs)] of a sampled aperture at x = 0 on the grid xs × ys.
 
     The sources are the aperture and, with a blockage, the gated planes of
-    `_planes`, chained once. Each column hops from the nearest source
-    strictly upstream (a column on a plane from the source before it), so
-    columns accumulate no error from one another, and is zero inside the
-    screen. Every hop weighs its source samples by `_pitch`. A source is planned
-    once for its run of columns, and all columns share one set of buffers.
+    `_chain`, whose inner operators carry the field from plane to plane.
+    Each column hops from the nearest source strictly upstream (a column on
+    a plane from the source before it), so columns accumulate no error from
+    one another, and is zero inside the screen. Every hop weighs its source
+    samples by `_pitch`. A source is planned once for its run of columns,
+    and all columns share one set of buffers.
     """
+    kernel = partial(_rs_kernel, scenario.carrier)
+
     def push(source, x, y):
         sx, sy, sv, sw = source
-        return _hop(sv, sy, y, x - sx, _rs_kernel(scenario.carrier, x - sx, sw))
+        return _hop(sv, sy, y, x - sx, kernel(x - sx, sw))
 
     y0 = np.asarray(aperture_y, dtype=float)
     sources = [(0.0, y0, np.asarray(values, dtype=complex)[None], _pitch(y0))]
     blk = scenario.blockage
     if blk is not None:
-        vy, plane_xs, gate = _planes(scenario, use_blockage=True)
-        for px in plane_xs:
-            sources.append((px, vy, push(sources[-1], px, vy) * gate, _pitch(vy)))
+        vy, plane_xs, gate, inner = _chain(scenario, use_blockage=True, kernel=kernel)
+        fields = [push(sources[0], plane_xs[0], vy) * gate]
+        for hop in inner:
+            fields.append(hop(fields[-1]) * gate)
+        sources += [(px, vy, sv, _pitch(vy)) for px, sv in zip(plane_xs, fields)]
         screen = _plane_mask(ys, blk)
     source_xs = np.array([x for x, *_ in sources])
     field = np.empty((ys.size, xs.size), dtype=complex)
@@ -569,8 +561,7 @@ def field_on_grid(scenario: ScenarioConfig, aperture_y, values, xs, ys) -> np.nd
         if plan is None:
             field[:, i] = push(sources[s], xc, ys)[0]
         else:
-            kernel = _rs_kernel(scenario.carrier, xc - sx, sw)
-            field[:, i] = _pairwise_hop(*plan, xc - sx, kernel, buffers)[0]
+            field[:, i] = _pairwise_hop(*plan, xc - sx, kernel(xc - sx, sw), buffers)[0]
         if blk is not None and blk.near_x - 1e-15 <= xc <= blk.far_x + 1e-15:
             field[:, i] *= screen
     return field
@@ -582,12 +573,11 @@ def wcm_channel(scenario: ScenarioConfig, use_blockage: bool = True) -> ChannelM
     Without a blockage region the exact answer is a single diffraction hop
     from the Tx aperture to the Rx aperture, and that is what is computed.
     """
-    carrier = scenario.carrier
+    kernel = partial(_rs_kernel, scenario.carrier)
     if scenario.blockage is None:
-        h = _direct_hop(scenario, _rs_kernel(carrier, scenario.link_distance, 1.0))
-        return ChannelMatrix(h, ChannelModel.WCM)
-
-    h = _cascade(scenario, lambda dx, w: _rs_kernel(carrier, dx, w), use_blockage)
+        h = _direct_hop(scenario, kernel(scenario.link_distance, 1.0))
+    else:
+        h = _cascade(scenario, kernel, use_blockage)
     return ChannelMatrix(h, ChannelModel.WCM)
 
 
