@@ -40,7 +40,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -182,9 +182,10 @@ def _pairwise_plan(rows: np.ndarray, a_y: np.ndarray, b_y: np.ndarray) -> tuple:
 
 
 def _pairwise_buffers(size: int) -> tuple:
-    """`_pairwise_hop`'s buffers for hops of up to `size` entries."""
-    return (np.empty(size), np.empty(size, dtype=complex), np.empty(size, dtype=complex),
-            np.empty(size, dtype=bool))
+    """`_pairwise_hop`'s buffers for hops of up to `size` entries: distances
+    (an even count, so they can be read as size // 2 complex values), K and
+    the mirror test."""
+    return np.empty(size + size % 2), np.empty(size, dtype=complex), np.empty(size, dtype=bool)
 
 
 def _pairwise_hop(rows: np.ndarray, sq: np.ndarray, dx: float, kernel,
@@ -199,12 +200,15 @@ def _pairwise_hop(rows: np.ndarray, sq: np.ndarray, dx: float, kernel,
     mirror's value. A kernel whose values depend on their own r only (as
     `_hankel2_1`'s do) gives the entrywise kernel(r) bit for bit. Grids
     without such entries (an offset array, an asymmetric window, a gated
-    plane) evaluate every entry through the same test. Distances, kernel
-    values (kernel(r, out)) and K are formed in `buffers` when given.
+    plane) evaluate every entry through the same test. Distances and K are
+    formed in `buffers` when given: the kernel writes its values into K
+    (kernel(r, out)), the top rows' in place and the lone bottom entries'
+    after them, and those few move to the distances' buffer, whose
+    distances have been read, before the mirror copy fills the bottom rows.
     """
     m, n = sq.shape
     h = m // 2
-    r_buf, v_buf, k_buf, lone_buf = buffers or _pairwise_buffers(sq.size)
+    r_buf, k_buf, lone_buf = buffers or _pairwise_buffers(sq.size)
     r = np.add(sq, dx * dx, out=r_buf[:sq.size].reshape(m, n))
     np.sqrt(r, out=r)
     top, bottom = r[:m - h], r[m - h:]
@@ -214,11 +218,12 @@ def _pairwise_hop(rows: np.ndarray, sq: np.ndarray, dx: float, kernel,
     dist = r_buf[:top.size + np.count_nonzero(lone)]
     lone_r = np.compress(lone.reshape(-1), sq[m - h:].reshape(-1), out=dist[top.size:])
     np.sqrt(np.add(lone_r, dx * dx, out=lone_r), out=lone_r)
-    values = kernel(dist, out=v_buf[:dist.size])
     k = k_buf[:sq.size].reshape(m, n)
-    k[:m - h] = values[:top.size].reshape(top.shape)
+    values = kernel(dist, out=k_buf[:dist.size])
+    lone_values = r_buf.view(complex)[:lone_r.size]
+    lone_values[...] = values[top.size:]
     k[m - h:] = k[:h][::-1, ::-1]
-    k[m - h:][lone] = values[top.size:]
+    k[m - h:][lone] = lone_values
     return rows @ k
 
 
@@ -239,13 +244,14 @@ _HANKEL_BLOCK = 8192
 
 
 def _asymptotic_series(terms: int) -> tuple:
-    """Coefficients of P and Q in powers of 1/z^2 for H1^(2).
+    """Signed coefficients of H1^(2)'s large-argument expansion in powers of 1/z.
 
     DLMF 10.17.1 and 10.17.6 with nu = 1: the series sum_k (-j)^k a_k / z^k
     splits into P - jQ, P = sum_m (-1)^m a_2m / z^2m and
     Q = sum_m (-1)^m a_2m+1 / z^(2m+1), where
-    a_k = prod_{i<=k} (4 - (2i-1)^2) / (k! 8^k). Each coefficient is one
-    correctly rounded division of exact integers.
+    a_k = prod_{i<=k} (4 - (2i-1)^2) / (k! 8^k). Entry k is the coefficient
+    of 1/z^k in P (k even) or Q (k odd), each one correctly rounded division
+    of exact integers.
     """
     signed, num, den = [], 1, 1
     for k in range(terms):
@@ -253,11 +259,31 @@ def _asymptotic_series(terms: int) -> tuple:
             num *= 4 - (2 * k - 1) ** 2
             den *= 8 * k
         signed.append(num / den if k % 4 < 2 else -num / den)
-    return tuple(signed[0::2]), tuple(signed[1::2])
+    return tuple(signed)
 
 
-# 19 terms: the first one left out is below 2e-17 of the sum at z = 25.
-_HANKEL_P, _HANKEL_Q = _asymptotic_series(19)
+# At most 19 terms: at z = 25 the first one left out, the 20th coefficient
+# kept here, is below 2e-17 of the sum.
+_HANKEL_TERMS = 19
+_HANKEL_COEFFICIENTS = _asymptotic_series(_HANKEL_TERMS + 1)
+
+
+@lru_cache(maxsize=1024)
+def _series_length(z_min: float) -> int:
+    """Fewest terms of the expansion whose first term left out is below
+    2e-17 of the sum at every z >= z_min: all 19 below z = 25.
+
+    DLMF 10.17(iii) bounds the remainder of the nu = 1 expansion at real
+    z > 0 by the first term left out, and the terms fall as z grows, so the
+    length that holds at z_min holds above it.
+    """
+    if not z_min >= _HANKEL_ASYMPTOTIC_FROM:
+        return _HANKEL_TERMS
+    terms = [c / z_min ** k for k, c in enumerate(_HANKEL_COEFFICIENTS)]
+    for n in range(2, _HANKEL_TERMS):
+        if abs(terms[n]) < 2e-17 * math.hypot(sum(terms[:n:2]), sum(terms[1:n:2])):
+            return n
+    return _HANKEL_TERMS
 
 
 def _horner(coefficients, t: np.ndarray) -> np.ndarray:
@@ -268,23 +294,32 @@ def _horner(coefficients, t: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _hankel2_1(z: np.ndarray, scale=1.0) -> np.ndarray:
-    """scale * H1^(2)(z) for real z > 0, as one new complex array of z's shape.
+def _hankel2_1(z: np.ndarray, scale=1.0, z_min: float = 0.0, out=None) -> np.ndarray:
+    """scale * H1^(2)(z) for real z >= z_min > 0, in `out` if given, else in a
+    new complex array of z's shape.
 
     From z = 25 on this is the large-argument expansion
-    sqrt(2/(pi z)) e^{-jz} e^{j3pi/4} (P - jQ) (`_asymptotic_series`).
-    e^{-jz} comes from the table-driven phasor `numerics.cis` of z itself
-    (as the conjugate of cis(z), which is cis(-z) bit for bit), and the
-    e^{j3pi/4} turn is applied afterwards, because forming z - 3pi/4 would
-    round the phase by up to ulp(z)/2. Below 25, P - jQ comes from
-    Hankel's integral instead (`_laplace_rule`), and below 4 the value from
-    the power series of J1 and Y1 (`_hankel2_1_series`). `scale` is a
-    scalar or an array of z's shape, folded into the result. Each result
-    depends on its own z and scale only, so callers may split z into
-    blocks (`_rs_kernel` does).
+    sqrt(2/(pi z)) e^{-jz} e^{j3pi/4} (P - jQ) (`_asymptotic_series`), to
+    the length `_series_length(z_min)` gives: 19 terms when z_min is below
+    25, 8 from z_min = 156 and 5 from 1,693. A z below z_min raises
+    ValueError instead of taking a series too short for it. e^{-jz} comes from the
+    table-driven phasor `numerics.cis` of z itself (as the conjugate of
+    cis(z), which is cis(-z) bit for bit), and the e^{j3pi/4} turn is
+    applied afterwards, because forming z - 3pi/4 would round the phase by
+    up to ulp(z)/2. Below 25, P - jQ comes from Hankel's integral instead
+    (`_laplace_rule`), and below 4 the value from the power series of J1
+    and Y1 (`_hankel2_1_series`). `scale` is a scalar or an array of z's
+    shape, folded into the result. Each result depends on its own z and
+    scale and on z_min only, so callers may split z into blocks
+    (`_rs_kernel` does).
     """
     z = np.asarray(z, dtype=float)
-    out = np.empty(z.shape, dtype=complex)
+    low = z.min(initial=math.inf)
+    if low < z_min:
+        raise ValueError(f"_hankel2_1: z = {low!r} is below z_min = {z_min!r}")
+    if out is None:
+        out = np.empty(z.shape, dtype=complex)
+    terms = _series_length(z_min)
     # every entry takes the expansion's form (entries below 4 at z = 4,
     # replaced afterwards), so the common all-large case needs no index arrays
     zc = np.maximum(z, _HANKEL_SERIES_BELOW)
@@ -292,13 +327,12 @@ def _hankel2_1(z: np.ndarray, scale=1.0) -> np.ndarray:
     cos, sin = phasor.real, phasor.imag
     inv = np.divide(1.0, zc, out=zc)
     t = inv * inv
-    p = _horner(_HANKEL_P, t)
-    q = _horner(_HANKEL_Q, t)
+    p = _horner(_HANKEL_COEFFICIENTS[:terms:2], t)
+    q = _horner(_HANKEL_COEFFICIENTS[1:terms:2], t)
     q *= inv
-    small = z < _HANKEL_ASYMPTOTIC_FROM
-    any_small = small.any()
-    if any_small:
+    if low < _HANKEL_ASYMPTOTIC_FROM:
         # below 25, P - jQ from Hankel's integral, of which it is the expansion
+        small = z < _HANKEL_ASYMPTOTIC_FROM
         p[small], q[small] = _hankel_integral(inv[small])
     # e^{-jz} (P - jQ) = u - jv with u = cos P - sin Q, v = sin P + cos Q
     u = np.multiply(cos, p, out=t)
@@ -315,10 +349,9 @@ def _hankel2_1(z: np.ndarray, scale=1.0) -> np.ndarray:
     v *= amp
     np.subtract(v, u, out=out.real)
     np.add(u, v, out=out.imag)
-    if any_small:
+    if low < _HANKEL_SERIES_BELOW:
         series = z < _HANKEL_SERIES_BELOW
-        if series.any():
-            out[series] = _hankel2_1_series(z[series]) * np.broadcast_to(scale, z.shape)[series]
+        out[series] = _hankel2_1_series(z[series]) * np.broadcast_to(scale, z.shape)[series]
     return out
 
 
@@ -402,7 +435,7 @@ def _gcm_kernel(carrier: CarrierConfig):
 
 
 def _rs_kernel(carrier: CarrierConfig, dx: float, weight: float):
-    """Rayleigh-Sommerfeld kernel of a hop of length dx, as a function of r.
+    """Rayleigh-Sommerfeld kernel of a hop of length dx, as a function of r >= dx.
 
     Apertures here are 1-D cuts, so the propagation kernel is the exact
     line-aperture (cylindrical-wave) first-kind kernel
@@ -411,17 +444,22 @@ def _rs_kernel(carrier: CarrierConfig, dx: float, weight: float):
     sqrt(lambda*r) e^{j pi/4}. Using the 3-D point-source kernel directly
     would over-weight short hops and make iterated plane-to-plane cascades
     diverge. The Hankel values come from `_hankel2_1`, one `_HANKEL_BLOCK`
-    of distances per call: this is the kernel's only block loop.
+    of distances per call, written in place: this is the kernel's only
+    block loop. No distance of the hop is below dx, so each call passes
+    z_min = k*dx, less the rounding of sqrt(dx^2 + y^2), and takes the
+    series length that bound allows (`_series_length`); an r below it
+    raises ValueError.
     """
     k = carrier.wavenumber
     c = 0.5 * k * dx * weight
+    z_min = k * dx * (1 - 1e-12)
 
     def kernel(r, out=None):
         values = np.empty(np.shape(r), dtype=complex) if out is None else out
         flat_r, flat = np.reshape(r, -1), values.reshape(-1)
         for start in range(0, flat.size, _HANKEL_BLOCK):
             block = flat_r[start:start + _HANKEL_BLOCK]
-            flat[start:start + block.size] = _hankel2_1(k * block, c / block)
+            _hankel2_1(k * block, c / block, z_min, flat[start:start + block.size])
         values *= -1j
         return values
 

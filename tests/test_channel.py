@@ -1,6 +1,7 @@
 """Channel models: ray, wave, cascaded, calibration, synthetic multipath."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -220,10 +221,11 @@ def _dense_rs(src, dst, dx, weight):
 
 
 def _dense_rs_fast_kernel(src, dst, dx, weight):
-    """The dense hop with the library's Hankel kernel, operation for operation."""
+    """The dense hop with the library's Hankel kernel, operation for operation:
+    every distance is at least dx, so the series length is the hop's."""
     k = CAR.wavenumber
     r = np.sqrt(dx * dx + (dst[:, None] - src[None, :]) ** 2)
-    values = _hankel2_1(k * r, (0.5 * k * dx * weight) / r)
+    values = _hankel2_1(k * r, (0.5 * k * dx * weight) / r, k * dx * (1 - 1e-12))
     values *= -1j
     return values
 
@@ -320,11 +322,13 @@ _POSITIVE = np.linspace(0.0011, 0.08, 100)
     (np.array([0.001]), np.array([-0.002]), ()),
 ], ids=["antisymmetric", "benchmark-grid", "odd-counts", "tx-offset", "asymmetric-window",
         "gated-source", "one-source", "one-row", "one-to-one"])
-@pytest.mark.parametrize("kernel", [_rs_kernel(CAR, 0.3, 0.7), _gcm_kernel(CAR)],
-                         ids=["rs", "ray"])
+@pytest.mark.parametrize("kernel", [_rs_kernel(CAR, 0.3, 0.7), _gcm_kernel(CAR),
+                                    _rs_kernel(CAR, 0.003, 0.7)],
+                         ids=["rs", "ray", "rs-19-terms"])
 def test_pairwise_hop_matches_entrywise_kernel_bit_for_bit(kernel, a, b, zeros):
     # The mirror rule against the slow reference, every entry's kernel
-    # value evaluated on its own.
+    # value evaluated on its own. The "rs" kernel's hop length, 0.3 m, gives
+    # the 6-term series; one of 3 mm, below kr = 25, all 19 terms.
     assert not _shares_pitch(b, a)
     rng = np.random.default_rng(a.size)
     rows = rng.standard_normal((3, a.size)) + 1j * rng.standard_normal((3, a.size))
@@ -450,12 +454,16 @@ def test_hankel_kernel_value_independent_of_shape_and_blocks(shape, array_scale)
         assert np.array_equal(_bits(one), _bits(whole[i:i + 1])), i
     assert (flat[small] < 25.0).all()
     if array_scale:
-        # `_rs_kernel` passes an array scale and holds the only block loop
-        kernel = _rs_kernel(CAR, 0.1, 3e-4)
+        # `_rs_kernel` passes an array scale and holds the only block loop:
+        # a kernel whose hop length is the shortest r (all 19 terms, every
+        # branch), and a 7-term one, whose r are raised to its hop length
         r = flat / CAR.wavenumber
-        blocked = kernel(r)
-        for i in sorted(set(edges) | set(rng.integers(0, n, 64).tolist())):
-            assert np.array_equal(_bits(kernel(r[i:i + 1])), _bits(blocked[i:i + 1])), i
+        for dx, hop_r in ((r.min(), r), (0.1, np.maximum(r, 0.1))):
+            kernel = _rs_kernel(CAR, dx, 3e-4)
+            blocked = kernel(hop_r)
+            for i in sorted(set(edges) | set(rng.integers(0, n, 64).tolist())):
+                one = kernel(hop_r[i:i + 1])
+                assert np.array_equal(_bits(one), _bits(blocked[i:i + 1])), i
 
 
 def test_hankel_kernel_matches_mpmath():
@@ -482,6 +490,87 @@ def test_small_argument_hankel_matches_mpmath():
             y1_zeros, y1_zeros * (1 - 1e-9), y1_zeros * (1 + 1e-9)])
         exact = np.array([complex(mpmath.hankel2(1, mpmath.mpf(float(v)))) for v in z])
     np.testing.assert_allclose(_hankel2_1(z), exact, rtol=3e-15, atol=0)
+
+
+def _signed_terms(z, count):
+    """The terms (-j)^k a_k / z^k, k < count, in exact rational arithmetic."""
+    z = Fraction(z)
+    a = [Fraction(1)]
+    for k in range(1, count):
+        a.append(a[-1] * (4 - (2 * k - 1) ** 2) / (8 * k))
+    return [(-1) ** (k // 2) * v / z**k for k, v in enumerate(a)]
+
+
+def test_series_length_keeps_the_first_omitted_term_below_2e_17_of_the_sum():
+    # All 19 terms below z_min = 25 (Hankel's integral takes z < 25 there),
+    # never more as z_min grows, and at each z_min the fewest terms whose
+    # first term left out is below 2e-17 of |P - jQ|: DLMF 10.17(iii)
+    # bounds the remainder by that term.
+    for z_min in (0.0, 1e-3, 4.0, 24.0, np.nextafter(25.0, 0.0)):
+        assert channel._series_length(z_min) == 19
+    z_mins = np.concatenate([[25.0], np.geomspace(25.0, 1.2e7, 400)[1:],
+                             [48.4, 50.0, 103.5, 104.0, 155.7, 156.0, 268.2, 270.0,
+                              568.7, 570.0, 1692.3, 2600.0, 9214.7]])
+    z_mins.sort()
+    counts = [channel._series_length(float(z)) for z in z_mins]
+    assert all(b <= a for a, b in zip(counts, counts[1:]))
+    for z_min, count in zip(z_mins, counts):
+        terms = _signed_terms(float(z_min), count + 1)
+        p, q = sum(terms[:count:2]), sum(terms[1:count:2])
+        modulus = math.hypot(float(p), float(q))
+        assert abs(terms[count]) < 2e-17 * modulus, (z_min, count)
+        if count > 2:
+            fewer = _signed_terms(float(z_min), count)
+            p, q = sum(fewer[:count - 1:2]), sum(fewer[1:count - 1:2])
+            assert abs(fewer[-1]) >= 2e-17 * math.hypot(float(p), float(q)), (z_min, count)
+    # the lengths quoted for the field maps' hops
+    assert [channel._series_length(z) for z in (25.0, 50.0, 104.0, 156.0, 270.0, 570.0,
+                                                2600.0)] == [19, 12, 9, 8, 7, 6, 5]
+    # the pairwise tests' "rs" kernel, and the 7-term one of the block test
+    k = CAR.wavenumber
+    assert channel._series_length(k * 0.3 * (1 - 1e-12)) == 6
+    assert channel._series_length(k * 0.1 * (1 - 1e-12)) == 7
+
+
+# Hop lengths at which the RS kernel's series length changes: for each
+# length from 19 terms down to 4, the shortest hop of a fine grid that takes it.
+_LENGTH_EDGES = sorted({channel._series_length(CAR.wavenumber * dx * (1 - 1e-12)): dx
+                        for dx in np.geomspace(1e-3, 4.0, 4000)[::-1]}.items())
+
+
+@pytest.mark.parametrize("terms, dx", _LENGTH_EDGES, ids=[f"{n}-terms" for n, _ in _LENGTH_EDGES])
+def test_short_series_rs_kernel_matches_mpmath(terms, dx):
+    # Each series length on [k*dx, 3e4], from its hop's shortest distance,
+    # where the first term left out is largest, on.
+    mpmath = pytest.importorskip("mpmath")
+    k = CAR.wavenumber
+    r = np.concatenate([[dx], np.geomspace(dx, 3e4 / k, 12)[1:], dx * (1 + np.geomspace(
+        1e-12, 1e-3, 4))])
+    kernel = _rs_kernel(CAR, dx, 0.7)
+    with mpmath.workdps(40):
+        exact = np.array([complex(-0.5j * mpmath.mpf(k) * mpmath.mpf(dx) * mpmath.mpf(0.7)
+                                  / mpmath.mpf(v) * mpmath.hankel2(1, mpmath.mpf(k * v)))
+                          for v in r])
+    np.testing.assert_allclose(kernel(r), exact, rtol=2e-15, atol=0)
+
+
+def test_rs_kernel_refuses_distances_below_its_hop_length():
+    # No r of a hop is below dx: sqrt(dx^2 + y^2) rounds to dx at worst,
+    # which the kernel takes. A shorter r would take a series too short for
+    # it, so the kernel refuses it instead.
+    for dx in np.geomspace(1e-3, 1.5, 97):
+        on_axis = np.sqrt(dx * dx + np.zeros(3))
+        assert np.all(np.isfinite(_rs_kernel(CAR, dx, 0.7)(on_axis)))
+    kernel = _rs_kernel(CAR, 0.3, 0.7)
+    with pytest.raises(ValueError, match="below z_min"):
+        kernel(np.array([0.31, 0.3 * (1 - 1e-9)]))
+    with pytest.raises(ValueError, match="below z_min"):
+        _hankel2_1(np.array([100.0, 99.0]), 1.0, 100.0)
+    assert np.array_equal(_hankel2_1(np.array([100.0]), 1.0, 0.0), _hankel2_1(np.array([100.0])))
+    # a pairwise hop whose kernel is built for a longer hop than its own
+    a, b = element_positions(ArrayConfig(16, HALF)), np.linspace(-0.08, 0.08, 20)
+    with pytest.raises(ValueError, match="below z_min"):
+        _hop(np.ones((1, a.size)), a, b, 0.3, _rs_kernel(CAR, 0.31, 0.7))
 
 
 def _tx_side_cascade(sc, hop, use_blockage, plane_weight):
@@ -552,9 +641,9 @@ def test_cascade_reuses_inner_hops_bit_for_bit(n_tx, use_blockage):
 def test_calibrated_wave_pair_evaluates_each_inner_kernel_once(monkeypatch):
     sizes = []
 
-    def counted(z, scale=1.0):
+    def counted(z, scale=1.0, z_min=0.0, out=None):
         sizes.append(np.size(z))
-        return _hankel2_1(z, scale)
+        return _hankel2_1(z, scale, z_min, out)
 
     monkeypatch.setattr(channel, "_hankel2_1", counted)
     calibrated_wave_channels(_readme_link(256), "wcm")
