@@ -3,8 +3,8 @@
 Every command computes from its resolved YAML config and returns what it
 found; `main` alone then writes the manifest recording the resolved
 settings (no timestamps), then the result files under the output
-directory: manifest.txt, results/*.csv, grids/*.bin.  Reruns with the
-same config and seed are byte-identical.
+directory: manifest.txt, results/*.csv, results/search_trace.bin and
+grids/*.bin.  Reruns with the same config and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .gridio import (
     write_codebook_csv,
     write_field_map_binary,
     write_field_map_csv,
-    write_search_trace_csv,
+    write_search_trace,
     write_sweep_csv,
     write_text,
 )
@@ -550,7 +550,7 @@ def cmd_search(args, cfg: RunConfig) -> CommandOutput:
                "measured_power_db,spectral_efficiency_bps_hz",
                f"{args.scheme},{result.overhead},{p.curving!r},{p.focus_distance!r},"
                f"{p.focus_angle!r},{power_db!r},{se!r}"]
-    files = [("results/search_trace.csv", write_search_trace_csv, result),
+    files = [("results/search_trace.bin", write_search_trace, result),
              ("results/search_summary.csv", write_text, summary)]
     return CommandOutput([f"scheme: {args.scheme}"], train, plan, files, [
         f"selected: curving={p.curving!r} focus_distance_m={p.focus_distance!r} "

@@ -181,6 +181,13 @@ def _slot_indices(slots, count: int) -> np.ndarray:
     return t
 
 
+def slot_params(curving: np.ndarray, focus_points: np.ndarray, slots) -> np.ndarray:
+    """(curving[i], *focus_points[f]) of each slot t = i*F + f of a product book,
+    [J] curving values by [F, 2] focus points: [3] for one slot, [n, 3] for n."""
+    i, f = np.divmod(_slot_indices(slots, curving.size * len(focus_points)), len(focus_points))
+    return np.concatenate([curving[i][..., None], focus_points[f]], axis=-1)
+
+
 @dataclass(frozen=True)
 class Codebook:
     """T = J*F codewords: every one of J curving values at every one of F
@@ -217,10 +224,8 @@ class Codebook:
         return self.curving.size * self.focus_points.shape[0]
 
     def slot_params(self, slots) -> np.ndarray:
-        """(curving, focus_distance, focus_angle) of each slot: [3] for one
-        slot, [n, 3] for a sequence of n."""
-        i, f = np.divmod(_slot_indices(slots, len(self)), self.focus_points.shape[0])
-        return np.concatenate([self.curving[i][..., None], self.focus_points[f]], axis=-1)
+        """(curving, focus_distance, focus_angle) of each slot (`slot_params`)."""
+        return slot_params(self.curving, self.focus_points, slots)
 
     def words(self, slots) -> np.ndarray:
         """Weights of each slot, multiplied out of its two factors: [N_t] for

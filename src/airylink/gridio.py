@@ -2,14 +2,15 @@
 
 All writers are pure functions of their inputs (no timestamps, no locale,
 little-endian payloads, shortest-roundtrip decimal text), so a rerun with
-the same inputs is byte-identical.
+the same inputs is byte-identical. An AIRYGRID file is a 36-byte header
+(magic; version, kind, name length as <III; rows, cols as <QQ), then the
+arrays its writer names, streamed to the file one after another.
 """
 
 from __future__ import annotations
 
 import itertools
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -19,21 +20,14 @@ from .codebook import Codebook
 from .evaluation import SWEEP_COLUMNS
 from .search import SearchResult
 
-__all__ = [
-    "write_channel_binary",
-    "read_channel_binary",
-    "write_field_map_binary",
-    "read_field_map_binary",
-    "write_field_map_csv",
-    "write_search_trace_csv",
-    "write_sweep_csv",
-    "write_codebook_csv",
-    "write_text",
-]
+__all__ = ["write_channel_binary", "read_channel_binary", "write_field_map_binary",
+           "read_field_map_binary", "write_search_trace", "read_search_trace",
+           "write_field_map_csv", "write_sweep_csv", "write_codebook_csv", "write_text"]
 
 _MAGIC = b"AIRYGRID"
-_KIND_CHANNEL = 1
-_KIND_FIELD_MAP = 2
+_HEADER = struct.Struct("<8sIII QQ")
+_KIND_CHANNEL, _KIND_FIELD_MAP, _KIND_TRACE = 1, 2, 3
+_KINDS = {1: "channel", 2: "field-map", 3: "search-trace"}
 # Lines joined per write by write_text.
 _CHUNK_LINES = 4096
 
@@ -41,19 +35,6 @@ _CHUNK_LINES = 4096
 def _fmt(value: float) -> str:
     """Shortest round-trip decimal form, dot separator, no locale."""
     return repr(float(value))
-
-
-def _param_columns(params: np.ndarray) -> list:
-    """The `_fmt` text of each column of a chunk's [n, 3] slot parameters,
-    each distinct value formatted once. Values are told apart by bit
-    pattern, so -0.0 and 0.0 keep their own text."""
-    columns = []
-    for values in params.T:
-        _, first, inverse = np.unique(values.view(np.int64), return_index=True,
-                                      return_inverse=True)
-        texts = [repr(v) for v in values[first].tolist()]
-        columns.append([texts[i] for i in inverse.tolist()])
-    return columns
 
 
 def write_text(path, lines) -> None:
@@ -68,50 +49,92 @@ def write_text(path, lines) -> None:
             f.write(("\n".join(chunk) + "\n").encode("utf-8"))
 
 
+def _write_grid(path, kind: int, name: bytes, rows: int, cols: int, arrays) -> None:
+    """Stream the header, `name` and each (dtype, values) of `arrays`, uncopied if contiguous."""
+    with open(path, "wb") as f:
+        f.write(_HEADER.pack(_MAGIC, 1, kind, len(name), rows, cols) + name)
+        for dtype, values in arrays:
+            f.write(np.ascontiguousarray(values, dtype=dtype))
+
+
+def _read_grid(path, kind: int, size) -> tuple:
+    """Header fields and bytes (a writable uint8 array that the readers view) of a
+    `kind` file, checked for magic, version, kind and a length of `size(raw, *fields)`."""
+    raw = np.fromfile(path, np.uint8)
+    name = _KINDS[kind]
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"{name} grid: {len(raw)} bytes, under its {_HEADER.size}-byte header")
+    magic, version, got, *fields = _HEADER.unpack_from(raw)
+    if magic != _MAGIC:
+        raise ValueError("not a grid file")
+    if version != 1 or got != kind:
+        raise ValueError(f"not a {name} grid")
+    expected = size(raw, *fields)
+    if len(raw) != expected:
+        raise ValueError(f"{name} grid: {len(raw)} bytes, but its header calls for {expected}")
+    return fields, raw
+
+
 def write_channel_binary(path, channel: ChannelMatrix) -> None:
-    """Header (magic, version, kind, rows, cols) + little-endian complex128."""
+    """Kind 1: the model name, then the [rows, cols] entries as complex128."""
     rows, cols = channel.entries.shape
-    header = _MAGIC + struct.pack("<III QQ", 1, _KIND_CHANNEL,
-                                  len(channel.model.value), rows, cols)
-    name = channel.model.value.encode("ascii")
-    payload = np.ascontiguousarray(channel.entries).astype("<c16").tobytes()
-    Path(path).write_bytes(header + name + payload)
+    _write_grid(path, _KIND_CHANNEL, channel.model.value.encode("ascii"), rows, cols,
+                [("<c16", channel.entries)])
 
 
 def read_channel_binary(path) -> ChannelMatrix:
-    raw = Path(path).read_bytes()
-    if raw[:8] != _MAGIC:
-        raise ValueError("not a grid file")
-    version, kind, name_len, rows, cols = struct.unpack("<III QQ", raw[8:36])
-    if version != 1 or kind != _KIND_CHANNEL:
-        raise ValueError("not a channel grid")
-    name = raw[36:36 + name_len].decode("ascii")
-    data = np.frombuffer(raw[36 + name_len:], dtype="<c16").reshape(rows, cols)
-    return ChannelMatrix(data.astype(complex), ChannelModel(name))
+    (name_len, rows, cols), raw = _read_grid(
+        path, _KIND_CHANNEL, lambda raw, n, r, c: _HEADER.size + n + 16 * r * c)
+    name = raw[_HEADER.size:_HEADER.size + name_len].tobytes().decode("ascii")
+    data = np.frombuffer(raw, "<c16", rows * cols, _HEADER.size + name_len)
+    return ChannelMatrix(data.reshape(rows, cols).astype(complex), ChannelModel(name))
 
 
 def write_field_map_binary(path, field_map: FieldMap) -> None:
-    """Header + x grid, y grid, then row-major power (dB) as little-endian f64."""
+    """Kind 2: x [cols], y [rows], then the row-major [rows, cols] power in dB, as f64."""
     ny, nx = field_map.power_db.shape
-    header = _MAGIC + struct.pack("<III QQ", 1, _KIND_FIELD_MAP, 0, ny, nx)
-    body = (np.asarray(field_map.x, dtype="<f8").tobytes()
-            + np.asarray(field_map.y, dtype="<f8").tobytes()
-            + np.ascontiguousarray(field_map.power_db).astype("<f8").tobytes())
-    Path(path).write_bytes(header + body)
+    _write_grid(path, _KIND_FIELD_MAP, b"", ny, nx,
+                [("<f8", field_map.x), ("<f8", field_map.y), ("<f8", field_map.power_db)])
 
 
 def read_field_map_binary(path) -> FieldMap:
-    raw = Path(path).read_bytes()
-    if raw[:8] != _MAGIC:
-        raise ValueError("not a grid file")
-    version, kind, _, ny, nx = struct.unpack("<III QQ", raw[8:36])
-    if version != 1 or kind != _KIND_FIELD_MAP:
-        raise ValueError("not a field-map grid")
-    off = 36
-    x = np.frombuffer(raw[off:off + 8 * nx], dtype="<f8"); off += 8 * nx
-    y = np.frombuffer(raw[off:off + 8 * ny], dtype="<f8"); off += 8 * ny
-    power = np.frombuffer(raw[off:], dtype="<f8").reshape(ny, nx)
-    return FieldMap(x.copy(), y.copy(), power.copy(), mask_applied=False)
+    (_, ny, nx), raw = _read_grid(
+        path, _KIND_FIELD_MAP, lambda raw, n, r, c: _HEADER.size + 8 * (c + r + r * c))
+    x, y, power = np.split(np.frombuffer(raw, "<f8", offset=_HEADER.size), [nx, nx + ny])
+    return FieldMap(x, y, power.reshape(ny, nx), mask_applied=False)
+
+
+def write_search_trace(path, result: SearchResult) -> None:
+    """Kind 3, rows = books: per book J and F as <QQ, then its J curving values,
+    [F, 2] focus points and J*F linear powers in slot order t = i*F + f
+    (`codebook.slot_params`), the powers written from `result.powers` uncopied."""
+    arrays, start = [], 0
+    for book in result.books:
+        arrays += [("<u8", [book.curving.size, book.focus_points.shape[0]]),
+                   ("<f8", book.curving), ("<f8", book.focus_points),
+                   ("<f8", result.powers[start:start + len(book)])]
+        start += len(book)
+    _write_grid(path, _KIND_TRACE, b"", len(result.books), 0, arrays)
+
+
+def read_search_trace(path) -> list:
+    """(curving [J], focus points [F, 2], powers [J*F]) of each book, in
+    search order; slot parameters follow from `codebook.slot_params`."""
+    tables = []
+
+    def size(raw, name_len, num_books, cols) -> int:
+        offset = _HEADER.size
+        for _ in range(num_books):
+            if offset + 16 > len(raw):  # this book's J and F are cut off
+                return offset + 16
+            j, f = struct.unpack_from("<QQ", raw, offset)
+            tables.append((offset + 16, j, f))
+            offset += 16 + 8 * (j + 2 * f + j * f)
+        return offset
+    _, raw = _read_grid(path, _KIND_TRACE, size)
+    values = [np.frombuffer(raw, "<f8", j + 2 * f + j * f, o) for o, j, f in tables]
+    return [(v[:j], v[j:j + 2 * f].reshape(f, 2), v[j + 2 * f:])
+            for v, (_, j, f) in zip(values, tables)]
 
 
 def write_field_map_csv(path, field_map: FieldMap) -> None:
@@ -127,30 +150,6 @@ def write_field_map_csv(path, field_map: FieldMap) -> None:
     write_text(path, lines())
 
 
-def write_search_trace_csv(path, result: SearchResult) -> None:
-    """Per-slot training record: beam parameters and measured power in dB.
-
-    Rows are formed one chunk at a time, with parameters from
-    `result.slot_params` and dB values from that chunk's powers, so an
-    exhaustive book's millions of slots never sit in memory as a parameter
-    table, a dB array, text or float objects. A chunk formats each distinct
-    parameter value once (its rows repeat a few curving values, distances
-    and angles) and each power per row.
-    """
-    def lines():
-        yield "slot,curving,focus_distance_m,focus_angle_rad,power_db"
-        for start in range(0, result.overhead, _CHUNK_LINES):
-            slots = range(start, min(start + _CHUNK_LINES, result.overhead))
-            powers = result.powers[start:slots.stop]
-            power_db = np.full(powers.shape, -np.inf)
-            positive = powers > 0
-            power_db[positive] = 10.0 * np.log10(powers[positive])
-            yield from [f"{slot},{a},{r},{th},{p!r}" for slot, a, r, th, p
-                        in zip(slots, *_param_columns(result.slot_params(slots)),
-                               power_db.tolist())]
-    write_text(path, lines())
-
-
 def write_sweep_csv(path, rows) -> None:
     lines = [",".join(SWEEP_COLUMNS)]
     for r in rows:
@@ -161,14 +160,9 @@ def write_sweep_csv(path, rows) -> None:
 
 
 def write_codebook_csv(path, codebook: Codebook) -> None:
-    """One row per codeword, chunk by chunk as in `write_search_trace_csv`:
-    neither a [T, 3] parameter table nor the whole text is ever formed."""
-    scheme = codebook.scheme.value
-
-    def lines():
-        yield "index,scheme,curving,focus_distance_m,focus_angle_rad"
-        for start in range(0, len(codebook), _CHUNK_LINES):
-            slots = range(start, min(start + _CHUNK_LINES, len(codebook)))
-            yield from [f"{t},{scheme},{a},{r},{th}"
-                        for t, a, r, th in zip(slots, *_param_columns(codebook.slot_params(slots)))]
-    write_text(path, lines())
+    """The book's J curving rows, then its F focus rows, each leaving the other's
+    columns empty; slot t = i*F + f is curving i at focus f (`codebook.slot_params`)."""
+    write_text(path, itertools.chain(  # row by row: no [F, 2] list of floats is formed
+        ["factor,index,curving,focus_distance_m,focus_angle_rad"],
+        (f"curving,{i},{_fmt(a)},," for i, a in enumerate(codebook.curving)),
+        (f"focus,{f},,{_fmt(r)},{_fmt(th)}" for f, (r, th) in enumerate(codebook.focus_points))))

@@ -14,9 +14,10 @@ import pytest
 import yaml
 
 import airylink
-from airylink import _threads
+from airylink import _threads, cli, gridio
 from airylink.cli import ConfigError, load_config, main
-from airylink.gridio import read_channel_binary, read_field_map_binary
+from airylink.codebook import slot_params
+from airylink.gridio import read_channel_binary, read_field_map_binary, read_search_trace
 from airylink.numerics import CIS_LIMIT
 
 BASE_YAML = """\
@@ -519,7 +520,8 @@ def test_codebook_command(tmp_path, capsys, scheme, files):
     assert sorted(f.name for f in (out / "results").iterdir()) == files
     for name in files:
         lines = (out / "results" / name).read_text().splitlines()
-        assert lines[0].startswith("index,scheme,") and len(lines) > 1
+        assert lines[0] == "factor,index,curving,focus_distance_m,focus_angle_rad"
+        assert len(lines) > 1
     assert "[sampling_plan]" in (out / "manifest.txt").read_text()
 
 
@@ -640,22 +642,48 @@ def test_search_command_deterministic_and_seeded(tmp_path, capsys):
     for out in (out1, out2):
         assert main(["search", "--config", cfg, "--out", str(out),
                      "--scheme", "ff"]) == 0
-    trace1 = (out1 / "results" / "search_trace.csv").read_bytes()
-    trace2 = (out2 / "results" / "search_trace.csv").read_bytes()
+    trace1 = (out1 / "results" / "search_trace.bin").read_bytes()
+    trace2 = (out2 / "results" / "search_trace.bin").read_bytes()
     assert trace1 == trace2                       # same seed: identical bytes
     assert main(["search", "--config", cfg, "--out", str(out3),
                  "--scheme", "ff", "--seed", "7"]) == 0
-    trace3 = (out3 / "results" / "search_trace.csv").read_bytes()
+    trace3 = (out3 / "results" / "search_trace.bin").read_bytes()
     assert trace1 != trace3                       # target-SE noise is nonzero
-    lines = (out1 / "results" / "search_trace.csv").read_text().splitlines()
-    assert lines[0].startswith("slot,")
-    assert len(lines) == 1 + 15                   # farfield overhead: N-1 slots
+    (_, _, powers), = read_search_trace(out1 / "results" / "search_trace.bin")
+    assert powers.size == 15                      # farfield overhead: N-1 slots
     summary = (out1 / "results" / "search_summary.csv").read_text().splitlines()
     assert summary[0].endswith("spectral_efficiency_bps_hz")
     se = float(summary[1].split(",")[-1])
     assert 0.0 < se <= 10.0 + 1e-9
     manifest = (out1 / "manifest.txt").read_text()
     assert "noise_power:" in manifest and "seed: 0" in manifest
+
+
+@pytest.mark.parametrize("scheme", ["exhaustive", "hier", "lowc", "nf", "ff"])
+def test_search_trace_reads_back_every_slot(tmp_path, monkeypatch, scheme):
+    # the README example: the trace holds the search's own powers, bit for
+    # bit, and its books' factor tables, from which the codebook's slot rule
+    # rebuilds every slot's parameters
+    results = []
+
+    def write(path, result):
+        results.append(result)
+        gridio.write_search_trace(path, result)
+    monkeypatch.setattr(cli, "write_search_trace", write)
+    out = tmp_path / "o"
+    assert main(["search", "--scheme", scheme, "--config",
+                 _write(tmp_path, _readme_example_yaml()), "--out", str(out)]) == 0
+    result, = results
+    path = out / "results" / "search_trace.bin"
+    books = read_search_trace(path)
+    assert [(c.size, f.shape[0]) for c, f, _ in books] == [
+        (book.curving.size, book.focus_points.shape[0]) for book in result.books]
+    assert len(books) == (2 if scheme in ("hier", "lowc") else 1)
+    assert np.array_equal(np.concatenate([w for *_, w in books]), result.powers)
+    params = np.concatenate([slot_params(c, f, range(w.size)) for c, f, w in books])
+    assert np.array_equal(params, result.slot_params(range(result.overhead)))
+    assert path.stat().st_size == 36 + 16 * len(books) + 8 * sum(
+        c.size + f.size + w.size for c, f, w in books)
 
 
 def test_search_prints_its_deployment_notes(tmp_path, capsys):
