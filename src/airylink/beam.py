@@ -165,8 +165,8 @@ class FocusTerms:
         """[N_t, hi - lo] unit-norm focus factors of points lo:hi.
 
         A column whose partner lies in lo:hi is copied from it, one reversed
-        slice per run of such columns; the rest are synthesized. Either way
-        a column does not depend on the range it is synthesized in.
+        slice per run of such columns; the rest are synthesized and checked
+        for unit norm. Either way a column does not depend on the range.
         """
         if not 0 <= lo <= hi <= len(self):
             raise ValueError(f"focus columns {lo}:{hi} are outside 0:{len(self)}")
@@ -179,11 +179,10 @@ class FocusTerms:
         for a, b in _runs(~copied, ~copied[:-1]):
             for start in range(a, b, step):
                 cols = slice(start, min(start + step, b))
-                _focus_factor(y[:, None], quad[cols], sine[cols], self.wavelength,
-                              out=factors[:, cols])
+                _check_unit_norm(_focus_factor(y[:, None], quad[cols], sine[cols],
+                                               self.wavelength, out=factors[:, cols]))
         for a, b in _runs(copied, copied[:-1] & (partner[:-1] == partner[1:] + 1)):
             factors[:, a:b] = factors[::-1, partner[b - 1]:partner[a] + 1][:, ::-1]
-        _check_unit_norm(factors)
         return factors
 
 

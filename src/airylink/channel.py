@@ -17,7 +17,9 @@ chain, `_chain`: the gated virtual planes of `_planes` and one inner
 product back through it from the Rx side; field maps push the aperture's
 field forward. The cascades differ only in the kernel: an exponential per
 distinct offset for the cascaded model, the Hankel function H1^(2)(kr) for
-the wave model (`_hankel2_1`, on the `numerics.cis` phasor).
+the wave model (`_hankel2_1`). One table serves both the codewords'
+`numerics.cis` phasor and the Hankel phase e^{j3pi/4} e^{-jkr}, whose
+3pi/4 turn is an exact shift of the table index.
 
 Every hop goes through one operator, `_hop_operator`: rows @ K with
 K[i, j] = kernel(r) between two sample grids. Between grids of one pitch
@@ -44,7 +46,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .numerics import cis
+from .numerics import _cis_parts
 from .scenario import (
     SPEED_OF_LIGHT,
     BlockageGeometry,
@@ -287,8 +289,11 @@ def _series_length(z_min: float) -> int:
 
 
 def _horner(coefficients, t: np.ndarray) -> np.ndarray:
-    acc = np.full_like(t, coefficients[-1])
-    for c in coefficients[-2::-1]:
+    if len(coefficients) == 1:
+        return np.full_like(t, coefficients[0])
+    acc = t * coefficients[-1]
+    acc += coefficients[-2]
+    for c in coefficients[-3::-1]:
         acc *= t
         acc += c
     return acc
@@ -299,19 +304,18 @@ def _hankel2_1(z: np.ndarray, scale=1.0, z_min: float = 0.0, out=None) -> np.nda
     new complex array of z's shape.
 
     From z = 25 on this is the large-argument expansion
-    sqrt(2/(pi z)) e^{-jz} e^{j3pi/4} (P - jQ) (`_asymptotic_series`), to
+    sqrt(2/(pi z)) e^{j3pi/4} e^{-jz} (P - jQ) (`_asymptotic_series`), to
     the length `_series_length(z_min)` gives: 19 terms when z_min is below
     25, 8 from z_min = 156 and 5 from 1,693. A z below z_min raises
-    ValueError instead of taking a series too short for it. e^{-jz} comes from the
-    table-driven phasor `numerics.cis` of z itself (as the conjugate of
-    cis(z), which is cis(-z) bit for bit), and the e^{j3pi/4} turn is
-    applied afterwards, because forming z - 3pi/4 would round the phase by
-    up to ulp(z)/2. Below 25, P - jQ comes from Hankel's integral instead
-    (`_laplace_rule`), and below 4 the value from the power series of J1
-    and Y1 (`_hankel2_1_series`). `scale` is a scalar or an array of z's
-    shape, folded into the result. Each result depends on its own z and
-    scale and on z_min only, so callers may split z into blocks
-    (`_rs_kernel` does).
+    ValueError instead of taking a series too short for it. The phasor
+    e^{j3pi/4} e^{-jz} comes from the `numerics.cis` table with z reduced
+    once: with z = m*(2pi/256) + r it is T[(96 - m) mod 256] e^{-jr}, since
+    3pi/4 is exactly 96 table steps, so the turn rounds nothing. Below 25,
+    P - jQ comes from Hankel's integral instead (`_laplace_rule`), and
+    below 4 the value from the power series of J1 and Y1
+    (`_hankel2_1_series`). `scale` is a scalar or an array of z's shape,
+    folded into the result. Each result depends on its own z and scale and
+    on z_min only, so callers may split z into blocks (`_rs_kernel` does).
     """
     z = np.asarray(z, dtype=float)
     low = z.min(initial=math.inf)
@@ -320,12 +324,13 @@ def _hankel2_1(z: np.ndarray, scale=1.0, z_min: float = 0.0, out=None) -> np.nda
     if out is None:
         out = np.empty(z.shape, dtype=complex)
     terms = _series_length(z_min)
-    # every entry takes the expansion's form (entries below 4 at z = 4,
+    # every entry takes the expansion's form (entries below 4 at 1/z = 1/4,
     # replaced afterwards), so the common all-large case needs no index arrays
-    zc = np.maximum(z, _HANKEL_SERIES_BELOW)
-    phasor = cis(zc)
-    cos, sin = phasor.real, phasor.imag
-    inv = np.divide(1.0, zc, out=zc)
+    inv = np.divide(1.0, z)
+    if low < _HANKEL_SERIES_BELOW:
+        np.minimum(inv, 1 / _HANKEL_SERIES_BELOW, out=inv)
+    er, ei = np.empty_like(inv), np.empty_like(inv)
+    _cis_parts(z, er, ei, turn=96, sign=-1)  # e^{j3pi/4}: 96 table steps
     t = inv * inv
     p = _horner(_HANKEL_COEFFICIENTS[:terms:2], t)
     q = _horner(_HANKEL_COEFFICIENTS[1:terms:2], t)
@@ -334,21 +339,18 @@ def _hankel2_1(z: np.ndarray, scale=1.0, z_min: float = 0.0, out=None) -> np.nda
         # below 25, P - jQ from Hankel's integral, of which it is the expansion
         small = z < _HANKEL_ASYMPTOTIC_FROM
         p[small], q[small] = _hankel_integral(inv[small])
-    # e^{-jz} (P - jQ) = u - jv with u = cos P - sin Q, v = sin P + cos Q
-    u = np.multiply(cos, p, out=t)
-    cos *= q
-    q *= sin
-    u -= q
-    v = np.multiply(sin, p, out=sin)
-    v += cos
-    # times e^{j3pi/4} = (-1 + j)/sqrt(2), with sqrt(2/(pi z)) / sqrt(2) as amp:
-    # real (v - u) amp, imaginary (u + v) amp
-    amp = np.sqrt(np.multiply(inv, 1.0 / math.pi, out=inv), out=inv)
+    # the amplitude sqrt(2/(pi z)) * scale, folded into P and Q once
+    amp = np.sqrt(np.multiply(inv, 2 / math.pi, out=inv), out=inv)
     amp *= scale
-    u *= amp
-    v *= amp
-    np.subtract(v, u, out=out.real)
-    np.add(u, v, out=out.imag)
+    p *= amp
+    q *= amp
+    # (er + j ei)(P - jQ): real er P + ei Q, imaginary ei P - er Q
+    np.multiply(er, p, out=t)
+    np.multiply(ei, q, out=amp)
+    np.add(t, amp, out=out.real)
+    p *= ei
+    q *= er
+    np.subtract(p, q, out=out.imag)
     if low < _HANKEL_SERIES_BELOW:
         series = z < _HANKEL_SERIES_BELOW
         out[series] = _hankel2_1_series(z[series]) * np.broadcast_to(scale, z.shape)[series]

@@ -12,18 +12,20 @@ B + jD = int_0^x e^{j pi/2 t^2} dt is evaluated the same way below x = 6,
 with panels split at the lobe nodes t = sqrt(m), and by the auxiliary-function
 expansion of DLMF 7.12 from x = 6 on, so its cost does not grow with x.
 
-`cis(theta)` is the table-driven phasor e^{j*theta} every codeword and
-every Rayleigh-Sommerfeld kernel value (`channel._hankel2_1`) is built
-from. theta is reduced exactly to m*(2*pi/256) + r with |r| <= pi/256
-(Cody and Waite's split of the step into three constants), and
-e^{j*theta} = T[m mod 256] * e^{j*r}, with sin r and cos r - 1 from short
-Taylor polynomials (Tang's table-driven scheme). Its absolute error is
-below 2.5e-16 for |theta| < CIS_LIMIT, 2^29 - 1 table steps (about
+`cis(theta)` is the table-driven phasor e^{j*theta} every codeword is
+built from. theta is reduced exactly to m*(2*pi/256) + r with
+|r| <= pi/256 (Cody and Waite's split of the step into three constants),
+and e^{j*theta} = T[m mod 256] * e^{j*r}, with sin r and cos r - 1 from
+short Taylor polynomials (Tang's table-driven scheme). Its absolute error
+is below 2.5e-16 for |theta| < CIS_LIMIT, 2^29 - 1 table steps (about
 1.3e7 rad); for theta that rounds to 2^29 steps or more, and for NaN or
 inf, it raises. A hop's phase k*r is absolute, so `scenario.ScenarioConfig`
 refuses geometries whose longest hop reaches CIS_LIMIT. The table is
 exactly conjugate symmetric, so cis(-theta) == conj(cis(theta)) bit for
-bit.
+bit. The same table and reduction (`_cis_parts`) give every
+Rayleigh-Sommerfeld kernel value (`channel._hankel2_1`) its phase
+e^{j3pi/4} e^{-jz}: 3pi/4 is exactly 96 table steps, so the turn is an
+index shift, T[(96 - m) mod 256] e^{-jr}, and rounds nothing.
 """
 
 from __future__ import annotations
@@ -87,11 +89,21 @@ def cis(theta, scale: float = 1.0, out=None) -> np.ndarray:
     # blocks run over the leading axis, so a strided `out` is written in place
     rows = max(1, _CIS_BLOCK * t.shape[0] // max(t.size, 1))
     for start in range(0, t.shape[0], rows):
-        _cis_block(t[start:start + rows], o[start:start + rows], cos, sin)
+        block = slice(start, start + rows)
+        _cis_parts(t[block], o[block].real, o[block].imag, cos, sin)
     return out
 
 
-def _cis_block(theta, out, cos, sin) -> None:
+def _cis_parts(theta, re, im, cos=_CIS_COS, sin=_CIS_SIN, turn: int = 0,
+               sign: int = 1) -> None:
+    """Real and imaginary parts of e^{j(turn*2*pi/256 + sign*theta)}, into re and im.
+
+    theta = m*(2*pi/256) + r is reduced once, and the result is
+    T[(turn + sign*m) mod 256] * e^{j*sign*r}, the table entry (cos, sin,
+    with any scale folded in) times the Taylor polynomials. A turn is an
+    exact index shift and sign -1 negates r exactly, so neither rounds the
+    phase. `cis` takes turn 0 and sign +1.
+    """
     m = np.multiply(theta, _CIS_INV_STEP)
     np.rint(m, out=m)
     if m.size and not (-_CIS_MAX_STEPS < m.min() and m.max() < _CIS_MAX_STEPS):
@@ -102,6 +114,11 @@ def _cis_block(theta, out, cos, sin) -> None:
     np.multiply(m, _CIS_C3, out=w)
     r -= w
     k = m.astype(np.intp)
+    if sign < 0:
+        np.subtract(turn, k, out=k)
+        np.negative(r, out=r)
+    elif turn:
+        k += turn
     k &= _CIS_STEPS - 1
     tc, ts = cos.take(k), sin.take(k)
     r2 = np.multiply(r, r, out=m)
@@ -121,11 +138,11 @@ def _cis_block(theta, out, cos, sin) -> None:
     np.multiply(tc, c, out=w)
     np.multiply(ts, s, out=r)
     w -= r
-    np.add(tc, w, out=out.real)
+    np.add(tc, w, out=re)
     np.multiply(ts, c, out=w)
     np.multiply(tc, s, out=r)
     w += r
-    np.add(ts, w, out=out.imag)
+    np.add(ts, w, out=im)
 
 
 def airy_cos_lobe_nodes(x_max: float) -> np.ndarray:

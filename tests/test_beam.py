@@ -166,6 +166,29 @@ def test_mirrored_book_words_are_their_beam_vectors():
         assert np.array_equal(stage1.word(t).weights, want), t
 
 
+@pytest.mark.parametrize("column", [0, -1], ids=["first", "last"])
+def test_focus_columns_refuse_a_synthesized_column_off_unit_norm(monkeypatch, column):
+    # Only synthesized columns are checked for unit norm, since a mirrored
+    # column reverses one of them; a synthesized column scaled by 2 must
+    # still raise, wherever it sits in its block
+    from airylink import beam
+
+    arr, points, mirrored = _focus_cases()["odd-n"]
+    r, theta = np.asarray(points, dtype=float).T
+    terms = focus_terms(r, theta, arr, CAR)
+    assert mirrored > 0 and terms.columns(0, r.size).shape == (17, r.size)
+    real_cis = beam.cis
+
+    def corrupted(theta, scale=1.0, out=None):
+        values = real_cis(theta, scale, out)
+        values[:, column] *= 2
+        return values
+
+    monkeypatch.setattr(beam, "cis", corrupted)
+    with pytest.raises(ValueError, match="unit l2 norm"):
+        terms.columns(0, r.size)
+
+
 def test_focusing_phase_trivial():
     assert focusing_phase(0.0, 1.0, 0.0, CAR) == 0.0
     y = np.linspace(-0.1, 0.1, 11)

@@ -475,6 +475,33 @@ def test_hankel_kernel_matches_mpmath():
     np.testing.assert_allclose(_hankel2_1(z), exact, rtol=2e-15, atol=0)
 
 
+def test_hankel_phase_matches_mpmath_across_table_steps():
+    # e^{j3pi/4} e^{-jz} is the table entry (96 - m) mod 256 of z's step m:
+    # z at and beside half-step ties (m +- 1/2) 2pi/256, where the entry
+    # wraps between 255 and 0 (m = 96 + 256i), near z = 2.4, 25, 1e4 and 1e6
+    mpmath = pytest.importorskip("mpmath")
+    step = 2 * math.pi / 256
+    steps = [96 + 256 * math.ceil((near / step - 96) / 256) for near in (0.0, 25.0, 1e4, 1e6)]
+    ties = np.array([(m + d + h) * step for m in steps for d in (0, 1) for h in (-0.5, 0.5)])
+    z = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+    assert {0, 255} <= {(96 - round(v / step)) % 256 for v in z}
+    with mpmath.workdps(40):
+        exact = np.array([complex(mpmath.hankel2(1, mpmath.mpf(float(v)))) for v in z])
+    np.testing.assert_allclose(_hankel2_1(z), exact, rtol=2e-15, atol=0)
+
+
+def test_three_term_hankel_matches_mpmath():
+    # From z_min = 172,471 the expansion takes 3 terms, so Q is a
+    # one-coefficient series; a hop of about 59 m at 140 GHz reaches it
+    mpmath = pytest.importorskip("mpmath")
+    z_min = 172_471.0
+    assert channel._series_length(z_min) == 3
+    z = np.concatenate([[z_min], np.geomspace(z_min, 1.3e7, 12)[1:]])
+    with mpmath.workdps(40):
+        exact = np.array([complex(mpmath.hankel2(1, mpmath.mpf(float(v)))) for v in z])
+    np.testing.assert_allclose(_hankel2_1(z, 1.0, z_min), exact, rtol=2e-15, atol=0)
+
+
 def test_small_argument_hankel_matches_mpmath():
     # Both sides of the switches at z = 4 (power series | Hankel's integral)
     # and z = 25 (| large-argument expansion), the first zeros of Y1, where

@@ -260,6 +260,34 @@ def test_cis_near_its_bound():
     assert _max_error_vs_mpmath(theta) <= 3e-16
 
 
+# (theta, cos, sin) of cis as float hex, which every codeword and codebook
+# file rests on: at and beside half-step ties, multiples of the step,
+# negative theta and theta near CIS_LIMIT
+_CIS_PINNED = [
+    ("0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
+    ("0x1.56e1fc2f8f359p-997", "0x1.0000000000000p+0", "0x1.56e1fc2f8f359p-997"),
+    ("0x1.921fb54442d18p-7", "0x1.fff62169b92dbp-1", "0x1.921d1fcdec784p-7"),
+    ("0x1.921fb54442d19p-7", "0x1.fff62169b92dcp-1", "0x1.921d1fcdec784p-7"),
+    ("0x1.2d97c7f3321d2p-5", "0x1.ffa72effef75dp-1", "0x1.2d865759455cdp-5"),
+    ("0x1.2d97c7f3321d2p+1", "-0x1.6a09e667f3bccp-1", "0x1.6a09e667f3bcdp-1"),
+    ("0x1.921fb54442d18p+1", "-0x1.0000000000000p+0", "0x1.1a62633145c00p-53"),
+    ("-0x1.6000000000000p+1", "-0x1.d93e294faed14p-1", "-0x1.86d2239c183fcp-2"),
+    ("-0x1.9156a569a0b01p+2", "0x1.fff62169b92dbp-1", "0x1.921d1fcdec8f9p-7"),
+    ("0x1.34a456d5cfaadp+10", "-0x1.fe7053dc31387p-1", "0x1.3fa00084ee3ddp-4"),
+    ("0x1.e84809999999ap+19", "0x1.ff26e5cec0168p-1", "-0x1.d74e25f904f51p-5"),
+    ("0x1.921fb537b1d36p+23", "0x1.ffd886054c972p-1", "-0x1.92156ec1f715ap-6"),
+    ("-0x1.921fb537b1d36p+23", "0x1.ffd886054c972p-1", "0x1.92156ec1f715ap-6"),
+]
+
+
+def test_cis_matches_pinned_bits():
+    theta = np.array([float.fromhex(t) for t, _, _ in _CIS_PINNED])
+    got = cis(theta)
+    assert [(v.real.hex(), v.imag.hex()) for v in got.tolist()] == \
+        [(c, s) for _, c, s in _CIS_PINNED]
+    assert np.abs(theta).max() > 0.999 * CIS_EDGE and (theta < 0).any()
+
+
 def test_cis_is_conjugate_symmetric_bit_for_bit():
     theta = np.random.default_rng(1).uniform(-1e4, 1e4, 100_000)
     assert np.array_equal(_bits(cis(-theta)), _bits(np.conj(cis(theta))))
