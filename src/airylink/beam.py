@@ -299,7 +299,6 @@ class FieldMap:
     x: np.ndarray
     y: np.ndarray
     power_db: np.ndarray  # [num_y, num_x], normalized to map max, floored
-    mask_applied: bool
 
     DB_FLOOR = -60.0
 
@@ -327,10 +326,10 @@ def render_aperture_field_map(aperture_positions, aperture_values,
         raise ValueError("grid extends beyond the receiver plane")
     xs, ys = grid.x, grid.y
     field = field_on_grid(scenario, aperture_positions, aperture_values, xs, ys)
-    return _finalize_map(xs, ys, field, mask_applied=scenario.blockage is not None)
+    return _finalize_map(xs, ys, field)
 
 
-def _finalize_map(xs, ys, field, mask_applied: bool) -> FieldMap:
+def _finalize_map(xs, ys, field) -> FieldMap:
     """The map of |field| in dB of its peak, floored, formed in one array."""
     power = np.abs(field)
     peak = power.max()
@@ -342,4 +341,4 @@ def _finalize_map(xs, ys, field, mask_applied: bool) -> FieldMap:
             np.log10(power, out=power)
         power *= 20
         np.maximum(power, FieldMap.DB_FLOOR, out=power)
-    return FieldMap(xs, ys, power, mask_applied)
+    return FieldMap(xs, ys, power)

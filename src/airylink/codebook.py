@@ -26,7 +26,6 @@ reports their numeric correlation on each axis
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -135,9 +134,6 @@ class SamplingPlan:
     intervals: tuple            # design intervals (s_a, s_r, s_theta=2u/N)
     adjacent_correlations: tuple  # numeric correlation of adjacent codewords (curving, distance)
     first_crossings: tuple      # first-descent envelope crossings (curving, distance)
-    curving_range: tuple        # requested symmetric range (-A, +A)
-    r_min: float
-    angle_index: int
     curving_values: np.ndarray
     focus_distances: np.ndarray
     angles: np.ndarray
@@ -155,16 +151,6 @@ class SamplingPlan:
             f"{self.solved_parameters[1]:.6g}, {self.solved_parameters[2]:.6g}) "
             f"intervals=({sa:.6g}, {sr:.6g}, {sth:.6g}) counts=({j}, {k}, {v})"
         )
-
-
-class CodebookScheme(enum.Enum):
-    EXHAUSTIVE = "Exhaustive"
-    HIERARCHICAL_STAGE1 = "HierarchicalStage1"
-    HIERARCHICAL_STAGE2 = "HierarchicalStage2"
-    LOW_COMPLEXITY_STAGE1 = "LowComplexityStage1"
-    LOW_COMPLEXITY_STAGE2 = "LowComplexityStage2"
-    FAR_FIELD_STEERING = "FarFieldSteering"
-    NEAR_FIELD_FOCUSING = "NearFieldFocusing"
 
 
 def _slot_indices(slots, count: int) -> np.ndarray:
@@ -203,7 +189,6 @@ class Codebook:
     `slot_params` gives their parameters.
     """
 
-    scheme: CodebookScheme
     curving: np.ndarray       # [J]
     focus_points: np.ndarray  # [F, 2]: (focus_distance, focus_angle)
     cubic: np.ndarray         # [N_t, J]
@@ -244,12 +229,11 @@ class Codebook:
         return BeamVector(BeamParams(*self.slot_params(t)), self.words(t))
 
 
-def product_codebook(scheme: CodebookScheme, curving, focus_points, tx: ArrayConfig,
-                     carrier: CarrierConfig) -> Codebook:
+def product_codebook(curving, focus_points, tx: ArrayConfig, carrier: CarrierConfig) -> Codebook:
     """Every curving value at every (focus_distance, focus_angle) point."""
     a = np.array(curving, dtype=float).reshape(-1)
     points = np.array(focus_points, dtype=float).reshape(-1, 2)
-    return Codebook(scheme, a, points, curving_factors(a, tx, carrier),
+    return Codebook(a, points, curving_factors(a, tx, carrier),
                     focus_terms(points[:, 0], points[:, 1], tx, carrier))
 
 
@@ -378,9 +362,6 @@ def solve_sampling_plan(targets, scenario: ScenarioConfig,
         intervals=(s_a, s_r, s_theta),
         adjacent_correlations=_adjacent_correlations(scenario, s_a, s_r),
         first_crossings=(x_a_first, x_r_first),
-        curving_range=(-a_lim, a_lim),
-        r_min=r_lo,
-        angle_index=angle_index,
         curving_values=curving_values,
         focus_distances=focus_distances,
         angles=angles,
@@ -391,8 +372,7 @@ def build_exhaustive_codebook(plan: SamplingPlan, scenario: ScenarioConfig) -> C
     """Full Cartesian (curving, distance, angle) codebook, lexicographic order."""
     grid = np.meshgrid(plan.focus_distances, plan.angles, indexing="ij")
     points = np.stack([g.ravel() for g in grid], axis=1)
-    return product_codebook(CodebookScheme.EXHAUSTIVE, plan.curving_values, points,
-                            scenario.tx, scenario.carrier)
+    return product_codebook(plan.curving_values, points, scenario.tx, scenario.carrier)
 
 
 def build_los_region_points(scenario: ScenarioConfig, plan: SamplingPlan) -> np.ndarray:
@@ -414,13 +394,12 @@ def build_los_region_points(scenario: ScenarioConfig, plan: SamplingPlan) -> np.
     return np.column_stack([plan.focus_distances[ri], plan.angles[ti]])
 
 
-def _curving_sweep(scheme: CodebookScheme, plan: SamplingPlan, tx: ArrayConfig,
-                   carrier: CarrierConfig):
+def _curving_sweep(plan: SamplingPlan, tx: ArrayConfig, carrier: CarrierConfig):
     """Stage-2 factory: every planned curving at a stage-1 focusing point."""
     cubic = curving_factors(plan.curving_values, tx, carrier)
 
     def stage2_factory(r_f: float, theta_f: float) -> Codebook:
-        return Codebook(scheme, plan.curving_values, np.array([[r_f, theta_f]]), cubic,
+        return Codebook(plan.curving_values, np.array([[r_f, theta_f]]), cubic,
                         focus_terms(r_f, theta_f, tx, carrier))
     return stage2_factory
 
@@ -429,8 +408,7 @@ def build_hierarchical_codebooks(plan: SamplingPlan, scenario: ScenarioConfig):
     """Stage 1: focusing beams over the aperture strip; stage 2: curving sweep."""
     tx, carrier = scenario.tx, scenario.carrier
     pts = build_los_region_points(scenario, plan)
-    stage1 = product_codebook(CodebookScheme.HIERARCHICAL_STAGE1, [0.0], pts, tx, carrier)
-    return stage1, _curving_sweep(CodebookScheme.HIERARCHICAL_STAGE2, plan, tx, carrier)
+    return product_codebook([0.0], pts, tx, carrier), _curving_sweep(plan, tx, carrier)
 
 
 def build_low_complexity_codebooks(scenario: ScenarioConfig, plan: SamplingPlan):
@@ -447,18 +425,14 @@ def build_low_complexity_codebooks(scenario: ScenarioConfig, plan: SamplingPlan)
         sines.append(s_val)
         s_val += step
     points = [(d_link * math.cos(math.asin(s)), math.asin(s)) for s in sines]
-    stage1 = product_codebook(CodebookScheme.LOW_COMPLEXITY_STAGE1, [0.0], points, tx,
-                              carrier)
-    return stage1, _curving_sweep(CodebookScheme.LOW_COMPLEXITY_STAGE2, plan, tx,
-                                  carrier)
+    return product_codebook([0.0], points, tx, carrier), _curving_sweep(plan, tx, carrier)
 
 
 def build_farfield_codebook(scenario: ScenarioConfig,
                             plan: SamplingPlan | None = None) -> Codebook:
     """Angle-only steering codebook over the orthogonal angle grid."""
     angles = plan.angles if plan is not None else angle_grid(scenario.tx.num_elements)
-    return product_codebook(CodebookScheme.FAR_FIELD_STEERING, [0.0],
-                            [(math.inf, th) for th in angles], scenario.tx,
+    return product_codebook([0.0], [(math.inf, th) for th in angles], scenario.tx,
                             scenario.carrier)
 
 
@@ -469,5 +443,4 @@ def build_nearfield_codebook(scenario: ScenarioConfig) -> Codebook:
     for y in element_positions(scenario.rx):
         dy = y - scenario.tx.center_offset
         points.append((math.hypot(d_link, dy), math.atan2(dy, d_link)))
-    return product_codebook(CodebookScheme.NEAR_FIELD_FOCUSING, [0.0], points,
-                            scenario.tx, scenario.carrier)
+    return product_codebook([0.0], points, scenario.tx, scenario.carrier)

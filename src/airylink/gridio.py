@@ -101,7 +101,7 @@ def read_field_map_binary(path) -> FieldMap:
     (_, ny, nx), raw = _read_grid(
         path, _KIND_FIELD_MAP, lambda raw, n, r, c: _HEADER.size + 8 * (c + r + r * c))
     x, y, power = np.split(np.frombuffer(raw, "<f8", offset=_HEADER.size), [nx, nx + ny])
-    return FieldMap(x, y, power.reshape(ny, nx), mask_applied=False)
+    return FieldMap(x, y, power.reshape(ny, nx))
 
 
 def write_search_trace(path, result: SearchResult) -> None:

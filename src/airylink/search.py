@@ -37,7 +37,7 @@ import numpy as np
 
 from .beam import BeamParams, BeamVector
 from .channel import ChannelMatrix
-from .codebook import Codebook, CodebookScheme, _slot_indices
+from .codebook import Codebook, _slot_indices
 # Unused here, but bench/spans.py patches them on this module by name.
 from .codebook import build_farfield_codebook, build_nearfield_codebook  # noqa: F401
 from .scenario import _check_count
@@ -219,23 +219,29 @@ def measure_slot(codeword: BeamVector, channel: ChannelMatrix,
 
 @dataclass(frozen=True)
 class SearchResult:
-    """The selected beam and the record of every slot, in slot order.
+    """The record of every slot, in slot order, and the beam it selects.
 
     The slots of `books` follow one another: slot t is slot t of books[0],
     then slot t - len(books[0]) of books[1], and so on. `powers[t]` is its
     measured power, `slot_params(t)` its (curving, focus_distance,
     focus_angle) and `words(t)` its weights, derived from the books rather
-    than stored.
+    than stored. The selected beam is derived too: the first best-measured
+    slot of the last book.
     """
 
-    scheme: CodebookScheme
-    selected_vector: BeamVector
     books: tuple
     powers: np.ndarray
 
     def __post_init__(self):
         if self.powers.size != sum(len(book) for book in self.books):
             raise ValueError("a search result has one power per slot of its books")
+        if not self.books or len(self.books[-1]) == 0:
+            raise ValueError("a search result selects its beam from a non-empty last book")
+
+    @property
+    def selected_vector(self) -> BeamVector:
+        last = self.books[-1]
+        return last.word(int(np.argmax(self.powers[self.overhead - len(last):])))
 
     @property
     def selected_params(self) -> BeamParams:
@@ -266,7 +272,7 @@ class SearchResult:
         """Weights of each slot: [N_t] for one slot, [N_t, n] for a sequence
         of n, from one `Codebook.words` call per book."""
         t = _slot_indices(slots, self.overhead)
-        weights = np.empty(self.selected_vector.weights.shape + t.shape, dtype=complex)
+        weights = np.empty(self.books[0].cubic.shape[:1] + t.shape, dtype=complex)
         start = 0
         for book in self.books:
             inside = (t >= start) & (t < start + len(book))
@@ -281,9 +287,7 @@ def exhaustive_search(codebook: Codebook, channel: ChannelMatrix,
     if len(codebook) == 0:
         raise ValueError("codebook is empty")
     rng = np.random.default_rng(cfg.rng_seed)
-    powers = _sound(codebook, channel, cfg, rng)
-    best = codebook.word(int(np.argmax(powers)))
-    return SearchResult(codebook.scheme, best, (codebook,), powers)
+    return SearchResult((codebook,), _sound(codebook, channel, cfg, rng))
 
 
 def hierarchical_search(stage1: Codebook, stage2_factory, channel: ChannelMatrix,
@@ -307,9 +311,7 @@ def hierarchical_search(stage1: Codebook, stage2_factory, channel: ChannelMatrix
     if not np.any(stage2.curving == 0.0):
         raise ValueError("stage-2 codebook must include the zero-curving beam")
     powers2 = _sound(stage2, channel, cfg, rng)
-    best = stage2.word(int(np.argmax(powers2)))
-    return SearchResult(stage2.scheme, best, (stage1, stage2),
-                        np.concatenate([powers1, powers2]))
+    return SearchResult((stage1, stage2), np.concatenate([powers1, powers2]))
 
 
 # The baselines are exhaustive searches over their own books: angle-only

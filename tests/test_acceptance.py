@@ -15,6 +15,7 @@ import pytest
 
 from airylink.beam import (
     BeamParams,
+    FieldMap,
     GridSpec,
     airy_beam_vector,
     render_field_map,
@@ -261,9 +262,13 @@ def test_curved_beam_modulus_mirror_and_self_healing():
     gap_db = 20 * math.log10(np.abs(rx_free).max() / np.abs(rx_blocked).max())
     assert gap_db <= 6.0
 
-    fmap = render_field_map(beam, sc, GridSpec(0.02, 1.0, 200, -0.08, 0.08, 200))
+    grid = GridSpec(0.02, 1.0, 200, -0.08, 0.08, 200)
+    fmap = render_field_map(beam, sc, grid)
     assert fmap.power_db.shape == (200, 200)
-    assert fmap.mask_applied
+    inside = np.ix_((grid.y >= blk.bottom_y) & (grid.y <= blk.top_y),
+                    (grid.x >= blk.near_x) & (grid.x <= blk.far_x))
+    assert fmap.power_db[inside].size > 0
+    assert np.all(fmap.power_db[inside] == FieldMap.DB_FLOOR)
     assert np.all(np.isfinite(fmap.power_db))
     peak_x, _ = fmap.peak()
     assert peak_x > blk.far_x  # energy reconcentrates downstream of the screen

@@ -346,8 +346,12 @@ def test_render_with_blockage_masks_shadow():
     grid = GridSpec(0.05, 1.0, 50, -0.05, 0.05, 51)
     blocked = render_field_map(beam, sc, grid)
     clear = render_field_map(beam, sc.without_blockage(), grid)
-    assert blocked.mask_applied
-    assert not clear.mask_applied
+    # every cell inside the screen reads the floor; unblocked, none does
+    inside = np.ix_((grid.y >= blk.bottom_y) & (grid.y <= blk.top_y),
+                    (grid.x >= blk.near_x) & (grid.x <= blk.far_x))
+    assert blocked.power_db[inside].size > 0
+    assert np.all(blocked.power_db[inside] == FieldMap.DB_FLOOR)
+    assert np.all(clear.power_db[inside] > FieldMap.DB_FLOOR)
     # downstream of the wall the shadow side is much darker than the lit side
     col = blocked.column_db(0.6)
     lit = col[grid.y > 0.02].max()

@@ -1,6 +1,7 @@
 """CLI: config validation, commands, artifacts, deterministic reruns."""
 
 import copy
+import importlib
 import math
 import os
 import re
@@ -16,9 +17,10 @@ import yaml
 import airylink
 from airylink import _threads, cli, gridio
 from airylink.cli import ConfigError, load_config, main
-from airylink.codebook import slot_params
+from airylink.codebook import product_codebook, slot_params
 from airylink.gridio import read_channel_binary, read_field_map_binary, read_search_trace
 from airylink.numerics import CIS_LIMIT
+from airylink.search import SearchResult
 
 BASE_YAML = """\
 scenario:
@@ -322,6 +324,28 @@ def test_readme_config_reference_matches_the_schema(tmp_path):
     assert written >= 10
     assert (load_config(_write(tmp_path, yaml.safe_dump(full), "full.yaml"))
             == load_config(_write(tmp_path, yaml.safe_dump(minimal), "minimal.yaml")))
+
+
+def test_readme_names_resolve():
+    # every dotted airylink name the README cites is importable: the
+    # longest module prefix imports and the rest are attributes of it
+    names = sorted(set(re.findall(r"\bairylink(?:\.[A-Za-z_]\w*)+", _readme())))
+    assert len(names) >= 20
+    unresolved = []
+    for name in names:
+        parts = name.split(".")
+        for cut in range(len(parts), 0, -1):
+            try:
+                target = importlib.import_module(".".join(parts[:cut]))
+                break
+            except ModuleNotFoundError:
+                continue
+        try:
+            for attr in parts[cut:]:
+                target = getattr(target, attr)
+        except AttributeError:
+            unresolved.append(name)
+    assert unresolved == []
 
 
 def test_config_errors_exit_code_2(tmp_path, capsys):
@@ -663,7 +687,8 @@ def test_search_command_deterministic_and_seeded(tmp_path, capsys):
 def test_search_trace_reads_back_every_slot(tmp_path, monkeypatch, scheme):
     # the README example: the trace holds the search's own powers, bit for
     # bit, and its books' factor tables, from which the codebook's slot rule
-    # rebuilds every slot's parameters
+    # rebuilds every slot's parameters, and the books and powers alone
+    # rebuild the selected beam and overhead of the summary
     results = []
 
     def write(path, result):
@@ -671,8 +696,8 @@ def test_search_trace_reads_back_every_slot(tmp_path, monkeypatch, scheme):
         gridio.write_search_trace(path, result)
     monkeypatch.setattr(cli, "write_search_trace", write)
     out = tmp_path / "o"
-    assert main(["search", "--scheme", scheme, "--config",
-                 _write(tmp_path, _readme_example_yaml()), "--out", str(out)]) == 0
+    config = _write(tmp_path, _readme_example_yaml())
+    assert main(["search", "--scheme", scheme, "--config", config, "--out", str(out)]) == 0
     result, = results
     path = out / "results" / "search_trace.bin"
     books = read_search_trace(path)
@@ -684,6 +709,13 @@ def test_search_trace_reads_back_every_slot(tmp_path, monkeypatch, scheme):
     assert np.array_equal(params, result.slot_params(range(result.overhead)))
     assert path.stat().st_size == 36 + 16 * len(books) + 8 * sum(
         c.size + f.size + w.size for c, f, w in books)
+    sc = load_config(config).scenario
+    rebuilt = SearchResult(tuple(product_codebook(c, f, sc.tx, sc.carrier) for c, f, _ in books),
+                           np.concatenate([w for *_, w in books]))
+    p = rebuilt.selected_params
+    row = (out / "results" / "search_summary.csv").read_text().splitlines()[1].split(",")
+    assert row[1:5] == [repr(rebuilt.overhead), repr(p.curving), repr(p.focus_distance),
+                        repr(p.focus_angle)]
 
 
 def test_search_prints_its_deployment_notes(tmp_path, capsys):

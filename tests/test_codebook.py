@@ -19,7 +19,6 @@ from airylink.channel import ChannelMatrix, ChannelModel
 from airylink.codebook import (
     FRESNEL_PRIMITIVE_SUP,
     Codebook,
-    CodebookScheme,
     angle_correlation_closed,
     angle_grid,
     beam_correlation_numeric,
@@ -193,8 +192,8 @@ def test_plan_grid_structure():
     inv = 1.0 / plan.focus_distances
     np.testing.assert_allclose(np.diff(inv), plan.intervals[1], rtol=1e-12)
     assert plan.focus_distances[0] == 3.0
-    assert plan.focus_distances.min() >= plan.r_min - 1e-12
-    assert plan.r_min == 0.75  # default D/4
+    r_last = plan.focus_distances.min()  # the default r_min is D/4 = 0.75
+    assert r_last >= 0.75 - 1e-12 and 1.0 / (1.0 / r_last + plan.intervals[1]) < 0.75
 
 
 def test_plan_adjacent_correlations():
@@ -246,7 +245,6 @@ def test_plan_validation():
 def test_exhaustive_lexicographic_order():
     plan = _plan()
     book = build_exhaustive_codebook(plan, _scenario())
-    assert book.scheme is CodebookScheme.EXHAUSTIVE
     j, k, v = plan.counts
     assert len(book) == j * k * v
     p0 = book.word(0).params
@@ -346,10 +344,8 @@ def test_hierarchical_builder():
     sc = _scenario()
     plan = _plan()
     stage1, factory = build_hierarchical_codebooks(plan, sc)
-    assert stage1.scheme is CodebookScheme.HIERARCHICAL_STAGE1
     assert len(stage1) == len(build_los_region_points(sc, plan))
     s2 = factory(plan.focus_distances[1], plan.angles[127])
-    assert s2.scheme is CodebookScheme.HIERARCHICAL_STAGE2
     assert len(s2) == plan.counts[0]
     params = s2.slot_params(range(len(s2)))
     np.testing.assert_array_equal(params[:, 0], plan.curving_values)
@@ -362,7 +358,6 @@ def test_low_complexity_rides_receiver_circle():
     plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, curving_range=(-2.0, 2.0))
     assert plan.counts[0] == 17
     stage1, factory = build_low_complexity_codebooks(sc, plan)
-    assert stage1.scheme is CodebookScheme.LOW_COMPLEXITY_STAGE1
     assert len(stage1) == 12
     assert len(stage1) + len(factory(3.0, 0.0)) == 29
     for _, r, th in stage1.slot_params(range(len(stage1))):
@@ -372,7 +367,6 @@ def test_low_complexity_rides_receiver_circle():
 def test_farfield_codebook():
     sc = _scenario(64)
     book = build_farfield_codebook(sc)
-    assert book.scheme is CodebookScheme.FAR_FIELD_STEERING
     assert len(book) == 63
     assert np.all(np.isinf(book.slot_params(range(len(book)))[:, 1]))
     plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, angle_index=2)
@@ -383,7 +377,6 @@ def test_farfield_codebook():
 def test_nearfield_codebook_targets_rx_elements():
     sc = _scenario(32)
     book = build_nearfield_codebook(sc)
-    assert book.scheme is CodebookScheme.NEAR_FIELD_FOCUSING
     assert len(book) == 32
     rx_y = element_positions(sc.rx)
     for (_, r, th), y in zip(book.slot_params(range(len(book))), rx_y):
@@ -466,17 +459,16 @@ def test_words_are_their_beam_vectors_bit_for_bit(n_tx):
         mirrored += int(np.sum(book.focus_terms.partner >= 0))
         far += int(np.sum(np.isinf(book.focus_points[:, 0])))
     assert mirrored > 0 and far > 0
-    results = [SearchResult(books[b].scheme, books[b].word(0), (books[a], books[b]),
-                            np.zeros(len(books[a]) + len(books[b])))
-               for a, b in (("hier_stage1", "hier_stage2"), ("lowc_stage1", "lowc_stage2"))]
-    results += [SearchResult(book.scheme, book.word(0), (book,), np.zeros(len(book)))
-                for name, book in books.items() if "stage" not in name]
-    for result in results:
+    results = {b: SearchResult((books[a], books[b]), np.zeros(len(books[a]) + len(books[b])))
+               for a, b in (("hier_stage1", "hier_stage2"), ("lowc_stage1", "lowc_stage2"))}
+    results.update((name, SearchResult((book,), np.zeros(len(book))))
+                   for name, book in books.items() if "stage" not in name)
+    for name, result in results.items():
         slots = rng.permutation(result.overhead)[:300]
         slots = np.concatenate([slots, [0, result.overhead - 1, slots[0]]])
         want = _beam_columns(result.slot_params(slots), sc)
-        assert _bits(result.words(slots)) == _bits(want), result.scheme
-        assert _bits(result.words(int(slots[-1]))) == _bits(want[:, -1]), result.scheme
+        assert _bits(result.words(slots)) == _bits(want), name
+        assert _bits(result.words(int(slots[-1]))) == _bits(want[:, -1]), name
         assert result.words([]).shape == (n_tx, 0)
 
 
@@ -495,23 +487,22 @@ def test_codebook_shapes_validated():
     curving, points = np.array([0.0, 1.0]), np.array([[3.0, 0.0], [2.0, 0.1]])
     cubic = curving_factors(curving, sc.tx, CAR)
     focus = focus_terms(points[:, 0], points[:, 1], sc.tx, CAR)
-    book = Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic, focus)
+    book = Codebook(curving, points, cubic, focus)
     assert len(book) == 4
     with pytest.raises(ValueError, match="one column per curving value and per focus"):
-        Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic,
-                 focus_terms(points[:1, 0], points[:1, 1], sc.tx, CAR))
+        Codebook(curving, points, cubic, focus_terms(points[:1, 0], points[:1, 1], sc.tx, CAR))
     with pytest.raises(ValueError, match="one column per curving value and per focus"):
-        Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic[:, :1], focus)
+        Codebook(curving, points, cubic[:, :1], focus)
     with pytest.raises(ValueError, match="one column per curving value and per focus"):
-        Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic[:8], focus)
+        Codebook(curving, points, cubic[:8], focus)
     with pytest.raises(ValueError, match=r"\[F, 2\]"):
-        Codebook(CodebookScheme.EXHAUSTIVE, curving, points[:, :1], cubic, focus)
+        Codebook(curving, points[:, :1], cubic, focus)
     with pytest.raises(ValueError, match=r"\[J\]"):
-        Codebook(CodebookScheme.EXHAUSTIVE, curving[:, None], points, cubic, focus)
+        Codebook(curving[:, None], points, cubic, focus)
     # the unit-modulus rule holds on the curving factors, to 1e-9
     with pytest.raises(ValueError, match="unit modulus"):
-        Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic * (1 + 1e-8), focus)
-    Codebook(CodebookScheme.EXHAUSTIVE, curving, points, cubic * (1 + 1e-10), focus)
+        Codebook(curving, points, cubic * (1 + 1e-8), focus)
+    Codebook(curving, points, cubic * (1 + 1e-10), focus)
 
 
 @pytest.mark.parametrize("scale, fails", [(1 + 1e-8, True), (1 + 1e-10, False)])
@@ -519,8 +510,7 @@ def test_every_synthesized_focus_block_is_norm_checked(monkeypatch, scale, fails
     # the unit-norm rule holds, to 1e-9, on each range of focus columns a
     # book synthesizes, and so on each word and each sounding block
     sc = _scenario(16)
-    book = product_codebook(CodebookScheme.FAR_FIELD_STEERING, [0.0],
-                            [(3.0, 0.0), (2.0, 0.1), (2.0, -0.1)], sc.tx, CAR)
+    book = product_codebook([0.0], [(3.0, 0.0), (2.0, 0.1), (2.0, -0.1)], sc.tx, CAR)
     synthesize = beam._focus_factor
 
     def scaled(*args, out=None):
@@ -543,8 +533,7 @@ def test_every_synthesized_focus_block_is_norm_checked(monkeypatch, scale, fails
 @pytest.mark.parametrize("t", [-1, 4, 5, -5, 10**6])
 def test_word_and_slot_params_reject_slots_outside_the_book(t):
     sc = _scenario(16)
-    book = product_codebook(CodebookScheme.EXHAUSTIVE, [-0.5, 0.5],
-                            [(3.0, 0.0), (2.0, 0.1)], sc.tx, CAR)
+    book = product_codebook([-0.5, 0.5], [(3.0, 0.0), (2.0, 0.1)], sc.tx, CAR)
     assert len(book) == 4
     with pytest.raises(ValueError, match=rf"slot {t} is outside \[0, 4\)"):
         book.word(t)
@@ -564,7 +553,7 @@ def test_focus_columns_reject_ranges_outside_the_book(lo, hi):
 
 def test_slot_params_maps_slots_and_chunks():
     sc = _scenario(16)
-    book = product_codebook(CodebookScheme.EXHAUSTIVE, [-0.5, 0.5],
+    book = product_codebook([-0.5, 0.5],
                             [(3.0, 0.0), (2.0, 0.1), (math.inf, -0.2)], sc.tx, CAR)
     want = [(a, r, th) for a in (-0.5, 0.5) for r, th in book.focus_points.tolist()]
     np.testing.assert_array_equal(book.slot_params(range(6)), want)

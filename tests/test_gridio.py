@@ -9,7 +9,6 @@ from airylink.beam import FieldMap
 from airylink.channel import ChannelMatrix, ChannelModel, gcm_channel
 from airylink import gridio
 from airylink.codebook import (
-    CodebookScheme,
     build_farfield_codebook,
     product_codebook,
     slot_params,
@@ -41,7 +40,7 @@ def _field_map():
     rng = np.random.default_rng(0)
     x = np.linspace(0.0, 1.0, 7)
     y = np.linspace(-0.2, 0.2, 5)
-    return FieldMap(x, y, rng.uniform(-60, 0, (5, 7)), mask_applied=False)
+    return FieldMap(x, y, rng.uniform(-60, 0, (5, 7)))
 
 
 def test_channel_binary_roundtrip(tmp_path):
@@ -105,18 +104,18 @@ def test_grid_readers_refuse_a_wrong_length_naming_both_sizes(tmp_path, write, r
 def _large_trace():
     # 1,000 curving values by 1,000 focus points: 8 MB of powers
     arr = half_wavelength_array(2, CAR)
-    book = product_codebook(CodebookScheme.EXHAUSTIVE, np.linspace(-1.0, 1.0, 1000),
+    book = product_codebook(np.linspace(-1.0, 1.0, 1000),
                             np.column_stack([np.full(1000, 2.0), np.linspace(-0.5, 0.5, 1000)]),
                             arr, CAR)
     powers = np.random.default_rng(1).uniform(0.0, 1.0, len(book))
-    return SearchResult(book.scheme, book.word(0), (book,), powers)
+    return SearchResult((book,), powers)
 
 
 @pytest.mark.parametrize("write, value, payload", [
     (write_channel_binary, lambda: ChannelMatrix(np.ones((512, 512), complex), ChannelModel.WCM),
      lambda channel: channel.entries),
     (write_field_map_binary, lambda: FieldMap(np.linspace(0.0, 1.0, 1000), np.linspace(
-        -0.5, 0.5, 1000), np.zeros((1000, 1000)), mask_applied=False), lambda fm: fm.power_db),
+        -0.5, 0.5, 1000), np.zeros((1000, 1000))), lambda fm: fm.power_db),
     (write_search_trace, _large_trace, lambda result: result.powers),
 ], ids=["channel", "field_map", "search_trace"])
 def test_binary_writers_copy_no_payload(tmp_path, write, value, payload):
@@ -136,10 +135,9 @@ def test_binary_writers_copy_no_payload(tmp_path, write, value, payload):
 def test_search_trace_cut_inside_a_books_sizes(tmp_path):
     # the second book's J and F are cut off: the walk stops there
     arr = half_wavelength_array(4, CAR)
-    book = product_codebook(CodebookScheme.EXHAUSTIVE, [0.0], [(1.0, 0.0)], arr, CAR)
+    book = product_codebook([0.0], [(1.0, 0.0)], arr, CAR)
     p = tmp_path / "trace.bin"
-    write_search_trace(p, SearchResult(book.scheme, book.word(0), (book, book),
-                                       np.array([1.0, 2.0])))
+    write_search_trace(p, SearchResult((book, book), np.array([1.0, 2.0])))
     raw = p.read_bytes()
     assert len(raw) == 36 + 2 * (16 + 8 * 4)
     p.write_bytes(raw[:36 + 48 + 8])
@@ -179,7 +177,7 @@ def test_field_map_csv_equals_the_per_cell_loop(tmp_path):
     y = np.linspace(-0.1, 0.1, 200)
     db = np.maximum(rng.uniform(-70.0, 0.0, (200, 200)), FieldMap.DB_FLOOR)
     db[0, 0], db[1, 1], db[2, 2] = 0.0, -0.0, -1.0 / 3.0
-    fm = FieldMap(x, y, db, mask_applied=False)
+    fm = FieldMap(x, y, db)
     lines = ["x_m,y_m,power_db"]
     for iy, yv in enumerate(fm.y):
         for ix, xv in enumerate(fm.x):
@@ -255,7 +253,7 @@ def test_codebook_csv_rows_follow_params(tmp_path, monkeypatch, chunk):
     # a chunk of 5 lines crosses from the curving rows to the focus rows
     monkeypatch.setattr(gridio, "_CHUNK_LINES", chunk)
     arr = half_wavelength_array(16, CAR)
-    book = product_codebook(CodebookScheme.EXHAUSTIVE, [-0.5, 0.0, 0.5],
+    book = product_codebook([-0.5, 0.0, 0.5],
                             [(1.0, 0.1), (2.0, -0.2), (np.inf, 0.0), (0.5, 0.3)], arr, CAR)
     p = tmp_path / "book.csv"
     write_codebook_csv(p, book)
@@ -273,7 +271,7 @@ def test_parameter_text_is_each_values_repr_with_signed_zeros(tmp_path, monkeypa
     # 1e-300 and 1/3
     monkeypatch.setattr(gridio, "_CHUNK_LINES", chunk)
     arr = half_wavelength_array(16, CAR)
-    book = product_codebook(CodebookScheme.EXHAUSTIVE, [-0.0, 0.0, 0.5, -0.5],
+    book = product_codebook([-0.0, 0.0, 0.5, -0.5],
                             [(np.inf, -0.0), (np.inf, 0.0), (2.0, -0.2), (1 / 3, 0.2),
                              (2.0, 0.0)], arr, CAR)
     p = tmp_path / "book.csv"
@@ -287,7 +285,7 @@ def test_parameter_text_is_each_values_repr_with_signed_zeros(tmp_path, monkeypa
     assert rebuilt.tobytes() == params.tobytes()
     powers = np.random.default_rng(2).uniform(0.0, 2.0, len(book))
     powers[:3] = 0.0, 1e-300, 1 / 3
-    result = SearchResult(book.scheme, book.word(0), (book,), powers)
+    result = SearchResult((book,), powers)
     q = tmp_path / "trace.bin"
     write_search_trace(q, result)
     (curving, points, back), = read_search_trace(q)

@@ -27,7 +27,7 @@ from airylink.channel import (
     cgwcm_channel,
     wcm_channel,
 )
-from airylink.codebook import CodebookScheme, product_codebook, solve_sampling_plan
+from airylink.codebook import product_codebook, solve_sampling_plan
 from airylink.evaluation import (
     BeamformingScheme,
     build_scheme_beamformers,
@@ -85,7 +85,7 @@ focus_points = st.lists(st.tuples(st.one_of(st.floats(0.05, 10.0), st.just(math.
 @given(n=st.integers(1, 96), curving=curvings, points=focus_points)
 def test_codewords_unit_norm_constant_modulus_and_match_single_beams(n, curving, points):
     arr = half_wavelength_array(n, CAR)
-    book = product_codebook(CodebookScheme.EXHAUSTIVE, curving, points, arr, CAR)
+    book = product_codebook(curving, points, arr, CAR)
     rows = [(a, r, th) for a, (r, th) in itertools.product(curving, points)]
     np.testing.assert_array_equal(book.slot_params(range(len(book))), rows)
     weights = np.stack([book.word(t).weights for t in range(len(book))], axis=1)

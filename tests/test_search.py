@@ -15,7 +15,6 @@ from airylink.beam import BeamParams, airy_beam_vector
 from airylink.channel import ChannelMatrix, ChannelModel, gcm_channel, wcm_channel
 from airylink.codebook import (
     Codebook,
-    CodebookScheme,
     angle_grid,
     build_exhaustive_codebook,
     build_farfield_codebook,
@@ -169,8 +168,7 @@ def test_exhaustive_noiseless_matches_argmax():
 
 
 def test_exhaustive_empty_codebook():
-    book = product_codebook(CodebookScheme.EXHAUSTIVE, [0.0], [],
-                            half_wavelength_array(4, CAR), CAR)
+    book = product_codebook([0.0], [], half_wavelength_array(4, CAR), CAR)
     assert len(book) == 0
     chan = ChannelMatrix(np.ones((2, 4), complex), ChannelModel.SYNTHETIC)
     with pytest.raises(ValueError):
@@ -221,7 +219,6 @@ def test_hierarchical_unblocked_selects_straight_beam():
     stage1, factory = build_hierarchical_codebooks(plan, sc)
     h = gcm_channel(sc)
     res = hierarchical_search(stage1, factory, h, TrainingConfig(1.0, 0.0))
-    assert res.scheme is CodebookScheme.HIERARCHICAL_STAGE2
     assert res.selected_params.curving == 0.0
     assert res.overhead == len(stage1) + plan.counts[0]
     stage1_best = res.powers[:len(stage1)].max()
@@ -270,7 +267,11 @@ def test_two_stage_result_maps_slots_through_both_books():
         with pytest.raises(ValueError, match=rf"slot {t} is outside \[0, {res.overhead}\)"):
             res.slot_params(t)
     with pytest.raises(ValueError, match="one power per slot"):
-        search.SearchResult(res.scheme, res.selected_vector, (stage1,), res.powers)
+        search.SearchResult((stage1,), res.powers)
+    empty = product_codebook([0.0], [], sc.tx, CAR)
+    for books in ((), (stage1, empty)):
+        with pytest.raises(ValueError, match="non-empty last book"):
+            search.SearchResult(books, np.zeros(sum(len(book) for book in books)))
 
 
 def test_two_stage_requires_zero_curving():
@@ -278,8 +279,7 @@ def test_two_stage_requires_zero_curving():
     stage1, _ = build_hierarchical_codebooks(plan, sc)
 
     def bad_factory(r, th):
-        return product_codebook(CodebookScheme.HIERARCHICAL_STAGE2, (1.0, 2.0), [(r, th)],
-                                sc.tx, CAR)
+        return product_codebook((1.0, 2.0), [(r, th)], sc.tx, CAR)
 
     with pytest.raises(ValueError):
         hierarchical_search(stage1, bad_factory, gcm_channel(sc),
@@ -293,7 +293,6 @@ def test_low_complexity_overhead_smaller():
     h = gcm_channel(sc)
     rh = hierarchical_search(h1, f1, h, TrainingConfig(1.0, 0.0))
     rl = low_complexity_search(l1, f2, h, TrainingConfig(1.0, 0.0))
-    assert rl.scheme is CodebookScheme.LOW_COMPLEXITY_STAGE2
     assert rl.overhead == len(l1) + plan.counts[0]
     assert rl.overhead < rh.overhead
 
@@ -482,8 +481,7 @@ def test_equal_powers_select_the_first_slot():
     sc = _scenario(16, 2.0)
     chan = ChannelMatrix(np.ones((4, 16), complex), ChannelModel.SYNTHETIC)
     for order in ([0.3, -0.3], [-0.3, 0.3]):
-        book = product_codebook(CodebookScheme.FAR_FIELD_STEERING, [0.0],
-                                [(math.inf, th) for th in order], sc.tx, CAR)
+        book = product_codebook([0.0], [(math.inf, th) for th in order], sc.tx, CAR)
         res = exhaustive_search(book, chan, TrainingConfig(1.0, 0.0))
         assert res.powers[0] == res.powers[1]
         assert res.selected_params.focus_angle == order[0]
@@ -499,7 +497,7 @@ def test_equal_powers_select_the_first_slot():
 def test_exhaustive_search_matches_per_slot_loop_on_random_channels(
         n_t, n_r, curving, points, noise, combiner, seed):
     arr = half_wavelength_array(n_t, CAR)
-    book = product_codebook(CodebookScheme.EXHAUSTIVE, curving, points, arr, CAR)
+    book = product_codebook(curving, points, arr, CAR)
     params = np.array([(a, r, th) for a, (r, th) in itertools.product(curving, points)])
     np.testing.assert_array_equal(book.slot_params(range(len(book))), params)
     gen = np.random.default_rng(seed)
