@@ -54,6 +54,7 @@ class BeamParams:
         # normalize to plain floats so params repr cleanly in traces/manifests
         for name in ("curving", "focus_distance", "focus_angle"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        _check_finite(curving=self.curving)
         _check_focus(self.focus_distance, self.focus_angle)
 
 
@@ -274,7 +275,7 @@ class GridSpec:
 
     def __post_init__(self):
         _check_count("num_x", self.num_x)
-        _check_count("num_y", self.num_y)
+        _check_count("num_y", self.num_y, minimum=2)
         _check_finite(x_min=self.x_min, x_max=self.x_max, y_min=self.y_min, y_max=self.y_max)
         if not (self.x_min > 0):
             raise ValueError("x_min: grid must start strictly after the aperture plane x=0")
@@ -282,8 +283,6 @@ class GridSpec:
             raise ValueError("x_max must exceed x_min, or equal it when num_x is 1")
         if not self.y_max > self.y_min:
             raise ValueError("y_max must exceed y_min")
-        if self.num_y < 2:
-            raise ValueError("num_y must be >= 2")
 
     @property
     def x(self) -> np.ndarray:
@@ -323,7 +322,7 @@ def render_aperture_field_map(aperture_positions, aperture_values,
                               scenario: ScenarioConfig, grid: GridSpec) -> FieldMap:
     """Render an arbitrary sampled aperture (see `channel.field_on_grid`)."""
     if grid.x_max > scenario.link_distance + 1e-12:
-        raise ValueError("grid extends beyond the receiver plane")
+        raise ValueError(f"x_max must not exceed the link distance ({scenario.link_distance!r} m)")
     xs, ys = grid.x, grid.y
     field = field_on_grid(scenario, aperture_positions, aperture_values, xs, ys)
     return _finalize_map(xs, ys, field)

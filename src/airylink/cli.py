@@ -1,8 +1,11 @@
 """Command-line interface: config parsing, experiment execution, artifacts.
 
-Every command computes from its resolved YAML config and returns what it
-found; `main` alone then writes the manifest recording the resolved
-settings (no timestamps), then the result files under the output
+The CLI reads each YAML value and option as its type and fills in defaults; a
+rule that the library type or function taking the value states is not repeated
+here: its message starts with the config key, or with a field name the CLI
+replaces with its option. Every command computes from its resolved config and
+returns what it found; `main` alone then writes the manifest recording the
+resolved settings (no timestamps), then the result files under the output
 directory: manifest.txt, results/*.csv, results/search_trace.bin and
 grids/*.bin.  Reruns with the same config and seed are byte-identical.
 """
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -19,17 +23,19 @@ from typing import NamedTuple
 from . import __version__
 from .beam import BeamParams, GridSpec, airy_beam_vector, render_field_map
 from .channel import MultipathRay, channel_error
-from .codebook import SamplingPlan, solve_sampling_plan
+from .codebook import SamplingPlan, check_plan_options, solve_sampling_plan
 from .evaluation import (
     BeamformingScheme,
     ChannelSet,
     SweepSpec,
     SweptVariable,
     calibrated_wave_channels,
+    k_factor_ratio,
     noise_for_target_se,
     run_scheme,
     run_sweep,
     scheme_codebooks,
+    target_snr,
 )
 from .gridio import (
     write_channel_binary,
@@ -40,7 +46,6 @@ from .gridio import (
     write_sweep_csv,
     write_text,
 )
-from .numerics import power_of
 from .scenario import (
     ArrayConfig,
     BlockageGeometry,
@@ -90,18 +95,20 @@ def _positive(value, path: str) -> float:
     return number
 
 
-def _target_se(value, path: str) -> float:
-    se = _positive(value, path)  # its SNR factor must stay a positive finite float
-    if not 0 < power_of(2.0, se) - 1.0 < math.inf:
-        raise ConfigError(f"{path}: 2**value - 1 must be a positive finite float")
-    return se
+def _keyed(rule, *args):
+    """`rule(*args)`, a library rule whose message starts with the config key."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _k_factor(value, path: str) -> float:
-    k = _number(value, path)  # its power ratio must stay a normal float
-    if not sys.float_info.min <= power_of(10, k / 10) < math.inf:
-        raise ConfigError(f"{path}: 10**(value/10) must be a positive normal float")
-    return k
+def _checked(rule):
+    """A number that the library's `rule` takes."""
+    def read(value, path: str) -> float:
+        _keyed(rule, number := _number(value, path))
+        return number
+    return read
 
 
 def _integer(minimum: int):
@@ -188,14 +195,14 @@ class CodebookOptions:
     curving_range: float = _opt(_positive, 4.0)
     angle_index: int = _opt(_integer(1), 1)
     r_min: float | None = field(default=None,
-                                metadata={"read": _positive, "key": "r_min_m"})
+                                metadata={"read": _number, "key": "r_min_m"})
 
 
 @dataclass(frozen=True)
 class TrainingOptions:
     transmit_power: float = _opt(_positive, 1.0)
     noise_power: float | None = _opt(_positive, None)
-    target_se_bps_hz: float | None = _opt(_target_se, None)
+    target_se_bps_hz: float | None = _opt(_checked(target_snr), None)
     probe_combiner: str = _opt(_choice(tuple(c.value for c in ProbeCombiner)),
                                ProbeCombiner.OMNIDIRECTIONAL.value)
     rng_seed: int = _opt(_integer(0), 0)
@@ -205,7 +212,7 @@ class TrainingOptions:
 class MultipathOptions:
     rays: tuple = _opt(_rays, MISSING)
     los_model: str | None = _opt(_choice((*_MODELS, "none", "None")), "gcm")
-    k_factor_db: float | None = _opt(_k_factor, None)
+    k_factor_db: float | None = _opt(_checked(k_factor_ratio), None)
 
 
 _VARIABLES = tuple(v.value for v in SweptVariable)
@@ -309,16 +316,10 @@ def load_config(path) -> RunConfig:
     multipath, sweep = (None if doc.get(name) is None else _load(cls, doc, name)
                         for name, cls in optional.items())
 
-    # Rules across fields and sections; the codebook's are the sampling plan's.
-    xi_a, xi_r, xi_theta = codebook.targets
-    if not (0 < xi_a < 1 and 0 < xi_r < 1 and xi_theta == 0):
-        raise ConfigError("codebook.targets: the first two must lie in (0, 1), "
-                          "the third must be 0")
-    n_tx = scenario.tx.num_elements
-    if n_tx > 1 and codebook.angle_index >= n_tx:  # one element has no angle grid
-        raise ConfigError(f"codebook.angle_index: must be < scenario.tx_elements ({n_tx})")
-    if codebook.r_min is not None and codebook.r_min > scenario.link_distance:
-        raise ConfigError("codebook.r_min_m: must not exceed scenario.link_distance_m")
+    # Rules across fields and sections; one element has no angle grid, which only planning refuses.
+    _keyed(check_plan_options, codebook.targets, scenario,
+           (-codebook.curving_range, codebook.curving_range),
+           codebook.angle_index if scenario.tx.num_elements > 1 else None, codebook.r_min)
     if training.noise_power is not None and training.target_se_bps_hz is not None:
         raise ConfigError("training.noise_power: give either noise_power or "
                           "target_se_bps_hz, not both")
@@ -328,10 +329,7 @@ def load_config(path) -> RunConfig:
                               "los_model none has none")
         multipath = replace(multipath, los_model=None)
     if sweep is not None:
-        try:
-            _sweep_spec(sweep, sweep.variable, training.rng_seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        _keyed(_sweep_spec, sweep, sweep.variable, training.rng_seed)
         for s in sweep.schemes:
             if "nlos_only" in _SCHEME_ALIASES[s].channel_fields and multipath is None:
                 raise ConfigError(f"sweep.schemes: {s} needs a multipath section")
@@ -464,51 +462,38 @@ def cmd_channel(args, cfg: RunConfig) -> CommandOutput:
     return CommandOutput([f"models: {','.join(models)}"], None, None, files, stdout)
 
 
-def _fieldmap_inputs(args, sc) -> tuple:
-    """The beam and the grid of `fieldmap`; each error names its option."""
-    for option in ("curving", "focus_angle", "xmin", "xmax", "ymin", "ymax"):
-        value = getattr(args, option)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"--{option.replace('_', '-')} must be finite")
-    if args.nx < 1:
-        raise ValueError("--nx must be at least 1")
-    if args.ny < 2:
-        raise ValueError("--ny must be at least 2")
-    focus = args.focus_distance if args.focus_distance is not None else sc.link_distance
-    if not focus > 0:
-        raise ValueError("--focus-distance must be positive (inf allowed)")
-    if not abs(args.focus_angle) < math.pi / 2:
-        raise ValueError("--focus-angle must lie in (-pi/2, pi/2)")
-    y_lim = 1.5 * max(abs(v) for v in (*sc.tx.span, *sc.rx.span))
-    x_min = args.xmin if args.xmin is not None else sc.link_distance / args.nx
-    x_max = args.xmax if args.xmax is not None else sc.link_distance
-    y_min = args.ymin if args.ymin is not None else -y_lim
-    y_max = args.ymax if args.ymax is not None else y_lim
-    if not x_min > 0:
-        raise ValueError("--xmin must be > 0: the aperture plane is x = 0")
-    if not (x_max > x_min or (args.nx == 1 and x_max == x_min)):
-        raise ValueError(f"--xmax must exceed --xmin ({x_min!r} m), "
-                         "or equal it when --nx is 1")
-    if x_max > sc.link_distance + 1e-12:
-        raise ValueError(f"--xmax must not exceed the link distance ({sc.link_distance!r} m)")
-    if not y_max > y_min:
-        if args.ymin is None and args.ymax is None:
-            raise ValueError("--ymin/--ymax: the default y window, 1.5 times the "
-                             "larger array half-length either side of the axis, "
-                             "is empty for one-element arrays; give both")
-        raise ValueError(f"--ymax must exceed --ymin ({y_min!r} m)")
-    ys = [y_min, y_max, *sc.tx.span]  # the window and every source of its columns
-    if sc.blockage is not None:
-        ys += [*virtual_grid(sc.with_virtual_defaults())[[0, -1]]]
-    check_hop_phase(sc.carrier, x_max, ys, "--ymin/--ymax", "narrow the y window")
-    return (BeamParams(args.curving, focus, args.focus_angle),
-            GridSpec(x_min, x_max, args.nx, y_min, y_max, args.ny))
+# The fieldmap option of each BeamParams and GridSpec field their messages name.
+_FIELDMAP_OPTIONS = {"curving": "--curving", "focus_distance": "--focus-distance",
+                     "focus_angle": "--focus-angle", "x_min": "--xmin", "x_max": "--xmax",
+                     "num_x": "--nx", "y_min": "--ymin", "y_max": "--ymax", "num_y": "--ny"}
+_FIELD_NAMES = re.compile(rf"\b({'|'.join(_FIELDMAP_OPTIONS)})\b")
 
 
 def cmd_fieldmap(args, cfg: RunConfig) -> CommandOutput:
     sc = cfg.scenario
-    params, grid = _fieldmap_inputs(args, sc)
-    fmap = render_field_map(airy_beam_vector(params, sc.tx, sc.carrier), sc, grid)
+    y_lim = 1.5 * max(abs(v) for v in (*sc.tx.span, *sc.rx.span))
+    if args.ymin is None and args.ymax is None and not y_lim > 0:
+        raise ValueError("--ymin/--ymax: the default y window, 1.5 times the "
+                         "larger array half-length either side of the axis, "
+                         "is empty for one-element arrays; give both")
+    # the defaults; GridSpec refuses --nx < 1, which the default x_min leaves to it
+    focus = args.focus_distance if args.focus_distance is not None else sc.link_distance
+    x_min = args.xmin if args.xmin is not None else sc.link_distance / max(args.nx, 1)
+    x_max = args.xmax if args.xmax is not None else sc.link_distance
+    y_min = args.ymin if args.ymin is not None else -y_lim
+    y_max = args.ymax if args.ymax is not None else y_lim
+    ys = [y_min, y_max, *sc.tx.span]  # the window and every source of its columns
+    if sc.blockage is not None:
+        ys += [*virtual_grid(sc.with_virtual_defaults())[[0, -1]]]
+    try:  # the library types check every value
+        params = BeamParams(args.curving, focus, args.focus_angle)
+        grid = GridSpec(x_min, x_max, args.nx, y_min, y_max, args.ny)
+        # a window past the Rx plane is the render's to refuse
+        check_hop_phase(sc.carrier, min(x_max, sc.link_distance), ys, "--ymin/--ymax",
+                        "narrow the y window")
+        fmap = render_field_map(airy_beam_vector(params, sc.tx, sc.carrier), sc, grid)
+    except ValueError as exc:  # their messages name fields: name each as its option
+        raise ValueError(_FIELD_NAMES.sub(lambda m: _FIELDMAP_OPTIONS[m[1]], str(exc))) from exc
     notes = [f"beam: curving={params.curving!r} focus_distance_m={params.focus_distance!r} "
              f"focus_angle_rad={params.focus_angle!r}",
              f"grid: x=[{grid.x_min!r}, {grid.x_max!r}] nx={grid.num_x} "

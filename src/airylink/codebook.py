@@ -278,19 +278,35 @@ def _adjacent_correlations(scenario: ScenarioConfig, s_a: float,
 
 
 def angle_grid(num_elements: int, angle_index: int = 1) -> np.ndarray:
-    """Angles whose sines sit on the -1 + m*(2*angle_index/N) lattice.
+    """Angles whose sines are k*(2*angle_index/N) for every integer k with
+    |k| * 2 * angle_index < N: Dirichlet-kernel nulls, so adjacent steering
+    beams are orthogonal, symmetric about broadside and short of endfire."""
+    k = (num_elements - 1) // (2 * angle_index)
+    return np.arcsin(np.arange(-k, k + 1, dtype=float) * (2.0 * angle_index / num_elements))
 
-    The grid steps between Dirichlet-kernel nulls, so adjacent steering
-    beams are exactly orthogonal.  The lattice endpoints sin(theta) = +-1
-    are excluded (endfire is outside the steerable range).
-    """
-    step = 2.0 * angle_index / num_elements
-    sines = []
-    s_val = -1.0 + step
-    while s_val < 1.0 - 1e-12:
-        sines.append(s_val)
-        s_val += step
-    return np.arcsin(np.array(sines))
+
+def check_plan_options(targets, scenario: ScenarioConfig, curving_range=(-4.0, 4.0),
+                       angle_index: int | None = 1, r_min: float | None = None) -> None:
+    """The sampling plan's input rules; each message starts with its config key.
+    angle_index None skips its rule: a one-element array has no index in
+    [1, N_t), and only the solver, not a caller that need not plan, refuses it."""
+    xi_a, xi_r, xi_theta = targets
+    for name, xi in (("curving", xi_a), ("distance", xi_r)):
+        if not (0 < xi < 1):
+            raise ValueError(f"codebook.targets: the {name} correlation target must "
+                             "lie strictly in (0, 1)")
+    if xi_theta != 0:
+        raise ValueError("codebook.targets: only orthogonal angle sampling (target 0) "
+                         "is supported; choose the null via codebook.angle_index")
+    n = scenario.tx.num_elements
+    if angle_index is not None and not 1 <= angle_index < n:
+        raise ValueError(f"codebook.angle_index, scenario.tx_elements: angle_index must "
+                         f"lie in [1, N_t) with N_t = {n}, got {angle_index}")
+    a_lim = float(curving_range[1])
+    if not (a_lim > 0) or curving_range[0] != -a_lim:
+        raise ValueError("codebook.curving_range: must be symmetric (-A, +A) with A > 0")
+    if r_min is not None and not (0 < r_min <= scenario.link_distance):
+        raise ValueError("codebook.r_min_m: must lie in (0, link_distance]")
 
 
 def solve_sampling_plan(targets, scenario: ScenarioConfig,
@@ -308,25 +324,12 @@ def solve_sampling_plan(targets, scenario: ScenarioConfig,
     the targets (0.790 and 0.363 at targets 0.4 and 0.15). Each error names
     the config key it comes from.
     """
+    check_plan_options(targets, scenario, curving_range, angle_index, r_min)
     xi_a, xi_r, xi_theta = targets
-    for name, xi in (("curving", xi_a), ("distance", xi_r)):
-        if not (0 < xi < 1):
-            raise ValueError(f"codebook.targets: the {name} correlation target must "
-                             "lie strictly in (0, 1)")
-    if xi_theta != 0:
-        raise ValueError("codebook.targets: only orthogonal angle sampling (target 0) "
-                         "is supported; choose the null via codebook.angle_index")
     n = scenario.tx.num_elements
-    if angle_index < 1 or angle_index >= n:
-        raise ValueError(f"codebook.angle_index, scenario.tx_elements: angle_index must "
-                         f"lie in [1, N_t) with N_t = {n}, got {angle_index}")
     a_lim = float(curving_range[1])
-    if not (a_lim > 0) or curving_range[0] != -a_lim:
-        raise ValueError("codebook.curving_range: must be symmetric (-A, +A) with A > 0")
     d_link = scenario.link_distance
     r_lo = d_link / 4 if r_min is None else float(r_min)
-    if not (0 < r_lo <= d_link):
-        raise ValueError("codebook.r_min_m: must lie in (0, link_distance]")
 
     env_a, batch_a, sup_a, nodes_a = _curving_envelope_pair()
     x_a, x_a_first = invert_oscillatory_envelope(env_a, xi_a, sup_a, nodes_a,

@@ -72,6 +72,8 @@ __all__ = [
     "scheme_codebooks",
     "run_scheme",
     "noise_for_target_se",
+    "target_snr",
+    "k_factor_ratio",
     "run_sweep",
 ]
 
@@ -306,13 +308,28 @@ def build_scheme_beamformers(scheme: BeamformingScheme,
                        ~live[:, 0])
 
 
+def target_snr(target_se: float) -> float:
+    """2**target_se - 1, the SNR at which one stream carries target_se bits/s/Hz."""
+    snr = power_of(2.0, target_se) - 1.0
+    if not 0 < snr < math.inf:
+        raise ValueError(f"training.target_se_bps_hz: 2**value - 1 must be a positive "
+                         f"finite float, got {target_se!r}")
+    return snr
+
+
+def k_factor_ratio(k_factor_db: float) -> float:
+    """10**(k_factor_db/10), a K-factor's direct-to-scattered power ratio."""
+    k_ratio = power_of(10.0, k_factor_db / 10)
+    if not sys.float_info.min <= k_ratio < math.inf:
+        raise ValueError(f"multipath.k_factor_db: 10**(value/10) must be a positive "
+                         f"normal float, got {k_factor_db!r}")
+    return k_ratio
+
+
 def noise_for_target_se(channel: ChannelMatrix, transmit_power: float,
                         target_se: float) -> float:
     """Noise power that puts the full-digital single-stream rate at target_se."""
-    snr = power_of(2.0, target_se) - 1.0
-    if not 0 < snr < math.inf:
-        raise ValueError(f"target_se: 2**target_se - 1 must be a positive finite float, "
-                         f"got target_se={target_se!r}")
+    snr = target_snr(target_se)
     top = float(np.linalg.svd(channel.entries, compute_uv=False)[0])
     if top == 0.0:
         raise ValueError("channel has no energy")
@@ -396,10 +413,7 @@ def calibrated_wave_channels(scenario: ScenarioConfig, model: str | None = "wcm"
     if model is not None and model not in builders:
         raise ValueError(f"unknown direct-path model {model!r}")
     if k_factor_db is not None:
-        k_ratio = power_of(10.0, k_factor_db / 10)
-        if not sys.float_info.min <= k_ratio < math.inf:
-            raise ValueError(f"k_factor_db: 10**(k_factor_db/10) must be a positive normal "
-                             f"float, got k_factor_db={k_factor_db!r}")
+        k_ratio = k_factor_ratio(k_factor_db)
     nlos = nlos_component(scenario, rays) if rays else None
     if model is None:
         if nlos is None:

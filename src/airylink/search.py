@@ -259,26 +259,24 @@ class SearchResult:
     def slot_params(self, slots) -> np.ndarray:
         """(curving, focus_distance, focus_angle) of each slot: [3] for one
         slot, [n, 3] for a sequence of n."""
-        t = _slot_indices(slots, self.overhead)
-        params = np.empty(t.shape + (3,))
-        start = 0
-        for book in self.books:
-            inside = (t >= start) & (t < start + len(book))
-            params[inside] = book.slot_params(t[inside] - start)
-            start += len(book)
-        return params
+        params = self._by_book(slots, lambda book, t: book.slot_params(t).T, (3,), float)
+        return np.moveaxis(params, 0, -1)
 
     def words(self, slots) -> np.ndarray:
         """Weights of each slot: [N_t] for one slot, [N_t, n] for a sequence
         of n, from one `Codebook.words` call per book."""
+        return self._by_book(slots, Codebook.words, self.books[0].cubic.shape[:1], complex)
+
+    def _by_book(self, slots, read, rows: tuple, dtype) -> np.ndarray:
+        """[*rows, *slots' shape]: `read(book, its slots)` of each book, in place."""
         t = _slot_indices(slots, self.overhead)
-        weights = np.empty(self.books[0].cubic.shape[:1] + t.shape, dtype=complex)
+        out = np.empty(rows + t.shape, dtype=dtype)
         start = 0
         for book in self.books:
             inside = (t >= start) & (t < start + len(book))
-            weights[..., inside] = book.words(t[inside] - start)
+            out[..., inside] = read(book, t[inside] - start)
             start += len(book)
-        return weights
+        return out
 
 
 def exhaustive_search(codebook: Codebook, channel: ChannelMatrix,
@@ -302,8 +300,7 @@ def hierarchical_search(stage1: Codebook, stage2_factory, channel: ChannelMatrix
     through the receiver.
     """
     if len(stage1) == 0:
-        raise ValueError("scenario.tx_elements: the stage-1 codebook is empty: no focus "
-                         "point of the sampling plan lies in the aperture strip")
+        raise ValueError("stage-1 codebook is empty")
     rng = np.random.default_rng(cfg.rng_seed)
     powers1 = _sound(stage1, channel, cfg, rng)
     _, r_f, theta_f = stage1.slot_params(int(np.argmax(powers1))).tolist()

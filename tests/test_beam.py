@@ -297,6 +297,28 @@ def _scenario(n=64, d_link=1.0, blockage=None):
     return ScenarioConfig(arr, arr, CAR, d_link, blockage=blockage)
 
 
+@pytest.mark.parametrize("bad, field", [
+    ((math.nan, 1.0, 0.0), "curving"),
+    ((math.inf, 1.0, 0.0), "curving"),
+    ((-math.inf, math.inf, 0.0), "curving"),
+    ((0.0, math.nan, 0.0), "focus_distance"),
+    ((0.0, 1.0, math.nan), "focus_angle"),
+])
+def test_beam_params_message_starts_with_field(bad, field):
+    # a non-finite curving is refused on construction, not later in the phasor
+    with pytest.raises(ValueError, match=f"^{field} "):
+        BeamParams(*bad)
+
+
+def test_render_refuses_window_past_rx_plane_naming_x_max():
+    sc = _scenario(16, 1.0)
+    beam = focusing_beam_vector(1.0, 0.0, sc.tx, CAR)
+    with pytest.raises(ValueError, match=r"^x_max must not exceed the link distance \(1\.0 m\)"):
+        render_field_map(beam, sc, GridSpec(0.5, 1.5, 4, -0.01, 0.01, 4))
+    # within the 1e-12 m rounding allowance the window still renders
+    assert render_field_map(beam, sc, GridSpec(0.5, 1.0 + 1e-13, 2, -0.01, 0.01, 4)).x.size == 2
+
+
 def test_focusing_beam_peak_on_target():
     # aperture large enough that the Fresnel focal shift is under a cell
     sc = _scenario(256, 1.0)

@@ -246,6 +246,7 @@ def test_nlos_scheme_needs_multipath_section(tmp_path, capsys, name):
     ("targets: [0.4, 0.15, 0.0]", "targets: [0.4, 0.15, 0.3]", "codebook.targets"),
     ("curving_range: 4.0", "curving_range: 4.0\n  angle_index: 40", "codebook.angle_index"),
     ("r_min_m: 0.2", "r_min_m: 5.0", "codebook.r_min_m"),
+    ("r_min_m: 0.2", "r_min_m: 0.0", "codebook.r_min_m"),
     ("rng_seed: 0", "rng_seed: -1", "training.rng_seed"),
     # values whose SNR or power ratio leaves the float range
     ("target_se_bps_hz: 10.0", "target_se_bps_hz: 1.0e-20", "training.target_se_bps_hz"),
@@ -509,6 +510,9 @@ def test_fieldmap_mirror_symmetry(tmp_path):
     (["--focus-distance", "-1.0"], "--focus-distance"),
     (["--curving", "nan"], "--curving"),
     (["--nx", "2", "--xmin", "1.0"], "--xmax"),
+    (["--curving", "inf"], "--curving"),
+    (["--focus-angle", "nan"], "--focus-angle"),
+    (["--xmin", "nan"], "--xmin"),
 ])
 def test_fieldmap_bad_option_named_before_output(tmp_path, capsys, options, named):
     out = tmp_path / "o"
@@ -642,15 +646,15 @@ def test_every_array_size_plans_or_names_a_key(tmp_path):
     assert list(refused) == [1]
 
 
-def test_empty_hierarchical_stage1_named_before_output(tmp_path, capsys):
-    # an odd element count puts no grid angle on the axis, and every other
-    # angle points past the aperture strip at every planned distance
+def test_hierarchical_search_runs_at_odd_tx_elements(tmp_path, capsys):
+    # the angle lattice is symmetric about broadside, so an odd element count
+    # keeps the on-axis angle, whose focus points lie in the aperture strip
     text = BASE_YAML.replace("tx_elements: 16", "tx_elements: 5")
     out = tmp_path / "o"
     assert main(["search", "--scheme", "hier", "--config", _write(tmp_path, text),
-                 "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: scenario.tx_elements: the stage-1 ")
-    assert not out.exists()
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("selected: ")
+    assert (out / "results" / "search_summary.csv").is_file()
 
 
 def test_one_by_one_blocked_link_ray_model(tmp_path):

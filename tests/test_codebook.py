@@ -28,6 +28,7 @@ from airylink.codebook import (
     build_los_region_points,
     build_low_complexity_codebooks,
     build_nearfield_codebook,
+    check_plan_options,
     curving_correlation_closed,
     distance_correlation_closed,
     normalized_angle_separation,
@@ -238,6 +239,54 @@ def test_plan_validation():
     for r_min in (0.0, 4.0):
         with pytest.raises(ValueError, match=r"^codebook\.r_min_m: "):
             solve_sampling_plan((0.4, 0.15, 0.0), sc, r_min=r_min)
+
+
+def test_plan_options_checked_without_planning():
+    # the rules solve_sampling_plan applies, each message starting with its key
+    sc = _scenario()
+    check_plan_options((0.4, 0.15, 0.0), sc, (-2.0, 2.0), 255, 3.0)
+    for kw, key in [({"targets": (0.4, 1.0, 0.0)}, "codebook.targets"),
+                    ({"targets": (0.4, 0.15, 0.3)}, "codebook.targets"),
+                    ({"angle_index": 256}, "codebook.angle_index, scenario.tx_elements"),
+                    ({"angle_index": 0}, "codebook.angle_index, scenario.tx_elements"),
+                    ({"curving_range": (-2.0, 3.0)}, "codebook.curving_range"),
+                    ({"r_min": 0.0}, "codebook.r_min_m"),
+                    ({"r_min": 3.5}, "codebook.r_min_m")]:
+        args = {"targets": (0.4, 0.15, 0.0), **kw}
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            check_plan_options(scenario=sc, **args)
+    # one element has no angle index in [1, N_t): without one, its other
+    # options pass, and only the solver refuses the array
+    one = ScenarioConfig(half_wavelength_array(1, CAR), half_wavelength_array(1, CAR), CAR, 3.0)
+    check_plan_options((0.4, 0.15, 0.0), one, angle_index=None)
+    with pytest.raises(ValueError, match="^codebook.r_min_m: "):
+        check_plan_options((0.4, 0.15, 0.0), one, angle_index=None, r_min=4.0)
+    with pytest.raises(ValueError, match="^codebook.angle_index, scenario.tx_elements: "):
+        solve_sampling_plan((0.4, 0.15, 0.0), one)
+
+
+@pytest.mark.parametrize("n", [3, 5, 33, 35, 127])
+def test_angle_grid_symmetric_with_broadside_at_odd_sizes(n):
+    grid = angle_grid(n)
+    assert grid.size == n and grid[n // 2] == 0.0
+    assert np.array_equal(grid, -grid[::-1])
+    np.testing.assert_allclose(np.diff(np.sin(grid)), 2.0 / n, atol=1e-12)
+    assert np.abs(np.sin(grid)).max() < 1.0
+
+
+def test_angle_grid_at_powers_of_two_is_the_running_lattice():
+    # the sines -1 + m*2u/N, summed step by step, are exact at a power of
+    # two, where the symmetric lattice gives the same angles bit for bit
+    for n in (2 ** p for p in range(1, 11)):
+        for u in (1, 2):
+            if u >= n:
+                continue
+            step, sines = 2.0 * u / n, []
+            s_val = -1.0 + step
+            while s_val < 1.0 - 1e-12:
+                sines.append(s_val)
+                s_val += step
+            assert np.array_equal(angle_grid(n, u), np.arcsin(sines)), (n, u)
 
 
 # --------------------------------------------------------------- codebooks

@@ -21,11 +21,13 @@ from airylink.evaluation import (
     SweptVariable,
     build_scheme_beamformers,
     calibrated_wave_channels,
+    k_factor_ratio,
     noise_for_target_se,
     run_scheme,
     run_sweep,
     scheme_codebooks,
     spectral_efficiency,
+    target_snr,
 )
 from airylink.scenario import (
     BlockageGeometry,
@@ -314,6 +316,25 @@ def test_noise_for_target_se_refuses_target_named(target_se):
     identity = ChannelMatrix(np.eye(2, dtype=complex), ChannelModel.SYNTHETIC)
     with pytest.raises(ValueError, match="target_se"):
         noise_for_target_se(identity, 1.0, target_se)
+
+
+@pytest.mark.parametrize("rule, value, key", [
+    (target_snr, 1e-20, "training.target_se_bps_hz"),
+    (target_snr, 2000.0, "training.target_se_bps_hz"),
+    (target_snr, -1.0, "training.target_se_bps_hz"),
+    (k_factor_ratio, 4000.0, "multipath.k_factor_db"),
+    (k_factor_ratio, -3200.0, "multipath.k_factor_db"),
+    (k_factor_ratio, math.nan, "multipath.k_factor_db"),
+])
+def test_ratio_rules_start_with_their_config_key(rule, value, key):
+    # the one copy of each range rule, which the config reader calls too
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        rule(value)
+
+
+def test_ratio_rules_return_their_ratio():
+    assert target_snr(1.0) == 1.0 and target_snr(10.0) == 1023.0
+    assert k_factor_ratio(10.0) == 10.0 and k_factor_ratio(-10.0) == pytest.approx(0.1)
 
 
 @pytest.mark.parametrize("k_factor_db", [4000.0, -3200.0, math.nan])
