@@ -30,6 +30,7 @@ from .evaluation import (
     SweepSpec,
     SweptVariable,
     calibrated_wave_channels,
+    check_k_factor_reference,
     k_factor_ratio,
     noise_for_target_se,
     run_scheme,
@@ -111,11 +112,12 @@ def _checked(rule):
     return read
 
 
-def _integer(minimum: int):
+def _integer(minimum: int | None):
+    """An integer, at least `minimum` unless that is None."""
     def read(value, path: str) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: must be an integer")
-        if value < minimum:
+        if minimum is not None and value < minimum:
             raise ConfigError(f"{path}: must be >= {minimum}")
         return value
     return read
@@ -130,10 +132,10 @@ def _choice(names: tuple):
 
 
 def _numbers(count: int | None):
-    """A list of `count` numbers, or of one or more when `count` is None."""
+    """A list of `count` numbers, or of any length when `count` is None."""
     def read(value, path: str) -> tuple:
-        if not isinstance(value, list) or not value or len(value) != (count or len(value)):
-            raise ConfigError(f"{path}: must be a list of {count or 'one or more'} numbers")
+        if not isinstance(value, list) or count not in (None, len(value)):
+            raise ConfigError(f"{path}: must be a list of {f'{count} ' if count else ''}numbers")
         return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
     return read
 
@@ -167,8 +169,8 @@ _MODELS = ("gcm", "wcm", "cgwcm")
 
 
 def _schemes(value, path: str) -> tuple:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: must be a non-empty list")
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: must be a list")
     for s in value:
         if not isinstance(s, str) or s not in _SCHEME_ALIASES:
             raise ConfigError(f"{path}: unknown scheme {s!r}")
@@ -223,7 +225,7 @@ class SweepOptions:
     variable: str = _opt(_choice(_VARIABLES), MISSING)
     grid: tuple = _opt(_numbers(None), MISSING)
     schemes: tuple = _opt(_schemes, MISSING)
-    repetitions: int = _opt(_integer(1), 1)
+    repetitions: int = _opt(_integer(None), 1)
 
 
 def _sweep_spec(sweep: SweepOptions, variable: str, base_seed: int) -> SweepSpec:
@@ -278,7 +280,7 @@ def _load_scenario(doc: dict) -> ScenarioConfig:
         if not isinstance(b, dict):
             raise ConfigError("scenario.blockage: must be a mapping")
         geometry = [_read(b, "scenario.blockage", key, read, MISSING) for key, read in (
-            ("distance_from_tx_m", _positive), ("width_m", _positive),
+            ("distance_from_tx_m", _positive), ("width_m", _number),
             ("extent_above_m", _number), ("extent_below_m", _number))]
         try:
             blockage = BlockageGeometry(*geometry)
@@ -323,11 +325,10 @@ def load_config(path) -> RunConfig:
     if training.noise_power is not None and training.target_se_bps_hz is not None:
         raise ConfigError("training.noise_power: give either noise_power or "
                           "target_se_bps_hz, not both")
-    if multipath is not None and multipath.los_model.lower() == "none":
-        if multipath.k_factor_db is not None:
-            raise ConfigError("multipath.k_factor_db: needs a direct path; "
-                              "los_model none has none")
-        multipath = replace(multipath, los_model=None)
+    if multipath is not None:
+        if multipath.los_model.lower() == "none":
+            multipath = replace(multipath, los_model=None)
+        _keyed(check_k_factor_reference, multipath.los_model, multipath.k_factor_db)
     if sweep is not None:
         _keyed(_sweep_spec, sweep, sweep.variable, training.rng_seed)
         for s in sweep.schemes:

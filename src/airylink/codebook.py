@@ -7,7 +7,9 @@ a one-dimensional envelope in a normalized separation variable:
 * distance axis: C = |(B + jD)(x)|/x, Fresnel integrals;
 * angle axis:    C = Dirichlet kernel magnitude (exact, not approximate).
 
-The solver inverts the first two envelopes at the target correlations.
+The first two take a number or an array: each value of A, and of B + jD
+below x = 6, is the sum of its whole lobes below x plus one partial panel
+up to x (`numerics`), so the solver scans and refines one function per axis.
 These envelopes are oscillatory: past the first dip below the target they
 rebound before decaying for good. The solver reports the location of the
 highest rebound peak beyond the first crossing (the level at which
@@ -42,7 +44,6 @@ from .beam import (
 )
 from .numerics import (
     airy_cos_integral,
-    airy_cos_integral_table,
     airy_cos_lobe_nodes,
     fresnel_integrals,
     fresnel_lobe_nodes,
@@ -58,23 +59,26 @@ def beam_correlation_numeric(v1: BeamVector, v2: BeamVector) -> float:
     return float(abs(np.vdot(v1.weights, v2.weights)))
 
 
-def curving_correlation_closed(x: float) -> float:
+def _closed_envelope(x, modulus):
+    """|P(x)|/x for each x, 1 below x = 1e-9, with `modulus` mapping a list of
+    x to |P| at each (P refuses x < 0): a float for a number, an array for an array."""
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1).tolist()
+    values = [1.0 if v < 1e-9 else p / v for v, p in zip(flat, modulus(flat))]
+    return values[0] if x.ndim == 0 else np.array(values).reshape(x.shape)
+
+
+def curving_correlation_closed(x):
     """Correlation envelope for two same-focus beams vs normalized curving gap."""
-    if x < 0:
-        raise ValueError("separation must be >= 0")
-    if x < 1e-9:
-        return 1.0
-    return abs(airy_cos_integral(x) / x)
+    return _closed_envelope(x, lambda flat: map(abs, airy_cos_integral(flat).tolist()))
 
 
-def distance_correlation_closed(x: float) -> float:
+def distance_correlation_closed(x):
     """Correlation envelope for two same-angle focusing beams vs normalized distance gap."""
-    if x < 0:
-        raise ValueError("separation must be >= 0")
-    if x < 1e-9:
-        return 1.0
-    b, d = fresnel_integrals(x)
-    return math.hypot(b, d) / x
+    def modulus(flat):
+        b, d = fresnel_integrals(flat)
+        return map(math.hypot, b.tolist(), d.tolist())
+    return _closed_envelope(x, modulus)
 
 
 def angle_correlation_closed(x: float, num_elements: int) -> float:
@@ -237,32 +241,10 @@ def product_codebook(curving, focus_points, tx: ArrayConfig, carrier: CarrierCon
                     focus_terms(points[:, 0], points[:, 1], tx, carrier))
 
 
-def _curving_envelope_pair():
-    env = curving_correlation_closed
-
-    def batch(grid):
-        vals = airy_cos_integral_table(grid)
-        return np.abs(vals / np.where(grid > 0, grid, 1.0))
-
-    sup = airy_cos_integral(1.0)  # global max of the cubic-phase primitive
-    nodes = airy_cos_lobe_nodes(max(4.0, (sup / 1e-3) ** 0.5))
-    return env, batch, sup, nodes
-
-
 # sup over x >= 0 of |B(x) + jD(x)|, the global max of the Fresnel primitive,
 # attained at x = 1.2093781287830067 where B cos(pi/2 x^2) + D sin(pi/2 x^2)
 # changes sign (checked against mpmath in the tests).
 FRESNEL_PRIMITIVE_SUP = 0.9490564666710863
-
-
-def _distance_envelope_pair():
-    env = distance_correlation_closed
-
-    def batch(grid):
-        b, d = fresnel_integrals(grid)
-        return np.hypot(b, d) / np.where(grid > 0, grid, 1.0)
-
-    return env, batch, FRESNEL_PRIMITIVE_SUP, fresnel_lobe_nodes(60.0)
 
 
 def _adjacent_correlations(scenario: ScenarioConfig, s_a: float,
@@ -331,12 +313,12 @@ def solve_sampling_plan(targets, scenario: ScenarioConfig,
     d_link = scenario.link_distance
     r_lo = d_link / 4 if r_min is None else float(r_min)
 
-    env_a, batch_a, sup_a, nodes_a = _curving_envelope_pair()
-    x_a, x_a_first = invert_oscillatory_envelope(env_a, xi_a, sup_a, nodes_a,
-                                                 batch_envelope=batch_a)
-    env_r, batch_r, sup_r, nodes_r = _distance_envelope_pair()
-    x_r, x_r_first = invert_oscillatory_envelope(env_r, xi_r, sup_r, nodes_r,
-                                                 batch_envelope=batch_r)
+    sup_a = airy_cos_integral(1.0)  # global max of the cubic-phase primitive
+    x_a, x_a_first = invert_oscillatory_envelope(
+        curving_correlation_closed, xi_a, sup_a,
+        airy_cos_lobe_nodes(max(4.0, (sup_a / 1e-3) ** 0.5)))
+    x_r, x_r_first = invert_oscillatory_envelope(
+        distance_correlation_closed, xi_r, FRESNEL_PRIMITIVE_SUP, fresnel_lobe_nodes(60.0))
     gamma = 2 * math.pi * angle_index / n
 
     d = scenario.tx.spacing

@@ -74,6 +74,7 @@ __all__ = [
     "noise_for_target_se",
     "target_snr",
     "k_factor_ratio",
+    "check_k_factor_reference",
     "run_sweep",
 ]
 
@@ -326,6 +327,12 @@ def k_factor_ratio(k_factor_db: float) -> float:
     return k_ratio
 
 
+def check_k_factor_reference(model: str | None, k_factor_db: float | None) -> None:
+    """A K-factor target rescales the rays against the direct path, so it needs one."""
+    if k_factor_db is not None and model is None:
+        raise ValueError("multipath.k_factor_db: needs a direct path; los_model none has none")
+
+
 def noise_for_target_se(channel: ChannelMatrix, transmit_power: float,
                         target_se: float) -> float:
     """Noise power that puts the full-digital single-stream rate at target_se."""
@@ -412,14 +419,13 @@ def calibrated_wave_channels(scenario: ScenarioConfig, model: str | None = "wcm"
     builders = {"gcm": gcm_channel, "wcm": wcm_channel, "cgwcm": cgwcm_channel}
     if model is not None and model not in builders:
         raise ValueError(f"unknown direct-path model {model!r}")
+    check_k_factor_reference(model, k_factor_db)
     if k_factor_db is not None:
         k_ratio = k_factor_ratio(k_factor_db)
     nlos = nlos_component(scenario, rays) if rays else None
     if model is None:
         if nlos is None:
             raise ValueError("a channel without a direct path needs rays")
-        if k_factor_db is not None:
-            raise ValueError("a K-factor target needs a direct-path model as reference")
         return ChannelSet(nlos, nlos, nlos)
 
     build = builders[model]

@@ -6,11 +6,13 @@ The beam-correlation closed forms reduce to the cumulative integrals
     B(x) = int_0^x cos(pi/2 t^2) dt        (Fresnel cosine)
     D(x) = int_0^x sin(pi/2 t^2) dt        (Fresnel sine)
 
-A is evaluated by Gauss-Legendre panels split at the integrand's zeros
-(t = (1+2m)^(1/3)), which keeps every panel a smooth half-oscillation.
+A(x) is the sum, in order, of Gauss-Legendre panels over the whole lobes
+between the integrand's zeros t = (1+2m)^(1/3) below x, each a smooth
+half-oscillation, plus one partial panel up to x.
 B + jD = int_0^x e^{j pi/2 t^2} dt is evaluated the same way below x = 6,
 with panels split at the lobe nodes t = sqrt(m), and by the auxiliary-function
 expansion of DLMF 7.12 from x = 6 on, so its cost does not grow with x.
+Both take a number or an array, each value depending on its own x only.
 
 `cis(theta)` is the table-driven phasor e^{j*theta} every codeword is
 built from. theta is reduced exactly to m*(2*pi/256) + r with
@@ -30,6 +32,8 @@ index shift, T[(96 - m) mod 256] e^{-jr}, and rounds nothing.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 
 import numpy as np
@@ -160,32 +164,26 @@ def _panel_quad(lo: float, hi: float) -> float:
     return half * float(np.dot(_GL_WEIGHTS, np.cos(0.5 * np.pi * t**3)))
 
 
-def airy_cos_integral(x: float) -> float:
-    """A(x) = int_0^x cos(pi/2 t^3) dt, absolute error below 1e-9."""
-    if not np.isfinite(x):
+def airy_cos_integral(x):
+    """A(x) = int_0^x cos(pi/2 t^3) dt, absolute error below 1e-9.
+
+    A float for a number, an array of x's shape for an array. Each value is
+    the sum, in order, of the whole lobes below x (one panel between each
+    pair of consecutive zeros) plus one partial panel from the last zero
+    below x up to x, so it depends on its own x only.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1).tolist()
+    if not all(map(math.isfinite, flat)):
         raise ValueError("x must be finite")
-    if x < 0:
+    if any(v < 0 for v in flat):
         raise ValueError("x must be >= 0")
-    if x == 0:
-        return 0.0
-    nodes = airy_cos_lobe_nodes(x)
-    edges = np.concatenate(([0.0], nodes[nodes < x], [x]))
-    return sum(_panel_quad(a, b) for a, b in zip(edges[:-1], edges[1:]))
-
-
-def airy_cos_integral_table(x_grid: np.ndarray) -> np.ndarray:
-    """A(x) on an ascending grid, via one cumulative panel sweep."""
-    x_grid = np.asarray(x_grid, dtype=float)
-    if x_grid.size == 0:
-        return np.empty(0)
-    if x_grid[0] < 0 or np.any(np.diff(x_grid) < 0):
-        raise ValueError("grid must be ascending and nonnegative")
-    edges = np.unique(np.concatenate((
-        [0.0], x_grid, airy_cos_lobe_nodes(float(x_grid[-1]))
-    )))
-    increments = np.array([_panel_quad(a, b) for a, b in zip(edges[:-1], edges[1:])])
-    cumulative = np.concatenate(([0.0], np.cumsum(increments)))
-    return np.interp(x_grid, edges, cumulative)
+    edges = [0.0, *airy_cos_lobe_nodes(max(flat, default=0.0)).tolist()]
+    lobes = list(itertools.accumulate(
+        (_panel_quad(a, b) for a, b in zip(edges, edges[1:])), initial=0.0))
+    below = [bisect.bisect_left(edges, v, 1) - 1 for v in flat]  # zeros below each x
+    values = [lobes[k] + _panel_quad(edges[k], v) for k, v in zip(below, flat)]
+    return values[0] if x.ndim == 0 else np.array(values).reshape(x.shape)
 
 
 # B + jD is evaluated by the auxiliary-function expansion from here on.
@@ -327,7 +325,7 @@ def solve_monotone_root(f, target: float, bracket: tuple) -> float:
 
 
 def invert_oscillatory_envelope(envelope, target: float, primitive_sup: float,
-                                lobe_nodes: np.ndarray, batch_envelope):
+                                lobe_nodes: np.ndarray):
     """Invert a decaying oscillatory envelope C(x) = |P(x)|/x at a target level.
 
     Returns (solved, first_crossing) where first_crossing is the first
@@ -341,9 +339,8 @@ def invert_oscillatory_envelope(envelope, target: float, primitive_sup: float,
     correlation curves read the hover region of the envelope: the spacing
     is set where residual correlation peaks, not at the earliest graze.
 
-    batch_envelope evaluates the whole scan grid at once (e.g. from a
-    cumulative table); the scalar envelope is used for the high-accuracy
-    refinements.
+    envelope takes a number or an array, each value its own: the scan's
+    values on the grid are the values the refinements see at its points.
     """
     if not (0 < target < 1):
         raise ValueError("target must lie in (0, 1)")
@@ -354,20 +351,13 @@ def invert_oscillatory_envelope(envelope, target: float, primitive_sup: float,
         np.linspace(a, b, _SCAN_POINTS_PER_LOBE, endpoint=False)
         for a, b in zip(edges[:-1], edges[1:])
     ] + [[x_stop]])
-    vals = np.asarray(batch_envelope(grid), dtype=float)
+    vals = envelope(grid)
 
     below = vals < target
     if below[0] or not below.any():
         raise ValueError("target not reachable from the envelope's initial lobe")
     i = int(np.argmax(below))  # first grid point under the target
-    # scan values may carry interpolation error; confirm the straddle on
-    # the exact envelope, widening by grid steps if needed
-    lo_i, hi_i = i - 1, i
-    while envelope(grid[lo_i]) < target and lo_i > 0:
-        lo_i -= 1
-    while envelope(grid[hi_i]) >= target and hi_i < grid.size - 1:
-        hi_i += 1
-    first_crossing = solve_monotone_root(envelope, target, (grid[lo_i], grid[hi_i]))
+    first_crossing = solve_monotone_root(envelope, target, (grid[i - 1], grid[i]))
 
     tail = grid >= first_crossing
     j = int(np.argmax(np.where(tail, vals, -np.inf)))

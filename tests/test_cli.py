@@ -281,6 +281,58 @@ def test_refused_sweep_point_names_sweep_grid(tmp_path, capsys, variable, grid):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("old, new, spec", [
+    ("grid: [0.0, 0.003]", "grid: []", {"grid": ()}),
+    ("schemes: [perfect, nonblocked]", "schemes: []", {"schemes": ()}),
+    ("schemes: [perfect, nonblocked]", "schemes: [perfect, nonblocked]\n  repetitions: 0",
+     {"repetitions": 0}),
+])
+def test_sweep_rules_come_from_sweep_spec(tmp_path, old, new, spec):
+    # the reader checks types and names; SweepSpec states the rule
+    from airylink.evaluation import BeamformingScheme, SweepSpec, SweptVariable
+
+    args = {"swept_variable": SweptVariable.BLOCKAGE_HEIGHT, "grid": (0.0, 0.003),
+            "schemes": (BeamformingScheme.PERFECT_CSI,), **spec}
+    with pytest.raises(ValueError) as library:
+        SweepSpec(**args)
+    with pytest.raises(ConfigError) as loaded:
+        load_config(_write(tmp_path, SWEEP_YAML.replace(old, new)))
+    assert str(loaded.value) == str(library.value)
+
+
+def test_k_factor_without_direct_path_one_message(tmp_path):
+    from airylink.evaluation import calibrated_wave_channels
+
+    text = BASE_YAML + MULTIPATH_YAML.replace("los_model: gcm",
+                                              "los_model: none\n  k_factor_db: 6.0")
+    with pytest.raises(ConfigError) as loaded:
+        load_config(_write(tmp_path, text))
+    cfg = load_config(_write(tmp_path, BASE_YAML + MULTIPATH_YAML, "good.yaml"))
+    with pytest.raises(ValueError) as library:
+        calibrated_wave_channels(cfg.scenario, None, cfg.multipath.rays, k_factor_db=6.0)
+    assert str(loaded.value) == str(library.value)
+    assert str(library.value).startswith("multipath.k_factor_db: ")
+
+
+def test_width_zero_screen_runs_and_negative_width_named(tmp_path, capsys):
+    # a zero-width screen is one virtual plane, a thin screen
+    text = SWEEP_YAML.replace("width_m: 0.02", "width_m: 0.0")
+    cfg = _write(tmp_path, text)
+    assert load_config(cfg).scenario.virtual_arrays.count == 1
+    out = tmp_path / "o"
+    for command in (["channel", "--compare"], ["sweep"]):
+        assert main([*command, "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "results" / "channel_summary.csv").exists()
+    assert (out / "results" / "sweep.csv").exists()
+    bad = _write(tmp_path, text.replace("width_m: 0.0", "width_m: -0.01"), "bad.yaml")
+    with pytest.raises(ConfigError, match="^scenario.blockage: "):
+        load_config(bad)
+    capsys.readouterr()
+    assert main(["sweep", "--config", bad, "--out", str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().err.startswith("error: scenario.blockage: ")
+    assert not (tmp_path / "b").exists()
+
+
 def _readme() -> str:
     return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 

@@ -1,6 +1,7 @@
 """Correlation envelopes, sampling-plan solver, codebook builders."""
 
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -37,7 +38,7 @@ from airylink.codebook import (
     product_codebook,
     solve_sampling_plan,
 )
-from airylink.numerics import fresnel_integrals
+from airylink.numerics import airy_cos_integral, airy_cos_lobe_nodes, fresnel_integrals
 from airylink.scenario import CarrierConfig, ScenarioConfig, element_positions, half_wavelength_array
 from airylink.search import SearchResult, TrainingConfig, exhaustive_search
 
@@ -82,6 +83,31 @@ def test_envelopes_at_zero_and_validation():
     for f in (curving_correlation_closed, distance_correlation_closed):
         with pytest.raises(ValueError):
             f(-0.1)
+
+
+def _envelope_arguments():
+    """Arguments on both sides of every branch: 0 and below the 1e-9 cut,
+    the cubic-phase zeros and their neighbours, a scan-like grid, and the
+    Fresnel expansion past x = 6; as a [2, n] array."""
+    nodes = airy_cos_lobe_nodes(3.0)
+    x = np.concatenate(([0.0, 1e-12, 1e-9, 6.0, 6.5, 12.0, 30.0], nodes,
+                        np.nextafter(nodes, 0.0), np.nextafter(nodes, 4.0),
+                        np.linspace(1e-9, 7.0, 83)))
+    return x.reshape(2, -1)
+
+
+@pytest.mark.parametrize("f", [airy_cos_integral, curving_correlation_closed,
+                               distance_correlation_closed])
+def test_array_values_equal_each_number_bit_for_bit(f):
+    # the plan solver scans an array and refines single numbers: both must
+    # see the same function
+    x = _envelope_arguments()
+    got = f(x)
+    assert got.shape == x.shape
+    each = [f(v) for v in x.ravel().tolist()]
+    assert all(type(v) is float for v in each)
+    assert got.ravel().tobytes() == np.array(each).tobytes()
+    assert f(np.float64(x[1, 3])) == each[x.shape[1] + 3]
 
 
 def test_fresnel_primitive_sup_matches_mpmath():
@@ -182,6 +208,46 @@ def test_plan_frozen_solution():
     assert plan.counts == (33, 4, 255)
     np.testing.assert_allclose(plan.focus_distances, R_GRID, atol=1e-6)
     assert "counts=(33, 4, 255)" in plan.describe()
+
+
+# The plans of the benchmark and README configs, bit for bit: targets
+# (0.4, 0.15, 0), curving range 10, r_min 0.14, a 1 m link at 140 GHz with
+# 16 Rx. Each entry: solved_parameters, first_crossings, intervals and
+# adjacent_correlations as float hex, then the counts and the sha256 of the
+# bytes of the curving, distance and angle grids. The frozen values above
+# allow 1e-6 on x_r; a drift that size moves the focus grid, and with it
+# the benchmark's spectral efficiencies past their 1e-9 relative tolerance.
+PINNED_PLANS = {
+    128: (("0x1.ad3a883bc5c44p+0", "0x1.27eff1a5a788cp+2", "0x1.921fb54442d18p-5"),
+          ("0x1.6c2b20afa6c2ep+0", "0x1.174dea20526b2p+2"),
+          ("0x1.f5ea74316c24ep+0", "0x1.3807c19211fdap+0", "0x1.0000000000000p-6"),
+          ("0x1.948da0d0b1b83p-1", "0x1.7391a867ec956p-2"),
+          (11, 6, 127),
+          ("9ebb3e8796f4f1a87867bd8181b3a3dca7e4e93271265b7479b6c51ca110e455",
+           "bc4b70123c3a34df9203428e1b87b48ba5576275b66c4581706a8fdf2803f753",
+           "62499e212338f572ecffd7a91628be06c2b43f10431833b5e3918875ce5f9d94")),
+    256: (("0x1.ad3a883bc5c44p+0", "0x1.27eff1a5a788cp+2", "0x1.921fb54442d18p-6"),
+          ("0x1.6c2b20afa6c2ep+0", "0x1.174dea20526b2p+2"),
+          ("0x1.f5ea74316c24ep-3", "0x1.3807c19211fdap-2", "0x1.0000000000000p-7"),
+          ("0x1.94884a3912158p-1", "0x1.7370a038b0ed4p-2"),
+          (81, 21, 255),
+          ("89bc552164769dd0063869dd97040f1e995caffe5ea67b411d9122e4a3a56278",
+           "b7a551654633bd22b176261869651c86de3a882165eb62bd3fd85d5970bb84c5",
+           "d5d4f2db4bb0e555d5c40d510b2f2311b7a5e237d6322817ff6df06ca11a9773")),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_PLANS))
+def test_plan_pinned_bit_for_bit(n):
+    sc = ScenarioConfig(half_wavelength_array(n, CAR), half_wavelength_array(16, CAR), CAR, 1.0)
+    plan = solve_sampling_plan((0.4, 0.15, 0.0), sc, (-10.0, 10.0), 1, 0.14)
+    solved, first, intervals, adjacent, counts, grids = PINNED_PLANS[n]
+    for got, want in ((plan.solved_parameters, solved), (plan.first_crossings, first),
+                      (plan.intervals, intervals), (plan.adjacent_correlations, adjacent)):
+        assert tuple(float(v).hex() for v in got) == want
+    assert plan.counts == counts
+    assert tuple(hashlib.sha256(g.tobytes()).hexdigest() for g in (
+        plan.curving_values, plan.focus_distances, plan.angles)) == grids
 
 
 def test_plan_grid_structure():

@@ -16,7 +16,6 @@ from airylink.beam import curving_factors, focus_terms, focusing_phase
 from airylink.codebook import build_los_region_points, solve_sampling_plan
 from airylink.numerics import (
     airy_cos_integral,
-    airy_cos_integral_table,
     airy_cos_lobe_nodes,
     cis,
     fresnel_integrals,
@@ -136,12 +135,6 @@ def test_fresnel_integrals_match_mpmath_on_both_branches():
         assert fresnel_integrals(float(x[i])) == (b[i], d[i])
 
 
-def test_airy_cos_integral_table_matches_frozen_values():
-    # the cumulative sweep matches the scalar integral at its grid points
-    vals = airy_cos_integral_table(np.array([0.0, 0.5, 1.0]))
-    np.testing.assert_allclose(vals, [0.0, AIRY_COS_HALF, AIRY_COS_ONE], atol=1e-9)
-
-
 def test_solve_monotone_root_cosine():
     # cos decreases on [0, pi]; root of cos(x)=0.3 is arccos(0.3)
     x = solve_monotone_root(lambda t: math.cos(t), 0.3, (0.0, math.pi))
@@ -172,21 +165,24 @@ DISTANCE_FIRST = 4.364130527080919
 DISTANCE_PEAK = 0.16752637743339485
 
 
+# The envelopes |P(x)|/x, 1 at x = 0, of a number or an array: the solver
+# scans and refines one function.
 def _curving_envelope(x):
-    return np.abs(np.vectorize(airy_cos_integral)(x)) / np.where(x == 0, 1.0, x)
+    x = np.asarray(x, dtype=float)
+    return np.where(x > 0, np.abs(airy_cos_integral(x)) / np.where(x > 0, x, 1.0), 1.0)
 
 
 def _distance_envelope(x):
+    x = np.asarray(x, dtype=float)
     b, d = fresnel_integrals(x)
-    return np.abs(b + 1j * d) / np.where(x == 0, 1.0, x)
+    return np.where(x > 0, np.abs(b + 1j * d) / np.where(x > 0, x, 1.0), 1.0)
 
 
 def test_invert_curving_envelope_frozen():
-    env = lambda x: abs(airy_cos_integral(x)) / x if x > 0 else 1.0
+    env = _curving_envelope
     sup = 0.8422079954274431  # max of |A| over x>0, attained near x=1
     solved, first = invert_oscillatory_envelope(
-        env, CURVING_TARGET, sup, airy_cos_lobe_nodes(5.0),
-        batch_envelope=_curving_envelope)
+        env, CURVING_TARGET, sup, airy_cos_lobe_nodes(5.0))
     assert solved == pytest.approx(CURVING_SOLVED, abs=1e-6)
     assert first == pytest.approx(CURVING_FIRST, abs=1e-9)
     assert env(first) == pytest.approx(CURVING_TARGET, abs=1e-9)
@@ -196,16 +192,10 @@ def test_invert_curving_envelope_frozen():
 
 
 def test_invert_distance_envelope_frozen():
-    def env(x):
-        if x <= 0:
-            return 1.0
-        b, d = fresnel_integrals(x)
-        return abs(b + 1j * d) / x
-
+    env = _distance_envelope
     sup = float(max(_distance_envelope(np.linspace(1e-4, 30.0, 200001))))
     solved, first = invert_oscillatory_envelope(
-        env, DISTANCE_TARGET, sup, fresnel_lobe_nodes(12.0),
-        batch_envelope=_distance_envelope)
+        env, DISTANCE_TARGET, sup, fresnel_lobe_nodes(12.0))
     assert solved == pytest.approx(DISTANCE_SOLVED, abs=1e-6)
     assert first == pytest.approx(DISTANCE_FIRST, abs=1e-9)
     assert env(first) == pytest.approx(DISTANCE_TARGET, abs=1e-9)
@@ -215,10 +205,9 @@ def test_invert_distance_envelope_frozen():
 
 def test_invert_monotone_reachable_target():
     # High target crossed once before any rebound: solved == first crossing.
-    env = lambda x: abs(airy_cos_integral(x)) / x if x > 0 else 1.0
+    env = _curving_envelope
     solved, first = invert_oscillatory_envelope(
-        env, 0.95, 0.8422079954274431, airy_cos_lobe_nodes(5.0),
-        batch_envelope=_curving_envelope)
+        env, 0.95, 0.8422079954274431, airy_cos_lobe_nodes(5.0))
     assert solved == pytest.approx(first, abs=1e-9)
     assert env(solved) == pytest.approx(0.95, abs=1e-9)
 
