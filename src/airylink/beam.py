@@ -22,13 +22,14 @@ the same word of a book are built by one code path and agree bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import field_on_grid
-from .numerics import cis
+from .numerics import BLOCK_VALUES, cis
 from .scenario import (
     ArrayConfig,
     CarrierConfig,
@@ -124,12 +125,6 @@ def curving_factors(curving, array: ArrayConfig, carrier: CarrierConfig) -> np.n
     return _cubic_factor(element_positions(array)[:, None], a, carrier.wavelength)
 
 
-# Phase values synthesized per block of focus columns: bounds the phase
-# temporaries, which for a whole book at once would more than double its
-# synthesis peak, and keeps them in cache for the phasor.
-_FOCUS_BLOCK = 8192
-
-
 @dataclass(frozen=True)
 class FocusTerms:
     """What a book keeps of F focus points: [F]-sized terms, no [N_t, F] matrix.
@@ -144,7 +139,8 @@ class FocusTerms:
     (quad, -sine) is the column of (quad, sine) read backwards, bit for bit:
     its phase at -y is the same rounded value as the partner's at y.
     partner[f] is such a column for each column with sine < 0 whose
-    partner's terms are in the book, else -1.
+    partner's terms are in the book, else -1. `ranges` cuts the columns
+    into mirror-closed ranges, so that each pair is synthesized once.
     """
 
     positions: np.ndarray  # [N_t] element positions y
@@ -166,8 +162,9 @@ class FocusTerms:
         """[N_t, hi - lo] unit-norm focus factors of points lo:hi.
 
         A column whose partner lies in lo:hi is copied from it, one reversed
-        slice per run of such columns; the rest are synthesized and checked
-        for unit norm. Either way a column does not depend on the range.
+        slice per run of such columns; the rest are synthesized, at most
+        `numerics.BLOCK_VALUES` phase values at a time, and checked for unit
+        norm. Either way a column does not depend on the range.
         """
         if not 0 <= lo <= hi <= len(self):
             raise ValueError(f"focus columns {lo}:{hi} are outside 0:{len(self)}")
@@ -176,7 +173,7 @@ class FocusTerms:
         partner = self.partner[lo:hi] - lo  # -1 - lo < 0 where there is none
         copied = (partner >= 0) & (partner < quad.size)
         factors = np.empty((y.size, quad.size), dtype=complex)
-        step = max(1, _FOCUS_BLOCK // y.size)
+        step = max(1, BLOCK_VALUES // y.size)
         for a, b in _runs(~copied, ~copied[:-1]):
             for start in range(a, b, step):
                 cols = slice(start, min(start + step, b))
@@ -185,6 +182,34 @@ class FocusTerms:
         for a, b in _runs(copied, copied[:-1] & (partner[:-1] == partner[1:] + 1)):
             factors[:, a:b] = factors[::-1, partner[b - 1]:partner[a] + 1][:, ::-1]
         return factors
+
+    def ranges(self, cap: int, widest: int) -> list:
+        """(lo, hi) column ranges covering 0:F in order, for `columns`.
+
+        A range may end after column c only if no mirror pair straddles the
+        cut (max(f, partner[f]) over every pair with a member at or before c
+        is at most c), so each column copied from its partner finds it in the
+        same range and each pair is synthesized once. A range takes as many
+        whole mirror-closed runs as fit in `cap` columns, or the next run
+        alone if it is wider; only a run wider than `widest` is cut inside,
+        its split pairs then synthesized on both sides.
+        """
+        n = len(self)
+        reach = np.arange(n)
+        paired = np.flatnonzero(self.partner >= 0)
+        np.maximum.at(reach, np.minimum(paired, self.partner[paired]),
+                      np.maximum(paired, self.partner[paired]))
+        ends = (np.flatnonzero(np.maximum.accumulate(reach) == np.arange(n)) + 1).tolist()
+        blocks, lo = [], 0
+        while lo < n:
+            k = bisect.bisect_right(ends, lo + cap)
+            if k and ends[k - 1] > lo:
+                hi = ends[k - 1]
+            else:
+                hi = min(ends[k], lo + widest)
+            blocks.append((lo, hi))
+            lo = hi
+        return blocks
 
 
 def focus_terms(focus_distance, focus_angle, array: ArrayConfig,
@@ -240,26 +265,16 @@ def airy_beam_vector(params: BeamParams, array: ArrayConfig,
                      carrier: CarrierConfig) -> BeamVector:
     """Unit-norm constant-modulus codeword: curving factor times focus factor.
 
-    A codebook word is the same product of the same factors, so
-    `Codebook.words` and `Codebook.word(t)` equal this vector for its
-    params bit for bit.
+    Zero curving gives a focusing beam, and focus_distance inf as well a
+    far-field steering beam (linear phase only). A codebook word is the
+    same product of the same factors, so `Codebook.words` and
+    `Codebook.word(t)` equal this vector for its params bit for bit.
     """
     y = element_positions(array)
     quad, sine = _focus_terms(params.focus_distance, params.focus_angle)
     weights = (_cubic_factor(y, params.curving, carrier.wavelength)
                * _focus_factor(y, quad, sine, carrier.wavelength))
     return BeamVector(params, weights)
-
-
-def focusing_beam_vector(focus_distance: float, focus_angle: float,
-                         array: ArrayConfig, carrier: CarrierConfig) -> BeamVector:
-    return airy_beam_vector(BeamParams(0.0, focus_distance, focus_angle), array, carrier)
-
-
-def steering_beam_vector(focus_angle: float, array: ArrayConfig,
-                         carrier: CarrierConfig) -> BeamVector:
-    """Far-field beam: linear phase only."""
-    return airy_beam_vector(BeamParams(0.0, math.inf, focus_angle), array, carrier)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .numerics import _cis_parts
+from .numerics import BLOCK_VALUES, _cis_parts
 from .scenario import (
     SPEED_OF_LIGHT,
     BlockageGeometry,
@@ -240,9 +240,6 @@ def _hop(rows: np.ndarray, a_y: np.ndarray, b_y: np.ndarray, dx: float,
 # and Y1 below that.
 _HANKEL_ASYMPTOTIC_FROM = 25.0
 _HANKEL_SERIES_BELOW = 4.0
-# Distances `_rs_kernel` evaluates per `_hankel2_1` call, as in `numerics.cis`:
-# every temporary stays in cache.
-_HANKEL_BLOCK = 8192
 
 
 def _asymptotic_series(terms: int) -> tuple:
@@ -445,12 +442,12 @@ def _rs_kernel(carrier: CarrierConfig, dx: float, weight: float):
     samples; its large-kr limit is the familiar point-source kernel times
     sqrt(lambda*r) e^{j pi/4}. Using the 3-D point-source kernel directly
     would over-weight short hops and make iterated plane-to-plane cascades
-    diverge. The Hankel values come from `_hankel2_1`, one `_HANKEL_BLOCK`
-    of distances per call, written in place: this is the kernel's only
-    block loop. No distance of the hop is below dx, so each call passes
-    z_min = k*dx, less the rounding of sqrt(dx^2 + y^2), and takes the
-    series length that bound allows (`_series_length`); an r below it
-    raises ValueError.
+    diverge. The Hankel values come from `_hankel2_1`, one
+    `numerics.BLOCK_VALUES` of distances per call, written in place: this
+    is the kernel's only block loop. No distance of the hop is below dx, so
+    each call passes z_min = k*dx, less the rounding of sqrt(dx^2 + y^2),
+    and takes the series length that bound allows (`_series_length`); an r
+    below it raises ValueError.
     """
     k = carrier.wavenumber
     c = 0.5 * k * dx * weight
@@ -459,8 +456,8 @@ def _rs_kernel(carrier: CarrierConfig, dx: float, weight: float):
     def kernel(r, out=None):
         values = np.empty(np.shape(r), dtype=complex) if out is None else out
         flat_r, flat = np.reshape(r, -1), values.reshape(-1)
-        for start in range(0, flat.size, _HANKEL_BLOCK):
-            block = flat_r[start:start + _HANKEL_BLOCK]
+        for start in range(0, flat.size, BLOCK_VALUES):
+            block = flat_r[start:start + BLOCK_VALUES]
             _hankel2_1(k * block, c / block, z_min, flat[start:start + block.size])
         values *= -1j
         return values

@@ -306,7 +306,8 @@ def load_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     try:
-        doc = yaml.safe_load(text)
+        # libyaml's parser where PyYAML has it, with SafeLoader's constructors and resolver
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"config: invalid YAML: {exc}") from exc
     if not isinstance(doc, dict):
@@ -423,12 +424,12 @@ def write_manifest(args, scenario: ScenarioConfig, output: CommandOutput) -> Pat
                   f"probe_combiner: {train.rx_probe_combiner.value}", f"seed: {train.rng_seed}"]
     if plan is not None:
         j, k, v = plan.counts
-        near_a, near_r = plan.adjacent_correlations
+        near_a, near_r = ("none" if c is None else repr(c) for c in plan.adjacent_correlations)
         lines += [
             "",
             "[sampling_plan]",
             f"summary: {plan.describe()}",
-            f"adjacent_correlations: curving={near_a!r} distance={near_r!r}",
+            f"adjacent_correlations: curving={near_a} distance={near_r}",
             f"grid_counts: curving={j} distance={k} angle={v}",
         ]
     lines += ["", "[run]", f"command: {args.command}", *output.notes]

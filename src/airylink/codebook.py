@@ -136,7 +136,7 @@ class SamplingPlan:
     target_correlations: tuple  # (xi_a, xi_r, xi_theta)
     solved_parameters: tuple    # envelope arguments for (curving, distance, angle)
     intervals: tuple            # design intervals (s_a, s_r, s_theta=2u/N)
-    adjacent_correlations: tuple  # numeric correlation of adjacent codewords (curving, distance)
+    adjacent_correlations: tuple  # (curving, distance) correlation of adjacent codewords, or None
     first_crossings: tuple      # first-descent envelope crossings (curving, distance)
     curving_values: np.ndarray
     focus_distances: np.ndarray
@@ -247,16 +247,18 @@ def product_codebook(curving, focus_points, tx: ArrayConfig, carrier: CarrierCon
 FRESNEL_PRIMITIVE_SUP = 0.9490564666710863
 
 
-def _adjacent_correlations(scenario: ScenarioConfig, s_a: float,
-                           s_r: float) -> tuple:
+def _adjacent_correlations(scenario: ScenarioConfig, s_a: float | None,
+                           s_r: float | None) -> tuple:
     """(curving, distance): the numeric correlation of the reference beam
-    (0, D, 0) with its planned neighbours (s_a, D, 0) and (0, 1/(1/D + s_r), 0)."""
+    (0, D, 0) with its planned neighbours (s_a, D, 0) and (0, 1/(1/D + s_r), 0),
+    or None for an axis given no interval: its grid holds no neighbour."""
     tx, carrier, d_link = scenario.tx, scenario.carrier, scenario.link_distance
     ref = airy_beam_vector(BeamParams(0.0, d_link, 0.0), tx, carrier)
-    return tuple(
-        beam_correlation_numeric(ref, airy_beam_vector(params, tx, carrier))
-        for params in (BeamParams(s_a, d_link, 0.0),
-                       BeamParams(0.0, 1.0 / (1.0 / d_link + s_r), 0.0)))
+    neighbours = (None if s_a is None else BeamParams(s_a, d_link, 0.0),
+                  None if s_r is None else BeamParams(0.0, 1.0 / (1.0 / d_link + s_r), 0.0))
+    return tuple(None if params is None
+                 else beam_correlation_numeric(ref, airy_beam_vector(params, tx, carrier))
+                 for params in neighbours)
 
 
 def angle_grid(num_elements: int, angle_index: int = 1) -> np.ndarray:
@@ -345,7 +347,9 @@ def solve_sampling_plan(targets, scenario: ScenarioConfig,
         target_correlations=(xi_a, xi_r, xi_theta),
         solved_parameters=(x_a, x_r, gamma),
         intervals=(s_a, s_r, s_theta),
-        adjacent_correlations=_adjacent_correlations(scenario, s_a, s_r),
+        adjacent_correlations=_adjacent_correlations(  # no neighbour on a one-value grid
+            scenario, s_a if curving_values.size > 1 else None,
+            s_r if focus_distances.size > 1 else None),
         first_crossings=(x_a_first, x_r_first),
         curving_values=curving_values,
         focus_distances=focus_distances,

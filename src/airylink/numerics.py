@@ -58,9 +58,10 @@ CIS_LIMIT = (_CIS_MAX_STEPS - 1) * 2 * math.pi / _CIS_STEPS
 # |r| <= pi/256 the first omitted terms are below 1e-19.
 _SIN3, _SIN5, _SIN7 = -1 / 6, 1 / 120, -1 / 5040
 _COS2, _COS4, _COS6 = -1 / 2, 1 / 24, -1 / 720
-# Values evaluated per block: every temporary stays in cache and below
-# malloc's mmap threshold.
-_CIS_BLOCK = 8192
+# Values evaluated per block by every blocked loop (`cis`, the Hankel kernel
+# `channel._rs_kernel`, focus columns `beam.FocusTerms.columns`): every
+# temporary stays in cache and below malloc's mmap threshold.
+BLOCK_VALUES = 8192
 
 
 def _cis_table() -> tuple:
@@ -91,7 +92,7 @@ def cis(theta, scale: float = 1.0, out=None) -> np.ndarray:
     cos, sin = _CIS_COS * scale, _CIS_SIN * scale
     t, o = (theta.reshape(1), out.reshape(1)) if theta.ndim == 0 else (theta, out)
     # blocks run over the leading axis, so a strided `out` is written in place
-    rows = max(1, _CIS_BLOCK * t.shape[0] // max(t.size, 1))
+    rows = max(1, BLOCK_VALUES * t.shape[0] // max(t.size, 1))
     for start in range(0, t.shape[0], rows):
         block = slice(start, start + rows)
         _cis_parts(t[block], o[block].real, o[block].imag, cos, sin)
@@ -346,7 +347,9 @@ def invert_oscillatory_envelope(envelope, target: float, primitive_sup: float,
         raise ValueError("target must lie in (0, 1)")
     x_stop = primitive_sup / target + 0.5
     nodes = lobe_nodes[lobe_nodes < x_stop]
-    edges = np.unique(np.concatenate(([1e-9], nodes, [x_stop])))
+    # sorted with equal neighbours dropped, as np.unique would, which loads numpy.ma
+    edges = np.sort(np.concatenate(([1e-9], nodes, [x_stop])))
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     grid = np.concatenate([
         np.linspace(a, b, _SCAN_POINTS_PER_LOBE, endpoint=False)
         for a, b in zip(edges[:-1], edges[1:])

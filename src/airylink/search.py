@@ -28,7 +28,6 @@ stages of a search continue one stream.  A noiseless run draws nothing.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -113,41 +112,12 @@ def _blocks(num_curving: int, num_focus: int):
             yield slice(i, i + per), slice(f, f + width)
 
 
-def _focus_blocks(partner: np.ndarray, cap: int) -> list:
-    """(lo, hi) focus-column ranges of a one-curving book, in order.
-
-    A range may end after column c only if no mirror pair straddles the
-    cut (max(f, partner[f]) over every pair with a member at or before c is
-    at most c), so each column copied from its partner finds it in the same
-    range and each pair is synthesized once. A range takes as many whole
-    mirror-closed runs as fit in `cap` columns, or the next run alone if it
-    is wider; only a run wider than _BLOCK_SLOTS is cut inside, its
-    split pairs then synthesized on both sides.
-    """
-    n = partner.size
-    reach = np.arange(n)
-    paired = np.flatnonzero(partner >= 0)
-    np.maximum.at(reach, np.minimum(paired, partner[paired]),
-                  np.maximum(paired, partner[paired]))
-    ends = (np.flatnonzero(np.maximum.accumulate(reach) == np.arange(n)) + 1).tolist()
-    blocks, lo = [], 0
-    while lo < n:
-        k = bisect.bisect_right(ends, lo + cap)
-        if k and ends[k - 1] > lo:
-            hi = ends[k - 1]
-        else:
-            hi = min(ends[k], lo + _BLOCK_SLOTS)
-        blocks.append((lo, hi))
-        lo = hi
-    return blocks
-
-
 def _book_blocks(book: Codebook):
     """(curving factors, focus factors) of each block of `book`, in slot order."""
     terms = book.focus_terms
     if book.curving.size == 1:
         cap = min(_BLOCK_SLOTS, max(1, _FOCUS_ENTRIES // book.cubic.shape[0]))
-        for lo, hi in _focus_blocks(terms.partner, cap):
+        for lo, hi in terms.ranges(cap, _BLOCK_SLOTS):
             yield book.cubic, terms.columns(lo, hi)
     else:
         focus = terms.columns(0, len(terms))
@@ -239,13 +209,21 @@ class SearchResult:
             raise ValueError("a search result selects its beam from a non-empty last book")
 
     @property
-    def selected_vector(self) -> BeamVector:
+    def _selected(self) -> tuple:
+        """(last book, its first best-measured slot)."""
         last = self.books[-1]
-        return last.word(int(np.argmax(self.powers[self.overhead - len(last):])))
+        return last, int(np.argmax(self.powers[self.overhead - len(last):]))
+
+    @property
+    def selected_vector(self) -> BeamVector:
+        last, slot = self._selected
+        return last.word(slot)
 
     @property
     def selected_params(self) -> BeamParams:
-        return self.selected_vector.params
+        """The selected beam's params, read off its book without synthesizing it."""
+        last, slot = self._selected
+        return BeamParams(*last.slot_params(slot))
 
     @property
     def overhead(self) -> int:

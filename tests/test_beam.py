@@ -16,11 +16,9 @@ from airylink.beam import (
     airy_beam_vector,
     curving_factors,
     focus_terms,
-    focusing_beam_vector,
     focusing_phase,
     render_aperture_field_map,
     render_field_map,
-    steering_beam_vector,
 )
 from airylink.codebook import (
     angle_grid,
@@ -234,9 +232,9 @@ def test_airy_beam_vector_constant_modulus_and_norm():
 
 def test_airy_reduces_to_focusing_at_zero_curving():
     arr = half_wavelength_array(32, CAR)
+    # the zero-curving cubic factor is exactly 1, so the word is its focus factor
     a0 = airy_beam_vector(BeamParams(0.0, 0.8, 0.15), arr, CAR)
-    foc = focusing_beam_vector(0.8, 0.15, arr, CAR)
-    np.testing.assert_array_equal(a0.weights, foc.weights)
+    np.testing.assert_array_equal(a0.weights, focus_terms(0.8, 0.15, arr, CAR).at(0))
 
 
 def test_airy_mirror_symmetry_exact():
@@ -261,7 +259,7 @@ def test_airy_phase_profile_matches_definition():
 
 def test_steering_beam_vector():
     arr = half_wavelength_array(16, CAR)
-    s = steering_beam_vector(0.3, arr, CAR)
+    s = airy_beam_vector(BeamParams(0.0, math.inf, 0.3), arr, CAR)
     assert math.isinf(s.params.focus_distance)
     assert s.params.curving == 0.0
     np.testing.assert_allclose(np.abs(s.weights), 1 / 4.0, atol=0)
@@ -312,7 +310,7 @@ def test_beam_params_message_starts_with_field(bad, field):
 
 def test_render_refuses_window_past_rx_plane_naming_x_max():
     sc = _scenario(16, 1.0)
-    beam = focusing_beam_vector(1.0, 0.0, sc.tx, CAR)
+    beam = airy_beam_vector(BeamParams(0.0, 1.0, 0.0), sc.tx, CAR)
     with pytest.raises(ValueError, match=r"^x_max must not exceed the link distance \(1\.0 m\)"):
         render_field_map(beam, sc, GridSpec(0.5, 1.5, 4, -0.01, 0.01, 4))
     # within the 1e-12 m rounding allowance the window still renders
@@ -322,7 +320,7 @@ def test_render_refuses_window_past_rx_plane_naming_x_max():
 def test_focusing_beam_peak_on_target():
     # aperture large enough that the Fresnel focal shift is under a cell
     sc = _scenario(256, 1.0)
-    beam = focusing_beam_vector(0.5, 0.0, sc.tx, CAR)
+    beam = airy_beam_vector(BeamParams(0.0, 0.5, 0.0), sc.tx, CAR)
     grid = GridSpec(0.05, 1.0, 96, -0.06, 0.06, 97)
     fmap = render_field_map(beam, sc, grid)
     px, py = fmap.peak()
@@ -354,7 +352,7 @@ def test_curving_displacement_monotone():
 
 def test_field_map_db_normalization_and_floor():
     sc = _scenario(32, 1.0)
-    beam = focusing_beam_vector(0.5, 0.0, sc.tx, CAR)
+    beam = airy_beam_vector(BeamParams(0.0, 0.5, 0.0), sc.tx, CAR)
     fmap = render_field_map(beam, sc, GridSpec(0.1, 1.0, 12, -0.2, 0.2, 13))
     assert fmap.power_db.max() == pytest.approx(0.0, abs=1e-12)
     assert fmap.power_db.min() >= FieldMap.DB_FLOOR - 1e-12
@@ -364,7 +362,7 @@ def test_field_map_db_normalization_and_floor():
 def test_render_with_blockage_masks_shadow():
     blk = BlockageGeometry(0.4, 0.05, 0.0, 0.5)  # wall covers the lower half
     sc = _scenario(64, 1.0, blockage=blk)
-    beam = focusing_beam_vector(1.0, 0.0, sc.tx, CAR)
+    beam = airy_beam_vector(BeamParams(0.0, 1.0, 0.0), sc.tx, CAR)
     grid = GridSpec(0.05, 1.0, 50, -0.05, 0.05, 51)
     blocked = render_field_map(beam, sc, grid)
     clear = render_field_map(beam, sc.without_blockage(), grid)

@@ -92,6 +92,22 @@ def test_cli_import_loads_no_scipy_module():
     assert run.stdout.strip() == "[]"
 
 
+# A fresh interpreter that loads the config given and solves its plan.
+_SOLVE_PLAN = """\
+import sys
+from airylink import cli
+cli.solve_plan(cli.load_config(sys.argv[1]))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_plan_solve_loads_no_numpy_ma(tmp_path):
+    # numpy.ma costs 10-17 ms and 1.2 MB on import; np.unique on floats loads it
+    run = _python("-c", _SOLVE_PLAN, _write(tmp_path, _readme_example_yaml()))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
 # ------------------------------------------------------------------- config
 
 def test_load_config_defaults(tmp_path):
@@ -474,6 +490,19 @@ def test_invalid_yaml_exit_2(tmp_path, capsys):
     assert "invalid YAML" in capsys.readouterr().err
 
 
+def test_libyaml_and_python_loaders_agree(tmp_path, monkeypatch):
+    # libyaml's loader first, then PyYAML's pure-Python one: equal configs,
+    # and a broken file named the same way
+    texts = [_readme_example_yaml(), SWEEP_YAML]
+    parsed = []
+    for _ in range(2):
+        parsed.append([load_config(_write(tmp_path, text)) for text in texts])
+        with pytest.raises(ConfigError, match=r"^config: invalid YAML: "):
+            load_config(_write(tmp_path, "scenario: ["))
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert parsed[0] == parsed[1]
+
+
 def test_scheme_names():
     from airylink.cli import _SCHEME_ALIASES, _SEARCH_CHOICES
 
@@ -664,11 +693,16 @@ def test_few_element_plan_reports_adjacent_correlations(tmp_path, command, n_tx)
     t0 = time.perf_counter()
     assert main([*command, "--config", _write(tmp_path, text), "--out", str(out)]) == 0
     assert time.perf_counter() - t0 < 1.0
-    lines = [line for line in (out / "manifest.txt").read_text().splitlines()
+    manifest = (out / "manifest.txt").read_text()
+    lines = [line for line in manifest.splitlines()
              if line.startswith("adjacent_correlations: ")]
     assert len(lines) == 1
     found = re.fullmatch(r"adjacent_correlations: curving=(\S+) distance=(\S+)", lines[0])
-    assert all(0.0 <= float(value) <= 1.0 for value in found.groups())
+    counts = re.search(r"^grid_counts: curving=(\d+) distance=(\d+) angle=\d+$", manifest, re.M)
+    # an axis whose grid holds one value has no neighbour, and says so
+    for value, count in zip(found.groups(), counts.groups()):
+        assert (value == "none") == (count == "1"), lines[0]
+        assert value == "none" or 0.0 <= float(value) <= 1.0, lines[0]
 
 
 def _readme_example_yaml() -> str:
@@ -692,7 +726,10 @@ def test_every_array_size_plans_or_names_a_key(tmp_path):
             assert re.match(r"(codebook|scenario)\.\w+[,:]", str(exc)), (n_tx, str(exc))
             refused[n_tx] = str(exc)
         else:
-            assert all(0.0 <= c <= 1.0 for c in plan.adjacent_correlations), n_tx
+            # None exactly on an axis whose grid holds one value
+            for c, count in zip(plan.adjacent_correlations, plan.counts):
+                assert (c is None) == (count == 1), n_tx
+                assert c is None or 0.0 <= c <= 1.0, n_tx
         assert time.perf_counter() - t0 < 1.0, n_tx
     # one element has no angle grid; every other size plans
     assert list(refused) == [1]

@@ -13,8 +13,6 @@ from airylink.beam import (
     airy_beam_vector,
     curving_factors,
     focus_terms,
-    focusing_beam_vector,
-    steering_beam_vector,
 )
 from airylink.channel import ChannelMatrix, ChannelModel
 from airylink.codebook import (
@@ -71,7 +69,7 @@ def test_correlation_self_and_mismatch():
     sc = _scenario(32)
     v = airy_beam_vector(BeamParams(1.0, 3.0, 0.1), sc.tx, CAR)
     assert beam_correlation_numeric(v, v) == pytest.approx(1.0, abs=1e-12)
-    w = steering_beam_vector(0.0, half_wavelength_array(16, CAR), CAR)
+    w = airy_beam_vector(BeamParams(0.0, math.inf, 0.0), half_wavelength_array(16, CAR), CAR)
     with pytest.raises(ValueError):
         beam_correlation_numeric(v, w)
 
@@ -136,8 +134,8 @@ def test_angle_correlation_is_exact_dirichlet():
     rng = np.random.default_rng(7)
     for _ in range(50):
         s1, s2 = rng.uniform(-0.9, 0.9, size=2)
-        v1 = steering_beam_vector(math.asin(s1), arr, CAR)
-        v2 = steering_beam_vector(math.asin(s2), arr, CAR)
+        v1 = airy_beam_vector(BeamParams(0.0, math.inf, math.asin(s1)), arr, CAR)
+        v2 = airy_beam_vector(BeamParams(0.0, math.inf, math.asin(s2)), arr, CAR)
         x = normalized_angle_separation(s1, s2, arr, CAR)
         assert abs(beam_correlation_numeric(v1, v2)
                    - angle_correlation_closed(x, n)) < 1e-10
@@ -152,8 +150,8 @@ def test_angle_grid_nulls_and_endpoints():
     assert sines.min() > -1.0 and sines.max() < 1.0
     # adjacent steering beams on the grid are orthogonal
     arr = half_wavelength_array(n, CAR)
-    v1 = steering_beam_vector(grid[10], arr, CAR)
-    v2 = steering_beam_vector(grid[11], arr, CAR)
+    v1 = airy_beam_vector(BeamParams(0.0, math.inf, grid[10]), arr, CAR)
+    v2 = airy_beam_vector(BeamParams(0.0, math.inf, grid[11]), arr, CAR)
     assert beam_correlation_numeric(v1, v2) < 1e-10
     # higher index: every other null
     grid2 = angle_grid(n, angle_index=2)
@@ -174,8 +172,8 @@ def test_curving_closed_matches_numeric():
 def test_distance_closed_matches_numeric():
     sc = _scenario(256)
     for r1, r2 in ((3.0, 1.5), (3.0, 1.0), (2.0, 0.9), (1.5, 0.8), (3.0, 0.75)):
-        v1 = focusing_beam_vector(r1, 0.0, sc.tx, CAR)
-        v2 = focusing_beam_vector(r2, 0.0, sc.tx, CAR)
+        v1 = airy_beam_vector(BeamParams(0.0, r1, 0.0), sc.tx, CAR)
+        v2 = airy_beam_vector(BeamParams(0.0, r2, 0.0), sc.tx, CAR)
         x = normalized_distance_separation(r1, r2, 0.0, sc.tx, CAR)
         closed = distance_correlation_closed(x)
         numeric = beam_correlation_numeric(v1, v2)
@@ -273,7 +271,7 @@ def test_plan_adjacent_correlations():
     assert plan.focus_distances[1] == 1.0 / (1.0 / 3.0 + s_r)
     ref = airy_beam_vector(BeamParams(0.0, 3.0, 0.0), sc.tx, CAR)
     va = airy_beam_vector(BeamParams(s_a, 3.0, 0.0), sc.tx, CAR)
-    vr = focusing_beam_vector(plan.focus_distances[1], 0.0, sc.tx, CAR)
+    vr = airy_beam_vector(BeamParams(0.0, plan.focus_distances[1], 0.0), sc.tx, CAR)
     near_a, near_r = plan.adjacent_correlations
     assert near_a == pytest.approx(beam_correlation_numeric(ref, va), abs=1e-12)
     assert near_r == pytest.approx(beam_correlation_numeric(ref, vr), abs=1e-12)

@@ -405,6 +405,8 @@ def _assert_matches_reference(design, sc, channel, cfg):
         want_params, want_powers = _reference_search(stages, channel, cfg,
                                                      design["vector"])
         assert got.selected_params == want_params, (name, cfg)
+        # read off the book, it is the synthesized selected beam's params
+        assert got.selected_params == got.selected_vector.params, (name, cfg)
         assert got.overhead == len(want_powers), (name, cfg)
         np.testing.assert_allclose(got.powers, want_powers, rtol=POWER_RTOL, atol=0,
                                    err_msg=f"{name} {cfg}")
@@ -824,17 +826,20 @@ def test_sounding_blocks_are_mirror_closed_and_synthesize_each_column_once(
             assert np.all((lo <= partner[copied]) & (partner[copied] < hi)), name
 
 
-def test_a_run_wider_than_the_slot_cap_is_split(monkeypatch):
-    # one mirror pair spans the whole book; at a 4-slot cap it is cut inside
-    # and the split pairs are synthesized on both sides
+def test_a_run_wider_than_the_slot_cap_is_split():
+    # one mirror pair spans the whole book; at a 4-column widest range it is
+    # cut inside and the split pairs are synthesized on both sides
+    def terms(partner):
+        zeros = np.zeros(partner.size)
+        return beam.FocusTerms(np.zeros(2), 1.0, zeros, zeros, partner)
+
     partner = np.full(10, -1)
     partner[9], partner[6] = 0, 3
-    assert search._focus_blocks(partner, 8192) == [(0, 10)]
-    assert search._focus_blocks(partner, 2) == [(0, 10)]
-    monkeypatch.setattr(search, "_BLOCK_SLOTS", 4)
-    assert search._focus_blocks(partner, 2) == [(0, 4), (4, 8), (8, 10)]
-    assert search._focus_blocks(np.full(5, -1), 2) == [(0, 2), (2, 4), (4, 5)]
-    assert search._focus_blocks(np.full(0, -1), 2) == []
+    assert terms(partner).ranges(8192, 8192) == [(0, 10)]
+    assert terms(partner).ranges(2, 8192) == [(0, 10)]
+    assert terms(partner).ranges(2, 4) == [(0, 4), (4, 8), (8, 10)]
+    assert terms(np.full(5, -1)).ranges(2, 4) == [(0, 2), (2, 4), (4, 5)]
+    assert terms(np.full(0, -1)).ranges(2, 4) == []
 
 
 @pytest.mark.parametrize("num_curving, num_focus", [(11, 762), (81, 5355), (1, 2971),
