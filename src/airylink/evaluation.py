@@ -9,9 +9,9 @@ one-stream rate as it is, so none is designed.
 Beamformers, their design and their spectral efficiency take a stack of
 K beams along a leading axis: `_deploy` deploys every beam of a scheme at
 one point as one stack, a search's selected beam as a stack of one, and
-an overhead sweep each scheme's distinct budget leaders.  A beam's result
-does not depend on the stack it is deployed in: the stacked products and
-solves round each beam as they round it alone.
+an overhead sweep every budget's leader.  A beam's result does not depend
+on the stack it is deployed in: the stacked products round each beam as
+they round it alone.
 """
 
 from __future__ import annotations
@@ -85,12 +85,13 @@ def spectral_efficiency(precoder: np.ndarray, combiner: np.ndarray,
     """Rates [K] in bits/s/Hz of K combined one-stream links over `channel`.
 
     precoder [K x N_t] and combiner [K x N_r] hold one vector per link;
-    other shapes are refused, naming them.  The rate, log2(1 + P |w^H H f|^2
-    / (noise_power ||w||^2)), does not change when f or w is scaled, so one
-    stream needs no digital stage.  Where ||w|| is 0 (a zero combiner,
-    which collects no signal either) the rate is 0.
-    Each combiner is first scaled, exactly, by the power of two that brings
-    its largest modulus into [0.5, 1), so no combiner scale under- or overflows.
+    other shapes are refused, naming them.  The rate is the scalar SNR's
+    log1p(P |g|^2 / (noise_power ||w||^2)) / log(2), with g = w^H H f; it
+    does not change when f or w is scaled, so one stream needs no digital
+    stage.  Where w is zero (a zero combiner collects no signal and no
+    noise) the rate is exactly 0.  Each combiner is first scaled, exactly,
+    by the power of two that brings its largest modulus into [0.5, 1), so
+    no combiner scale under- or overflows.
     """
     f = np.asarray(precoder, dtype=complex)
     w = np.asarray(combiner, dtype=complex)
@@ -105,33 +106,32 @@ def spectral_efficiency(precoder: np.ndarray, combiner: np.ndarray,
     w = np.ldexp(np.ascontiguousarray(w).view(float), -exponent[:, None]).view(complex)
     f, w = f[:, :, None], w[:, :, None]
     w_h = w.conj().swapaxes(1, 2)
-    g = w_h @ channel.entries @ f
-    r_n = noise_power * (w_h @ w)
-    rho_term = transmit_power * (g @ g.conj().swapaxes(1, 2))
-    silent = r_n == 0.0
-    core = np.linalg.solve(np.where(silent, 1.0, r_n), rho_term)
-    core[silent] = 0.0
-    sign, logdet = np.linalg.slogdet(1.0 + core)
-    return logdet / math.log(2.0)
+    g = (w_h @ channel.entries @ f)[:, 0, 0]
+    norm_sq = (w_h @ w)[:, 0, 0].real
+    # a zero w has g = 0, so its rate is log1p(0) = 0 exactly
+    snr = transmit_power * np.abs(g) ** 2 / (noise_power * np.where(norm_sq > 0, norm_sq, 1.0))
+    return np.log1p(snr) / math.log(2.0)
 
 
 @dataclass(frozen=True)
 class Beamformers:
-    """K one-stream deployments: each one's precoder and combiner vector, and
-    whether its design channel had rank 0.  A digital stage would only scale
-    a vector, which leaves a one-stream rate as it is, so there is none."""
+    """K one-stream deployments: each one's precoder and combiner vector,
+    both zero where its design channel had rank 0.  A digital stage would
+    only scale a vector, which leaves a one-stream rate as it is, so there
+    is none."""
 
-    precoder: np.ndarray        # [K x N_t]
-    combiner: np.ndarray        # [K x N_r]
-    rank_deficient: np.ndarray  # [K]
+    precoder: np.ndarray  # [K x N_t]
+    combiner: np.ndarray  # [K x N_r]
 
     def __post_init__(self):
         norm_sq = np.sum(np.abs(self.precoder) ** 2, axis=-1)
-        zero = norm_sq == 0.0
-        if (zero & ~self.rank_deficient).any():
-            raise ValueError("zero precoder without rank_deficient flag")
-        if (~zero & (np.abs(norm_sq - 1) > 1e-9 * np.maximum(norm_sq, 1))).any():
+        if ((norm_sq != 0.0) & (np.abs(norm_sq - 1) > 1e-9 * np.maximum(norm_sq, 1))).any():
             raise ValueError("composite precoder must have unit power, one stream's")
+
+    @property
+    def rank_deficient(self) -> np.ndarray:
+        """[K]: whether each design channel had rank 0, its precoder zero."""
+        return ~self.precoder.any(axis=1)
 
     def evaluate(self, channel: ChannelMatrix, transmit_power: float,
                  noise_power: float) -> np.ndarray:
@@ -245,22 +245,17 @@ def _deploy(scheme: BeamformingScheme, beams: np.ndarray | None,
 
     The K beams are designed and evaluated as one stack of beamformers,
     each with the result it has alone.  Notes, in order: `fully_blocked`
-    (the link is all zero), `rank_deficient`, and `ill_conditioned_noise`
-    (the combiner is zero, so the combined noise covariance is
-    singular and the rate is 0).
+    (the link is all zero), then, where the design channel had rank 0, so
+    precoder and combiner are zero and the rate is 0, `rank_deficient` and
+    `ill_conditioned_noise`.
     """
     design, link = (getattr(channels, name) for name in scheme.channel_fields)
     bf = build_scheme_beamformers(scheme, beams, design)
     se = bf.evaluate(link, cfg.transmit_power, cfg.noise_power)
-    ill = ~bf.combiner.any(axis=1)
-    blocked = not link.entries.any()
-    deployed = []
-    for value, rank_deficient, ill_conditioned in zip(
-            se.tolist(), bf.rank_deficient.tolist(), ill.tolist()):
-        flags = (("fully_blocked", blocked), ("rank_deficient", rank_deficient),
-                 ("ill_conditioned_noise", ill_conditioned))
-        deployed.append((value, ";".join(name for name, flag in flags if flag)))
-    return deployed
+    blocked = ("fully_blocked",) if not link.entries.any() else ()
+    rank_0 = ("rank_deficient", "ill_conditioned_noise")
+    return [(value, ";".join(blocked + (rank_0 if zero else ())))
+            for value, zero in zip(se.tolist(), bf.rank_deficient.tolist())]
 
 
 def build_scheme_beamformers(scheme: BeamformingScheme,
@@ -276,7 +271,7 @@ def build_scheme_beamformers(scheme: BeamformingScheme,
     response.  With one stream, a digital stage would only scale each
     vector by a complex scalar, which leaves the rate as it is, so none is
     designed.  A design channel of rank 0 (for a searched beam, an all-zero
-    response) gives a zero precoder and combiner, flagged `rank_deficient`.
+    response) gives a zero precoder and combiner.
 
     `beam` is the [N_t, K] constant-modulus weights of K beams as columns,
     or a `BeamVector`, a stack of one.
@@ -293,7 +288,7 @@ def build_scheme_beamformers(scheme: BeamformingScheme,
         live = bool(s[0] > 0)  # rank > 0
         f = vh[0].conj()
         f = np.where(live, f * (1.0 / np.linalg.norm(f)), 0)
-        return Beamformers(f[None], np.where(live, u[:, 0], 0)[None], np.array([not live]))
+        return Beamformers(f[None], np.where(live, u[:, 0], 0)[None])
     weights = beam.weights[:, None] if isinstance(beam, BeamVector) else np.asarray(beam)
     if weights.ndim != 2 or len(weights) != n_t:
         raise ValueError(f"beams must be [{n_t}, K] weights, got {weights.shape}")
@@ -305,8 +300,7 @@ def build_scheme_beamformers(scheme: BeamformingScheme,
     magnitude = np.abs(response)
     phases = np.where(magnitude > 0, response / np.where(magnitude > 0, magnitude, 1.0), 1.0)
     live = response.any(axis=1)[:, None]
-    return Beamformers(np.where(live, f, 0), np.where(live, (1.0 / math.sqrt(n_r)) * phases, 0),
-                       ~live[:, 0])
+    return Beamformers(np.where(live, f, 0), np.where(live, (1.0 / math.sqrt(n_r)) * phases, 0))
 
 
 def target_snr(target_se: float) -> float:
@@ -491,15 +485,9 @@ def _overhead_rows(spec: SweepSpec, channels: ChannelSet, books,
         result = _search(scheme, books(scheme), channels, cfg)
         budgets = [min(int(value), result.overhead) for value in spec.grid]
         leaders = [int(np.argmax(result.powers[:used])) for used in budgets]
-        keys = list(map(tuple, result.slot_params(leaders).tolist()))
-        first: dict = {}  # each distinct beam's first leader; all deploy as one stack
-        for key, slot in zip(keys, leaders):
-            first.setdefault(key, slot)
-        deployed = dict(zip(first, _deploy(scheme, result.words(list(first.values())),
-                                           channels, cfg)))
+        deployed = _deploy(scheme, result.words(leaders), channels, cfg)  # one stack
         best_so_far, best_notes = -math.inf, ""
-        for value, used, key in zip(spec.grid, budgets, keys):
-            se, notes = deployed[key]
+        for value, used, (se, notes) in zip(spec.grid, budgets, deployed):
             if se > best_so_far:
                 best_so_far, best_notes = se, notes
             rows.append(SweepRow(spec.swept_variable.value, float(value),
