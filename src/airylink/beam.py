@@ -36,7 +36,9 @@ from .scenario import (
     ScenarioConfig,
     _check_count,
     _check_finite,
+    check_hop_phase,
     element_positions,
+    virtual_grid,
 )
 
 
@@ -335,11 +337,24 @@ def render_field_map(beam: BeamVector, scenario: ScenarioConfig,
 
 def render_aperture_field_map(aperture_positions, aperture_values,
                               scenario: ScenarioConfig, grid: GridSpec) -> FieldMap:
-    """Render an arbitrary sampled aperture (see `channel.field_on_grid`)."""
+    """Render one value per position of a 1-D aperture at x = 0 (see
+    `channel.field_on_grid`) on a window that ends by the Rx plane (x_max)
+    and whose longest hop, from the aperture or a virtual plane, keeps its
+    phase below `numerics.CIS_LIMIT` (y_min/y_max, `scenario.check_hop_phase`)."""
+    y = np.asarray(aperture_positions, dtype=float)
+    if y.ndim != 1 or y.size == 0:
+        raise ValueError(f"aperture_positions must be a non-empty 1-D array, not {y.shape}")
+    if np.shape(aperture_values) != y.shape:
+        raise ValueError(f"aperture_values: shape {np.shape(aperture_values)} does not "
+                         f"match the {y.size} aperture positions")
     if grid.x_max > scenario.link_distance + 1e-12:
         raise ValueError(f"x_max must not exceed the link distance ({scenario.link_distance!r} m)")
+    ends = [grid.y_min, grid.y_max, y.min(), y.max()]  # the window and its columns' sources
+    if scenario.blockage is not None:
+        ends += [*virtual_grid(scenario.with_virtual_defaults())[[0, -1]]]
+    check_hop_phase(scenario.carrier, grid.x_max, ends, "y_min/y_max", "narrow the y window")
     xs, ys = grid.x, grid.y
-    field = field_on_grid(scenario, aperture_positions, aperture_values, xs, ys)
+    field = field_on_grid(scenario, y, aperture_values, xs, ys)
     return _finalize_map(xs, ys, field)
 
 

@@ -25,8 +25,8 @@ Every hop goes through one operator, `_hop_operator`: rows @ K with
 K[i, j] = kernel(r) between two sample grids. Between grids of one pitch
 (the virtual planes and the arrays) K is Toeplitz, so the kernel is
 evaluated at the m+n-1 index offsets only and applied by FFT
-(`_toeplitz_apply`), with no [m, n] matrix formed. Field-map columns of
-another pitch are evaluated pairwise (`_pairwise_hop`), once per mirror
+(`_toeplitz_apply`), with no [m, n] matrix formed. Field-map columns are
+evaluated pairwise (`_pairwise_hop`) whatever their pitch, once per mirror
 pair, from one plan per source (`_pairwise_plan`) and in buffers shared
 across the render.
 
@@ -563,21 +563,17 @@ def field_on_grid(scenario: ScenarioConfig, aperture_y, values, xs, ys) -> np.nd
     Each column hops from the nearest source strictly upstream (a column on
     a plane from the source before it), so columns accumulate no error from
     one another, and is zero inside the screen. Every hop weighs its source
-    samples by `_pitch`. A source is planned once for its run of columns,
-    and all columns share one set of buffers.
+    samples by `_pitch`. Columns hop pairwise whatever their pitch, from one
+    plan per run of columns (`_pairwise_plan`) and in one set of buffers.
     """
     kernel = partial(_rs_kernel, scenario.carrier)
-
-    def push(source, x, y):
-        sx, sy, sv, sw = source
-        return _hop(sv, sy, y, x - sx, kernel(x - sx, sw))
-
     y0 = np.asarray(aperture_y, dtype=float)
-    sources = [(0.0, y0, np.asarray(values, dtype=complex)[None], _pitch(y0))]
+    v0 = np.asarray(values, dtype=complex)[None]
+    sources = [(0.0, y0, v0, _pitch(y0))]
     blk = scenario.blockage
     if blk is not None:
         vy, plane_xs, gate, inner = _chain(scenario, use_blockage=True, kernel=kernel)
-        fields = [push(sources[0], plane_xs[0], vy) * gate]
+        fields = [_hop(v0, y0, vy, plane_xs[0], kernel(plane_xs[0], _pitch(y0))) * gate]
         for hop in inner:
             fields.append(hop(fields[-1]) * gate)
         sources += [(px, vy, sv, _pitch(vy)) for px, sv in zip(plane_xs, fields)]
@@ -592,13 +588,8 @@ def field_on_grid(scenario: ScenarioConfig, aperture_y, values, xs, ys) -> np.nd
             s -= 1
         sx, sy, sv, sw = sources[s]
         if s != planned:  # one plan per run of columns, held for that run only
-            planned, plan = s, None
-            if not _shares_pitch(ys, sy):
-                plan = _pairwise_plan(sv, sy, ys)
-        if plan is None:
-            field[:, i] = push(sources[s], xc, ys)[0]
-        else:
-            field[:, i] = _pairwise_hop(*plan, xc - sx, kernel(xc - sx, sw), buffers)[0]
+            planned, plan = s, _pairwise_plan(sv, sy, ys)
+        field[:, i] = _pairwise_hop(*plan, xc - sx, kernel(xc - sx, sw), buffers)[0]
         if blk is not None and blk.near_x - 1e-15 <= xc <= blk.far_x + 1e-15:
             field[:, i] *= screen
     return field

@@ -53,8 +53,6 @@ from .scenario import (
     CarrierConfig,
     ScenarioConfig,
     blocked_pairs,
-    check_hop_phase,
-    virtual_grid,
 )
 from .search import ProbeCombiner, TrainingConfig
 
@@ -484,15 +482,9 @@ def cmd_fieldmap(args, cfg: RunConfig) -> CommandOutput:
     x_max = args.xmax if args.xmax is not None else sc.link_distance
     y_min = args.ymin if args.ymin is not None else -y_lim
     y_max = args.ymax if args.ymax is not None else y_lim
-    ys = [y_min, y_max, *sc.tx.span]  # the window and every source of its columns
-    if sc.blockage is not None:
-        ys += [*virtual_grid(sc.with_virtual_defaults())[[0, -1]]]
-    try:  # the library types check every value
+    try:  # the library checks every value, the render the window's reach and hop phase
         params = BeamParams(args.curving, focus, args.focus_angle)
         grid = GridSpec(x_min, x_max, args.nx, y_min, y_max, args.ny)
-        # a window past the Rx plane is the render's to refuse
-        check_hop_phase(sc.carrier, min(x_max, sc.link_distance), ys, "--ymin/--ymax",
-                        "narrow the y window")
         fmap = render_field_map(airy_beam_vector(params, sc.tx, sc.carrier), sc, grid)
     except ValueError as exc:  # their messages name fields: name each as its option
         raise ValueError(_FIELD_NAMES.sub(lambda m: _FIELDMAP_OPTIONS[m[1]], str(exc))) from exc

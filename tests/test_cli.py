@@ -483,6 +483,16 @@ def test_fieldmap_window_just_inside_the_phasor_range_runs(tmp_path):
                  "--ny", "4", "--ymin", repr(-edge), "--ymax", repr(edge)]) == 0
 
 
+def test_fieldmap_window_past_the_rx_plane_and_too_wide_names_xmax(tmp_path, capsys):
+    # the render checks x_max before the window's hop phase, which reads it
+    out = tmp_path / "o"
+    assert main(["fieldmap", "--config", _write(tmp_path, BASE_YAML), "--out", str(out),
+                 "--nx", "2", "--ny", "4", "--xmax", "1.5", "--ymin", "-1000000.0",
+                 "--ymax", "1000000.0"]) == 2
+    assert capsys.readouterr().err.startswith("error: --xmax must not exceed the link distance")
+    assert not out.exists()
+
+
 def test_invalid_yaml_exit_2(tmp_path, capsys):
     rc = main(["channel", "--config", _write(tmp_path, "scenario: ["),
                "--out", str(tmp_path / "o")])
